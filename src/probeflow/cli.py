@@ -104,8 +104,8 @@ def _build_parser():
     p_inv.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="parallel simulations (default: PROBEFLOW_THREADS or 1)",
+        default=1,
+        help="worker processes for the scan (default: 1)",
     )
     p_inv.add_argument("--out", default="probeflow_out", help="output directory")
     p_inv.set_defaults(func=_cmd_inverse)

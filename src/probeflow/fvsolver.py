@@ -14,12 +14,11 @@ simulation lands exactly on probe program boundaries and snapshot times.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, ProbeStateError, StabilityError
+from .errors import DomainError, StabilityError
 from .model import ModelCoupled, eval_flux
 
 #: Default CFL safety factor.
@@ -74,23 +73,16 @@ class Grid:
         return self.x_min + self.dx * (np.arange(self.n_cells) + 0.5)
 
 
-def init_field(grid, datum, background=None):
+def init_field(grid, datum):
     """Exact cell averages of a piecewise constant profile.
 
-    ``datum`` is either a profile object with ``xs`` / ``value_at`` or a
-    plain list of ``((a, b), value)`` blocks laid over ``background``
-    (default 0).  Cells lying inside one constancy piece receive its value
-    verbatim (no arithmetic at all); only cells straddling a jump compute
-    the overlap-weighted average, from purely local quantities so no
-    precision is lost to large intermediate magnitudes.
+    ``datum`` is a profile object with ``xs`` / ``value_at`` (such as
+    :class:`~probeflow.fronttrack.PiecewiseConstant`).  Cells lying inside
+    one constancy piece receive its value verbatim (no arithmetic at all);
+    only cells straddling a jump compute the overlap-weighted average, from
+    purely local quantities so no precision is lost to large intermediate
+    magnitudes.
     """
-    if not hasattr(datum, "value_at"):
-        from .fronttrack import PiecewiseConstant
-
-        blocks = [(float(a), float(b), float(v)) for (a, b), v in datum]
-        datum = PiecewiseConstant.from_blocks(
-            0.0 if background is None else float(background), blocks
-        )
     edges = grid.edges
     field = np.asarray(datum.value_at(grid.centers), dtype=float)
     for x in datum.xs:
@@ -139,42 +131,43 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
     characteristic speed ``|d f / d rho|`` of the blended flux.
 
     Away from every probe the flux reduces to the speed law's, whose slope
-    is available in closed form; only cells inside a probe's cutoff support
-    need the blended finite-difference scan.
+    is available in closed form; only cells inside the union of the coupled
+    probes' cutoff supports need the blended finite-difference scan.  The
+    flux is pointwise and the maximum order-independent, so one scan over
+    the union equals one scan per probe.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
     rho = np.linspace(0.0, 1.0, 21)
     S = float(np.max(np.abs(model.speed_law.flux_slope(rho))))
+    states = model.probe_states(t)
+    if not states:
+        return cfl * grid.dx / max(S, 1e-10)
+    centers = grid.centers
     reach = model.cutoff.outer + grid.dx
-    h = 1e-7
-    lo = np.clip(rho - h, 0.0, 1.0)
-    hi = np.clip(rho + h, 0.0, 1.0)
-    masked = []
-    for probe in model.coupled_probes:
-        p, _ = probe.state_at(t)
-        x = grid.centers[np.abs(grid.centers - p) <= reach]
-        if x.size == 0:
-            continue
-        masked.append(x)
-        x = x[:, None]
-        slopes = (eval_flux(model, t, x, hi[None, :]) - eval_flux(model, t, x, lo[None, :])) / (
+    near = np.zeros(centers.shape, dtype=bool)
+    for p, _ in states:
+        near |= np.abs(centers - p) <= reach
+    x = centers[near]
+    if x.size:
+        h = 1e-7
+        lo = np.clip(rho - h, 0.0, 1.0)
+        hi = np.clip(rho + h, 0.0, 1.0)
+        xc = x[:, None]
+        slopes = (eval_flux(model, t, xc, hi[None, :]) - eval_flux(model, t, xc, lo[None, :])) / (
             hi - lo
         )[None, :]
         S = max(S, float(np.max(np.abs(slopes))))
-    if masked:
         # The sampled scan cannot resolve the slope at rho = 1 when a probe
         # speed w is positive but smaller than the sampling step: the
         # harmonic mean's v-derivative tends to 2 as v -> 0 for any w > 0,
         # so d(rho V)/d rho at rho = 1 equals v'(1) * (1 + sum chi/scale)
         # there, in a band of width ~w that the finite differences miss.
         # Add that endpoint slope in closed form.
-        x_all = np.unique(np.concatenate(masked))
-        chi_tot = np.zeros_like(x_all)
-        signed = np.zeros_like(x_all)
-        for probe in model.coupled_probes:
-            p, w = probe.state_at(t)
-            c = model.cutoff(x_all - p)
+        chi_tot = np.zeros_like(x)
+        signed = np.zeros_like(x)
+        for p, w in states:
+            c = model.cutoff(x - p)
             chi_tot += c
             signed += c * (2.0 * float(w > 0.0) - 1.0)
         scale = np.maximum(chi_tot, 1.0)
@@ -224,51 +217,36 @@ def boundary_flux_rates(model, grid, t, field):
     return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[2]) + float(F[3]))
 
 
-def resolve_probe_speeds(model, grid, t, field):
-    """Fix every probe's speed and density trace at time ``t``.
+def resolve_probe_speeds(model, grid, t, field, positions):
+    """Speed and density trace of every probe at time ``t``.
 
-    Positions come from the probes' runtime state (their initial position
-    at the start of a run); model-coupled segments read the trace on
-    ``model.trace_side`` and evaluate the speed law on it.
+    ``positions`` lists the probes' positions at ``t`` in ``model.probes``
+    order.  Model-coupled segments read the trace on ``model.trace_side``
+    and evaluate the speed law on it; other segments take the programmed
+    speed.  Returns the lists ``(speeds, traces)``.
     """
-    for probe in model.probes:
-        rt = probe._runtime
-        p = probe.x0 if rt is None else rt.p
+    speeds, traces = [], []
+    for probe, p in zip(model.probes, positions):
         trace = trace_density(grid, field, p, model.trace_side)
-        seg = probe.segment_at(t)
-        if isinstance(seg, ModelCoupled):
-            w = float(model.speed_law(trace))
+        if isinstance(probe.segment_at(t), ModelCoupled):
+            speeds.append(float(model.speed_law(trace)))
         else:
-            w = probe.exogenous_speed(t)
-        probe.set_runtime(t, p, w, trace)
+            speeds.append(probe.exogenous_speed(t))
+        traces.append(trace)
+    return speeds, traces
 
 
-def advance_probes(model, grid, field, dt, t_new=None):
-    """Record every probe's current state and move it forward by ``dt``.
+def advance_probes(model, positions, speeds, dt, t_new):
+    """Positions of every probe after a step of ``dt`` that ends at
+    ``t_new``.
 
-    The recorded row is ``(t, position, speed, trace)`` at the pre-step
-    time; speeds must already be resolved (:class:`ProbeStateError`
-    otherwise).  Exogenous probes land on their closed-form path; coupled
-    probes take an explicit Euler step.  ``field`` is accepted for symmetry
-    with the resolution step (the trace was read from it when speeds were
-    resolved).
+    Exogenous probes land on their closed-form path; coupled probes take an
+    explicit Euler step with their resolved speed.
     """
-    del field
-    for probe in model.probes:
-        rt = probe._runtime
-        if rt is None or math.isnan(rt.pdot):
-            raise ProbeStateError(
-                "advance_probes needs speeds resolved at the current time"
-            )
-        probe.realized_path.append((rt.t, rt.p, rt.pdot, rt.trace))
-        t1 = rt.t + dt if t_new is None else t_new
-        if probe.is_exogenous:
-            p1 = probe.x0 + float(probe._tl.displacement(t1))
-            w1 = float(probe._tl.speed(t1))
-        else:
-            p1 = rt.p + rt.pdot * dt
-            w1 = math.nan
-        probe.set_runtime(t1, p1, w1)
+    return [
+        probe.x0 + float(probe._tl.displacement(t_new)) if probe.is_exogenous else p + w * dt
+        for probe, p, w in zip(model.probes, positions, speeds)
+    ]
 
 
 @dataclass(frozen=True)
@@ -280,8 +258,9 @@ class RunResult:
     completed step (the state before the first step is summarised by
     ``initial_mass``); ``boundary_flux`` has the matching per-step
     ``(step, t, dt, rate_in, rate_out)`` rows with the rates evaluated on
-    the pre-step field; ``model`` is the run's private copy whose probes
-    carry their realized paths.
+    the pre-step field; ``model`` is the model the run was given, unchanged;
+    ``probe_paths`` holds one ``(n_steps, 4)`` array of pre-step
+    ``(t, x, speed, trace)`` rows per probe, in ``model.probes`` order.
     """
 
     scenario: str | None
@@ -294,6 +273,7 @@ class RunResult:
     diagnostics: list
     initial_mass: float
     boundary_flux: list
+    probe_paths: tuple
 
     @property
     def snapshot_times(self):
@@ -310,8 +290,8 @@ class RunResult:
         return self.snapshots[-1][1]
 
     def probe_path(self, index):
-        """Realized ``(t, x, speed, trace)`` rows of probe ``index``."""
-        return self.model.probes[index].realized_array()
+        """Recorded ``(t, x, speed, trace)`` rows of probe ``index``."""
+        return self.probe_paths[index]
 
     def mass_drift(self):
         """Largest deviation of the tracked mass from its initial value."""
@@ -343,17 +323,17 @@ def run(
 ):
     """Evolve ``datum`` under ``model`` until ``t_end``.
 
-    The model's probes are cloned so the caller's objects stay pristine;
-    the clones (with their realized paths) are returned in the result.
-    Snapshots are taken at ``n_snapshots`` evenly spaced times including 0
-    and ``t_end``; steps are shortened to land on these and on probe
-    program boundaries exactly.
+    The run keeps its probes' positions, speeds and recorded paths itself;
+    ``model`` is left unchanged and can be shared by any number of runs.
+    Each step hands the coupled probes' resolved states to the flux through
+    a copy of ``model`` with ``states`` filled in.  Snapshots are taken at
+    ``n_snapshots`` evenly spaced times including 0 and ``t_end``; steps
+    are shortened to land on these and on probe program boundaries exactly.
     """
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
     if n_snapshots < 1:
         raise DomainError(f"n_snapshots must be >= 1, got {n_snapshots}")
-    model = replace(model, probes=tuple(p.clone() for p in model.probes))
     field = init_field(grid, datum)
     snap_times = np.linspace(0.0, t_end, n_snapshots) if n_snapshots > 1 else np.array([0.0])
     boundaries = {float(t_end)}
@@ -361,7 +341,10 @@ def run(
     for probe in model.probes:
         boundaries.update(t for t in probe.boundary_times() if t < t_end)
     boundaries = sorted(boundaries)
-    resolve_probe_speeds(model, grid, 0.0, field)
+    coupled = [i for i, probe in enumerate(model.probes) if not probe.observer]
+    positions = [probe.x0 for probe in model.probes]
+    speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, positions)
+    paths = [[] for _ in model.probes]
     snapshots = [(0.0, field.copy())]
     initial_mass = float(np.sum(field)) * grid.dx
     diagnostics = []
@@ -372,7 +355,12 @@ def run(
     while t < t_end - 1e-14:
         if step >= max_steps:
             raise StabilityError(f"exceeded {max_steps} steps at t={t}")
-        dt = cfl_dt(model, grid, t, cfl)
+        stepped = model
+        if coupled:
+            stepped = replace(
+                model, states=tuple((positions[i], speeds[i]) for i in coupled)
+            )
+        dt = cfl_dt(stepped, grid, t, cfl)
         b_idx = int(np.searchsorted(boundaries, t + 1e-14, side="right"))
         b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
         if dt >= b_next - t - 1e-14:
@@ -380,13 +368,15 @@ def run(
             t_new = b_next
         else:
             t_new = t + dt
-        rate_in, rate_out = boundary_flux_rates(model, grid, t, field)
-        new_field = lxf_step(model, grid, t, field, dt)
-        advance_probes(model, grid, field, dt, t_new=t_new)
+        rate_in, rate_out = boundary_flux_rates(stepped, grid, t, field)
+        new_field = lxf_step(stepped, grid, t, field, dt)
+        for path, p, w, trace in zip(paths, positions, speeds, traces):
+            path.append((t, p, w, trace))
+        positions = advance_probes(model, positions, speeds, dt, t_new)
         field = new_field
         t = t_new
         step += 1
-        resolve_probe_speeds(model, grid, t, field)
+        speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
         diagnostics.append(
             (
                 step,
@@ -416,4 +406,5 @@ def run(
         diagnostics=diagnostics,
         initial_mass=initial_mass,
         boundary_flux=boundary_flux,
+        probe_paths=tuple(np.asarray(path, dtype=float).reshape(-1, 4) for path in paths),
     )

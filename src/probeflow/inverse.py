@@ -17,7 +17,6 @@ estimates that justify the procedure.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,9 +33,6 @@ from .fvsolver import Grid, run
 from .model import EpsilonLaw, Greenshields
 from .riemann import solve_riemann
 from .scenarios import Scenario, run_scenario
-
-#: Environment variable that sets the default worker count for scans.
-WORKERS_ENV = "PROBEFLOW_THREADS"
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,7 +90,7 @@ def probe_records(result, index=0):
 def error_functional(result, probe_index, law):
     """Score a speed-law candidate against one probe of a finished run.
 
-    The probe's realized ``(t, speed, trace)`` rows are integrated against
+    The probe's recorded ``(t, speed, trace)`` rows are integrated against
     the candidate over the run's full horizon; see :func:`score_records`
     for the quadrature.
     """
@@ -155,30 +151,18 @@ class ScanResult:
         return self.errors[self.best_index]
 
 
-def default_workers():
-    """Worker count from the environment, 1 when unset or malformed."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def scan_E(scenario, v_lo, v_hi, n, workers=None):
+def scan_E(scenario, v_lo, v_hi, n, workers=1):
     """Evaluate :func:`evaluate_candidate` on ``n + 1`` evenly spaced slopes
     covering ``[v_lo, v_hi]``.
 
-    ``workers > 1`` distributes the simulations over processes once the
-    grid has at least 4 points; the default comes from the
-    ``PROBEFLOW_THREADS`` environment variable.
+    ``workers > 1`` distributes the simulations over that many processes
+    once the grid has at least 4 points.
     """
     if not 0.0 < v_lo < v_hi:
         raise DomainError(f"need 0 < v_lo < v_hi, got ({v_lo}, {v_hi})")
     if n < 1:
         raise DomainError(f"scan needs at least one subinterval, got n={n}")
     v_values = [float(v) for v in np.linspace(v_lo, v_hi, int(n) + 1)]
-    if workers is None:
-        workers = default_workers()
     if workers > 1 and len(v_values) >= 4:
         payloads = [(scenario.to_json(), v) for v in v_values]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -36,8 +36,8 @@ def density_csv_text(result):
 def probe_csv_text(result):
     """``t,probe_id,x,speed,trace_rho`` rows: probe-major, then time."""
     lines = ["t,probe_id,x,speed,trace_rho"]
-    for pid, probe in enumerate(result.model.probes):
-        for t, x, speed, trace in probe.realized_array():
+    for pid, path in enumerate(result.probe_paths):
+        for t, x, speed, trace in path:
             lines.append(f"{_fmt(t)},{pid},{_fmt(x)},{_fmt(speed)},{_fmt(trace)}")
     return "\n".join(lines) + "\n"
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,10 +29,6 @@ from .errors import DomainError, ProbeStateError
 #: Denominators below this threshold make the harmonic blend (and the map g)
 #: return 0, the continuous extension at (probe speed, law speed) = (0, 0).
 ZERO_DENOM_TOL = 1e-12
-
-#: Relative tolerance for matching a probe's cached runtime state to a query
-#: time.
-_TIME_TOL = 1e-9
 
 
 def _as_density(rho, check=True):
@@ -368,7 +363,7 @@ def _program_pieces(segments):
 
 
 class ProbeTrajectory:
-    """A probe vehicle: initial position, speed program, runtime state.
+    """A probe vehicle: initial position and speed program.
 
     The program is an ordered list of :class:`ExogenousSpeed` /
     :class:`ModelCoupled` segments with disjoint half-open intervals; time
@@ -378,8 +373,9 @@ class ProbeTrajectory:
     ``observer=True`` excludes the probe from the flux blend: it is advanced
     and recorded, but does not feed back into the equation.
 
-    ``realized_path`` collects ``(t, p, pdot, trace)`` records while a
-    simulation advances the probe; it is owned by a single run.
+    A trajectory carries no run-time state, so one object can serve any
+    number of runs; a run keeps its probes' positions, speeds and recorded
+    paths itself.
     """
 
     def __init__(self, x0, program, mollify_radius=0.0, observer=False):
@@ -398,8 +394,6 @@ class ProbeTrajectory:
         self.program = program
         self.mollify_radius = float(mollify_radius)
         self.observer = bool(observer)
-        self.realized_path = []
-        self._runtime = None
         self._tl = None if has_coupled else _Timeline(program, self.mollify_radius)
 
     # -- program queries ---------------------------------------------------
@@ -441,10 +435,9 @@ class ProbeTrajectory:
             times.update(self._tl.boundary_times())
         return sorted(times)
 
-    # -- runtime state -----------------------------------------------------
-
     def clone(self, observer=None):
-        """Fresh probe with the same program and a clean runtime state."""
+        """Probe with the same program, optionally with the observer flag
+        changed."""
         return ProbeTrajectory(
             self.x0,
             self.program,
@@ -452,38 +445,21 @@ class ProbeTrajectory:
             observer=self.observer if observer is None else observer,
         )
 
-    def set_runtime(self, t, p, pdot, trace=math.nan):
-        self._runtime = SimpleNamespace(
-            t=float(t), p=float(p), pdot=float(pdot), trace=float(trace)
-        )
-
-    def clear_runtime(self):
-        self._runtime = None
-        self.realized_path = []
-
     def state_at(self, t):
-        """Position and speed at time t.
+        """Position and speed at time t of a fully exogenous program, in
+        closed form.
 
-        Uses the cached runtime state when it matches ``t``; otherwise falls
-        back to the closed-form path for fully exogenous programs.  A
-        model-coupled probe without a matching runtime state raises
+        A program with a model-coupled segment has no closed form: its path
+        depends on the density field, so it raises
         :class:`ProbeStateError`.
         """
-        rt = self._runtime
-        if rt is not None and abs(rt.t - t) <= _TIME_TOL * max(1.0, abs(rt.t)):
-            if not math.isnan(rt.pdot):
-                return rt.p, rt.pdot
-            if not self.is_exogenous:
-                raise ProbeStateError(
-                    f"probe speed at t={t} not yet resolved against a density field"
-                )
         if self.is_exogenous:
             return (
                 self.x0 + float(self._tl.displacement(t)),
                 float(self._tl.speed(t)),
             )
         raise ProbeStateError(
-            f"model-coupled probe has no resolved state at t={t}; "
+            f"model-coupled probe has no closed-form state at t={t}; "
             "positions become available only while a simulation advances it"
         )
 
@@ -496,12 +472,6 @@ class ProbeTrajectory:
         if isinstance(seg, ModelCoupled):
             raise ProbeStateError(f"program is model-coupled at t={t}")
         return 0.0 if seg is None else seg.speed
-
-    def realized_array(self):
-        """Recorded (t, p, pdot, trace) rows as an (n, 4) array."""
-        if not self.realized_path:
-            return np.empty((0, 4))
-        return np.asarray(self.realized_path, dtype=float)
 
 
 def _check_disjoint(program):
@@ -528,22 +498,43 @@ class FluxModel:
     ``trace_side`` fixes how the density field is read at a probe position:
     ``"right"`` takes the first cell at or ahead of the probe, ``"left"``
     the last cell at or behind it.
+
+    ``states`` is not a setting: a running simulation fills it with the
+    ``(position, speed)`` of each coupled probe, in ``coupled_probes``
+    order, at the time it is evaluating the flux.  Left ``None``, the
+    states come from the probes' closed-form paths.
     """
 
     speed_law: SpeedLaw
     cutoff: CutoffProfile = field(default_factory=CutoffProfile)
     probes: tuple = ()
     trace_side: str = "right"
+    states: tuple | None = None
 
     def __post_init__(self):
         if self.trace_side not in ("right", "left"):
             raise DomainError(f"trace_side must be 'right' or 'left', got {self.trace_side!r}")
         object.__setattr__(self, "probes", tuple(self.probes))
+        if self.states is not None:
+            object.__setattr__(self, "states", tuple(self.states))
+            if len(self.states) != len(self.coupled_probes):
+                raise DomainError(
+                    f"states holds {len(self.states)} entries for "
+                    f"{len(self.coupled_probes)} coupled probes"
+                )
 
     @property
     def coupled_probes(self):
         """Probes that participate in the flux blend (non-observers)."""
         return tuple(p for p in self.probes if not p.observer)
+
+    def probe_states(self, t):
+        """``(position, speed)`` of every coupled probe at time ``t``: the
+        resolved ``states`` when set, otherwise the closed-form paths
+        (:class:`ProbeStateError` for a model-coupled program)."""
+        if self.states is not None:
+            return self.states
+        return tuple(p.state_at(t) for p in self.coupled_probes)
 
     def max_probe_speed(self):
         """Largest speed any blended probe can be programmed to take."""
@@ -588,9 +579,10 @@ def eval_encoded_speed(model, t, x, rho):
     ``W > 1`` the weights are first normalised by ``W`` (the blend stays a
     convex combination).
 
-    Probe positions must be resolvable at ``t``: exogenous programs are
-    evaluated in closed form, model-coupled probes require the runtime state
-    a running simulation maintains (:class:`ProbeStateError` otherwise).
+    Probe positions and speeds come from :meth:`FluxModel.probe_states`:
+    exogenous programs are evaluated in closed form, model-coupled probes
+    need the ``states`` a running simulation resolves
+    (:class:`ProbeStateError` otherwise).
     """
     rho = _as_density(rho)
     x = np.asarray(x, dtype=float)
@@ -598,8 +590,7 @@ def eval_encoded_speed(model, t, x, rho):
     shape = np.broadcast_shapes(x.shape, rho.shape)
     total = np.zeros(shape)
     weights = []
-    for probe in model.coupled_probes:
-        p, pdot = probe.state_at(t)
+    for p, pdot in model.probe_states(t):
         w = model.cutoff(x - p)
         weights.append((w, pdot))
         total = total + w

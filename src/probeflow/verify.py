@@ -494,7 +494,7 @@ def verify_rescaling(factor_floor=1.25, identity_tol=1e-14):
 # calibration
 # ---------------------------------------------------------------------------
 
-def verify_calibration(n_intervals=8, refine_iters=20, workers=None):
+def verify_calibration(n_intervals=8, refine_iters=20, workers=1):
     """Recover the planted speed-law slope from observer records."""
     checks = []
     scenario = get_scenario("calibration")
@@ -544,6 +544,10 @@ _SUITE_FUNCS = {
 }
 
 
+#: Suites that fuzz with a seed ``run_suite`` can override.
+_SEEDED_SUITES = frozenset({"conservation", "lemma1", "lipschitz-stability"})
+
+
 def run_suite(name, seed=None):
     """Run one named suite; ``seed`` overrides its fuzz seed when it has
     one."""
@@ -553,7 +557,7 @@ def run_suite(name, seed=None):
         raise DomainError(
             f"unknown suite {name!r}; available: {', '.join(SUITES)} or 'all'"
         ) from None
-    if seed is not None and "seed" in func.__code__.co_varnames[: func.__code__.co_argcount]:
+    if seed is not None and name in _SEEDED_SUITES:
         return func(seed=seed)
     return func()
 

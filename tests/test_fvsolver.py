@@ -12,7 +12,6 @@ from probeflow import (
     Grid,
     ModelCoupled,
     PiecewiseConstant,
-    ProbeStateError,
     ProbeTrajectory,
     StabilityError,
     advance_probes,
@@ -72,7 +71,8 @@ class TestInitField:
         assert np.all(field == value)
 
     def test_block_list_form(self):
-        field = init_field(quarter_grid(), [((0.25, 0.5), 1.0)], background=0.5)
+        datum = PiecewiseConstant.from_blocks(0.5, [(0.25, 0.5, 1.0)])
+        field = init_field(quarter_grid(), datum)
         np.testing.assert_array_equal(field, [0.5, 1.0, 0.5, 0.5])
 
 
@@ -197,8 +197,8 @@ class TestProbeStepping:
         field = np.array([0.1, 0.2, 0.3, 0.4])
         probe = ProbeTrajectory(0.2, (ModelCoupled(0.0, None),))
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
-        resolve_probe_speeds(model, grid, 0.0, field)
-        assert probe.state_at(0.0) == (0.2, 0.8)  # v(0.2) on the right trace
+        speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, [0.2])
+        assert (speeds, traces) == ([0.8], [0.2])  # v(0.2) on the right trace
 
     def test_trace_side_left(self):
         grid = quarter_grid()
@@ -207,25 +207,18 @@ class TestProbeStepping:
         model = FluxModel(
             speed_law=Greenshields(1.0), probes=(probe,), trace_side="left"
         )
-        resolve_probe_speeds(model, grid, 0.0, field)
-        assert probe.state_at(0.0) == (0.2, 0.9)
+        speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, [0.2])
+        assert (speeds, traces) == ([0.9], [0.1])
 
     def test_advance_records_pre_step_state(self):
         grid = quarter_grid()
         field = np.array([0.1, 0.2, 0.3, 0.4])
         probe = ProbeTrajectory(0.2, (ModelCoupled(0.0, None),))
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
-        resolve_probe_speeds(model, grid, 0.0, field)
-        advance_probes(model, grid, field, 0.1)
-        assert probe.realized_path == [(0.0, 0.2, 0.8, 0.2)]
-        assert probe._runtime.p == pytest.approx(0.2 + 0.8 * 0.1)
-
-    def test_advance_requires_resolved_speeds(self):
-        grid = quarter_grid()
-        probe = ProbeTrajectory(0.2, (ModelCoupled(0.0, None),))
-        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
-        with pytest.raises(ProbeStateError):
-            advance_probes(model, grid, np.zeros(4), 0.1)
+        speeds, _ = resolve_probe_speeds(model, grid, 0.0, field, [0.2])
+        assert advance_probes(model, [0.2], speeds, 0.1, 0.1) == [0.2 + 0.8 * 0.1]
+        result = run(model, grid, PiecewiseConstant([], [0.2]), 0.1, n_snapshots=2)
+        np.testing.assert_array_equal(result.probe_path(0)[0], [0.0, 0.2, 0.8, 0.2])
 
 
 class TestRun:
@@ -267,18 +260,32 @@ class TestRun:
             assert lo >= 0.2 - 1e-12
             assert hi <= 0.6 + 1e-12
 
-    def test_probes_are_cloned_and_paths_recorded(self):
+    def test_probe_paths_recorded_on_the_result(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         probe = ProbeTrajectory(0.3, (ExogenousSpeed(0.0, None, 0.4),))
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         result = run(model, grid, self._bump_datum(), 0.2, n_snapshots=2)
-        assert probe.realized_path == []  # caller's probe untouched
+        assert len(result.probe_paths) == 1
         path = result.probe_path(0)
         assert len(path) == len(result.diagnostics)
         assert path[0][0] == 0.0 and path[0][1] == 0.3
         # exogenous probes ride their closed-form trajectory
         t_last, x_last = path[-1][0], path[-1][1]
         assert x_last == pytest.approx(0.3 + 0.4 * t_last, abs=1e-14)
+
+    def test_one_model_serves_repeated_runs(self):
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probe = ProbeTrajectory(0.3, (ModelCoupled(0.0, None),))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
+        first = run(model, grid, self._bump_datum(), 0.2, n_snapshots=2)
+        run(model, grid, PiecewiseConstant([], [0.7]), 0.1, n_snapshots=2)
+        second = run(model, grid, self._bump_datum(), 0.2, n_snapshots=2)
+        assert first.model is model and second.model is model
+        assert model.states is None
+        np.testing.assert_array_equal(first.final_field, second.final_field)
+        assert first.diagnostics == second.diagnostics
+        assert first.boundary_flux == second.boundary_flux
+        np.testing.assert_array_equal(first.probe_path(0), second.probe_path(0))
 
     def test_steps_land_on_program_boundaries(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)

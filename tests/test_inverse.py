@@ -24,7 +24,7 @@ from probeflow import (
     scan_E,
     score_records,
 )
-from probeflow.inverse import PHI_LEFT, PHI_RIGHT, default_workers
+from probeflow.inverse import PHI_LEFT, PHI_RIGHT
 
 
 def coarse_calibration(**overrides):
@@ -101,14 +101,6 @@ class TestScan:
             scan_E(scenario, 1.0, 0.5, 4)
         with pytest.raises(DomainError):
             scan_E(scenario, 0.5, 1.0, 0)
-
-    def test_default_workers_reads_environment(self, monkeypatch):
-        monkeypatch.delenv("PROBEFLOW_THREADS", raising=False)
-        assert default_workers() == 1
-        monkeypatch.setenv("PROBEFLOW_THREADS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("PROBEFLOW_THREADS", "banana")
-        assert default_workers() == 1
 
 
 class TestMinimize:

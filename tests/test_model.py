@@ -5,6 +5,7 @@ property-style checks draw their inputs with hypothesis.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,11 +243,12 @@ class TestProbeTrajectory:
         assert probe.has_coupled and not probe.is_exogenous
         with pytest.raises(ProbeStateError):
             probe.state_at(0.5)
-        probe.set_runtime(0.5, 0.25, 0.75)
-        assert probe.state_at(0.5) == (0.25, 0.75)
-        probe.clear_runtime()
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         with pytest.raises(ProbeStateError):
-            probe.state_at(0.5)
+            model.probe_states(0.5)
+        resolved = replace(model, states=((0.25, 0.75),))
+        assert resolved.probe_states(0.5) == ((0.25, 0.75),)
+        assert model.states is None
 
     def test_coupled_program_cannot_be_mollified(self):
         with pytest.raises(DomainError):
@@ -259,24 +261,19 @@ class TestProbeTrajectory:
 
     def test_clone_resets_runtime_and_can_demote(self):
         probe = ProbeTrajectory(0.0, (ExogenousSpeed(0.0, None, 0.5),))
-        probe.set_runtime(1.0, 0.5, 0.5)
-        probe.realized_path.append((1.0, 0.5, 0.5, 0.3))
         fresh = probe.clone(observer=True)
         assert fresh.observer and not probe.observer
-        assert fresh.realized_path == []
         assert fresh.program == probe.program
+        assert fresh.state_at(1.0) == probe.state_at(1.0)
+        # a trajectory is its program: no run-time state to reset
+        program_only = {"x0", "program", "mollify_radius", "observer", "_tl"}
+        assert set(vars(probe)) == set(vars(fresh)) == program_only
 
     def test_max_speed_uses_law_cap_for_coupled_segments(self):
         probe = ProbeTrajectory(
             0.0, (ExogenousSpeed(0.0, 1.0, 0.3), ModelCoupled(1.0, None))
         )
         assert probe.max_speed(law_vmax=1.2) == 1.2
-
-    def test_realized_array_shape(self):
-        probe = ProbeTrajectory(0.0, (ExogenousSpeed(0.0, None, 0.5),))
-        assert probe.realized_array().shape == (0, 4)
-        probe.realized_path.append((0.0, 0.0, 0.5, 0.25))
-        assert probe.realized_array().shape == (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +328,17 @@ class TestEncodedSpeed:
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         assert model.coupled_probes == ()
         assert eval_encoded_speed(model, 0.0, 0.0, 0.5) == 0.5
+
+    def test_states_need_one_entry_per_coupled_probe(self):
+        probe = ProbeTrajectory(0.0, (ModelCoupled(0.0, None),))
+        probes = (probe, probe.clone(observer=True))
+        with pytest.raises(DomainError):
+            FluxModel(Greenshields(1.0), probes=probes, states=((0.0, 0.5), (0.1, 0.5)))
+        with pytest.raises(DomainError):
+            FluxModel(Greenshields(1.0), probes=probes, states=())
+        model = FluxModel(Greenshields(1.0), probes=probes, states=[(0.0, 0.2)])
+        assert model.states == ((0.0, 0.2),)
+        assert eval_encoded_speed(model, 0.0, 0.0, 0.5) == pytest.approx(0.2 / 0.7, abs=1e-15)
 
     def test_flux_is_density_times_speed(self):
         model = _single_probe_model(0.2)
