@@ -47,6 +47,8 @@ class PiecewiseConstant:
             raise DomainError(
                 f"need len(xs) + 1 states, got {len(xs)} jumps and {len(values)} states"
             )
+        if not all(math.isfinite(v) for v in xs + values):
+            raise DomainError("jump locations and states must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise DomainError("jump locations must be strictly increasing")
         if values and (min(values) < 0.0 or max(values) > 1.0):
@@ -312,6 +314,7 @@ class FrontTrackSolution:
         self.epochs = list(epochs)
         self.t_end = float(t_end)
         self.collisions = list(collisions)
+        self._starts = np.array([e.time for e in self.epochs])
 
     def state_at(self, t):
         """The epoch in force at time ``t``."""
@@ -320,8 +323,7 @@ class FrontTrackSolution:
                 f"t={t} outside the computed range "
                 f"[{self.epochs[0].time}, {self.t_end}]"
             )
-        times = [e.time for e in self.epochs]
-        idx = max(0, int(np.searchsorted(times, t, side="right")) - 1)
+        idx = max(0, int(np.searchsorted(self._starts, t, side="right")) - 1)
         return self.epochs[idx]
 
     def sample(self, t, x):
@@ -376,36 +378,44 @@ def _next_collision_time(state):
 
 
 def _resolve_collisions(state, t_hit):
-    """Advance to ``t_hit`` and re-solve every cluster of coincident fronts."""
+    """Advance to ``t_hit`` and re-solve every cluster of coincident fronts.
+
+    A cluster is a maximal run of fronts ``i..j`` whose neighbouring
+    positions lie within :data:`COLLISION_TOL`; it is replaced by the fan of
+    the Riemann problem between ``vals[i]`` and ``vals[j + 1]``.  The fronts
+    between clusters are carried over as array slices, so the cost is
+    whole-array work plus one Riemann solve per cluster.
+    """
     pos = state.positions(t_hit)
     # enforce ordering against roundoff; genuine disorder is a logic error
     mono = np.maximum.accumulate(pos)
     if np.max(mono - pos) > 1e-9:
         raise FrontTrackError(f"front ordering broke down at t={t_hit}")
     pos = mono
-    xs, vals, speeds = [], [state.vals[0]], []
-    events = []
-    i = 0
-    while i < state.n_fronts:
-        j = i
-        while j + 1 < state.n_fronts and pos[j + 1] - pos[j] <= COLLISION_TOL:
-            j += 1
-        if j == i:
-            xs.append(pos[i])
-            vals.append(state.vals[i + 1])
-            speeds.append(state.speeds[i])
+    clusters = []
+    for k in np.flatnonzero(np.diff(pos) <= COLLISION_TOL).tolist():
+        if clusters and clusters[-1][1] == k:
+            clusters[-1][1] = k + 1
         else:
-            x_c = pos[i]
-            rho_l = state.vals[i]
-            rho_r = state.vals[j + 1]
-            events.append((t_hit, float(x_c), float(rho_l), float(rho_r)))
-            states, fan = ft_riemann(state.flux, rho_l, rho_r)
-            for s_mid, s_speed in zip(states[1:], fan):
-                xs.append(x_c)
-                vals.append(s_mid)
-                speeds.append(s_speed)
-        i = j + 1
-    return FrontState(state.flux, t_hit, xs, vals, speeds), events
+            clusters.append([k, k + 1])
+    xs, vals, speeds = [], [state.vals[:1]], []
+    events = []
+    done = 0
+    for i, j in clusters:
+        x_c = pos[i]
+        rho_l = state.vals[i]
+        rho_r = state.vals[j + 1]
+        events.append((t_hit, float(x_c), float(rho_l), float(rho_r)))
+        states, fan = ft_riemann(state.flux, rho_l, rho_r)
+        xs += [pos[done:i], np.full(len(fan), x_c)]
+        vals += [state.vals[done + 1 : i + 1], states[1:]]
+        speeds += [state.speeds[done:i], fan]
+        done = j + 1
+    xs.append(pos[done:])
+    vals.append(state.vals[done + 1 :])
+    speeds.append(state.speeds[done:])
+    parts = (np.concatenate(xs), np.concatenate(vals), np.concatenate(speeds))
+    return FrontState(state.flux, t_hit, *parts), events
 
 
 # ---------------------------------------------------------------------------

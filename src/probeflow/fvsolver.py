@@ -182,7 +182,8 @@ def lxf_step(model, grid, t, field, dt):
     """One Lax-Friedrichs update with zero-order extrapolation ghosts.
 
     Raises :class:`StabilityError` if the update leaves ``[0, 1]`` beyond
-    floating-point tolerance; values within tolerance are clamped.
+    floating-point tolerance or holds a NaN; values within tolerance are
+    clamped.
     """
     rho = np.concatenate([[field[0]], field, [field[-1]]])
     centers = grid.centers
@@ -192,7 +193,7 @@ def lxf_step(model, grid, t, field, dt):
     new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * lam * (F[2:] - F[:-2])
     lo = float(np.min(new))
     hi = float(np.max(new))
-    if lo < -BOUND_TOL or hi > 1.0 + BOUND_TOL:
+    if not (lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL):
         raise StabilityError(
             f"update left [0, 1] at t={t}: range [{lo}, {hi}] "
             f"(dt={dt}, likely a CFL violation)"
@@ -294,21 +295,22 @@ class RunResult:
         return self.probe_paths[index]
 
     def mass_drift(self):
-        """Largest deviation of the tracked mass from its initial value."""
-        masses = [self.initial_mass] + [row[3] for row in self.diagnostics]
-        return float(max(abs(m - masses[0]) for m in masses))
+        """Largest deviation of the tracked mass from its initial value;
+        NaN if any tracked mass is NaN."""
+        masses = np.array([self.initial_mass] + [row[3] for row in self.diagnostics])
+        return float(np.max(np.abs(masses - masses[0])))
 
     def mass_balance_residual(self):
         """Largest deviation of the tracked mass from the initial mass plus
         the accumulated boundary in/outflow — zero up to rounding even when
-        waves leave the domain."""
-        worst = 0.0
+        waves leave the domain.  NaN if any tracked mass is NaN."""
+        gaps = [0.0]
         expected = self.initial_mass
         for diag, bflux in zip(self.diagnostics, self.boundary_flux):
             _, _, dt, mass, _, _ = diag
             expected += dt * (bflux[3] - bflux[4])
-            worst = max(worst, abs(mass - expected))
-        return float(worst)
+            gaps.append(abs(mass - expected))
+        return float(np.max(gaps))
 
 
 def run(

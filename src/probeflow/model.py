@@ -31,6 +31,12 @@ from .errors import DomainError, ProbeStateError
 ZERO_DENOM_TOL = 1e-12
 
 
+def _require_finite(what, *values):
+    """Reject NaN and infinite parameters with :class:`DomainError`."""
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
+
+
 def _as_density(rho, check=True):
     """Coerce to float array; optionally reject values outside [0, 1]."""
     rho = np.asarray(rho, dtype=float)
@@ -94,6 +100,7 @@ class Greenshields(SpeedLaw):
     vmax: float = 1.0
 
     def __post_init__(self):
+        _require_finite("vmax", self.vmax)
         if not self.vmax > 0:
             raise DomainError(f"vmax must be positive, got {self.vmax}")
 
@@ -126,6 +133,7 @@ class EpsilonLaw(SpeedLaw):
     eps: float
 
     def __post_init__(self):
+        _require_finite("eps", self.eps)
         if self.eps < -1.0:
             raise DomainError(f"eps must be >= -1 to keep v >= 0, got {self.eps}")
 
@@ -157,6 +165,8 @@ class TabulatedLaw(SpeedLaw):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size < 2:
             raise DomainError("tabulated law needs a 1-d table of >= 2 values")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("tabulated speeds must be finite")
         if np.min(values) < 0:
             raise DomainError("tabulated speeds must be non-negative")
         self._values = values
@@ -238,6 +248,7 @@ class ExogenousSpeed:
     speed: float
 
     def __post_init__(self):
+        _require_finite("probe speed", self.speed)
         if self.speed < 0.0:
             raise DomainError(f"probe speeds must be >= 0, got {self.speed}")
         _check_interval(self.start, self.end)
@@ -256,6 +267,9 @@ class ModelCoupled:
 
 
 def _check_interval(start, end):
+    _require_finite("segment start", start)
+    if end is not None:
+        _require_finite("segment end", end)
     if start < 0.0:
         raise DomainError(f"segment start must be >= 0, got {start}")
     if end is not None and end <= start:
@@ -383,6 +397,7 @@ class ProbeTrajectory:
         if not program:
             raise DomainError("probe program must contain at least one segment")
         _check_disjoint(program)
+        _require_finite("x0 and mollify_radius", x0, mollify_radius)
         if mollify_radius < 0.0:
             raise DomainError("mollify_radius must be >= 0")
         has_coupled = any(isinstance(s, ModelCoupled) for s in program)

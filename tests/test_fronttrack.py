@@ -5,6 +5,8 @@ law on coarse dyadic grids, where envelopes and collision times are exact
 fractions.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,8 @@ from probeflow import (
     sample_curve_integral,
     solve_riemann,
 )
+from probeflow import fronttrack
+from probeflow.fronttrack import COLLISION_TOL, FrontState
 
 
 def window_mass(state, t, a, b):
@@ -65,6 +69,10 @@ class TestPiecewiseConstant:
             PiecewiseConstant([0.0], [0.5, 1.5])  # out of range
         with pytest.raises(DomainError):
             PiecewiseConstant([0.0], [0.5, 0.5])  # equal neighbours
+        with pytest.raises(DomainError):
+            PiecewiseConstant([float("nan")], [0.5, 0.25])  # non-finite jump
+        with pytest.raises(DomainError):
+            PiecewiseConstant([0.0], [0.5, float("nan")])  # non-finite state
         with pytest.raises(DomainError):
             PiecewiseConstant.from_blocks(0.0, [(0.0, 2.0, 0.5), (1.0, 3.0, 0.7)])
         with pytest.raises(DomainError):
@@ -270,6 +278,115 @@ class TestEvolve:
         sol = ft_evolve(state, 1.0)
         with pytest.raises(DomainError):
             sol.state_at(2.0)
+
+    def test_state_at_picks_the_epoch_in_force(self):
+        datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
+        sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), 1.0)
+        first, merged = sol.epochs
+        assert sol.state_at(0.0) is first
+        assert sol.state_at(merged.time - 1e-9) is first
+        assert sol.state_at(merged.time) is merged
+        assert sol.state_at(1.0) is merged
+
+
+# ---------------------------------------------------------------------------
+# Collision resolution against the per-front loop
+# ---------------------------------------------------------------------------
+
+def reference_resolve_collisions(state, t_hit, cluster_sizes):
+    """Per-front reference for ``fronttrack._resolve_collisions``: walks the
+    fronts one by one, growing each cluster while the next neighbour lies
+    within ``COLLISION_TOL``.  Records every cluster's front count."""
+    pos = state.positions(t_hit)
+    mono = np.maximum.accumulate(pos)
+    if np.max(mono - pos) > 1e-9:
+        raise FrontTrackError(f"front ordering broke down at t={t_hit}")
+    pos = mono
+    xs, vals, speeds = [], [state.vals[0]], []
+    events = []
+    i = 0
+    while i < state.n_fronts:
+        j = i
+        while j + 1 < state.n_fronts and pos[j + 1] - pos[j] <= COLLISION_TOL:
+            j += 1
+        if j == i:
+            xs.append(pos[i])
+            vals.append(state.vals[i + 1])
+            speeds.append(state.speeds[i])
+        else:
+            cluster_sizes.append(j - i + 1)
+            x_c = pos[i]
+            rho_l = state.vals[i]
+            rho_r = state.vals[j + 1]
+            events.append((t_hit, float(x_c), float(rho_l), float(rho_r)))
+            states, fan = ft_riemann(state.flux, rho_l, rho_r)
+            for s_mid, s_speed in zip(states[1:], fan):
+                xs.append(x_c)
+                vals.append(s_mid)
+                speeds.append(s_speed)
+        i = j + 1
+    return FrontState(state.flux, t_hit, xs, vals, speeds), events
+
+
+def random_dyadic_datum(seed, n, jumps):
+    """Seeded datum with states on the ``2**-n`` grid and jumps on a 1/8
+    lattice, where fronts often meet in clusters and at shared times."""
+    rng = np.random.default_rng(seed)
+    k = 2**n
+    xs, values = [], [int(rng.integers(0, k + 1))]
+    for x in np.sort(rng.choice(8 * jumps, size=jumps, replace=False)) / 8.0:
+        v = int(rng.integers(0, k + 1))
+        if v != values[-1]:
+            xs.append(float(x))
+            values.append(v)
+    return PiecewiseConstant(xs, [v / k for v in values])
+
+
+def assert_same_bits(a, b):
+    assert a.time == b.time
+    for name in ("xs", "vals", "speeds"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype == np.float64
+        assert left.tobytes() == right.tobytes(), name
+
+
+class TestCollisionResolution:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_matches_the_per_front_loop_bitwise(self, n, monkeypatch):
+        sizes, shared_times = [], 0
+        for seed in range(4):
+            state0 = from_datum(Greenshields(1.0), random_dyadic_datum(seed, n, 30), n)
+            fast = ft_evolve(state0, 4.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    fronttrack,
+                    "_resolve_collisions",
+                    lambda state, t_hit: reference_resolve_collisions(state, t_hit, sizes),
+                )
+                slow = ft_evolve(state0, 4.0)
+            assert fast.collisions == slow.collisions
+            assert len(fast.epochs) == len(slow.epochs)
+            for a, b in zip(fast.epochs, slow.epochs):
+                assert_same_bits(a, b)
+            counts = Counter(event[0] for event in fast.collisions)
+            shared_times += sum(1 for c in counts.values() if c > 1)
+        # the data exercise clusters of three or more fronts and several
+        # clusters resolved at one collision time
+        assert max(sizes) >= 3
+        assert shared_times > 0
+
+    def test_two_pairs_meeting_at_once_give_two_fans(self):
+        # shocks 0|1/4|1/2 and 1/2|3/4|1 close at speed 1/2 from gaps of
+        # 1/2: both pairs meet at t = 1, at x = 3/4 and x = 7/4
+        datum = PiecewiseConstant([0.0, 0.5, 2.0, 2.5], [0.0, 0.25, 0.5, 0.75, 1.0])
+        sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), 1.5)
+        assert sol.collisions == [(1.0, 0.75, 0.0, 0.5), (1.0, 1.75, 0.5, 1.0)]
+        assert len(sol.epochs) == 2
+        merged = sol.final
+        assert merged.time == 1.0
+        assert merged.xs.tolist() == [0.75, 1.75]
+        assert merged.vals.tolist() == [0.0, 0.5, 1.0]
+        assert merged.speeds.tolist() == [0.5, -0.5]
 
 
 # ---------------------------------------------------------------------------

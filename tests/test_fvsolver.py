@@ -1,5 +1,8 @@
 """Finite-volume machinery: grids, cell averages, CFL steps, full runs."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,14 @@ class TestLxfStep:
         with pytest.raises(StabilityError):
             lxf_step(model, grid, 0.0, field, 10.0 * grid.dx)
 
+    def test_nan_in_the_field_raises(self):
+        grid = Grid.from_extent(0.0, 1.0, 0.125)
+        model = FluxModel(speed_law=Greenshields(1.0))
+        field = np.full(grid.n_cells, 0.3)
+        field[3] = math.nan
+        with pytest.raises(StabilityError):
+            lxf_step(model, grid, 0.0, field, 0.5 * grid.dx)
+
     def test_mass_change_matches_boundary_rates(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
@@ -251,6 +262,18 @@ class TestRun:
         result = run(model, grid, datum, 0.3, n_snapshots=2)
         assert result.mass_drift() > 1e-4  # mass genuinely leaves
         assert result.mass_balance_residual() <= 1e-13
+
+    def test_nan_mass_is_reported_not_hidden(self):
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        model = FluxModel(speed_law=Greenshields(1.0))
+        result = run(model, grid, self._bump_datum(), 0.05, n_snapshots=2)
+        step, t, dt, _, lo, hi = result.diagnostics[0]
+        poisoned = replace(
+            result,
+            diagnostics=[(step, t, dt, math.nan, lo, hi)] + result.diagnostics[1:],
+        )
+        assert math.isnan(poisoned.mass_drift())
+        assert math.isnan(poisoned.mass_balance_residual())
 
     def test_discrete_max_principle(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)

@@ -61,6 +61,10 @@ class TestGreenshields:
         with pytest.raises(DomainError):
             Greenshields(0.0)
 
+    def test_rejects_infinite_vmax(self):
+        with pytest.raises(DomainError):
+            Greenshields(math.inf)
+
 
 class TestEpsilonLaw:
     def test_reduces_to_linear_at_zero(self):
@@ -86,6 +90,11 @@ class TestEpsilonLaw:
         with pytest.raises(DomainError):
             EpsilonLaw(-1.5)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(DomainError):
+            EpsilonLaw(eps)
+
     @given(st.floats(min_value=-1.0 / 3.0, max_value=1.0 / 3.0), densities)
     def test_speed_stays_in_unit_band(self, eps, rho):
         law = EpsilonLaw(eps)
@@ -105,6 +114,10 @@ class TestTabulatedLaw:
             TabulatedLaw([1.0])
         with pytest.raises(DomainError):
             TabulatedLaw([0.5, -0.1])
+        with pytest.raises(DomainError):
+            TabulatedLaw([1.0, math.nan, 0.0])
+        with pytest.raises(DomainError):
+            TabulatedLaw([1.0, math.inf, 0.0])
 
 
 def test_eval_speed_law_rejects_out_of_range_density():
@@ -237,6 +250,24 @@ class TestProbeTrajectory:
     def test_negative_speed_rejected(self):
         with pytest.raises(DomainError):
             ExogenousSpeed(0.0, 1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "start, end, speed",
+        [
+            (0.0, None, math.nan),
+            (0.0, None, math.inf),
+            (math.nan, None, 1.0),
+            (0.0, math.inf, 1.0),
+        ],
+    )
+    def test_non_finite_segment_rejected(self, start, end, speed):
+        with pytest.raises(DomainError):
+            ExogenousSpeed(start, end, speed)
+
+    @pytest.mark.parametrize("x0, radius", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.inf)])
+    def test_non_finite_position_or_radius_rejected(self, x0, radius):
+        with pytest.raises(DomainError):
+            ProbeTrajectory(x0, (ExogenousSpeed(0.0, None, 0.5),), mollify_radius=radius)
 
     def test_coupled_program_needs_runtime_state(self):
         probe = ProbeTrajectory(0.0, (ModelCoupled(0.0, None),))
