@@ -15,11 +15,12 @@ simulation lands exactly on probe program boundaries and snapshot times.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .model import ModelCoupled, eval_flux
+from .model import SLOPE_SAMPLES, ModelCoupled, eval_flux
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -30,10 +31,26 @@ SNAPSHOTS_DEFAULT = 50
 #: Densities outside [0 - tol, 1 + tol] after an update abort the run.
 BOUND_TOL = 1e-12
 
+#: Central-difference stencil of the blended CFL scan around ``SLOPE_SAMPLES``.
+_SLOPE_H = 1e-7
+_SLOPE_LO = np.clip(SLOPE_SAMPLES - _SLOPE_H, 0.0, 1.0)
+_SLOPE_HI = np.clip(SLOPE_SAMPLES + _SLOPE_H, 0.0, 1.0)
+_SLOPE_SPAN = _SLOPE_HI - _SLOPE_LO
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centred grid on ``[x_min, x_max]``."""
+    """Uniform cell-centred grid on ``[x_min, x_max]``.
+
+    The geometry (``dx``, ``edges``, ``centers``, ``ghosted_centers``) is
+    computed on first use and kept; the arrays are read-only and shared by
+    every caller.
+    """
 
     x_min: float
     x_max: float
@@ -60,17 +77,25 @@ class Grid:
             )
         return cls(x_min=float(x_min), x_max=float(x_max), n_cells=n)
 
-    @property
+    @cached_property
     def dx(self):
         return (self.x_max - self.x_min) / self.n_cells
 
-    @property
+    @cached_property
     def edges(self):
-        return self.x_min + self.dx * np.arange(self.n_cells + 1)
+        return _read_only(self.x_min + self.dx * np.arange(self.n_cells + 1))
 
-    @property
+    @cached_property
     def centers(self):
-        return self.x_min + self.dx * (np.arange(self.n_cells) + 0.5)
+        return _read_only(self.x_min + self.dx * (np.arange(self.n_cells) + 0.5))
+
+    @cached_property
+    def ghosted_centers(self):
+        """``centers`` with one ghost cell centre added at either end."""
+        centers = self.centers
+        return _read_only(
+            np.concatenate([[centers[0] - self.dx], centers, [centers[-1] + self.dx]])
+        )
 
 
 def init_field(grid, datum):
@@ -130,16 +155,17 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
     """Largest stable step: ``cfl * dx / S`` with ``S`` the sampled maximal
     characteristic speed ``|d f / d rho|`` of the blended flux.
 
-    Away from every probe the flux reduces to the speed law's, whose slope
-    is available in closed form; only cells inside the union of the coupled
-    probes' cutoff supports need the blended finite-difference scan.  The
-    flux is pointwise and the maximum order-independent, so one scan over
-    the union equals one scan per probe.
+    Away from every probe the flux reduces to the speed law's, whose
+    sampled slope maximum (:attr:`~probeflow.model.SpeedLaw.max_flux_slope`)
+    is computed once per law, so a step without coupled probes does no
+    array work.  Only cells inside the union of the coupled probes' cutoff
+    supports need the blended finite-difference scan at the same sample
+    densities.  The flux is pointwise and the maximum order-independent,
+    so one scan over the union equals one scan per probe.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
-    rho = np.linspace(0.0, 1.0, 21)
-    S = float(np.max(np.abs(model.speed_law.flux_slope(rho))))
+    S = model.speed_law.max_flux_slope
     states = model.probe_states(t)
     if not states:
         return cfl * grid.dx / max(S, 1e-10)
@@ -150,13 +176,11 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
         near |= np.abs(centers - p) <= reach
     x = centers[near]
     if x.size:
-        h = 1e-7
-        lo = np.clip(rho - h, 0.0, 1.0)
-        hi = np.clip(rho + h, 0.0, 1.0)
         xc = x[:, None]
-        slopes = (eval_flux(model, t, xc, hi[None, :]) - eval_flux(model, t, xc, lo[None, :])) / (
-            hi - lo
-        )[None, :]
+        slopes = (
+            eval_flux(model, t, xc, _SLOPE_HI[None, :])
+            - eval_flux(model, t, xc, _SLOPE_LO[None, :])
+        ) / _SLOPE_SPAN[None, :]
         S = max(S, float(np.max(np.abs(slopes))))
         # The sampled scan cannot resolve the slope at rho = 1 when a probe
         # speed w is positive but smaller than the sampling step: the
@@ -178,17 +202,26 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
     return cfl * grid.dx / max(S, 1e-10)
 
 
-def lxf_step(model, grid, t, field, dt):
-    """One Lax-Friedrichs update with zero-order extrapolation ghosts.
-
-    Raises :class:`StabilityError` if the update leaves ``[0, 1]`` beyond
-    floating-point tolerance or holds a NaN; values within tolerance are
-    clamped.
-    """
+def _ghosted_flux(model, grid, t, field):
+    """The field padded with one zero-order extrapolation ghost cell per
+    side, and the blended flux on it: the one flux evaluation of a step."""
     rho = np.concatenate([[field[0]], field, [field[-1]]])
-    centers = grid.centers
-    x = np.concatenate([[centers[0] - grid.dx], centers, [centers[-1] + grid.dx]])
-    F = eval_flux(model, t, x, rho)
+    return rho, eval_flux(model, t, grid.ghosted_centers, rho)
+
+
+def _edge_rates(F):
+    """``(rate_in, rate_out)`` from a ghosted flux: the averages of the
+    flux at the ghost cell and the adjacent interior cell on each side."""
+    return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[-2]) + float(F[-1]))
+
+
+def _lxf_update(grid, t, rho, F, dt):
+    """The Lax-Friedrichs update from a ghosted density and flux.
+
+    Returns the new field and its minimum and maximum.  Raises
+    :class:`StabilityError` if the update leaves ``[0, 1]`` beyond
+    tolerance or holds a NaN; values within tolerance are clamped.
+    """
     lam = dt / grid.dx
     new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * lam * (F[2:] - F[:-2])
     lo = float(np.min(new))
@@ -200,6 +233,20 @@ def lxf_step(model, grid, t, field, dt):
         )
     if lo < 0.0 or hi > 1.0:
         new = np.clip(new, 0.0, 1.0)
+        # clipping is monotone, so the clipped field's extrema are lo, hi clipped
+        lo = min(max(lo, 0.0), 1.0)
+        hi = min(max(hi, 0.0), 1.0)
+    return new, lo, hi
+
+
+def lxf_step(model, grid, t, field, dt):
+    """One Lax-Friedrichs update with zero-order extrapolation ghosts.
+
+    Raises :class:`StabilityError` if the update leaves ``[0, 1]`` beyond
+    floating-point tolerance or holds a NaN; values within tolerance are
+    clamped.
+    """
+    new, _, _ = _lxf_update(grid, t, *_ghosted_flux(model, grid, t, field), dt)
     return new
 
 
@@ -209,13 +256,8 @@ def boundary_flux_rates(model, grid, t, field):
     the ghost cell and the adjacent interior cell on each side.  Summing
     ``dt * (rate_in - rate_out)`` over steps reproduces the change of the
     tracked mass exactly, up to rounding."""
-    centers = grid.centers
-    x = np.array(
-        [centers[0] - grid.dx, centers[0], centers[-1], centers[-1] + grid.dx]
-    )
-    rho = np.array([field[0], field[0], field[-1], field[-1]])
-    F = eval_flux(model, t, x, rho)
-    return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[2]) + float(F[3]))
+    _, F = _ghosted_flux(model, grid, t, field)
+    return _edge_rates(F)
 
 
 def resolve_probe_speeds(model, grid, t, field, positions):
@@ -331,6 +373,12 @@ def run(
     a copy of ``model`` with ``states`` filled in.  Snapshots are taken at
     ``n_snapshots`` evenly spaced times including 0 and ``t_end``; steps
     are shortened to land on these and on probe program boundaries exactly.
+
+    A step evaluates the blended flux once, on the ghosted field: the
+    update (as :func:`lxf_step`) and the boundary rates (as
+    :func:`boundary_flux_rates`) both read that one evaluation, and the
+    diagnostics' minimum and maximum come from the update's own range
+    check.
     """
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -370,8 +418,9 @@ def run(
             t_new = b_next
         else:
             t_new = t + dt
-        rate_in, rate_out = boundary_flux_rates(stepped, grid, t, field)
-        new_field = lxf_step(stepped, grid, t, field, dt)
+        rho, F = _ghosted_flux(stepped, grid, t, field)
+        rate_in, rate_out = _edge_rates(F)
+        new_field, lo, hi = _lxf_update(grid, t, rho, F, dt)
         for path, p, w, trace in zip(paths, positions, speeds, traces):
             path.append((t, p, w, trace))
         positions = advance_probes(model, positions, speeds, dt, t_new)
@@ -379,16 +428,7 @@ def run(
         t = t_new
         step += 1
         speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
-        diagnostics.append(
-            (
-                step,
-                t,
-                dt,
-                float(np.sum(field)) * grid.dx,
-                float(np.min(field)),
-                float(np.max(field)),
-            )
-        )
+        diagnostics.append((step, t, dt, float(np.sum(field)) * grid.dx, lo, hi))
         boundary_flux.append((step, t, dt, rate_in, rate_out))
         if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= 1e-12:
             snapshots.append((float(snap_times[snap_idx]), field.copy()))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,11 @@ from .errors import DomainError, ProbeStateError
 #: Denominators below this threshold make the harmonic blend (and the map g)
 #: return 0, the continuous extension at (probe speed, law speed) = (0, 0).
 ZERO_DENOM_TOL = 1e-12
+
+#: Densities at which the characteristic speed ``|f'|`` is sampled for the
+#: CFL bound (read-only).
+SLOPE_SAMPLES = np.linspace(0.0, 1.0, 21)
+SLOPE_SAMPLES.flags.writeable = False
 
 
 def _require_finite(what, *values):
@@ -91,6 +97,12 @@ class SpeedLaw(ABC):
         r = np.linspace(0.0, 1.0, 4097)
         f = self.flux(r)
         return float(np.max(np.abs(np.diff(f))) / (r[1] - r[0]))
+
+    @cached_property
+    def max_flux_slope(self):
+        """``max |flux_slope|`` over :data:`SLOPE_SAMPLES`: the CFL speed of
+        the law alone, computed once per law."""
+        return float(np.max(np.abs(self.flux_slope(SLOPE_SAMPLES))))
 
 
 @dataclass(frozen=True)
@@ -209,6 +221,7 @@ class CutoffProfile:
     outer: float = 0.15
 
     def __post_init__(self):
+        _require_finite("cutoff radii", self.inner, self.outer)
         if not 0.0 < self.inner < self.outer:
             raise DomainError(
                 f"cutoff radii must satisfy 0 < inner < outer, "
@@ -599,7 +612,11 @@ def eval_encoded_speed(model, t, x, rho):
     need the ``states`` a running simulation resolves
     (:class:`ProbeStateError` otherwise).
     """
-    rho = _as_density(rho)
+    return _blended_speed(model, t, x, _as_density(rho))
+
+
+def _blended_speed(model, t, x, rho):
+    """:func:`eval_encoded_speed` on a density array already checked."""
     x = np.asarray(x, dtype=float)
     v = model.speed_law(rho)
     shape = np.broadcast_shapes(x.shape, rho.shape)
@@ -621,7 +638,7 @@ def eval_encoded_speed(model, t, x, rho):
 def eval_flux(model, t, x, rho):
     """The conservation-law flux ``rho * V(t, x, rho)``."""
     rho = _as_density(rho)
-    return rho * eval_encoded_speed(model, t, x, rho)
+    return rho * _blended_speed(model, t, x, rho)
 
 
 def eval_g(law, rho, q):

@@ -19,6 +19,7 @@ downstream reports can flag them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError
@@ -89,12 +90,33 @@ class Scenario:
         def warning(msg):
             findings.append(Finding("warning", msg))
 
-        extent = self.x_max - self.x_min
-        ratio = extent / self.dx
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            error(f"domain extent {extent} is not a whole number of cells of {self.dx}")
-        if not self.t_end > 0.0:
+        numbers = {
+            "x_min": self.x_min,
+            "x_max": self.x_max,
+            "dx": self.dx,
+            "t_end": self.t_end,
+            "cfl": self.cfl,
+        }
+        # reject non-finite numbers before any arithmetic on them
+        finite = {name for name, value in numbers.items() if math.isfinite(value)}
+        for name, value in numbers.items():
+            if name not in finite:
+                error(f"{name} must be finite, got {value}")
+        if "dx" in finite and not self.dx > 0.0:
+            error(f"dx must be positive, got {self.dx}")
+        elif {"x_min", "x_max", "dx"} <= finite:
+            extent = self.x_max - self.x_min
+            ratio = extent / self.dx
+            if not extent > 0.0:
+                error(f"empty domain [{self.x_min}, {self.x_max}]")
+            elif not math.isfinite(ratio):
+                error(f"domain extent {extent} holds no finite number of cells of {self.dx}")
+            elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+                error(f"domain extent {extent} is not a whole number of cells of {self.dx}")
+        if "t_end" in finite and not self.t_end > 0.0:
             error(f"t_end must be positive, got {self.t_end}")
+        if "cfl" in finite and not 0.0 < self.cfl <= 1.0:
+            error(f"cfl must lie in (0, 1], got {self.cfl}")
         for x in self.datum.xs:
             if not self.x_min <= x <= self.x_max:
                 error(f"datum jump at x={x} lies outside the domain")
@@ -108,7 +130,7 @@ class Scenario:
                 warning(
                     f"probe {i} starts within the cutoff support of a boundary"
                 )
-        if self.cutoff.outer >= extent / 2.0:
+        if self.cutoff.outer >= (self.x_max - self.x_min) / 2.0:
             warning(f"cutoff support {self.cutoff.outer} is not small against the domain")
         return findings
 

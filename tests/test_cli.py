@@ -153,6 +153,27 @@ class TestRunCommand:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("domain", "x_min"), "NaN"),
+            (("domain", "dx"), "NaN"),
+            (("cutoff", "outer"), "Infinity"),
+        ],
+    )
+    def test_non_finite_scenario_json_exits_2(self, tmp_path, capsys, path, value):
+        data = get_scenario("riemann_phi").to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = float(value)
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        assert value in scenario_file.read_text()
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestPhiCommand:
     def test_single_parameter_row(self, capsys):

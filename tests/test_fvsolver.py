@@ -8,7 +8,9 @@ import pytest
 
 from probeflow import (
     CFL_DEFAULT,
+    CutoffProfile,
     DomainError,
+    EpsilonLaw,
     ExogenousSpeed,
     FluxModel,
     Greenshields,
@@ -20,6 +22,8 @@ from probeflow import (
     advance_probes,
     boundary_flux_rates,
     cfl_dt,
+    eval_encoded_speed,
+    get_scenario,
     init_field,
     l1_distance,
     lxf_step,
@@ -28,6 +32,7 @@ from probeflow import (
     solve_riemann,
     trace_density,
 )
+from probeflow.fvsolver import _ghosted_flux, _lxf_update
 
 
 def quarter_grid():
@@ -122,8 +127,6 @@ class TestCflDt:
 
     def test_quadratic_law_steepest_at_full_density(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
-        from probeflow import EpsilonLaw
-
         model = FluxModel(speed_law=EpsilonLaw(1.0 / 3.0))
         # |f'(1)| = 4/3 dominates the probe-free characteristic speed
         assert cfl_dt(model, grid, 0.0) == pytest.approx(
@@ -344,3 +347,251 @@ class TestRun:
             errors[dx] = l1_distance(grid, result.final_field, reference)
         assert errors[0.01] / errors[0.005] >= 1.25
         assert errors[0.005] <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# The step loop against the one it replaced
+# ---------------------------------------------------------------------------
+#
+# The reference below is the step sequence ``run`` had before it evaluated
+# the flux once per step: grid centres rebuilt on every call, the CFL
+# samples and the law's slope recomputed every step, a separate four-point
+# flux evaluation for the boundary rates, the density checked again inside
+# the blend, and the diagnostics' range read from the clipped field.
+
+
+def reference_centers(grid):
+    return grid.x_min + grid.dx * (np.arange(grid.n_cells) + 0.5)
+
+
+def reference_flux(model, t, x, rho):
+    rho = np.asarray(rho, dtype=float)
+    if rho.size and (np.min(rho) < -1e-12 or np.max(rho) > 1 + 1e-12):
+        raise DomainError("density outside [0, 1]")
+    return rho * eval_encoded_speed(model, t, x, rho)
+
+
+def reference_cfl_dt(model, grid, t, cfl):
+    rho = np.linspace(0.0, 1.0, 21)
+    S = float(np.max(np.abs(model.speed_law.flux_slope(rho))))
+    states = model.probe_states(t)
+    if not states:
+        return cfl * grid.dx / max(S, 1e-10)
+    centers = reference_centers(grid)
+    reach = model.cutoff.outer + grid.dx
+    near = np.zeros(centers.shape, dtype=bool)
+    for p, _ in states:
+        near |= np.abs(centers - p) <= reach
+    x = centers[near]
+    if x.size:
+        h = 1e-7
+        lo = np.clip(rho - h, 0.0, 1.0)
+        hi = np.clip(rho + h, 0.0, 1.0)
+        xc = x[:, None]
+        slopes = (
+            reference_flux(model, t, xc, hi[None, :]) - reference_flux(model, t, xc, lo[None, :])
+        ) / (hi - lo)[None, :]
+        S = max(S, float(np.max(np.abs(slopes))))
+        chi_tot = np.zeros_like(x)
+        signed = np.zeros_like(x)
+        for p, w in states:
+            c = model.cutoff(x - p)
+            chi_tot += c
+            signed += c * (2.0 * float(w > 0.0) - 1.0)
+        scale = np.maximum(chi_tot, 1.0)
+        end_slope = np.abs(float(model.speed_law.flux_slope(1.0))) * np.abs(
+            1.0 + signed / scale
+        )
+        S = max(S, float(np.max(end_slope)))
+    return cfl * grid.dx / max(S, 1e-10)
+
+
+def reference_boundary_rates(model, grid, t, field):
+    centers = reference_centers(grid)
+    x = np.array([centers[0] - grid.dx, centers[0], centers[-1], centers[-1] + grid.dx])
+    rho = np.array([field[0], field[0], field[-1], field[-1]])
+    F = reference_flux(model, t, x, rho)
+    return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[2]) + float(F[3]))
+
+
+def reference_lxf_step(model, grid, t, field, dt):
+    rho = np.concatenate([[field[0]], field, [field[-1]]])
+    centers = reference_centers(grid)
+    x = np.concatenate([[centers[0] - grid.dx], centers, [centers[-1] + grid.dx]])
+    F = reference_flux(model, t, x, rho)
+    new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * (dt / grid.dx) * (F[2:] - F[:-2])
+    lo, hi = float(np.min(new)), float(np.max(new))
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+        raise StabilityError("update left [0, 1]")
+    if lo < 0.0 or hi > 1.0:
+        new = np.clip(new, 0.0, 1.0)
+    return new
+
+
+def reference_probe_speeds(model, grid, t, field, positions):
+    centers = reference_centers(grid)
+    speeds, traces = [], []
+    for probe, p in zip(model.probes, positions):
+        if model.trace_side == "right":
+            j = min(int(np.searchsorted(centers, p, side="left")), grid.n_cells - 1)
+        else:
+            j = max(int(np.searchsorted(centers, p, side="right")) - 1, 0)
+        trace = float(field[j])
+        if isinstance(probe.segment_at(t), ModelCoupled):
+            speeds.append(float(model.speed_law(trace)))
+        else:
+            speeds.append(probe.exogenous_speed(t))
+        traces.append(trace)
+    return speeds, traces
+
+
+def reference_run(model, grid, datum, t_end, n_snapshots, cfl=CFL_DEFAULT):
+    field = init_field(grid, datum)
+    snap_times = np.linspace(0.0, t_end, n_snapshots)
+    boundaries = {float(t_end)}
+    boundaries.update(float(t) for t in snap_times if 0.0 < t <= t_end)
+    for probe in model.probes:
+        boundaries.update(t for t in probe.boundary_times() if t < t_end)
+    boundaries = sorted(boundaries)
+    coupled = [i for i, probe in enumerate(model.probes) if not probe.observer]
+    positions = [probe.x0 for probe in model.probes]
+    speeds, traces = reference_probe_speeds(model, grid, 0.0, field, positions)
+    paths = [[] for _ in model.probes]
+    snapshots = [(0.0, field.copy())]
+    diagnostics, boundary_flux = [], []
+    t, step, snap_idx = 0.0, 0, 1
+    while t < t_end - 1e-14:
+        stepped = model
+        if coupled:
+            stepped = replace(model, states=tuple((positions[i], speeds[i]) for i in coupled))
+        dt = reference_cfl_dt(stepped, grid, t, cfl)
+        b_idx = int(np.searchsorted(boundaries, t + 1e-14, side="right"))
+        b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
+        if dt >= b_next - t - 1e-14:
+            dt = b_next - t
+            t_new = b_next
+        else:
+            t_new = t + dt
+        rate_in, rate_out = reference_boundary_rates(stepped, grid, t, field)
+        new_field = reference_lxf_step(stepped, grid, t, field, dt)
+        for path, p, w, trace in zip(paths, positions, speeds, traces):
+            path.append((t, p, w, trace))
+        positions = advance_probes(model, positions, speeds, dt, t_new)
+        field = new_field
+        t = t_new
+        step += 1
+        speeds, traces = reference_probe_speeds(model, grid, t, field, positions)
+        diagnostics.append(
+            (
+                step,
+                t,
+                dt,
+                float(np.sum(field)) * grid.dx,
+                float(np.min(field)),
+                float(np.max(field)),
+            )
+        )
+        boundary_flux.append((step, t, dt, rate_in, rate_out))
+        if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= 1e-12:
+            snapshots.append((float(snap_times[snap_idx]), field.copy()))
+            snap_idx += 1
+    return snapshots, diagnostics, boundary_flux, paths
+
+
+def _as_bytes(rows):
+    return np.asarray(rows, dtype=float).tobytes()
+
+
+def _fleet_case():
+    # two traffic-coupled probes (one braking to a stop), two exogenous
+    # stop-and-go probes and an observer, on a road of dense blocks
+    probes = (
+        ProbeTrajectory(0.3, (ModelCoupled(0.0, None),)),
+        ProbeTrajectory(0.55, (ExogenousSpeed(0.0, 0.07, 0.3), ExogenousSpeed(0.07, None, 0.0))),
+        ProbeTrajectory(0.9, (ModelCoupled(0.0, 0.11), ExogenousSpeed(0.11, None, 0.0))),
+        ProbeTrajectory(1.3, (ExogenousSpeed(0.0, None, 0.6),), mollify_radius=0.02),
+        ProbeTrajectory(0.6, (ExogenousSpeed(0.0, None, 0.4),), observer=True),
+    )
+    model = FluxModel(
+        speed_law=EpsilonLaw(0.25), cutoff=CutoffProfile(0.02, 0.06), probes=probes
+    )
+    datum = PiecewiseConstant.from_blocks(0.2, [(0.1, 0.5, 0.9), (0.7, 1.1, 1.0)])
+    return model, Grid.from_extent(0.0, 2.0, 0.005), datum, 0.25
+
+
+def _calibration_case():
+    scenario = get_scenario("calibration").with_overrides(t_end=0.1)
+    return scenario.flux_model(), scenario.grid(), scenario.datum, scenario.t_end
+
+
+def _probe_free_case():
+    # waves cross both boundaries, so the edge fluxes differ from their
+    # neighbours' on most steps
+    model = FluxModel(speed_law=EpsilonLaw(-0.2))
+    datum = PiecewiseConstant([0.02, 0.3, 0.6, 0.97], [0.8, 0.1, 1.0, 0.0, 0.5])
+    return model, Grid.from_extent(0.0, 1.0, 0.01), datum, 0.3
+
+
+class TestStepLoopMatchesReference:
+    @pytest.mark.parametrize(
+        "case", [_probe_free_case, _calibration_case, _fleet_case], ids=lambda c: c.__name__
+    )
+    def test_run_is_bitwise_equal_to_the_reference(self, case):
+        model, grid, datum, t_end = case()
+        result = run(model, grid, datum, t_end, n_snapshots=6)
+        snapshots, diagnostics, boundary_flux, paths = reference_run(
+            model, grid, datum, t_end, n_snapshots=6
+        )
+        assert len(result.diagnostics) == len(diagnostics) > 10
+        assert result.final_field.tobytes() == snapshots[-1][1].tobytes()
+        assert [t for t, _ in result.snapshots] == [t for t, _ in snapshots]
+        for (_, got), (_, want) in zip(result.snapshots, snapshots):
+            assert got.tobytes() == want.tobytes()
+        assert _as_bytes(result.diagnostics) == _as_bytes(diagnostics)
+        assert _as_bytes(result.boundary_flux) == _as_bytes(boundary_flux)
+        assert len(result.probe_paths) == len(paths)
+        for got, want in zip(result.probe_paths, paths):
+            assert got.tobytes() == _as_bytes(want)
+
+    def test_public_step_functions_match_the_reference(self):
+        model, grid, datum, _ = _fleet_case()
+        field = init_field(grid, datum)
+        stepped = replace(model, states=((0.3, 0.5), (0.9, 0.1), (1.3, 0.6), (0.55, 0.0)))
+        dt = cfl_dt(stepped, grid, 0.0)
+        assert dt == reference_cfl_dt(stepped, grid, 0.0, CFL_DEFAULT)
+        assert boundary_flux_rates(stepped, grid, 0.0, field) == reference_boundary_rates(
+            stepped, grid, 0.0, field
+        )
+        new = lxf_step(stepped, grid, 0.0, field, dt)
+        assert new.tobytes() == reference_lxf_step(stepped, grid, 0.0, field, dt).tobytes()
+
+    def test_grid_geometry_is_computed_once_and_read_only(self):
+        grid = Grid.from_extent(-1.0, 2.0, 0.01)
+        for name in ("edges", "centers", "ghosted_centers"):
+            first = getattr(grid, name)
+            assert getattr(grid, name) is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+        assert grid.centers.tobytes() == reference_centers(grid).tobytes()
+        assert grid.edges.tobytes() == (grid.x_min + grid.dx * np.arange(301)).tobytes()
+        np.testing.assert_array_equal(grid.ghosted_centers[1:-1], grid.centers)
+        assert grid.ghosted_centers[0] == grid.centers[0] - grid.dx
+        assert grid.ghosted_centers[-1] == grid.centers[-1] + grid.dx
+
+    @pytest.mark.parametrize(
+        "background, spike", [(0.0, 1e-13), (1.0, 1.0 - 1e-13)], ids=["below", "above"]
+    )
+    def test_update_range_is_the_range_of_the_clipped_field(self, background, spike):
+        # an oversized step pushes one cell past the bound by less than the
+        # tolerance, so the update clips; run's diagnostics read lo and hi
+        grid = Grid.from_extent(0.0, 1.0, 0.125)
+        model = FluxModel(speed_law=Greenshields(1.0))
+        field = np.full(grid.n_cells, background)
+        field[4] = spike
+        rho, F = _ghosted_flux(model, grid, 0.0, field)
+        new, lo, hi = _lxf_update(grid, 0.0, rho, F, 2.0 * grid.dx)
+        unclipped = 0.5 * (rho[:-2] + rho[2:]) - (F[2:] - F[:-2])
+        assert np.min(unclipped) < 0.0 or np.max(unclipped) > 1.0
+        assert new.tobytes() == lxf_step(model, grid, 0.0, field, 2.0 * grid.dx).tobytes()
+        assert (lo, hi) == (float(np.min(new)), float(np.max(new)))

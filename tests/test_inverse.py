@@ -93,6 +93,13 @@ class TestScan:
         assert scan.best_error <= 1e-12
         assert scan.samples[0] == (0.8, scan.errors[0])
 
+    def test_process_pool_matches_the_serial_scan(self):
+        scenario = get_scenario("calibration").with_overrides(t_end=0.1)
+        serial = scan_E(scenario, 0.5, 2.0, 4, workers=1)
+        pooled = scan_E(scenario, 0.5, 2.0, 4, workers=2)
+        assert pooled.v_values == serial.v_values
+        assert pooled.errors == serial.errors
+
     def test_validation(self):
         scenario = coarse_calibration()
         with pytest.raises(DomainError):

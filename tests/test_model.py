@@ -198,6 +198,11 @@ class TestCutoffProfile:
         with pytest.raises(DomainError):
             CutoffProfile(inner=0.0, outer=0.1)
 
+    @pytest.mark.parametrize("inner, outer", [(0.05, math.inf), (math.nan, 0.1), (0.05, math.nan)])
+    def test_rejects_non_finite_radii(self, inner, outer):
+        with pytest.raises(DomainError):
+            CutoffProfile(inner=inner, outer=outer)
+
 
 # ---------------------------------------------------------------------------
 # Probe programs and trajectories
@@ -384,6 +389,9 @@ class TestEncodedSpeed:
         model = _single_probe_model(0.2)
         with pytest.raises(DomainError):
             eval_encoded_speed(model, 0.0, 0.0, 1.2)
+        for rho in (1.2, -0.1, np.array([0.5, 1.0 + 1e-9])):
+            with pytest.raises(DomainError):
+                eval_flux(model, 0.0, 0.0, rho)
 
     @given(
         st.floats(min_value=0.0, max_value=1.5),

@@ -1,5 +1,7 @@
 """Scenario registry, validation findings, JSON round-trips, end-to-end runs."""
 
+import math
+
 import pytest
 
 from probeflow import (
@@ -109,6 +111,37 @@ class TestValidation:
         assert any(f.level == "warning" for f in findings)
         assert scenario.errors() == []
 
+    @pytest.mark.parametrize("name", ["x_min", "x_max", "dx", "t_end", "cfl"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_errors(self, name, value):
+        messages = [f.message for f in toy_scenario(**{name: value}).errors()]
+        assert f"{name} must be finite, got {value}" in messages
+
+    @pytest.mark.parametrize(
+        "overrides, fragment",
+        [
+            ({"dx": 0.0}, "dx must be positive"),
+            ({"dx": -0.01}, "dx must be positive"),
+            ({"cfl": 0.0}, "cfl must lie in (0, 1]"),
+            ({"cfl": 1.5}, "cfl must lie in (0, 1]"),
+            ({"x_min": 1.0}, "empty domain"),
+            ({"x_min": -1e308, "x_max": 1e308}, "no finite number of cells"),
+            ({"dx": 1e-320}, "no finite number of cells"),
+        ],
+        ids=[
+            "dx-zero",
+            "dx-negative",
+            "cfl-zero",
+            "cfl-above-one",
+            "empty-domain",
+            "extent-overflow",
+            "cell-count-overflow",
+        ],
+    )
+    def test_out_of_range_numbers_are_errors(self, overrides, fragment):
+        messages = [f.message for f in toy_scenario(**overrides).errors()]
+        assert any(fragment in m for m in messages), messages
+
     def test_oversized_cutoff_is_a_warning(self):
         findings = toy_scenario(cutoff=CutoffProfile(0.2, 0.6)).validate()
         assert any(f.level == "warning" and "cutoff" in f.message for f in findings)
@@ -167,6 +200,12 @@ class TestSerialization:
                     "datum": {"values": [0.5]},
                 }
             )
+
+    def test_non_finite_cutoff_radius_rejected(self):
+        data = toy_scenario().to_dict()
+        data["cutoff"]["outer"] = math.inf
+        with pytest.raises(DomainError):
+            Scenario.from_dict(data)
 
     def test_unknown_probe_mode(self):
         with pytest.raises(DomainError):
