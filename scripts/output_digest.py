@@ -1,0 +1,89 @@
+"""Fingerprint the simulation outputs of a source tree: one sha256 per case.
+
+    python scripts/output_digest.py             # every case
+    python scripts/output_digest.py calibration fleet_7
+
+Each case is one finite-volume run.  The cases are every built-in scenario
+(``fig_questa`` shortened to ``t_end=3``) and the benchmark's seeded fleet
+roads ``fleet_7`` and ``fleet_31`` (``perfbench/workloads.fleet_scenario``).
+For each it prints ``<case> <sha256>``, the hash taken over the bytes of
+every snapshot (time and field), the diagnostics rows, the boundary-flux
+rows and every probe path.
+
+Run it on two checkouts and diff the outputs: a refactor that keeps outputs
+bit-for-bit equal shows no difference.  The library is imported from the
+``src/`` directory next to this script, and ``perfbench/workloads.py`` is
+loaded from its file, unchanged.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from probeflow import scenarios  # noqa: E402
+
+#: Overrides that keep a built-in scenario's run short.
+OVERRIDES = {"fig_questa": {"t_end": 3.0}}
+
+#: Seeds of the benchmark's fleet roads.
+FLEET_SEEDS = (7, 31)
+
+
+def _fleet_scenario(seed):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.fleet_scenario(seed)
+
+
+def case_names():
+    return scenarios.scenario_names() + [f"fleet_{seed}" for seed in FLEET_SEEDS]
+
+
+def load_case(name):
+    """The scenario of case ``name`` and the overrides it runs with."""
+    if name.startswith("fleet_"):
+        return _fleet_scenario(int(name.removeprefix("fleet_"))), {}
+    return scenarios.get_scenario(name), OVERRIDES.get(name, {})
+
+
+def digest(result):
+    """sha256 over a run's snapshots, diagnostics, boundary flux and probe
+    paths."""
+    h = hashlib.sha256()
+    for t, field in result.snapshots:
+        h.update(np.float64(t).tobytes())
+        h.update(np.ascontiguousarray(field, dtype=float).tobytes())
+    h.update(np.asarray(result.diagnostics, dtype=float).tobytes())
+    h.update(np.asarray(result.boundary_flux, dtype=float).tobytes())
+    for path in result.probe_paths:
+        h.update(np.ascontiguousarray(path, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def main(argv=None):
+    names = list(sys.argv[1:] if argv is None else argv) or case_names()
+    unknown = [name for name in names if name not in case_names()]
+    if unknown:
+        print(f"unknown case(s) {', '.join(unknown)}; have {', '.join(case_names())}",
+              file=sys.stderr)
+        return 2
+    for name in names:
+        scenario, overrides = load_case(name)
+        print(name, digest(scenarios.run_scenario(scenario, **overrides)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,13 +14,13 @@ simulation lands exactly on probe program boundaries and snapshot times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .model import SLOPE_SAMPLES, ModelCoupled, eval_flux
+from .model import SLOPE_SAMPLES, ModelCoupled, check_states, cutoff_weights, eval_flux
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -151,9 +151,10 @@ def trace_density(grid, field, x, side="right"):
     return float(field[j])
 
 
-def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
+def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     """Largest stable step: ``cfl * dx / S`` with ``S`` the sampled maximal
-    characteristic speed ``|d f / d rho|`` of the blended flux.
+    characteristic speed ``|d f / d rho|`` of the blended flux, with the
+    coupled probes' ``states`` as in :func:`~probeflow.model.eval_flux`.
 
     Away from every probe the flux reduces to the speed law's, whose
     sampled slope maximum (:attr:`~probeflow.model.SpeedLaw.max_flux_slope`)
@@ -165,8 +166,8 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
+    check_states(model, states)
     S = model.speed_law.max_flux_slope
-    states = model.probe_states(t)
     if not states:
         return cfl * grid.dx / max(S, 1e-10)
     centers = grid.centers
@@ -178,8 +179,8 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
     if x.size:
         xc = x[:, None]
         slopes = (
-            eval_flux(model, t, xc, _SLOPE_HI[None, :])
-            - eval_flux(model, t, xc, _SLOPE_LO[None, :])
+            eval_flux(model, states, xc, _SLOPE_HI[None, :])
+            - eval_flux(model, states, xc, _SLOPE_LO[None, :])
         ) / _SLOPE_SPAN[None, :]
         S = max(S, float(np.max(np.abs(slopes))))
         # The sampled scan cannot resolve the slope at rho = 1 when a probe
@@ -188,13 +189,10 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
         # so d(rho V)/d rho at rho = 1 equals v'(1) * (1 + sum chi/scale)
         # there, in a band of width ~w that the finite differences miss.
         # Add that endpoint slope in closed form.
-        chi_tot = np.zeros_like(x)
+        weights, scale = cutoff_weights(model, states, x)
         signed = np.zeros_like(x)
-        for p, w in states:
-            c = model.cutoff(x - p)
-            chi_tot += c
+        for c, (_, w) in zip(weights, states):
             signed += c * (2.0 * float(w > 0.0) - 1.0)
-        scale = np.maximum(chi_tot, 1.0)
         end_slope = np.abs(float(model.speed_law.flux_slope(1.0))) * np.abs(
             1.0 + signed / scale
         )
@@ -202,11 +200,11 @@ def cfl_dt(model, grid, t, cfl=CFL_DEFAULT):
     return cfl * grid.dx / max(S, 1e-10)
 
 
-def _ghosted_flux(model, grid, t, field):
+def _ghosted_flux(model, grid, states, field):
     """The field padded with one zero-order extrapolation ghost cell per
     side, and the blended flux on it: the one flux evaluation of a step."""
     rho = np.concatenate([[field[0]], field, [field[-1]]])
-    return rho, eval_flux(model, t, grid.ghosted_centers, rho)
+    return rho, eval_flux(model, states, grid.ghosted_centers, rho)
 
 
 def _edge_rates(F):
@@ -215,12 +213,13 @@ def _edge_rates(F):
     return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[-2]) + float(F[-1]))
 
 
-def _lxf_update(grid, t, rho, F, dt):
+def _lxf_update(grid, rho, F, dt, t=None):
     """The Lax-Friedrichs update from a ghosted density and flux.
 
     Returns the new field and its minimum and maximum.  Raises
-    :class:`StabilityError` if the update leaves ``[0, 1]`` beyond
-    tolerance or holds a NaN; values within tolerance are clamped.
+    :class:`StabilityError` (naming ``t`` if given) if the update leaves
+    ``[0, 1]`` beyond tolerance or holds a NaN; values within tolerance are
+    clamped.
     """
     lam = dt / grid.dx
     new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * lam * (F[2:] - F[:-2])
@@ -228,7 +227,7 @@ def _lxf_update(grid, t, rho, F, dt):
     hi = float(np.max(new))
     if not (lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL):
         raise StabilityError(
-            f"update left [0, 1] at t={t}: range [{lo}, {hi}] "
+            f"update left [0, 1]{'' if t is None else f' at t={t}'}: range [{lo}, {hi}] "
             f"(dt={dt}, likely a CFL violation)"
         )
     if lo < 0.0 or hi > 1.0:
@@ -239,24 +238,25 @@ def _lxf_update(grid, t, rho, F, dt):
     return new, lo, hi
 
 
-def lxf_step(model, grid, t, field, dt):
-    """One Lax-Friedrichs update with zero-order extrapolation ghosts.
+def lxf_step(model, grid, states, field, dt):
+    """One Lax-Friedrichs update with zero-order extrapolation ghosts and
+    the coupled probes' ``states`` (as in :func:`cfl_dt`).
 
     Raises :class:`StabilityError` if the update leaves ``[0, 1]`` beyond
     floating-point tolerance or holds a NaN; values within tolerance are
     clamped.
     """
-    new, _, _ = _lxf_update(grid, t, *_ghosted_flux(model, grid, t, field), dt)
+    new, _, _ = _lxf_update(grid, *_ghosted_flux(model, grid, states, field), dt)
     return new
 
 
-def boundary_flux_rates(model, grid, t, field):
+def boundary_flux_rates(model, grid, states, field):
     """Instantaneous mass flow ``(rate_in, rate_out)`` through the domain
     boundaries for the scheme's update: the averages of the blended flux at
     the ghost cell and the adjacent interior cell on each side.  Summing
     ``dt * (rate_in - rate_out)`` over steps reproduces the change of the
     tracked mass exactly, up to rounding."""
-    _, F = _ghosted_flux(model, grid, t, field)
+    _, F = _ghosted_flux(model, grid, states, field)
     return _edge_rates(F)
 
 
@@ -369,10 +369,11 @@ def run(
 
     The run keeps its probes' positions, speeds and recorded paths itself;
     ``model`` is left unchanged and can be shared by any number of runs.
-    Each step hands the coupled probes' resolved states to the flux through
-    a copy of ``model`` with ``states`` filled in.  Snapshots are taken at
-    ``n_snapshots`` evenly spaced times including 0 and ``t_end``; steps
-    are shortened to land on these and on probe program boundaries exactly.
+    Each step passes the coupled probes' ``(position, speed)`` pairs to the
+    flux as an argument.  Snapshots are taken at ``n_snapshots`` evenly
+    spaced times including 0 and ``t_end``; steps are shortened to land on
+    these and on probe program boundaries exactly, so ``n_snapshots`` may
+    not exceed ``max_steps + 1``.
 
     A step evaluates the blended flux once, on the ghosted field: the
     update (as :func:`lxf_step`) and the boundary rates (as
@@ -384,6 +385,8 @@ def run(
         raise DomainError(f"t_end must be positive, got {t_end}")
     if n_snapshots < 1:
         raise DomainError(f"n_snapshots must be >= 1, got {n_snapshots}")
+    if n_snapshots > max_steps + 1:  # each snapshot interval takes a step
+        raise DomainError(f"n_snapshots={n_snapshots} needs more than {max_steps=} steps")
     field = init_field(grid, datum)
     snap_times = np.linspace(0.0, t_end, n_snapshots) if n_snapshots > 1 else np.array([0.0])
     boundaries = {float(t_end)}
@@ -405,12 +408,8 @@ def run(
     while t < t_end - 1e-14:
         if step >= max_steps:
             raise StabilityError(f"exceeded {max_steps} steps at t={t}")
-        stepped = model
-        if coupled:
-            stepped = replace(
-                model, states=tuple((positions[i], speeds[i]) for i in coupled)
-            )
-        dt = cfl_dt(stepped, grid, t, cfl)
+        states = tuple((positions[i], speeds[i]) for i in coupled)
+        dt = cfl_dt(model, grid, states, cfl)
         b_idx = int(np.searchsorted(boundaries, t + 1e-14, side="right"))
         b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
         if dt >= b_next - t - 1e-14:
@@ -418,9 +417,9 @@ def run(
             t_new = b_next
         else:
             t_new = t + dt
-        rho, F = _ghosted_flux(stepped, grid, t, field)
+        rho, F = _ghosted_flux(model, grid, states, field)
         rate_in, rate_out = _edge_rates(F)
-        new_field, lo, hi = _lxf_update(grid, t, rho, F, dt)
+        new_field, lo, hi = _lxf_update(grid, rho, F, dt, t)
         for path, p, w, trace in zip(paths, positions, speeds, traces):
             path.append((t, p, w, trace))
         positions = advance_probes(model, positions, speeds, dt, t_new)

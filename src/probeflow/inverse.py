@@ -525,7 +525,7 @@ def modulus_bound(scenario, rho_check, v_lo, v_hi):
     inf_speed = math.inf
     p_sup = 0.0
     for probe in scenario.probes:
-        if probe.has_coupled:
+        if not probe.is_exogenous:
             raise DomainError(
                 "modulus bound needs fully programmed probes; a traffic-"
                 "coupled segment has no certified speed floor"

@@ -430,10 +430,6 @@ class ProbeTrajectory:
     def is_exogenous(self):
         return self._tl is not None
 
-    @property
-    def has_coupled(self):
-        return self._tl is None
-
     def segment_at(self, t):
         """The program segment covering time t, or None (gap: speed 0)."""
         for s in self.program:
@@ -526,42 +522,27 @@ class FluxModel:
     ``trace_side`` fixes how the density field is read at a probe position:
     ``"right"`` takes the first cell at or ahead of the probe, ``"left"``
     the last cell at or behind it.
-
-    ``states`` is not a setting: a running simulation fills it with the
-    ``(position, speed)`` of each coupled probe, in ``coupled_probes``
-    order, at the time it is evaluating the flux.  Left ``None``, the
-    states come from the probes' closed-form paths.
     """
 
     speed_law: SpeedLaw
     cutoff: CutoffProfile = field(default_factory=CutoffProfile)
     probes: tuple = ()
     trace_side: str = "right"
-    states: tuple | None = None
 
     def __post_init__(self):
         if self.trace_side not in ("right", "left"):
             raise DomainError(f"trace_side must be 'right' or 'left', got {self.trace_side!r}")
         object.__setattr__(self, "probes", tuple(self.probes))
-        if self.states is not None:
-            object.__setattr__(self, "states", tuple(self.states))
-            if len(self.states) != len(self.coupled_probes):
-                raise DomainError(
-                    f"states holds {len(self.states)} entries for "
-                    f"{len(self.coupled_probes)} coupled probes"
-                )
 
-    @property
+    @cached_property
     def coupled_probes(self):
         """Probes that participate in the flux blend (non-observers)."""
         return tuple(p for p in self.probes if not p.observer)
 
     def probe_states(self, t):
-        """``(position, speed)`` of every coupled probe at time ``t``: the
-        resolved ``states`` when set, otherwise the closed-form paths
+        """``(position, speed)`` of every coupled probe at time ``t`` from
+        the closed-form paths of exogenous programs
         (:class:`ProbeStateError` for a model-coupled program)."""
-        if self.states is not None:
-            return self.states
         return tuple(p.state_at(t) for p in self.coupled_probes)
 
     def max_probe_speed(self):
@@ -598,47 +579,54 @@ def harmonic_speed(w, v):
     return out
 
 
-def eval_encoded_speed(model, t, x, rho):
-    """The blended speed field ``V(t, x, rho)``.
+def check_states(model, states):
+    """Reject ``states`` unless it holds one entry per coupled probe."""
+    if len(states) != len(model.coupled_probes):
+        raise DomainError(f"{len(states)} states for {len(model.coupled_probes)} coupled probes")
 
-    Each non-observer probe contributes a weight ``w_i = chi(x - p_i(t))``.
-    With ``W = sum(w_i) <= 1`` the speed is
+
+def cutoff_weights(model, states, x):
+    """Each coupled probe's cutoff weight ``chi(x - p_i)`` at ``x``, and
+    their normaliser ``max(sum_i chi(x - p_i), 1)``, both at ``x``'s
+    shape."""
+    weights = [model.cutoff(x - p) for p, _ in states]
+    return weights, np.maximum(sum(weights, np.zeros(np.shape(x))), 1.0)
+
+
+def eval_encoded_speed(model, states, x, rho):
+    """The blended speed field ``V(x, rho)``.
+
+    ``states`` holds the ``(position p_i, speed pdot_i)`` of every coupled
+    probe, in :attr:`FluxModel.coupled_probes` order (:class:`DomainError`
+    otherwise): :meth:`FluxModel.probe_states` for programmed probes, or
+    what a running simulation resolves.  Each probe contributes a weight
+    ``w_i = chi(x - p_i)``.  With ``W = sum(w_i) <= 1`` the speed is
     ``(1 - W) * v(rho) + sum_i w_i * harmonic_speed(pdot_i, v(rho))``; for
     ``W > 1`` the weights are first normalised by ``W`` (the blend stays a
     convex combination).
-
-    Probe positions and speeds come from :meth:`FluxModel.probe_states`:
-    exogenous programs are evaluated in closed form, model-coupled probes
-    need the ``states`` a running simulation resolves
-    (:class:`ProbeStateError` otherwise).
     """
-    return _blended_speed(model, t, x, _as_density(rho))
+    return _blended_speed(model, states, x, _as_density(rho))
 
 
-def _blended_speed(model, t, x, rho):
+def _blended_speed(model, states, x, rho):
     """:func:`eval_encoded_speed` on a density array already checked."""
+    check_states(model, states)
     x = np.asarray(x, dtype=float)
     v = model.speed_law(rho)
-    shape = np.broadcast_shapes(x.shape, rho.shape)
-    total = np.zeros(shape)
-    weights = []
-    for p, pdot in model.probe_states(t):
-        w = model.cutoff(x - p)
-        weights.append((w, pdot))
-        total = total + w
-    scale = np.maximum(total, 1.0)
+    weights, scale = cutoff_weights(model, states, x)
     # accumulate as v + sum w_i (H_i - v): algebraically the convex
     # combination, but exact (not just close) wherever every H_i equals v
-    out = v + np.zeros(shape)
-    for w, pdot in weights:
+    out = v + np.zeros(np.broadcast_shapes(x.shape, rho.shape))
+    for w, (_, pdot) in zip(weights, states):
         out = out + (w / scale) * (harmonic_speed(pdot, v) - v)
     return out
 
 
-def eval_flux(model, t, x, rho):
-    """The conservation-law flux ``rho * V(t, x, rho)``."""
+def eval_flux(model, states, x, rho):
+    """The conservation-law flux ``rho * V(x, rho)``, with the coupled
+    probes' ``states`` as in :func:`eval_encoded_speed`."""
     rho = _as_density(rho)
-    return rho * _blended_speed(model, t, x, rho)
+    return rho * _blended_speed(model, states, x, rho)
 
 
 def eval_g(law, rho, q):
@@ -926,7 +914,7 @@ def stability_constant_C(model):
     parts = []
     total = 0.0
     for i, probe in enumerate(probes):
-        if probe.has_coupled:
+        if not probe.is_exogenous:
             return StabilityConstant(
                 value=math.inf,
                 per_probe=(),

@@ -177,7 +177,7 @@ class Scenario:
                 dx=float(domain["dx"]),
                 t_end=float(data["t_end"]),
                 cfl=float(data.get("cfl", CFL_DEFAULT)),
-                n_snapshots=int(data.get("n_snapshots", SNAPSHOTS_DEFAULT)),
+                n_snapshots=_whole_number(data.get("n_snapshots", SNAPSHOTS_DEFAULT)),
                 trace_side=data.get("trace_side", "right"),
                 law=_law_from_dict(data["law"]),
                 cutoff=CutoffProfile(
@@ -188,7 +188,9 @@ class Scenario:
                 probes=tuple(_probe_from_dict(p) for p in data.get("probes", [])),
                 reconstructed=tuple(data.get("reconstructed", ())),
             )
-        except (KeyError, TypeError) as exc:
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed scenario data: {exc}") from exc
 
     def to_json(self, indent=2):
@@ -201,6 +203,14 @@ class Scenario:
         except json.JSONDecodeError as exc:
             raise DomainError(f"invalid scenario JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+def _whole_number(value):
+    """``value`` as an int; :class:`DomainError` unless it is integral."""
+    number = float(value)
+    if not number.is_integer():
+        raise DomainError(f"n_snapshots must be a whole number, got {value!r}")
+    return int(number)
 
 
 def _law_to_dict(law):

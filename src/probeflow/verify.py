@@ -494,12 +494,12 @@ def verify_rescaling(factor_floor=1.25, identity_tol=1e-14):
 # calibration
 # ---------------------------------------------------------------------------
 
-def verify_calibration(n_intervals=8, refine_iters=20, workers=1):
+def verify_calibration(n_intervals=8, refine_iters=20):
     """Recover the planted speed-law slope from observer records."""
     checks = []
     scenario = get_scenario("calibration")
     v_lo, v_hi = 0.5, 2.0
-    scan = scan_E(scenario, v_lo, v_hi, n_intervals, workers=workers)
+    scan = scan_E(scenario, v_lo, v_hi, n_intervals)
     refined = minimize_E(
         scan.samples,
         refine_iters=refine_iters,

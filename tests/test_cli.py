@@ -174,6 +174,28 @@ class TestRunCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "path, value, fragment",
+        [
+            (("domain", "dx"), "abc", "malformed scenario data"),
+            (("t_end",), "soon", "malformed scenario data"),
+            (("n_snapshots",), 2.5, "whole number"),
+            (("n_snapshots",), 1.5e300, "max_steps"),
+        ],
+    )
+    def test_bad_scenario_json_number_exits_2(self, tmp_path, capsys, path, value, fragment):
+        data = get_scenario("riemann_phi").to_dict()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestPhiCommand:
     def test_single_parameter_row(self, capsys):

@@ -22,8 +22,8 @@ from probeflow import (
     advance_probes,
     boundary_flux_rates,
     cfl_dt,
-    eval_encoded_speed,
     get_scenario,
+    harmonic_speed,
     init_field,
     l1_distance,
     lxf_step,
@@ -32,6 +32,7 @@ from probeflow import (
     solve_riemann,
     trace_density,
 )
+from probeflow import fvsolver
 from probeflow.fvsolver import _ghosted_flux, _lxf_update
 
 
@@ -123,13 +124,13 @@ class TestCflDt:
     def test_probe_free_linear_law(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
-        assert cfl_dt(model, grid, 0.0) == CFL_DEFAULT * grid.dx
+        assert cfl_dt(model, grid, model.probe_states(0.0)) == CFL_DEFAULT * grid.dx
 
     def test_quadratic_law_steepest_at_full_density(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=EpsilonLaw(1.0 / 3.0))
         # |f'(1)| = 4/3 dominates the probe-free characteristic speed
-        assert cfl_dt(model, grid, 0.0) == pytest.approx(
+        assert cfl_dt(model, grid, model.probe_states(0.0)) == pytest.approx(
             CFL_DEFAULT * grid.dx * 0.75, rel=1e-12
         )
 
@@ -138,21 +139,32 @@ class TestCflDt:
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 0.5),))
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
-        assert cfl_dt(model, grid, 0.0) == CFL_DEFAULT * grid.dx / 2.0
+        assert cfl_dt(model, grid, model.probe_states(0.0)) == CFL_DEFAULT * grid.dx / 2.0
+
+    @pytest.mark.parametrize(
+        "speed, factor", [(0.0, 1.0), (1e-9, 0.5)], ids=["stopped", "creeping"]
+    )
+    def test_endpoint_slope_counts_only_moving_probes(self, speed, factor):
+        # at rho = 1 a probe with any positive speed doubles the flux slope,
+        # in a band the sampled scan misses; a stopped probe flattens it
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, speed),))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
+        assert cfl_dt(model, grid, ((0.5, speed),)) == CFL_DEFAULT * grid.dx * factor
 
     def test_distant_probe_does_not_restrict(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         probe = ProbeTrajectory(10.0, (ExogenousSpeed(0.0, None, 0.5),))
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
-        assert cfl_dt(model, grid, 0.0) == CFL_DEFAULT * grid.dx
+        assert cfl_dt(model, grid, model.probe_states(0.0)) == CFL_DEFAULT * grid.dx
 
     def test_cfl_number_validated(self):
         grid = quarter_grid()
         model = FluxModel(speed_law=Greenshields(1.0))
         with pytest.raises(DomainError):
-            cfl_dt(model, grid, 0.0, cfl=0.0)
+            cfl_dt(model, grid, model.probe_states(0.0), cfl=0.0)
         with pytest.raises(DomainError):
-            cfl_dt(model, grid, 0.0, cfl=1.5)
+            cfl_dt(model, grid, model.probe_states(0.0), cfl=1.5)
 
 
 class TestLxfStep:
@@ -160,7 +172,7 @@ class TestLxfStep:
         grid = Grid.from_extent(0.0, 1.0, 0.125)
         model = FluxModel(speed_law=Greenshields(1.0))
         field = np.full(grid.n_cells, 0.3)
-        out = lxf_step(model, grid, 0.0, field, 0.9 * grid.dx)
+        out = lxf_step(model, grid, model.probe_states(0.0), field, 0.9 * grid.dx)
         assert np.all(out == 0.3)
 
     def test_probe_at_law_speed_leaves_uniform_field_alone(self):
@@ -168,7 +180,7 @@ class TestLxfStep:
         probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 0.5),))
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         field = np.full(grid.n_cells, 0.5)
-        out = lxf_step(model, grid, 0.0, field, 0.4 * grid.dx)
+        out = lxf_step(model, grid, model.probe_states(0.0), field, 0.4 * grid.dx)
         assert np.all(out == 0.5)
 
     def test_cfl_violation_raises(self):
@@ -176,7 +188,7 @@ class TestLxfStep:
         model = FluxModel(speed_law=Greenshields(1.0))
         field = init_field(grid, PiecewiseConstant([0.5], [0.1, 0.5]))
         with pytest.raises(StabilityError):
-            lxf_step(model, grid, 0.0, field, 10.0 * grid.dx)
+            lxf_step(model, grid, model.probe_states(0.0), field, 10.0 * grid.dx)
 
     def test_nan_in_the_field_raises(self):
         grid = Grid.from_extent(0.0, 1.0, 0.125)
@@ -184,15 +196,15 @@ class TestLxfStep:
         field = np.full(grid.n_cells, 0.3)
         field[3] = math.nan
         with pytest.raises(StabilityError):
-            lxf_step(model, grid, 0.0, field, 0.5 * grid.dx)
+            lxf_step(model, grid, model.probe_states(0.0), field, 0.5 * grid.dx)
 
     def test_mass_change_matches_boundary_rates(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         field = init_field(grid, PiecewiseConstant([0.5], [0.1, 0.7]))
-        dt = cfl_dt(model, grid, 0.0)
-        rate_in, rate_out = boundary_flux_rates(model, grid, 0.0, field)
-        new = lxf_step(model, grid, 0.0, field, dt)
+        dt = cfl_dt(model, grid, model.probe_states(0.0))
+        rate_in, rate_out = boundary_flux_rates(model, grid, model.probe_states(0.0), field)
+        new = lxf_step(model, grid, model.probe_states(0.0), field, dt)
         change = grid.dx * (float(np.sum(new)) - float(np.sum(field)))
         assert change == pytest.approx(dt * (rate_in - rate_out), abs=1e-15)
 
@@ -200,7 +212,7 @@ class TestLxfStep:
         grid = quarter_grid()
         model = FluxModel(speed_law=Greenshields(1.0))
         rate_in, rate_out = boundary_flux_rates(
-            model, grid, 0.0, np.full(4, 0.5)
+            model, grid, model.probe_states(0.0), np.full(4, 0.5)
         )
         assert rate_in == 0.25 and rate_out == 0.25
 
@@ -307,7 +319,7 @@ class TestRun:
         run(model, grid, PiecewiseConstant([], [0.7]), 0.1, n_snapshots=2)
         second = run(model, grid, self._bump_datum(), 0.2, n_snapshots=2)
         assert first.model is model and second.model is model
-        assert model.states is None
+        assert model == FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         np.testing.assert_array_equal(first.final_field, second.final_field)
         assert first.diagnostics == second.diagnostics
         assert first.boundary_flux == second.boundary_flux
@@ -330,8 +342,33 @@ class TestRun:
             run(model, grid, self._bump_datum(), 0.0)
         with pytest.raises(DomainError):
             run(model, grid, self._bump_datum(), 0.1, n_snapshots=0)
-        with pytest.raises(StabilityError):
-            run(model, grid, self._bump_datum(), 0.1, max_steps=1)
+        with pytest.raises(StabilityError, match="at t="):
+            run(model, grid, self._bump_datum(), 0.1, n_snapshots=2, max_steps=1)
+
+    @pytest.mark.parametrize("n_snapshots", [5, 10**300], ids=["five", "huge"])
+    def test_impossible_snapshot_count_rejected_up_front(self, monkeypatch, n_snapshots):
+        # every snapshot interval takes a step: 5 snapshots span 4 intervals
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        model = FluxModel(speed_law=Greenshields(1.0))
+        monkeypatch.setattr(fvsolver, "init_field", None)  # nothing allocated
+        with pytest.raises(DomainError, match="max_steps"):
+            run(model, grid, self._bump_datum(), 0.1, n_snapshots=n_snapshots, max_steps=3)
+
+    def test_run_constructs_no_flux_model(self, monkeypatch):
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probes = (
+            ProbeTrajectory(0.3, (ModelCoupled(0.0, None),)),
+            ProbeTrajectory(0.6, (ExogenousSpeed(0.0, None, 0.2),)),
+        )
+        model = FluxModel(speed_law=Greenshields(1.0), probes=probes)
+        built = []
+        post_init = FluxModel.__post_init__
+        monkeypatch.setattr(
+            FluxModel, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        result = run(model, grid, self._bump_datum(), 0.1, n_snapshots=2)
+        assert len(result.diagnostics) > 5
+        assert built == []
 
     def test_refinement_shrinks_the_shock_error(self):
         law = Greenshields(1.0)
@@ -357,24 +394,43 @@ class TestRun:
 # the flux once per step: grid centres rebuilt on every call, the CFL
 # samples and the law's slope recomputed every step, a separate four-point
 # flux evaluation for the boundary rates, the density checked again inside
-# the blend, and the diagnostics' range read from the clipped field.
+# the blend, and the diagnostics' range read from the clipped field.  Its
+# blend computes the cutoff weights at the broadcast shape of ``(x, rho)``
+# and the CFL endpoint slope sums them again, as the code before the shared
+# weight function did; probe states are passed as an argument.
 
 
 def reference_centers(grid):
     return grid.x_min + grid.dx * (np.arange(grid.n_cells) + 0.5)
 
 
-def reference_flux(model, t, x, rho):
+def reference_blended_speed(model, states, x, rho):
+    x = np.asarray(x, dtype=float)
+    v = model.speed_law(rho)
+    shape = np.broadcast_shapes(x.shape, rho.shape)
+    total = np.zeros(shape)
+    weights = []
+    for p, pdot in states:
+        w = model.cutoff(x - p)
+        weights.append((w, pdot))
+        total = total + w
+    scale = np.maximum(total, 1.0)
+    out = v + np.zeros(shape)
+    for w, pdot in weights:
+        out = out + (w / scale) * (harmonic_speed(pdot, v) - v)
+    return out
+
+
+def reference_flux(model, states, x, rho):
     rho = np.asarray(rho, dtype=float)
     if rho.size and (np.min(rho) < -1e-12 or np.max(rho) > 1 + 1e-12):
         raise DomainError("density outside [0, 1]")
-    return rho * eval_encoded_speed(model, t, x, rho)
+    return rho * reference_blended_speed(model, states, x, rho)
 
 
-def reference_cfl_dt(model, grid, t, cfl):
+def reference_cfl_dt(model, grid, states, cfl):
     rho = np.linspace(0.0, 1.0, 21)
     S = float(np.max(np.abs(model.speed_law.flux_slope(rho))))
-    states = model.probe_states(t)
     if not states:
         return cfl * grid.dx / max(S, 1e-10)
     centers = reference_centers(grid)
@@ -389,7 +445,8 @@ def reference_cfl_dt(model, grid, t, cfl):
         hi = np.clip(rho + h, 0.0, 1.0)
         xc = x[:, None]
         slopes = (
-            reference_flux(model, t, xc, hi[None, :]) - reference_flux(model, t, xc, lo[None, :])
+            reference_flux(model, states, xc, hi[None, :])
+            - reference_flux(model, states, xc, lo[None, :])
         ) / (hi - lo)[None, :]
         S = max(S, float(np.max(np.abs(slopes))))
         chi_tot = np.zeros_like(x)
@@ -406,19 +463,19 @@ def reference_cfl_dt(model, grid, t, cfl):
     return cfl * grid.dx / max(S, 1e-10)
 
 
-def reference_boundary_rates(model, grid, t, field):
+def reference_boundary_rates(model, grid, states, field):
     centers = reference_centers(grid)
     x = np.array([centers[0] - grid.dx, centers[0], centers[-1], centers[-1] + grid.dx])
     rho = np.array([field[0], field[0], field[-1], field[-1]])
-    F = reference_flux(model, t, x, rho)
+    F = reference_flux(model, states, x, rho)
     return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[2]) + float(F[3]))
 
 
-def reference_lxf_step(model, grid, t, field, dt):
+def reference_lxf_step(model, grid, states, field, dt):
     rho = np.concatenate([[field[0]], field, [field[-1]]])
     centers = reference_centers(grid)
     x = np.concatenate([[centers[0] - grid.dx], centers, [centers[-1] + grid.dx]])
-    F = reference_flux(model, t, x, rho)
+    F = reference_flux(model, states, x, rho)
     new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * (dt / grid.dx) * (F[2:] - F[:-2])
     lo, hi = float(np.min(new)), float(np.max(new))
     if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
@@ -461,10 +518,8 @@ def reference_run(model, grid, datum, t_end, n_snapshots, cfl=CFL_DEFAULT):
     diagnostics, boundary_flux = [], []
     t, step, snap_idx = 0.0, 0, 1
     while t < t_end - 1e-14:
-        stepped = model
-        if coupled:
-            stepped = replace(model, states=tuple((positions[i], speeds[i]) for i in coupled))
-        dt = reference_cfl_dt(stepped, grid, t, cfl)
+        states = tuple((positions[i], speeds[i]) for i in coupled)
+        dt = reference_cfl_dt(model, grid, states, cfl)
         b_idx = int(np.searchsorted(boundaries, t + 1e-14, side="right"))
         b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
         if dt >= b_next - t - 1e-14:
@@ -472,8 +527,8 @@ def reference_run(model, grid, datum, t_end, n_snapshots, cfl=CFL_DEFAULT):
             t_new = b_next
         else:
             t_new = t + dt
-        rate_in, rate_out = reference_boundary_rates(stepped, grid, t, field)
-        new_field = reference_lxf_step(stepped, grid, t, field, dt)
+        rate_in, rate_out = reference_boundary_rates(model, grid, states, field)
+        new_field = reference_lxf_step(model, grid, states, field, dt)
         for path, p, w, trace in zip(paths, positions, speeds, traces):
             path.append((t, p, w, trace))
         positions = advance_probes(model, positions, speeds, dt, t_new)
@@ -556,14 +611,14 @@ class TestStepLoopMatchesReference:
     def test_public_step_functions_match_the_reference(self):
         model, grid, datum, _ = _fleet_case()
         field = init_field(grid, datum)
-        stepped = replace(model, states=((0.3, 0.5), (0.9, 0.1), (1.3, 0.6), (0.55, 0.0)))
-        dt = cfl_dt(stepped, grid, 0.0)
-        assert dt == reference_cfl_dt(stepped, grid, 0.0, CFL_DEFAULT)
-        assert boundary_flux_rates(stepped, grid, 0.0, field) == reference_boundary_rates(
-            stepped, grid, 0.0, field
+        states = ((0.3, 0.5), (0.9, 0.1), (1.3, 0.6), (0.55, 0.0))
+        dt = cfl_dt(model, grid, states)
+        assert dt == reference_cfl_dt(model, grid, states, CFL_DEFAULT)
+        assert boundary_flux_rates(model, grid, states, field) == reference_boundary_rates(
+            model, grid, states, field
         )
-        new = lxf_step(stepped, grid, 0.0, field, dt)
-        assert new.tobytes() == reference_lxf_step(stepped, grid, 0.0, field, dt).tobytes()
+        new = lxf_step(model, grid, states, field, dt)
+        assert new.tobytes() == reference_lxf_step(model, grid, states, field, dt).tobytes()
 
     def test_grid_geometry_is_computed_once_and_read_only(self):
         grid = Grid.from_extent(-1.0, 2.0, 0.01)
@@ -589,9 +644,9 @@ class TestStepLoopMatchesReference:
         model = FluxModel(speed_law=Greenshields(1.0))
         field = np.full(grid.n_cells, background)
         field[4] = spike
-        rho, F = _ghosted_flux(model, grid, 0.0, field)
-        new, lo, hi = _lxf_update(grid, 0.0, rho, F, 2.0 * grid.dx)
+        rho, F = _ghosted_flux(model, grid, (), field)
+        new, lo, hi = _lxf_update(grid, rho, F, 2.0 * grid.dx)
         unclipped = 0.5 * (rho[:-2] + rho[2:]) - (F[2:] - F[:-2])
         assert np.min(unclipped) < 0.0 or np.max(unclipped) > 1.0
-        assert new.tobytes() == lxf_step(model, grid, 0.0, field, 2.0 * grid.dx).tobytes()
+        assert new.tobytes() == lxf_step(model, grid, (), field, 2.0 * grid.dx).tobytes()
         assert (lo, hi) == (float(np.min(new)), float(np.max(new)))

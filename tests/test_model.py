@@ -5,7 +5,6 @@ property-style checks draw their inputs with hypothesis.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +18,12 @@ from probeflow import (
     ExogenousSpeed,
     FluxModel,
     Greenshields,
+    Grid,
     ModelCoupled,
     ProbeStateError,
     ProbeTrajectory,
     TabulatedLaw,
+    cfl_dt,
     check_admissible,
     eval_encoded_speed,
     eval_flux,
@@ -276,15 +277,14 @@ class TestProbeTrajectory:
 
     def test_coupled_program_needs_runtime_state(self):
         probe = ProbeTrajectory(0.0, (ModelCoupled(0.0, None),))
-        assert probe.has_coupled and not probe.is_exogenous
+        assert not probe.is_exogenous
         with pytest.raises(ProbeStateError):
             probe.state_at(0.5)
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         with pytest.raises(ProbeStateError):
             model.probe_states(0.5)
-        resolved = replace(model, states=((0.25, 0.75),))
-        assert resolved.probe_states(0.5) == ((0.25, 0.75),)
-        assert model.states is None
+        # a running simulation resolves the state and passes it to the flux
+        assert eval_encoded_speed(model, ((0.25, 0.75),), 0.25, 0.5) == 0.6
 
     def test_coupled_program_cannot_be_mollified(self):
         with pytest.raises(DomainError):
@@ -324,19 +324,19 @@ def _single_probe_model(speed, x0=0.0, law=None):
 class TestEncodedSpeed:
     def test_reduces_to_law_away_from_probes(self):
         model = _single_probe_model(0.2)
-        v = eval_encoded_speed(model, 0.0, 3.0, 0.5)
+        v = eval_encoded_speed(model, model.probe_states(0.0), 3.0, 0.5)
         assert v == 0.5  # bitwise: zero weight contributes exactly nothing
 
     def test_half_weight_blend_hand_value(self):
         # chi = 1/2 at the skirt midpoint x = 0.1; blend of 2/7 and 1/2
         # with weight 1/2 is 11/28
         model = _single_probe_model(0.2)
-        v = eval_encoded_speed(model, 0.0, 0.1, 0.5)
+        v = eval_encoded_speed(model, model.probe_states(0.0), 0.1, 0.5)
         assert v == pytest.approx(11.0 / 28.0, abs=1e-15)
 
     def test_full_weight_gives_pure_harmonic(self):
         model = _single_probe_model(0.2)
-        v = eval_encoded_speed(model, 0.0, 0.0, 0.5)
+        v = eval_encoded_speed(model, model.probe_states(0.0), 0.0, 0.5)
         assert v == pytest.approx(0.2 / 0.7, abs=1e-15)
 
     def test_agreement_is_bitwise_transparent(self):
@@ -344,7 +344,7 @@ class TestEncodedSpeed:
         model = _single_probe_model(0.5)
         rho = np.full(7, 0.5)
         x = np.linspace(-0.2, 0.2, 7)
-        out = eval_encoded_speed(model, 0.0, x, rho)
+        out = eval_encoded_speed(model, model.probe_states(0.0), x, rho)
         assert np.all(out == 0.5)
 
     def test_overlapping_weights_renormalise(self):
@@ -355,7 +355,7 @@ class TestEncodedSpeed:
             ProbeTrajectory(0.0, (ExogenousSpeed(0.0, None, 0.0),)),
         )
         model = FluxModel(speed_law=Greenshields(1.0), probes=probes)
-        assert eval_encoded_speed(model, 0.0, 0.0, 0.5) == 0.0
+        assert eval_encoded_speed(model, model.probe_states(0.0), 0.0, 0.5) == 0.0
 
     def test_observers_do_not_feed_back(self):
         probe = ProbeTrajectory(
@@ -363,35 +363,42 @@ class TestEncodedSpeed:
         )
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         assert model.coupled_probes == ()
-        assert eval_encoded_speed(model, 0.0, 0.0, 0.5) == 0.5
+        assert eval_encoded_speed(model, model.probe_states(0.0), 0.0, 0.5) == 0.5
 
     def test_states_need_one_entry_per_coupled_probe(self):
         probe = ProbeTrajectory(0.0, (ModelCoupled(0.0, None),))
-        probes = (probe, probe.clone(observer=True))
-        with pytest.raises(DomainError):
-            FluxModel(Greenshields(1.0), probes=probes, states=((0.0, 0.5), (0.1, 0.5)))
-        with pytest.raises(DomainError):
-            FluxModel(Greenshields(1.0), probes=probes, states=())
-        model = FluxModel(Greenshields(1.0), probes=probes, states=[(0.0, 0.2)])
-        assert model.states == ((0.0, 0.2),)
-        assert eval_encoded_speed(model, 0.0, 0.0, 0.5) == pytest.approx(0.2 / 0.7, abs=1e-15)
+        model = FluxModel(Greenshields(1.0), probes=(probe, probe.clone(observer=True)))
+        grid = Grid.from_extent(-1.0, 1.0, 0.01)
+        for states in (((0.0, 0.5), (0.1, 0.5)), ()):
+            for call in (
+                lambda: eval_encoded_speed(model, states, 0.0, 0.5),
+                lambda: eval_flux(model, states, 0.0, 0.5),
+                lambda: cfl_dt(model, grid, states),
+            ):
+                with pytest.raises(DomainError, match="coupled probes"):
+                    call()
+        # one state per coupled probe; the observer takes none
+        assert eval_encoded_speed(model, ((0.0, 0.2),), 0.0, 0.5) == pytest.approx(
+            0.2 / 0.7, abs=1e-15
+        )
+        assert cfl_dt(model, grid, ((0.0, 0.2),)) > 0.0
 
     def test_flux_is_density_times_speed(self):
         model = _single_probe_model(0.2)
         x = np.linspace(-0.3, 0.3, 13)
         rho = np.linspace(0.1, 0.9, 13)
         np.testing.assert_array_equal(
-            eval_flux(model, 0.0, x, rho),
-            rho * eval_encoded_speed(model, 0.0, x, rho),
+            eval_flux(model, model.probe_states(0.0), x, rho),
+            rho * eval_encoded_speed(model, model.probe_states(0.0), x, rho),
         )
 
     def test_rejects_out_of_range_density(self):
         model = _single_probe_model(0.2)
         with pytest.raises(DomainError):
-            eval_encoded_speed(model, 0.0, 0.0, 1.2)
+            eval_encoded_speed(model, model.probe_states(0.0), 0.0, 1.2)
         for rho in (1.2, -0.1, np.array([0.5, 1.0 + 1e-9])):
             with pytest.raises(DomainError):
-                eval_flux(model, 0.0, 0.0, rho)
+                eval_flux(model, model.probe_states(0.0), 0.0, rho)
 
     @given(
         st.floats(min_value=0.0, max_value=1.5),
@@ -402,7 +409,7 @@ class TestEncodedSpeed:
         model = _single_probe_model(w)
         v = float(model.speed_law(rho))
         h = harmonic_speed(w, v)
-        out = eval_encoded_speed(model, 0.0, x, rho)
+        out = eval_encoded_speed(model, model.probe_states(0.0), x, rho)
         assert min(v, h) - 1e-12 <= out <= max(v, h) + 1e-12
 
     def test_sampled_slope_bounds(self):
@@ -411,7 +418,7 @@ class TestEncodedSpeed:
         lips = lipschitz_constants(model)
         x = np.linspace(-0.25, 0.25, 101)[:, None]
         rho = np.linspace(0.0, 1.0, 101)[None, :]
-        field = eval_encoded_speed(model, 0.0, x, rho)
+        field = eval_encoded_speed(model, model.probe_states(0.0), x, rho)
         drho = float(rho[0, 1] - rho[0, 0])
         dx = float(x[1, 0] - x[0, 0])
         assert np.max(np.abs(np.diff(field, axis=1))) / drho <= lips.Lrho * (1 + 1e-6)

@@ -1,0 +1,63 @@
+"""``scripts/output_digest.py``, the bit-for-bit output gate for refactors,
+still runs and hashes what it says it hashes."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from probeflow import get_scenario, run_scenario, scenario_names
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibration_digest_from_the_command_line():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "calibration"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    assert len(out) == 2 and out[0] == "calibration"
+    digest = _load_script().digest(run_scenario(get_scenario("calibration")))
+    assert out[1] == digest and len(digest) == 64
+
+
+def test_cases_cover_every_builtin_and_both_fleet_roads():
+    script = _load_script()
+    assert script.case_names() == scenario_names() + ["fleet_7", "fleet_31"]
+    scenario, overrides = script.load_case("fig_questa")
+    assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
+    scenario, overrides = script.load_case("fleet_31")
+    assert scenario.name == "fleet_31" and overrides == {}
+
+
+def test_digest_sees_every_output():
+    script = _load_script()
+    result = run_scenario(get_scenario("calibration").with_overrides(t_end=0.05))
+    base = script.digest(result)
+    t, field = result.snapshots[-1]
+    nudged = field.copy()
+    nudged[0] = np.nextafter(field[0], 2.0)  # one ulp
+    result.snapshots[-1] = (t, nudged)
+    assert script.digest(result) != base
+    result.snapshots[-1] = (t, field)
+    assert script.digest(result) == base
+    row = result.boundary_flux[0]
+    result.boundary_flux[0] = row[:-1] + (row[-1] + 1.0,)
+    assert script.digest(result) != base
+
+
+def test_unknown_case_exits_2(capsys):
+    assert _load_script().main(["no_such_case"]) == 2
+    assert "unknown case" in capsys.readouterr().err

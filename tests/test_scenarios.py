@@ -201,6 +201,29 @@ class TestSerialization:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("t_end", "soon"),
+            ("n_snapshots", 2.5),
+            ("n_snapshots", math.nan),
+            ("n_snapshots", math.inf),
+            ("n_snapshots", "many"),
+            ("n_snapshots", 10**400),
+        ],
+        ids=["text", "fraction", "nan", "inf", "word", "overflow"],
+    )
+    def test_unconvertible_numbers_rejected(self, key, value):
+        data = toy_scenario().to_dict()
+        data[key] = value
+        with pytest.raises(DomainError):
+            Scenario.from_dict(data)
+
+    def test_whole_snapshot_count_accepted_as_float(self):
+        data = toy_scenario().to_dict()
+        data["n_snapshots"] = 7.0
+        assert Scenario.from_dict(data).n_snapshots == 7
+
     def test_non_finite_cutoff_radius_rejected(self):
         data = toy_scenario().to_dict()
         data["cutoff"]["outer"] = math.inf
