@@ -5,7 +5,9 @@
 
 Each case is one finite-volume run.  The cases are every built-in scenario
 (``fig_questa`` shortened to ``t_end=3``) and the benchmark's seeded fleet
-roads ``fleet_7`` and ``fleet_31`` (``perfbench/workloads.fleet_scenario``).
+roads ``fleet_7`` and ``fleet_31`` (``perfbench/workloads.fleet_scenario``),
+plus ``fleet_7x40``: seed 7 with 40 probes, whose 0.175-wide slots are
+narrower than the 0.3-wide cutoff support, so neighbouring supports overlap.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
 rows and every probe path.
@@ -33,28 +35,28 @@ from probeflow import scenarios  # noqa: E402
 #: Overrides that keep a built-in scenario's run short.
 OVERRIDES = {"fig_questa": {"t_end": 3.0}}
 
-#: Seeds of the benchmark's fleet roads.
-FLEET_SEEDS = (7, 31)
+#: Fleet road cases: name -> (seed, number of probes).
+FLEETS = {"fleet_7": (7, 8), "fleet_31": (31, 8), "fleet_7x40": (7, 40)}
 
 
-def _fleet_scenario(seed):
+def _fleet_scenario(seed, n_probes):
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
-    return module.fleet_scenario(seed)
+    return module.fleet_scenario(seed, n_probes=n_probes)
 
 
 def case_names():
-    return scenarios.scenario_names() + [f"fleet_{seed}" for seed in FLEET_SEEDS]
+    return scenarios.scenario_names() + list(FLEETS)
 
 
 def load_case(name):
     """The scenario of case ``name`` and the overrides it runs with."""
-    if name.startswith("fleet_"):
-        return _fleet_scenario(int(name.removeprefix("fleet_"))), {}
+    if name in FLEETS:
+        return _fleet_scenario(*FLEETS[name]), {}
     return scenarios.get_scenario(name), OVERRIDES.get(name, {})
 
 

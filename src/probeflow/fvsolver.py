@@ -14,6 +14,7 @@ simulation lands exactly on probe program boundaries and snapshot times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,11 +32,18 @@ SNAPSHOTS_DEFAULT = 50
 #: Densities outside [0 - tol, 1 + tol] after an update abort the run.
 BOUND_TOL = 1e-12
 
-#: Central-difference stencil of the blended CFL scan around ``SLOPE_SAMPLES``.
+#: Times closer than this count as equal in the step loop: a step that
+#: would end this close to the next boundary lands on it instead, and a
+#: step ending this close to a snapshot time records that snapshot.
+TIME_TOL = 1e-14
+
+#: Central-difference stencil of the blended CFL scan around ``SLOPE_SAMPLES``,
+#: and its upper and lower densities in one row for a single flux evaluation.
 _SLOPE_H = 1e-7
 _SLOPE_LO = np.clip(SLOPE_SAMPLES - _SLOPE_H, 0.0, 1.0)
 _SLOPE_HI = np.clip(SLOPE_SAMPLES + _SLOPE_H, 0.0, 1.0)
 _SLOPE_SPAN = _SLOPE_HI - _SLOPE_LO
+_SLOPE_RHO = np.concatenate([_SLOPE_HI, _SLOPE_LO])[None, :]
 
 
 def _read_only(array):
@@ -151,6 +159,21 @@ def trace_density(grid, field, x, side="right"):
     return float(field[j])
 
 
+def _cell_windows(states, first, dx, reach, n):
+    """One slice per probe state over the ``n`` points ``first + j * dx``:
+    those within ``reach`` of the probe, widened by one point on either
+    side against rounding.  Grid arithmetic only; a NaN position selects
+    every point, so its NaN weights reach every point as without windows."""
+    windows = []
+    for p, _ in states:
+        lo = (p - reach - first) / dx
+        hi = (p + reach - first) / dx
+        start = math.ceil(min(lo, n + 1)) - 1 if lo > 0.0 else 0
+        stop = math.floor(max(hi, -2.0)) + 2 if hi < n else n
+        windows.append(slice(start, stop))
+    return windows
+
+
 def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     """Largest stable step: ``cfl * dx / S`` with ``S`` the sampled maximal
     characteristic speed ``|d f / d rho|`` of the blended flux, with the
@@ -162,7 +185,10 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     array work.  Only cells inside the union of the coupled probes' cutoff
     supports need the blended finite-difference scan at the same sample
     densities.  The flux is pointwise and the maximum order-independent,
-    so one scan over the union equals one scan per probe.
+    so one scan over the union equals one scan per probe.  The scan
+    evaluates the flux once, on the upper and lower stencil densities side
+    by side, with each probe blended over its own window of the scanned
+    cells.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
@@ -173,15 +199,24 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     centers = grid.centers
     reach = model.cutoff.outer + grid.dx
     near = np.zeros(centers.shape, dtype=bool)
-    for p, _ in states:
-        near |= np.abs(centers - p) <= reach
+    first = grid.x_min + 0.5 * grid.dx
+    for win, (p, _) in zip(_cell_windows(states, first, grid.dx, reach, grid.n_cells), states):
+        near[win] |= np.abs(centers[win] - p) <= reach
     x = centers[near]
     if x.size:
-        xc = x[:, None]
-        slopes = (
-            eval_flux(model, states, xc, _SLOPE_HI[None, :])
-            - eval_flux(model, states, xc, _SLOPE_LO[None, :])
-        ) / _SLOPE_SPAN[None, :]
+        # x is sorted, and every point of a probe's support lies a cell
+        # inside [p - reach, p + reach]
+        positions = np.array([p for p, _ in states])
+        windows = [
+            slice(lo, hi)
+            for lo, hi in zip(
+                np.searchsorted(x, positions - reach).tolist(),
+                np.searchsorted(x, positions + reach, side="right").tolist(),
+            )
+        ]
+        F = eval_flux(model, states, x[:, None], _SLOPE_RHO, windows)
+        k = _SLOPE_SPAN.size
+        slopes = (F[:, :k] - F[:, k:]) / _SLOPE_SPAN[None, :]
         S = max(S, float(np.max(np.abs(slopes))))
         # The sampled scan cannot resolve the slope at rho = 1 when a probe
         # speed w is positive but smaller than the sampling step: the
@@ -189,10 +224,10 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
         # so d(rho V)/d rho at rho = 1 equals v'(1) * (1 + sum chi/scale)
         # there, in a band of width ~w that the finite differences miss.
         # Add that endpoint slope in closed form.
-        weights, scale = cutoff_weights(model, states, x)
+        weights, scale = cutoff_weights(model, states, x, windows)
         signed = np.zeros_like(x)
-        for c, (_, w) in zip(weights, states):
-            signed += c * (2.0 * float(w > 0.0) - 1.0)
+        for c, win, (_, w) in zip(weights, windows, states):
+            signed[win] += c * (2.0 * float(w > 0.0) - 1.0)
         end_slope = np.abs(float(model.speed_law.flux_slope(1.0))) * np.abs(
             1.0 + signed / scale
         )
@@ -202,9 +237,16 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
 
 def _ghosted_flux(model, grid, states, field):
     """The field padded with one zero-order extrapolation ghost cell per
-    side, and the blended flux on it: the one flux evaluation of a step."""
+    side, and the blended flux on it: the one flux evaluation of a step.
+    Each coupled probe is blended over the ghosted cells of its cutoff
+    support, found from the grid's geometry."""
     rho = np.concatenate([[field[0]], field, [field[-1]]])
-    return rho, eval_flux(model, states, grid.ghosted_centers, rho)
+    windows = None
+    if states:
+        windows = _cell_windows(
+            states, grid.x_min - 0.5 * grid.dx, grid.dx, model.cutoff.outer, grid.n_cells + 2
+        )
+    return rho, eval_flux(model, states, grid.ghosted_centers, rho, windows)
 
 
 def _edge_rates(F):
@@ -373,7 +415,9 @@ def run(
     flux as an argument.  Snapshots are taken at ``n_snapshots`` evenly
     spaced times including 0 and ``t_end``; steps are shortened to land on
     these and on probe program boundaries exactly, so ``n_snapshots`` may
-    not exceed ``max_steps + 1``.
+    not exceed ``max_steps + 1``, and the snapshot spacing
+    ``t_end / (n_snapshots - 1)`` (``t_end`` for one snapshot) must exceed
+    :data:`TIME_TOL`.
 
     A step evaluates the blended flux once, on the ghosted field: the
     update (as :func:`lxf_step`) and the boundary rates (as
@@ -387,8 +431,16 @@ def run(
         raise DomainError(f"n_snapshots must be >= 1, got {n_snapshots}")
     if n_snapshots > max_steps + 1:  # each snapshot interval takes a step
         raise DomainError(f"n_snapshots={n_snapshots} needs more than {max_steps=} steps")
+    # 0, the snapshot times and t_end, in the arithmetic of the step loop's
+    # next-boundary and end tests: each must lie beyond TIME_TOL of the last
+    marks = np.linspace(0.0, t_end, max(n_snapshots, 2))
+    if not np.all((marks[1:] > marks[:-1] + TIME_TOL) & (marks[:-1] < marks[1:] - TIME_TOL)):
+        raise DomainError(
+            f"t_end={t_end} over {n_snapshots} snapshots leaves a spacing at or below "
+            f"the time tolerance {TIME_TOL}"
+        )
+    snap_times = marks if n_snapshots > 1 else marks[:1]
     field = init_field(grid, datum)
-    snap_times = np.linspace(0.0, t_end, n_snapshots) if n_snapshots > 1 else np.array([0.0])
     boundaries = {float(t_end)}
     boundaries.update(float(t) for t in snap_times if 0.0 < t <= t_end)
     for probe in model.probes:
@@ -405,14 +457,16 @@ def run(
     t = 0.0
     step = 0
     snap_idx = 1
-    while t < t_end - 1e-14:
+    b_idx = 0  # boundaries[b_idx] is the first boundary beyond t + TIME_TOL
+    while t < t_end - TIME_TOL:
         if step >= max_steps:
             raise StabilityError(f"exceeded {max_steps} steps at t={t}")
         states = tuple((positions[i], speeds[i]) for i in coupled)
         dt = cfl_dt(model, grid, states, cfl)
-        b_idx = int(np.searchsorted(boundaries, t + 1e-14, side="right"))
+        while b_idx < len(boundaries) and boundaries[b_idx] <= t + TIME_TOL:
+            b_idx += 1
         b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
-        if dt >= b_next - t - 1e-14:
+        if dt >= b_next - t - TIME_TOL:
             dt = b_next - t
             t_new = b_next
         else:
@@ -429,7 +483,7 @@ def run(
         speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
         diagnostics.append((step, t, dt, float(np.sum(field)) * grid.dx, lo, hi))
         boundary_flux.append((step, t, dt, rate_in, rate_out))
-        if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= 1e-12:
+        if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= TIME_TOL:
             snapshots.append((float(snap_times[snap_idx]), field.copy()))
             snap_idx += 1
     if len(snapshots) != len(snap_times):

@@ -585,12 +585,27 @@ def check_states(model, states):
         raise DomainError(f"{len(states)} states for {len(model.coupled_probes)} coupled probes")
 
 
-def cutoff_weights(model, states, x):
-    """Each coupled probe's cutoff weight ``chi(x - p_i)`` at ``x``, and
-    their normaliser ``max(sum_i chi(x - p_i), 1)``, both at ``x``'s
-    shape."""
-    weights = [model.cutoff(x - p) for p, _ in states]
-    return weights, np.maximum(sum(weights, np.zeros(np.shape(x))), 1.0)
+def cutoff_weights(model, states, x, windows=None):
+    """Each coupled probe's cutoff weight ``chi(x - p_i)``, and their
+    normaliser ``max(sum_i chi(x - p_i), 1)`` at ``x``'s shape.
+
+    ``windows`` holds one slice per probe along ``x``'s first axis, by
+    default the whole of ``x``.  Probe ``i``'s weight is computed on
+    ``x[windows[i]]`` only, and the normaliser sums it there.  A window
+    must cover every point with ``|x - p_i| < outer``: ``chi`` is exactly 0
+    elsewhere, so a skipped point only loses a ``+0`` and the normaliser is
+    bit-for-bit the one summed over the whole of ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    if windows is None:
+        windows = (...,) * len(states)
+    elif len(windows) != len(states):
+        raise DomainError(f"{len(windows)} windows for {len(states)} probe states")
+    weights = [model.cutoff(x[win] - p) for win, (p, _) in zip(windows, states)]
+    total = np.zeros(x.shape)
+    for win, w in zip(windows, weights):
+        total[win] += w
+    return weights, np.maximum(total, 1.0)
 
 
 def eval_encoded_speed(model, states, x, rho):
@@ -608,25 +623,40 @@ def eval_encoded_speed(model, states, x, rho):
     return _blended_speed(model, states, x, _as_density(rho))
 
 
-def _blended_speed(model, states, x, rho):
-    """:func:`eval_encoded_speed` on a density array already checked."""
+def _blended_speed(model, states, x, rho, windows=None):
+    """:func:`eval_encoded_speed` on a density array already checked, each
+    probe blended only over its window of ``x`` (see
+    :func:`cutoff_weights`).  Given windows, ``x``'s first axis must be
+    the first axis of the broadcast ``(x, rho)``."""
     check_states(model, states)
     x = np.asarray(x, dtype=float)
     v = model.speed_law(rho)
-    weights, scale = cutoff_weights(model, states, x)
     # accumulate as v + sum w_i (H_i - v): algebraically the convex
-    # combination, but exact (not just close) wherever every H_i equals v
-    out = v + np.zeros(np.broadcast_shapes(x.shape, rho.shape))
-    for w, (_, pdot) in zip(weights, states):
-        out = out + (w / scale) * (harmonic_speed(pdot, v) - v)
-    return out
+    # combination, but exact (not just close) wherever every H_i equals v.
+    # Outside its window a probe's term would be (0 / scale) * (H_i - v),
+    # a signed zero, which leaves every bit of out (never -0) unchanged.
+    out = np.asarray(v + np.zeros(np.broadcast_shapes(x.shape, rho.shape)))
+    if states:
+        if windows is None:
+            windows = (...,) * len(states)
+        elif x.ndim != out.ndim or x.shape[:1] != out.shape[:1]:
+            raise DomainError(f"windows need x spanning the first axis of {out.shape}, got {x.shape}")
+        weights, scale = cutoff_weights(model, states, x, windows)
+        # v is windowed too where it varies along that axis
+        sliced = np.ndim(v) == out.ndim and np.shape(v)[:1] == out.shape[:1]
+        for w, win, (_, pdot) in zip(weights, windows, states):
+            vw = v[win] if sliced else v
+            out[win] += (w / scale[win]) * (harmonic_speed(pdot, vw) - vw)
+    return out[()]
 
 
-def eval_flux(model, states, x, rho):
+def eval_flux(model, states, x, rho, windows=None):
     """The conservation-law flux ``rho * V(x, rho)``, with the coupled
-    probes' ``states`` as in :func:`eval_encoded_speed`."""
+    probes' ``states`` as in :func:`eval_encoded_speed`, each blended only
+    over its slice of ``windows`` along ``x``'s first axis (see
+    :func:`cutoff_weights`; by default the whole of ``x``)."""
     rho = _as_density(rho)
-    return rho * _blended_speed(model, states, x, rho)
+    return rho * _blended_speed(model, states, x, rho, windows)
 
 
 def eval_g(law, rho, q):

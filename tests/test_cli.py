@@ -196,6 +196,19 @@ class TestRunCommand:
         assert err.startswith("error:") and fragment in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("t_end", [1e-300, 1e-13])
+    def test_snapshot_spacing_below_the_time_tolerance_exits_2(self, tmp_path, capsys, t_end):
+        # 50 snapshots over t_end = 1e-13 are 2e-15 apart, too close for
+        # the step loop to land on each
+        data = get_scenario("riemann_phi").to_dict()
+        data["t_end"] = t_end
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "time tolerance" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestPhiCommand:
     def test_single_parameter_row(self, capsys):

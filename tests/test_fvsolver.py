@@ -22,6 +22,8 @@ from probeflow import (
     advance_probes,
     boundary_flux_rates,
     cfl_dt,
+    eval_encoded_speed,
+    eval_flux,
     get_scenario,
     harmonic_speed,
     init_field,
@@ -34,6 +36,7 @@ from probeflow import (
 )
 from probeflow import fvsolver
 from probeflow.fvsolver import _ghosted_flux, _lxf_update
+from probeflow.model import cutoff_weights
 
 
 def quarter_grid():
@@ -354,6 +357,55 @@ class TestRun:
         with pytest.raises(DomainError, match="max_steps"):
             run(model, grid, self._bump_datum(), 0.1, n_snapshots=n_snapshots, max_steps=3)
 
+    @pytest.mark.parametrize(
+        "t_end, n_snapshots",
+        [(1e-300, 50), (1e-13, 50), (fvsolver.TIME_TOL, 1), (5e-14, 6)],
+        ids=["tiny", "dense", "at_tolerance", "spacing_at_tolerance"],
+    )
+    def test_spacing_at_or_below_the_time_tolerance_rejected(self, t_end, n_snapshots):
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        model = FluxModel(speed_law=Greenshields(1.0))
+        with pytest.raises(DomainError, match="time tolerance"):
+            run(model, grid, self._bump_datum(), t_end, n_snapshots=n_snapshots)
+
+    def test_spacing_just_above_the_time_tolerance_completes(self):
+        # the smallest t_end that validation accepts for 6 snapshots, a few
+        # ulps above 5 * TIME_TOL, runs to the end and records every one
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 0.3),))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
+        t_end = 5.0 * fvsolver.TIME_TOL
+        for _ in range(100):
+            try:
+                result = run(model, grid, self._bump_datum(), t_end, n_snapshots=6)
+                break
+            except DomainError:
+                t_end = np.nextafter(t_end, 1.0)
+        assert t_end < 5.0 * fvsolver.TIME_TOL * (1.0 + 1e-14)
+        assert result.snapshot_times == list(np.linspace(0.0, t_end, 6))
+        assert len(result.diagnostics) == 5
+
+    def test_snapshots_hold_the_field_at_their_time(self, monkeypatch):
+        # snapshots 1e-13 apart with a program boundary 5e-14 before one of
+        # them: each snapshot is the field of the step ending at its time
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        program = (ExogenousSpeed(0.0, 1.5e-13, 0.3), ExogenousSpeed(1.5e-13, None, 0.0))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(ProbeTrajectory(0.5, program),))
+        fields = []
+        update = fvsolver._lxf_update
+
+        def recording(*args):
+            new, lo, hi = update(*args)
+            fields.append(new)
+            return new, lo, hi
+
+        monkeypatch.setattr(fvsolver, "_lxf_update", recording)
+        result = run(model, grid, self._bump_datum(), 5e-13, n_snapshots=6)
+        after = {row[1]: field for row, field in zip(result.diagnostics, fields)}
+        assert 1.5e-13 in after and len(result.snapshots) == 6
+        for t, field in result.snapshots[1:]:
+            assert field.tobytes() == after[t].tobytes()
+
     def test_run_constructs_no_flux_model(self, monkeypatch):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         probes = (
@@ -650,3 +702,166 @@ class TestStepLoopMatchesReference:
         assert np.min(unclipped) < 0.0 or np.max(unclipped) > 1.0
         assert new.tobytes() == lxf_step(model, grid, (), field, 2.0 * grid.dx).tobytes()
         assert (lo, hi) == (float(np.min(new)), float(np.max(new)))
+
+
+# ---------------------------------------------------------------------------
+# The windowed blend against the whole-array reference
+# ---------------------------------------------------------------------------
+#
+# The kernel blends each coupled probe only over its window of points; the
+# reference above blends every point against every probe.  Both must agree
+# byte for byte.
+
+
+def _probe_model(cutoff, states):
+    probes = tuple(ProbeTrajectory(p, (ExogenousSpeed(0.0, None, w),)) for p, w in states)
+    return FluxModel(speed_law=EpsilonLaw(0.25), cutoff=cutoff, probes=probes)
+
+
+def _overlapping_supports():
+    states = ((0.40, 0.3), (0.47, 0.0), (0.55, 0.9), (0.5, 0.6))
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), states
+
+
+def _clipped_at_both_ends():
+    # within outer of either boundary, just outside the domain, and far away
+    states = ((0.03, 0.5), (0.98, 0.2), (-0.1, 0.4), (1.12, 0.1), (5.0, 0.7))
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), states
+
+
+def _outer_from_a_centre():
+    # dyadic geometry: 0.90625 lies exactly outer = 0.25 from the centres
+    # 0.65625 and 1.15625; 0.5 is a cell edge
+    states = ((0.90625, 0.4), (0.5, 0.2))
+    return CutoffProfile(0.125, 0.25), Grid.from_extent(0.0, 2.0, 0.0625), states
+
+
+def _stopped_probes():
+    states = ((0.3, 0.0), (0.35, 0.0), (0.8, 0.0))
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), states
+
+
+BLEND_CASES = [_overlapping_supports, _clipped_at_both_ends, _outer_from_a_centre, _stopped_probes]
+
+
+def _blend_field(grid):
+    field = np.random.default_rng(5).uniform(0.0, 1.0, grid.n_cells)
+    field[::7] = 0.0
+    field[3::7] = 1.0
+    return field
+
+
+def _reference_ghosted_centers(grid):
+    centers = reference_centers(grid)
+    return np.concatenate([[centers[0] - grid.dx], centers, [centers[-1] + grid.dx]])
+
+
+def _tight_windows(model, states, x):
+    """Slices of sorted ``x`` holding exactly the points within ``outer``."""
+    outer = model.cutoff.outer
+    return [
+        slice(int(np.searchsorted(x, p - outer)), int(np.searchsorted(x, p + outer, "right")))
+        for p, _ in states
+    ]
+
+
+@pytest.mark.parametrize("case", BLEND_CASES, ids=lambda c: c.__name__.strip("_"))
+class TestWindowedBlendMatchesReference:
+    def test_ghosted_flux(self, case):
+        cutoff, grid, states = case()
+        model = _probe_model(cutoff, states)
+        field = _blend_field(grid)
+        rho, F = _ghosted_flux(model, grid, states, field)
+        want = reference_flux(model, states, _reference_ghosted_centers(grid), rho)
+        assert F.tobytes() == want.tobytes()
+
+    def test_windows_cover_the_supports_and_no_more_than_a_cell_beyond(self, case):
+        cutoff, grid, states = case()
+        x = grid.ghosted_centers
+        first = grid.x_min - 0.5 * grid.dx
+        windows = fvsolver._cell_windows(states, first, grid.dx, cutoff.outer, x.size)
+        for (p, _), win in zip(states, windows):
+            inside = np.zeros(x.size, dtype=bool)
+            inside[win] = True
+            assert not np.any(cutoff(x[~inside] - p))
+            assert np.all(np.abs(x[inside] - p) < cutoff.outer + 2.0 * grid.dx)
+
+    def test_cfl_scan_is_one_stacked_evaluation_equal_to_two(self, case, monkeypatch):
+        cutoff, grid, states = case()
+        model = _probe_model(cutoff, states)
+        calls = []
+
+        def recording(*args):
+            result = eval_flux(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(fvsolver, "eval_flux", recording)
+        assert cfl_dt(model, grid, states) == reference_cfl_dt(model, grid, states, CFL_DEFAULT)
+        [(args, F)] = calls
+        xc = args[2]
+        centers = reference_centers(grid)
+        near = np.zeros(centers.shape, dtype=bool)
+        for p, _ in states:
+            near |= np.abs(centers - p) <= model.cutoff.outer + grid.dx
+        assert xc.tobytes() == centers[near][:, None].tobytes()
+        rho = np.linspace(0.0, 1.0, 21)
+        hi = reference_flux(model, states, xc, np.clip(rho + 1e-7, 0.0, 1.0)[None, :])
+        lo = reference_flux(model, states, xc, np.clip(rho - 1e-7, 0.0, 1.0)[None, :])
+        assert F.shape == (xc.shape[0], 42)
+        assert F[:, :21].tobytes() == hi.tobytes()
+        assert F[:, 21:].tobytes() == lo.tobytes()
+
+    def test_public_kernels_at_every_shape(self, case):
+        cutoff, grid, states = case()
+        model = _probe_model(cutoff, states)
+        centers = grid.centers
+        densities = np.linspace(0.0, 1.0, 7)
+        inputs = [
+            (np.float64(states[0][0] + 0.01), np.float64(0.7)),  # 0-d
+            (centers, _blend_field(grid)),  # 1-d
+            (centers[:, None], densities[None, :]),  # (m, 1) x (1, k)
+        ]
+        for x, rho in inputs:
+            rho = np.asarray(rho)
+            want_speed = np.asarray(reference_blended_speed(model, states, x, rho))
+            want_flux = np.asarray(reference_flux(model, states, x, rho))
+            speed = eval_encoded_speed(model, states, x, rho)
+            assert np.shape(speed) == want_speed.shape
+            assert np.asarray(speed).tobytes() == want_speed.tobytes()
+            flux = eval_flux(model, states, x, rho)
+            assert np.asarray(flux).tobytes() == want_flux.tobytes()
+            if np.ndim(x):
+                windows = _tight_windows(model, states, np.ravel(x))
+                flux = eval_flux(model, states, x, rho, windows)
+                assert flux.tobytes() == want_flux.tobytes()
+
+    def test_windowed_weights_are_the_whole_array_weights(self, case):
+        cutoff, grid, states = case()
+        model = _probe_model(cutoff, states)
+        x = grid.centers
+        windows = _tight_windows(model, states, x)
+        full, full_scale = cutoff_weights(model, states, x)
+        weights, scale = cutoff_weights(model, states, x, windows)
+        assert scale.tobytes() == full_scale.tobytes()
+        for w, c, win in zip(weights, full, windows):
+            assert w.tobytes() == c[win].tobytes()
+            outside = np.ones(x.size, dtype=bool)
+            outside[win] = False
+            assert not np.any(c[outside])
+
+
+class TestBlendWindowsValidated:
+    def test_one_window_per_state(self):
+        cutoff, grid, states = _overlapping_supports()
+        model = _probe_model(cutoff, states)
+        with pytest.raises(DomainError, match="windows"):
+            eval_flux(model, states, grid.centers, 0.5, [slice(None)] * 3)
+
+    def test_windows_need_x_along_the_first_axis(self):
+        cutoff, grid, states = _overlapping_supports()
+        model = _probe_model(cutoff, states)
+        x = grid.centers[None, :10]
+        rho = np.full((3, 10), 0.5)
+        with pytest.raises(DomainError, match="first axis"):
+            eval_flux(model, states, x, rho, [slice(None)] * len(states))

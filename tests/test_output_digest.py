@@ -35,11 +35,16 @@ def test_calibration_digest_from_the_command_line():
 
 def test_cases_cover_every_builtin_and_both_fleet_roads():
     script = _load_script()
-    assert script.case_names() == scenario_names() + ["fleet_7", "fleet_31"]
+    assert script.case_names() == scenario_names() + ["fleet_7", "fleet_31", "fleet_7x40"]
     scenario, overrides = script.load_case("fig_questa")
     assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
     scenario, overrides = script.load_case("fleet_31")
     assert scenario.name == "fleet_31" and overrides == {}
+    assert len(scenario.flux_model().probes) == 8
+    # 40 probes on the same road: slots narrower than a cutoff support
+    scenario, overrides = script.load_case("fleet_7x40")
+    assert scenario.name == "fleet_7" and overrides == {}
+    assert len(scenario.flux_model().probes) == 40
 
 
 def test_digest_sees_every_output():
