@@ -4,10 +4,13 @@
     python scripts/output_digest.py calibration fleet_7
 
 Each case is one finite-volume run.  The cases are every built-in scenario
-(``fig_questa`` shortened to ``t_end=3``) and the benchmark's seeded fleet
-roads ``fleet_7`` and ``fleet_31`` (``perfbench/workloads.fleet_scenario``),
-plus ``fleet_7x40``: seed 7 with 40 probes, whose 0.175-wide slots are
-narrower than the 0.3-wide cutoff support, so neighbouring supports overlap.
+(``fig_questa`` shortened to ``t_end=3``); ``fig_questa_mollified``, whose
+two probes smooth their speed jumps over ``mollify_radius=0.25`` and which
+runs to ``t_end=5.5``, across the ramp on [4.75, 5.25], so the mollified
+probe path is exercised; and the benchmark's seeded fleet roads ``fleet_7``
+and ``fleet_31`` (``perfbench/workloads.fleet_scenario``), plus
+``fleet_7x40``: seed 7 with 40 probes, whose 0.175-wide slots are narrower
+than the 0.3-wide cutoff support, so neighbouring supports overlap.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
 rows and every probe path.
@@ -31,9 +34,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from probeflow import scenarios  # noqa: E402
+from probeflow.model import ProbeTrajectory  # noqa: E402
 
 #: Overrides that keep a built-in scenario's run short.
 OVERRIDES = {"fig_questa": {"t_end": 3.0}}
+
+#: Mollified cases: name -> (built-in scenario, mollify_radius, t_end).
+MOLLIFIED = {"fig_questa_mollified": ("fig_questa", 0.25, 5.5)}
 
 #: Fleet road cases: name -> (seed, number of probes).
 FLEETS = {"fleet_7": (7, 8), "fleet_31": (31, 8), "fleet_7x40": (7, 40)}
@@ -49,12 +56,24 @@ def _fleet_scenario(seed, n_probes):
     return module.fleet_scenario(seed, n_probes=n_probes)
 
 
+def _mollified_scenario(name, radius):
+    scenario = scenarios.get_scenario(name)
+    probes = tuple(
+        ProbeTrajectory(p.x0, p.program, mollify_radius=radius, observer=p.observer)
+        for p in scenario.probes
+    )
+    return scenario.with_overrides(probes=probes)
+
+
 def case_names():
-    return scenarios.scenario_names() + list(FLEETS)
+    return scenarios.scenario_names() + list(MOLLIFIED) + list(FLEETS)
 
 
 def load_case(name):
     """The scenario of case ``name`` and the overrides it runs with."""
+    if name in MOLLIFIED:
+        base, radius, t_end = MOLLIFIED[name]
+        return _mollified_scenario(base, radius), {"t_end": t_end}
     if name in FLEETS:
         return _fleet_scenario(*FLEETS[name]), {}
     return scenarios.get_scenario(name), OVERRIDES.get(name, {})

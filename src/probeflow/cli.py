@@ -161,10 +161,10 @@ def _cmd_run(args):
     bundle = write_bundle(
         args.out, result, scenario, overrides=overrides, image=not args.no_image
     )
-    last = result.diagnostics[-1]
+    _, t, _, mass, lo, hi, _, _ = result.log[-1].tolist()
     print(
-        f"{scenario.name}: {last[0]} steps to t={last[1]:g}, "
-        f"final mass {last[3]:.12g}, density range [{last[4]:.6g}, {last[5]:.6g}]"
+        f"{scenario.name}: {len(result.log)} steps to t={t:g}, "
+        f"final mass {mass:.12g}, density range [{lo:.6g}, {hi:.6g}]"
     )
     for path in bundle.paths:
         print(f"wrote {path}")

@@ -217,7 +217,7 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
         F = eval_flux(model, states, x[:, None], _SLOPE_RHO, windows)
         k = _SLOPE_SPAN.size
         slopes = (F[:, :k] - F[:, k:]) / _SLOPE_SPAN[None, :]
-        S = max(S, float(np.max(np.abs(slopes))))
+        sampled = float(np.max(np.abs(slopes)))
         # The sampled scan cannot resolve the slope at rho = 1 when a probe
         # speed w is positive but smaller than the sampling step: the
         # harmonic mean's v-derivative tends to 2 as v -> 0 for any w > 0,
@@ -231,7 +231,10 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
         end_slope = np.abs(float(model.speed_law.flux_slope(1.0))) * np.abs(
             1.0 + signed / scale
         )
-        S = max(S, float(np.max(end_slope)))
+        # np.max keeps a NaN slope, which max() would drop in favour of S
+        S = float(np.max([S, sampled, np.max(end_slope)]))
+        if not math.isfinite(S):
+            raise StabilityError(f"blended-flux slope is not finite near the coupled probes: {S}")
     return cfl * grid.dx / max(S, 1e-10)
 
 
@@ -339,13 +342,13 @@ class RunResult:
     """Everything a finished run produced.
 
     ``snapshots`` is a list of ``(t, field)`` pairs including the initial
-    state; ``diagnostics`` has one ``(step, t, dt, mass, min, max)`` row per
-    completed step (the state before the first step is summarised by
-    ``initial_mass``); ``boundary_flux`` has the matching per-step
-    ``(step, t, dt, rate_in, rate_out)`` rows with the rates evaluated on
-    the pre-step field; ``model`` is the model the run was given, unchanged;
-    ``probe_paths`` holds one ``(n_steps, 4)`` array of pre-step
-    ``(t, x, speed, trace)`` rows per probe, in ``model.probes`` order.
+    state; ``log`` is the read-only ``(n_steps, 8)`` float64 step log, one
+    ``(step, t, dt, mass, min, max, rate_in, rate_out)`` row per completed
+    step (the state before the first step is summarised by
+    ``initial_mass``; the rates are evaluated on the pre-step field);
+    ``model`` is the model the run was given, unchanged; ``probe_paths``
+    holds one ``(n_steps, 4)`` array of pre-step ``(t, x, speed, trace)``
+    rows per probe, in ``model.probes`` order.
     """
 
     scenario: str | None
@@ -355,10 +358,19 @@ class RunResult:
     t_end: float
     cfl: float
     snapshots: list
-    diagnostics: list
+    log: np.ndarray
     initial_mass: float
-    boundary_flux: list
     probe_paths: tuple
+
+    @property
+    def diagnostics(self):
+        """The ``(step, t, dt, mass, min, max)`` columns of :attr:`log`."""
+        return self.log[:, :6]
+
+    @property
+    def boundary_flux(self):
+        """The ``(step, t, dt, rate_in, rate_out)`` columns of :attr:`log`."""
+        return self.log[:, [0, 1, 2, 6, 7]]
 
     @property
     def snapshot_times(self):
@@ -381,20 +393,18 @@ class RunResult:
     def mass_drift(self):
         """Largest deviation of the tracked mass from its initial value;
         NaN if any tracked mass is NaN."""
-        masses = np.array([self.initial_mass] + [row[3] for row in self.diagnostics])
-        return float(np.max(np.abs(masses - masses[0])))
+        return float(np.max(np.abs(self.log[:, 3] - self.initial_mass), initial=0.0))
 
     def mass_balance_residual(self):
         """Largest deviation of the tracked mass from the initial mass plus
         the accumulated boundary in/outflow — zero up to rounding even when
         waves leave the domain.  NaN if any tracked mass is NaN."""
-        gaps = [0.0]
-        expected = self.initial_mass
-        for diag, bflux in zip(self.diagnostics, self.boundary_flux):
-            _, _, dt, mass, _, _ = diag
-            expected += dt * (bflux[3] - bflux[4])
-            gaps.append(abs(mass - expected))
-        return float(np.max(gaps))
+        log = self.log
+        # cumsum accumulates in step order, as a running sum would
+        expected = np.cumsum(
+            np.concatenate([[self.initial_mass], log[:, 2] * (log[:, 6] - log[:, 7])])
+        )
+        return float(np.max(np.abs(log[:, 3] - expected[1:]), initial=0.0))
 
 
 def run(
@@ -422,7 +432,7 @@ def run(
     A step evaluates the blended flux once, on the ghosted field: the
     update (as :func:`lxf_step`) and the boundary rates (as
     :func:`boundary_flux_rates`) both read that one evaluation, and the
-    diagnostics' minimum and maximum come from the update's own range
+    step log's minimum and maximum come from the update's own range
     check.
     """
     if not t_end > 0.0:
@@ -452,14 +462,12 @@ def run(
     paths = [[] for _ in model.probes]
     snapshots = [(0.0, field.copy())]
     initial_mass = float(np.sum(field)) * grid.dx
-    diagnostics = []
-    boundary_flux = []
+    log = []
     t = 0.0
-    step = 0
     snap_idx = 1
     b_idx = 0  # boundaries[b_idx] is the first boundary beyond t + TIME_TOL
     while t < t_end - TIME_TOL:
-        if step >= max_steps:
+        if len(log) >= max_steps:
             raise StabilityError(f"exceeded {max_steps} steps at t={t}")
         states = tuple((positions[i], speeds[i]) for i in coupled)
         dt = cfl_dt(model, grid, states, cfl)
@@ -479,10 +487,9 @@ def run(
         positions = advance_probes(model, positions, speeds, dt, t_new)
         field = new_field
         t = t_new
-        step += 1
         speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
-        diagnostics.append((step, t, dt, float(np.sum(field)) * grid.dx, lo, hi))
-        boundary_flux.append((step, t, dt, rate_in, rate_out))
+        mass = float(np.sum(field)) * grid.dx
+        log.append((len(log) + 1, t, dt, mass, lo, hi, rate_in, rate_out))
         if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= TIME_TOL:
             snapshots.append((float(snap_times[snap_idx]), field.copy()))
             snap_idx += 1
@@ -498,8 +505,7 @@ def run(
         t_end=float(t_end),
         cfl=cfl,
         snapshots=snapshots,
-        diagnostics=diagnostics,
+        log=_read_only(np.array(log, dtype=float).reshape(-1, 8)),
         initial_mass=initial_mass,
-        boundary_flux=boundary_flux,
         probe_paths=tuple(np.asarray(path, dtype=float).reshape(-1, 4) for path in paths),
     )

@@ -45,7 +45,7 @@ def probe_csv_text(result):
 def diagnostics_csv_text(result):
     """``step,t,dt,mass,min,max`` rows, one per recorded step."""
     lines = ["step,t,dt,mass,min,max"]
-    for step, t, dt, mass, lo, hi in result.diagnostics:
+    for step, t, dt, mass, lo, hi, _, _ in result.log.tolist():
         lines.append(
             f"{int(step)},{_fmt(t)},{_fmt(dt)},{_fmt(mass)},{_fmt(lo)},{_fmt(hi)}"
         )
@@ -76,7 +76,6 @@ def metadata_dict(result, scenario, overrides=None, outputs=None):
     package version, and run summary figures."""
     from . import __version__
 
-    last = result.diagnostics[-1] if result.diagnostics else None
     return {
         "package": "probeflow",
         "version": __version__,
@@ -85,11 +84,11 @@ def metadata_dict(result, scenario, overrides=None, outputs=None):
         "overrides": dict(overrides or {}),
         "reconstructed": {name: True for name in scenario.reconstructed},
         "run": {
-            "steps": int(last[0]) if last else 0,
+            "steps": len(result.log),
             "t_end": result.t_end,
             "cfl": result.cfl,
             "initial_mass": result.initial_mass,
-            "final_mass": float(last[3]) if last else result.initial_mass,
+            "final_mass": float(result.log[-1, 3]) if len(result.log) else result.initial_mass,
             "n_snapshots": len(result.snapshots),
         },
         "outputs": dict(outputs or {}),

@@ -161,13 +161,7 @@ class Scenario:
         try:
             domain = data["domain"]
             datum = data["datum"]
-            if "values" in datum:
-                profile = PiecewiseConstant(datum.get("xs", []), datum["values"])
-            else:
-                profile = PiecewiseConstant.from_blocks(
-                    datum["background"],
-                    [tuple(b) for b in datum.get("blocks", [])],
-                )
+            profile = PiecewiseConstant(datum.get("xs", []), datum["values"])
             cutoff = data.get("cutoff", {})
             return cls(
                 name=data["name"],

@@ -226,8 +226,8 @@ def _balance_stats(result):
     accumulated boundary flux."""
     residual = result.mass_balance_residual()
     rel = residual / max(1.0, abs(result.initial_mass))
-    lo = min((row[4] for row in result.diagnostics), default=0.0)
-    hi = max((row[5] for row in result.diagnostics), default=1.0)
+    lo = float(np.min(result.log[:, 4]))
+    hi = float(np.max(result.log[:, 5]))
     return rel, lo, hi
 
 

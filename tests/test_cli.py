@@ -58,6 +58,16 @@ class TestRunCommand:
         assert "steps to t=0.2" in lines[0]
         assert sum(line.startswith("wrote ") for line in lines) == 5
 
+    def test_step_count_is_printed_and_stored_as_an_integer(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(_run_args(out)) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        steps = len(read_diagnostics_csv(out / "diagnostics.csv"))
+        assert summary.startswith(f"riemann_phi: {steps} steps to t=0.2, ")
+        text = (out / "metadata.json").read_text()
+        assert f'"steps": {steps},' in text
+        assert type(json.loads(text)["run"]["steps"]) is int
+
     def test_metadata_records_overrides_and_run(self, tmp_path):
         out = tmp_path / "bundle"
         main(_run_args(out))
@@ -195,6 +205,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
         assert not (tmp_path / "x").exists()
+
+    def test_datum_without_values_exits_2(self, tmp_path, capsys):
+        data = get_scenario("riemann_phi").to_dict()
+        data["datum"] = {"background": 0.125, "blocks": [[0.0, 2.0, 0.375]]}
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "malformed scenario data" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_flux_slope_exits_3(self, tmp_path, capsys):
+        # 2 w v overflows in the harmonic mean near the coupled probe: the
+        # CFL scan must say so, not let the update fail as a CFL violation
+        data = get_scenario("fig_int32").to_dict()
+        data["law"] = {"kind": "greenshields", "v_max": 1e200}
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        with np.errstate(all="ignore"):
+            code = main(["run", str(scenario_file), "--out", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "blended-flux slope is not finite" in err and "CFL violation" not in err
 
     @pytest.mark.parametrize("t_end", [1e-300, 1e-13])
     def test_snapshot_spacing_below_the_time_tolerance_exits_2(self, tmp_path, capsys, t_end):

@@ -161,6 +161,15 @@ class TestCflDt:
         model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         assert cfl_dt(model, grid, model.probe_states(0.0)) == CFL_DEFAULT * grid.dx
 
+    def test_non_finite_blended_slope_raises(self):
+        # 2 w v overflows in the harmonic mean, so the sampled slopes are
+        # NaN; max(S, nan) would keep S and let the step overshoot
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+        model = FluxModel(speed_law=Greenshields(1e200), probes=(probe,))
+        with np.errstate(all="ignore"), pytest.raises(StabilityError, match="not finite"):
+            cfl_dt(model, grid, ((0.5, 1e200),))
+
     def test_cfl_number_validated(self):
         grid = quarter_grid()
         model = FluxModel(speed_law=Greenshields(1.0))
@@ -285,11 +294,9 @@ class TestRun:
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         result = run(model, grid, self._bump_datum(), 0.05, n_snapshots=2)
-        step, t, dt, _, lo, hi = result.diagnostics[0]
-        poisoned = replace(
-            result,
-            diagnostics=[(step, t, dt, math.nan, lo, hi)] + result.diagnostics[1:],
-        )
+        log = result.log.copy()
+        log[0, 3] = math.nan
+        poisoned = replace(result, log=log)
         assert math.isnan(poisoned.mass_drift())
         assert math.isnan(poisoned.mass_balance_residual())
 
@@ -324,8 +331,8 @@ class TestRun:
         assert first.model is model and second.model is model
         assert model == FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         np.testing.assert_array_equal(first.final_field, second.final_field)
-        assert first.diagnostics == second.diagnostics
-        assert first.boundary_flux == second.boundary_flux
+        assert first.diagnostics.tobytes() == second.diagnostics.tobytes()
+        assert first.boundary_flux.tobytes() == second.boundary_flux.tobytes()
         np.testing.assert_array_equal(first.probe_path(0), second.probe_path(0))
 
     def test_steps_land_on_program_boundaries(self):
@@ -609,6 +616,22 @@ def _as_bytes(rows):
     return np.asarray(rows, dtype=float).tobytes()
 
 
+def reference_mass_balance_residual(result):
+    """The per-step running sum :meth:`RunResult.mass_balance_residual`
+    replaced with a cumulative sum over the log."""
+    gaps = [0.0]
+    expected = result.initial_mass
+    for _, _, dt, mass, _, _, rate_in, rate_out in result.log.tolist():
+        expected += dt * (rate_in - rate_out)
+        gaps.append(abs(mass - expected))
+    return float(np.max(gaps))
+
+
+def reference_mass_drift(result):
+    masses = np.array([result.initial_mass] + [row[3] for row in result.log.tolist()])
+    return float(np.max(np.abs(masses - masses[0])))
+
+
 def _fleet_case():
     # two traffic-coupled probes (one braking to a stop), two exogenous
     # stop-and-go probes and an observer, on a road of dense blocks
@@ -637,6 +660,39 @@ def _probe_free_case():
     model = FluxModel(speed_law=EpsilonLaw(-0.2))
     datum = PiecewiseConstant([0.02, 0.3, 0.6, 0.97], [0.8, 0.1, 1.0, 0.0, 0.5])
     return model, Grid.from_extent(0.0, 1.0, 0.01), datum, 0.3
+
+
+class TestStepLog:
+    def test_layout_and_views(self):
+        model, grid, datum, t_end = _fleet_case()
+        result = run(model, grid, datum, t_end, n_snapshots=6)
+        log = result.log
+        n = len(log)
+        assert log.shape == (n, 8) and n > 10
+        assert log.dtype == np.float64
+        assert log.flags.c_contiguous and not log.flags.writeable
+        with pytest.raises(ValueError):
+            log[0, 3] = 0.0
+        np.testing.assert_array_equal(log[:, 0], np.arange(1, n + 1))
+        assert log[-1, 1] == t_end
+        assert result.diagnostics.tobytes() == log[:, :6].tobytes()
+        assert result.boundary_flux.tobytes() == log[:, [0, 1, 2, 6, 7]].tobytes()
+        assert len(result.diagnostics) == len(result.boundary_flux) == n
+
+    @pytest.mark.parametrize(
+        "case", [_probe_free_case, _calibration_case, _fleet_case], ids=lambda c: c.__name__
+    )
+    def test_mass_figures_equal_the_per_step_loop(self, case):
+        model, grid, datum, t_end = case()
+        result = run(model, grid, datum, t_end, n_snapshots=6)
+        residual = result.mass_balance_residual()
+        drift = result.mass_drift()
+        assert residual.hex() == reference_mass_balance_residual(result).hex()
+        assert drift.hex() == reference_mass_drift(result).hex()
+        if case is _probe_free_case:
+            # waves cross both boundaries: both rates move, mass leaves
+            assert np.ptp(result.log[:, 6]) > 0.0 and np.ptp(result.log[:, 7]) > 0.0
+            assert drift > 1e-3 and 0.0 < residual <= 1e-13
 
 
 class TestStepLoopMatchesReference:

@@ -4,6 +4,7 @@ still runs and hashes what it says it hashes."""
 import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,23 @@ def test_calibration_digest_from_the_command_line():
 
 def test_cases_cover_every_builtin_and_both_fleet_roads():
     script = _load_script()
-    assert script.case_names() == scenario_names() + ["fleet_7", "fleet_31", "fleet_7x40"]
+    assert script.case_names() == scenario_names() + [
+        "fig_questa_mollified",
+        "fleet_7",
+        "fleet_31",
+        "fleet_7x40",
+    ]
     scenario, overrides = script.load_case("fig_questa")
     assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
+    # both probes ramp their speeds, and the run crosses the ramp on [4.75, 5.25]
+    scenario, overrides = script.load_case("fig_questa_mollified")
+    assert scenario.name == "fig_questa" and overrides == {"t_end": 5.5}
+    plain = get_scenario("fig_questa").probes
+    assert len(scenario.probes) == len(plain) == 2
+    for probe, base in zip(scenario.probes, plain):
+        assert probe.mollify_radius == 0.25
+        assert (probe.x0, probe.program, probe.observer) == (base.x0, base.program, base.observer)
+    assert {4.75, 5.25} <= set(scenario.probes[0].boundary_times())
     scenario, overrides = script.load_case("fleet_31")
     assert scenario.name == "fleet_31" and overrides == {}
     assert len(scenario.flux_model().probes) == 8
@@ -58,9 +73,10 @@ def test_digest_sees_every_output():
     assert script.digest(result) != base
     result.snapshots[-1] = (t, field)
     assert script.digest(result) == base
-    row = result.boundary_flux[0]
-    result.boundary_flux[0] = row[:-1] + (row[-1] + 1.0,)
-    assert script.digest(result) != base
+    for column in range(result.log.shape[1]):
+        log = result.log.copy()
+        log[0, column] += 1.0
+        assert script.digest(replace(result, log=log)) != base
 
 
 def test_unknown_case_exits_2(capsys):

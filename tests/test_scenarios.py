@@ -171,14 +171,14 @@ class TestSerialization:
         assert program[1].speed == 0.0
         assert restored.cutoff == CutoffProfile(inner=0.01, outer=0.03)
 
-    def test_blocks_datum_form(self):
+    def test_minimal_dict_takes_defaults(self):
         scenario = Scenario.from_dict(
             {
-                "name": "blocks",
+                "name": "minimal",
                 "domain": {"x_min": 0.0, "x_max": 1.0, "dx": 0.01},
                 "t_end": 0.5,
                 "law": {"kind": "greenshields", "v_max": 1.0},
-                "datum": {"background": 0.1, "blocks": [[0.2, 0.4, 0.8]]},
+                "datum": {"xs": [0.2, 0.4], "values": [0.1, 0.8, 0.1]},
             }
         )
         assert scenario.datum.values == (0.1, 0.8, 0.1)
