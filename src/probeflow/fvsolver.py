@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .model import SLOPE_SAMPLES, ModelCoupled, check_states, cutoff_weights, eval_flux
+from .model import SLOPE_SAMPLES, check_states, cutoff_weights, eval_flux
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -214,10 +214,13 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
                 np.searchsorted(x, positions + reach, side="right").tolist(),
             )
         ]
-        F = eval_flux(model, states, x[:, None], _SLOPE_RHO, windows)
-        k = _SLOPE_SPAN.size
-        slopes = (F[:, :k] - F[:, k:]) / _SLOPE_SPAN[None, :]
-        sampled = float(np.max(np.abs(slopes)))
+        # an overflowing blend yields a non-finite slope, which is checked
+        # below: no floating-point warnings on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = eval_flux(model, states, x[:, None], _SLOPE_RHO, windows)
+            k = _SLOPE_SPAN.size
+            slopes = (F[:, :k] - F[:, k:]) / _SLOPE_SPAN[None, :]
+            sampled = float(np.max(np.abs(slopes)))
         # The sampled scan cannot resolve the slope at rho = 1 when a probe
         # speed w is positive but smaller than the sampling step: the
         # harmonic mean's v-derivative tends to 2 as v -> 0 for any w > 0,
@@ -267,7 +270,8 @@ def _lxf_update(grid, rho, F, dt, t=None):
     clamped.
     """
     lam = dt / grid.dx
-    new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * lam * (F[2:] - F[:-2])
+    with np.errstate(over="ignore", invalid="ignore"):  # the range check below catches it
+        new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * lam * (F[2:] - F[:-2])
     lo = float(np.min(new))
     hi = float(np.max(new))
     if not (lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL):
@@ -316,10 +320,8 @@ def resolve_probe_speeds(model, grid, t, field, positions):
     speeds, traces = [], []
     for probe, p in zip(model.probes, positions):
         trace = trace_density(grid, field, p, model.trace_side)
-        if isinstance(probe.segment_at(t), ModelCoupled):
-            speeds.append(float(model.speed_law(trace)))
-        else:
-            speeds.append(probe.exogenous_speed(t))
+        w = probe.speed_at(t)
+        speeds.append(float(model.speed_law(trace)) if w is None else w)
         traces.append(trace)
     return speeds, traces
 
@@ -332,7 +334,7 @@ def advance_probes(model, positions, speeds, dt, t_new):
     explicit Euler step with their resolved speed.
     """
     return [
-        probe.x0 + float(probe._tl.displacement(t_new)) if probe.is_exogenous else p + w * dt
+        probe.state_at(t_new)[0] if probe.is_exogenous else p + w * dt
         for probe, p, w in zip(model.probes, positions, speeds)
     ]
 

@@ -162,6 +162,8 @@ def scan_E(scenario, v_lo, v_hi, n, workers=1):
         raise DomainError(f"need 0 < v_lo < v_hi, got ({v_lo}, {v_hi})")
     if n < 1:
         raise DomainError(f"scan needs at least one subinterval, got n={n}")
+    if workers < 1:
+        raise DomainError(f"scan needs at least one worker, got workers={workers}")
     v_values = [float(v) for v in np.linspace(v_lo, v_hi, int(n) + 1)]
     if workers > 1 and len(v_values) >= 4:
         payloads = [(scenario.to_json(), v) for v in v_values]
@@ -530,9 +532,9 @@ def modulus_bound(scenario, rho_check, v_lo, v_hi):
                 "modulus bound needs fully programmed probes; a traffic-"
                 "coupled segment has no certified speed floor"
             )
-        inf_speed = min(inf_speed, probe._tl.min_speed())
+        inf_speed = min(inf_speed, probe.min_speed())
         # speeds are non-negative, so the position is monotone
-        p_end = probe.x0 + float(probe._tl.displacement(scenario.t_end))
+        p_end, _ = probe.state_at(scenario.t_end)
         p_sup = max(p_sup, abs(probe.x0), abs(p_end))
     if inf_speed is math.inf:
         inf_speed = 0.0

@@ -289,99 +289,51 @@ def _check_interval(start, end):
         raise DomainError(f"empty segment [{start}, {end})")
 
 
-class _Timeline:
-    """Compiled speed profile of a fully exogenous program.
+class _SpeedTable:
+    """A probe program compiled once into one table of speed knots.
 
-    With ``tau == 0`` the speed is piecewise constant on half-open pieces;
-    with ``tau > 0`` each speed jump at an interior piece boundary ``t_b``
-    is replaced by a linear ramp on ``[t_b - tau, t_b + tau]`` (the moving
-    box average of the raw profile), making the speed continuous and
-    piecewise linear.
+    The speed is the piecewise-linear interpolant of the knots ``(t, w)``,
+    and ``disp`` holds the displacement accumulated at each knot
+    (trapezoid rule on each span, exact for a linear speed).  Knot 0 sits
+    at ``t = 0``; knots ``2k + 1`` and ``2k + 2`` carry the ``k``-th switch
+    between program pieces, at ``t_b - tau`` and ``t_b + tau``: a speed jump
+    when ``tau == 0`` (two knots at one time, the later one in force from
+    ``t_b`` on), a linear ramp (the moving box average of the jump) when
+    ``tau > 0``.  The last piece runs on past the last knot.  A
+    model-coupled piece has no programmed speed: its knots hold NaN.
     """
 
     def __init__(self, segments, tau):
         pieces = _program_pieces(segments)
-        self.tau = tau
-        self.max_speed = max(w for _, _, w in pieces)
-        self.jumps = [
-            abs(pieces[i + 1][2] - pieces[i][2]) for i in range(len(pieces) - 1)
-        ]
-        if tau == 0.0:
-            self.starts = np.array([a for a, _, _ in pieces])
-            self.speeds = np.array([w for _, _, w in pieces])
-            self.knot_t = None
-        else:
-            widths = [
-                (b if b is not None else math.inf) - a for a, b, _ in pieces
-            ]
-            if tau > min(widths) / 2.0:
-                raise DomainError(
-                    f"mollification radius {tau} exceeds half the narrowest "
-                    f"program piece ({min(widths)})"
-                )
-            # knots of the continuous piecewise-linear speed
-            ts, ws = [0.0], [pieces[0][2]]
-            for i in range(len(pieces) - 1):
-                t_b = pieces[i][1]
-                ts += [t_b - tau, t_b + tau]
-                ws += [pieces[i][2], pieces[i + 1][2]]
-            self.knot_t = np.array(ts)
-            self.knot_w = np.array(ws)
-            # cumulative displacement at the knots (trapezoid on each span)
-            disp = np.concatenate(
-                [[0.0], np.cumsum(np.diff(ts) * (self.knot_w[1:] + self.knot_w[:-1]) / 2.0)]
+        widths = [(b if b is not None else math.inf) - a for a, b, _ in pieces]
+        if tau > min(widths) / 2.0:
+            raise DomainError(
+                f"mollification radius {tau} exceeds half the narrowest "
+                f"program piece ({min(widths)})"
             )
-            self.knot_disp = disp
-        if tau == 0.0:
-            self.knot_t = None
-            disp = np.concatenate(
-                [[0.0], np.cumsum(np.diff(self.starts) * self.speeds[:-1])]
-            )
-            self.start_disp = disp
-
-    def speed(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.knot_t is None:
-            idx = np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, None)
-            return self.speeds[idx]
-        return np.interp(t, self.knot_t, self.knot_w)
-
-    def displacement(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.knot_t is None:
-            idx = np.clip(np.searchsorted(self.starts, t, side="right") - 1, 0, None)
-            return self.start_disp[idx] + self.speeds[idx] * (t - self.starts[idx])
-        idx = np.clip(np.searchsorted(self.knot_t, t, side="right") - 1, 0, None)
-        t0 = self.knot_t[idx]
-        w0 = self.knot_w[idx]
-        w1 = np.interp(t, self.knot_t, self.knot_w)
-        return self.knot_disp[idx] + (t - t0) * (w0 + w1) / 2.0
-
-    def boundary_times(self):
-        """Times where the speed profile changes slope or value."""
-        if self.knot_t is None:
-            return [float(t) for t in self.starts if t > 0.0]
-        return [float(t) for t in self.knot_t if t > 0.0]
-
-    def min_speed(self):
-        """Smallest speed the profile ever takes (ramps are monotone, so
-        knot and plateau values suffice)."""
-        if self.knot_t is None:
-            return float(np.min(self.speeds))
-        return float(np.min(self.knot_w))
+        ts, ws = [0.0], [pieces[0][2]]
+        for (_, t_b, w0), (_, _, w1) in zip(pieces, pieces[1:]):
+            ts += [t_b - tau, t_b + tau]
+            ws += [w0, w1]
+        self.t = np.array(ts)
+        self.w = np.array(ws, dtype=float)
+        self.disp = np.concatenate(
+            [[0.0], np.cumsum(np.diff(self.t) * (self.w[1:] + self.w[:-1]) / 2.0)]
+        )
+        self.exogenous = not np.isnan(self.w).any()
 
 
 def _program_pieces(segments):
     """Normalise a segment list into contiguous (start, end, speed) pieces
-    covering [0, inf); uncovered time runs at speed 0.  Only valid for fully
-    exogenous programs."""
+    covering [0, inf); uncovered time runs at speed 0 and a model-coupled
+    segment has speed NaN."""
     segs = sorted(segments, key=lambda s: s.start)
     pieces = []
     t = 0.0
     for s in segs:
         if s.start > t:
             pieces.append((t, s.start, 0.0))
-        pieces.append((s.start, s.end, s.speed))
+        pieces.append((s.start, s.end, s.speed if isinstance(s, ExogenousSpeed) else math.nan))
         if s.end is None:
             return pieces
         t = s.end
@@ -400,9 +352,10 @@ class ProbeTrajectory:
     ``observer=True`` excludes the probe from the flux blend: it is advanced
     and recorded, but does not feed back into the equation.
 
-    A trajectory carries no run-time state, so one object can serve any
-    number of runs; a run keeps its probes' positions, speeds and recorded
-    paths itself.
+    The program is compiled once into one speed table, which answers
+    :meth:`speed_at` and :meth:`state_at`.  A trajectory carries no run-time
+    state, so one object can serve any number of runs; a run keeps its
+    probes' positions, speeds and recorded paths itself.
     """
 
     def __init__(self, x0, program, mollify_radius=0.0, observer=False):
@@ -413,8 +366,7 @@ class ProbeTrajectory:
         _require_finite("x0 and mollify_radius", x0, mollify_radius)
         if mollify_radius < 0.0:
             raise DomainError("mollify_radius must be >= 0")
-        has_coupled = any(isinstance(s, ModelCoupled) for s in program)
-        if mollify_radius > 0.0 and has_coupled:
+        if mollify_radius > 0.0 and any(isinstance(s, ModelCoupled) for s in program):
             raise DomainError(
                 "mollification is defined only for fully exogenous programs"
             )
@@ -422,20 +374,38 @@ class ProbeTrajectory:
         self.program = program
         self.mollify_radius = float(mollify_radius)
         self.observer = bool(observer)
-        self._tl = None if has_coupled else _Timeline(program, self.mollify_radius)
+        self._table = _SpeedTable(program, self.mollify_radius)
 
     # -- program queries ---------------------------------------------------
 
     @property
     def is_exogenous(self):
-        return self._tl is not None
+        return self._table.exogenous
 
-    def segment_at(self, t):
-        """The program segment covering time t, or None (gap: speed 0)."""
-        for s in self.program:
-            if s.start <= t and (s.end is None or t < s.end):
-                return s
-        return None
+    def speed_at(self, t):
+        """Programmed (possibly mollified) speed at time t, or ``None`` where
+        the program is model-coupled."""
+        w = float(np.interp(t, self._table.t, self._table.w))
+        return None if math.isnan(w) else w
+
+    def state_at(self, t):
+        """Position and speed at time t of a fully exogenous program, in
+        closed form.
+
+        A program with a model-coupled segment has no closed form: its path
+        depends on the density field, so it raises
+        :class:`ProbeStateError`.
+        """
+        if not self.is_exogenous:
+            raise ProbeStateError(
+                f"model-coupled probe has no closed-form state at t={t}; "
+                "positions become available only while a simulation advances it"
+            )
+        table = self._table
+        i = max(int(np.searchsorted(table.t, t, side="right")) - 1, 0)
+        w = np.interp(t, table.t, table.w)
+        disp = table.disp[i] + (t - table.t[i]) * (table.w[i] + w) / 2.0
+        return self.x0 + float(disp), float(w)
 
     def max_speed(self, law_vmax):
         """Upper bound for the probe's speed over its whole program."""
@@ -447,16 +417,35 @@ class ProbeTrajectory:
                 bound = max(bound, law_vmax)
         return bound
 
+    def min_speed(self):
+        """Smallest speed a fully exogenous program takes (ramps are
+        monotone, so the knots suffice)."""
+        return float(np.min(self._table.w))
+
+    def speed_jumps(self):
+        """Size of each switch between program pieces, in time order."""
+        w = self._table.w
+        return [float(j) for j in np.abs(w[2::2] - w[1::2])]
+
+    def profile_speeds(self):
+        """Representative speeds above :data:`ZERO_DENOM_TOL` that a fully
+        exogenous program takes: its knot values plus nine samples across
+        each ramp."""
+        t, w = self._table.t, self._table.w
+        values = set(float(v) for v in w)
+        for t0, t1, w0, w1 in zip(t, t[1:], w, w[1:]):
+            if t0 != t1 and w0 != w1:
+                values.update(float(v) for v in np.linspace(w0, w1, 9))
+        return sorted(v for v in values if v > ZERO_DENOM_TOL)
+
     def boundary_times(self):
         """Times where the program's speed law changes (segment edges and
         mollification ramp edges), for exact time-step alignment."""
-        times = set()
+        times = {float(t) for t in self._table.t if t > 0.0}
         for s in self.program:
             for t in (s.start, s.end):
                 if t is not None and t > 0.0:
                     times.add(float(t))
-        if self.is_exogenous:
-            times.update(self._tl.boundary_times())
         return sorted(times)
 
     def clone(self, observer=None):
@@ -468,34 +457,6 @@ class ProbeTrajectory:
             mollify_radius=self.mollify_radius,
             observer=self.observer if observer is None else observer,
         )
-
-    def state_at(self, t):
-        """Position and speed at time t of a fully exogenous program, in
-        closed form.
-
-        A program with a model-coupled segment has no closed form: its path
-        depends on the density field, so it raises
-        :class:`ProbeStateError`.
-        """
-        if self.is_exogenous:
-            return (
-                self.x0 + float(self._tl.displacement(t)),
-                float(self._tl.speed(t)),
-            )
-        raise ProbeStateError(
-            f"model-coupled probe has no closed-form state at t={t}; "
-            "positions become available only while a simulation advances it"
-        )
-
-    def exogenous_speed(self, t):
-        """Programmed (possibly mollified) speed at time t; valid only where
-        the program is not model-coupled."""
-        if self.is_exogenous:
-            return float(self._tl.speed(t))
-        seg = self.segment_at(t)
-        if isinstance(seg, ModelCoupled):
-            raise ProbeStateError(f"program is model-coupled at t={t}")
-        return 0.0 if seg is None else seg.speed
 
 
 def _check_disjoint(program):
@@ -951,8 +912,7 @@ def stability_constant_C(model):
                 reason=f"probe {i} has a model-coupled segment; its speed "
                 "inherits jumps from the density trace",
             )
-        tl = probe._tl
-        jumps = [j for j in tl.jumps if j > 0.0]
+        jumps = [j for j in probe.speed_jumps() if j > 0.0]
         if jumps and probe.mollify_radius == 0.0:
             return StabilityConstant(
                 value=math.inf,
@@ -961,8 +921,8 @@ def stability_constant_C(model):
                 "(piecewise-constant program)",
             )
         lip_pdot = max(jumps) / (2.0 * probe.mollify_radius) if jumps else 0.0
-        P = tl.max_speed
-        L_hm = _sampled_harmonic_lipschitz(law, _profile_speeds(tl))
+        P = probe.max_speed(law.v_max)
+        L_hm = _sampled_harmonic_lipschitz(law, probe.profile_speeds())
         lip_g = mixed_difference_constant(law, P)
         contribution = lip_chi * (1.0 + P) * (P * L_hm + lip_flux) + lip_g * lip_pdot
         parts.append(
@@ -977,19 +937,6 @@ def stability_constant_C(model):
         )
         total += contribution
     return StabilityConstant(value=total, per_probe=tuple(parts))
-
-
-def _profile_speeds(tl):
-    """Representative speed values a compiled program takes: plateau values
-    plus, for mollified programs, samples across each ramp."""
-    if tl.knot_t is None:
-        values = set(float(w) for w in tl.speeds)
-    else:
-        values = set(float(w) for w in tl.knot_w)
-        for w0, w1 in zip(tl.knot_w, tl.knot_w[1:]):
-            if w0 != w1:
-                values.update(float(w) for w in np.linspace(w0, w1, 9))
-    return sorted(w for w in values if w > ZERO_DENOM_TOL)
 
 
 def _sampled_harmonic_lipschitz(law, speeds, n=2001):

@@ -7,6 +7,7 @@ pytest temporaries and are parsed back with the package's own readers.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "blended-flux slope is not finite" in err and "CFL violation" not in err
 
+    def test_non_finite_flux_slope_prints_only_the_error_line(self, tmp_path, capsys):
+        # the overflowing blend is checked right after: no RuntimeWarning
+        # from numpy may reach stderr ahead of the error line
+        data = get_scenario("fig_int32").to_dict()
+        data["law"] = {"kind": "greenshields", "v_max": 1e200}
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(scenario_file), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: blended-flux slope is not finite near the coupled probes: nan"
+        ]
+
     @pytest.mark.parametrize("t_end", [1e-300, 1e-13])
     def test_snapshot_spacing_below_the_time_tolerance_exits_2(self, tmp_path, capsys, t_end):
         # 50 snapshots over t_end = 1e-13 are 2e-15 apart, too close for
@@ -347,6 +364,14 @@ class TestInverseCommand:
         assert "best slope 1.20" in text
         assert f"wrote {out / 'scan.csv'}" in text
         assert f"wrote {out / 'minimizer.json'}" in text
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_fewer_than_one_worker_exits_2(self, tmp_path, coarse_json, capsys, workers):
+        out = tmp_path / "inv"
+        args = ["inverse", str(coarse_json), "--workers", workers, "--out", str(out)]
+        assert main(args) == 2
+        assert "at least one worker" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reversed_bracket_exits_2(self, capsys):
         assert main(["inverse", "--v-lo", "1.5", "--v-hi", "1.0"]) == 2

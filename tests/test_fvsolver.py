@@ -553,10 +553,15 @@ def reference_probe_speeds(model, grid, t, field, positions):
         else:
             j = max(int(np.searchsorted(centers, p, side="right")) - 1, 0)
         trace = float(field[j])
-        if isinstance(probe.segment_at(t), ModelCoupled):
+        # a linear scan of the raw program: the reference cases mollify no
+        # speed jump, so no ramp is missed
+        segment = next(
+            (s for s in probe.program if s.start <= t and (s.end is None or t < s.end)), None
+        )
+        if isinstance(segment, ModelCoupled):
             speeds.append(float(model.speed_law(trace)))
         else:
-            speeds.append(probe.exogenous_speed(t))
+            speeds.append(0.0 if segment is None else segment.speed)
         traces.append(trace)
     return speeds, traces
 

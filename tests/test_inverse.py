@@ -108,6 +108,9 @@ class TestScan:
             scan_E(scenario, 1.0, 0.5, 4)
         with pytest.raises(DomainError):
             scan_E(scenario, 0.5, 1.0, 0)
+        for workers in (0, -4):
+            with pytest.raises(DomainError, match="at least one worker"):
+                scan_E(scenario, 0.5, 1.0, 4, workers=workers)
 
 
 class TestMinimize:

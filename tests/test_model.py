@@ -232,7 +232,7 @@ class TestProbeTrajectory:
         assert smooth.state_at(2.0)[0] == pytest.approx(raw.state_at(2.0)[0])
         # inside the ramp the speed interpolates linearly
         assert smooth.state_at(1.0)[1] == pytest.approx(0.5)
-        assert smooth.exogenous_speed(0.95) == pytest.approx(0.75)
+        assert smooth.speed_at(0.95) == pytest.approx(0.75)
 
     def test_mollify_radius_capped_by_piece_width(self):
         with pytest.raises(DomainError):
@@ -290,10 +290,10 @@ class TestProbeTrajectory:
         with pytest.raises(DomainError):
             ProbeTrajectory(0.0, (ModelCoupled(0.0, None),), mollify_radius=0.1)
 
-    def test_exogenous_speed_raises_on_coupled_segment(self):
+    def test_speed_at_is_none_on_coupled_segment(self):
         probe = ProbeTrajectory(0.0, (ModelCoupled(0.0, 1.0),))
-        with pytest.raises(ProbeStateError):
-            probe.exogenous_speed(0.5)
+        assert probe.speed_at(0.5) is None
+        assert probe.speed_at(1.0) == 0.0  # the gap after the segment
 
     def test_clone_resets_runtime_and_can_demote(self):
         probe = ProbeTrajectory(0.0, (ExogenousSpeed(0.0, None, 0.5),))
@@ -302,7 +302,7 @@ class TestProbeTrajectory:
         assert fresh.program == probe.program
         assert fresh.state_at(1.0) == probe.state_at(1.0)
         # a trajectory is its program: no run-time state to reset
-        program_only = {"x0", "program", "mollify_radius", "observer", "_tl"}
+        program_only = {"x0", "program", "mollify_radius", "observer", "_table"}
         assert set(vars(probe)) == set(vars(fresh)) == program_only
 
     def test_max_speed_uses_law_cap_for_coupled_segments(self):
@@ -310,6 +310,98 @@ class TestProbeTrajectory:
             0.0, (ExogenousSpeed(0.0, 1.0, 0.3), ModelCoupled(1.0, None))
         )
         assert probe.max_speed(law_vmax=1.2) == 1.2
+
+
+def _random_program(rng, coupled):
+    """A piecewise program with gaps, zero speeds and, half the time, an
+    open last segment; with ``coupled``, some segments ride the traffic."""
+    program, t = [], 0.0
+    n = int(rng.integers(1, 8))
+    for k in range(n):
+        if rng.random() < 0.3:
+            t += float(rng.uniform(0.01, 1.0))  # a gap at speed 0
+        end = None if k == n - 1 and rng.random() < 0.5 else t + float(rng.uniform(0.01, 2.0))
+        if coupled and rng.random() < 0.4:
+            program.append(ModelCoupled(t, end))
+        else:
+            speed = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
+            program.append(ExogenousSpeed(t, end, speed))
+        t = end
+        if t is None:
+            break
+    return tuple(program)
+
+
+def reference_program_state(probe, t):
+    """Speed (``None`` on a coupled segment) and position (``None`` for a
+    program with a coupled segment) at ``t >= 0``, by cumulative piecewise
+    integration over the program's contiguous pieces."""
+    pieces, end = [], 0.0  # (start, speed), gaps at speed 0
+    for s in sorted(probe.program, key=lambda s: s.start):
+        if s.start > end:
+            pieces.append((end, 0.0))
+        pieces.append((s.start, s.speed if isinstance(s, ExogenousSpeed) else None))
+        end = s.end
+        if end is None:
+            break
+    if end is not None:
+        pieces.append((end, 0.0))
+    k = max(i for i, (start, _) in enumerate(pieces) if start <= t)
+    if any(w is None for _, w in pieces):
+        return pieces[k][1], None
+    disp = 0.0
+    for (a, w), (b, _) in zip(pieces[:k], pieces[1 : k + 1]):
+        disp += (b - a) * w
+    start, speed = pieces[k]
+    return speed, probe.x0 + (disp + speed * (t - start))
+
+
+class TestSpeedTable:
+    @pytest.mark.parametrize("coupled", [False, True], ids=["exogenous", "coupled"])
+    def test_queries_equal_piecewise_integration_to_the_bit(self, coupled):
+        rng = np.random.default_rng(20261018)
+        n_checked = 0
+        for _ in range(100):
+            probe = ProbeTrajectory(float(rng.uniform(-1.0, 1.0)), _random_program(rng, coupled))
+            edges = sorted({e for s in probe.program for e in (s.start, s.end) if e is not None})
+            times = edges + [math.nextafter(e, -math.inf) for e in edges if e > 0.0]
+            times += rng.uniform(0.0, edges[-1] + 1.0, 20).tolist()
+            for t in times:
+                speed, position = reference_program_state(probe, t)
+                got = probe.speed_at(t)
+                if speed is None:
+                    assert got is None
+                else:
+                    assert got.hex() == speed.hex()
+                if probe.is_exogenous:
+                    x, w = probe.state_at(t)
+                    assert (x.hex(), w.hex()) == (position.hex(), speed.hex())
+                else:
+                    with pytest.raises(ProbeStateError):
+                        probe.state_at(t)
+                n_checked += 1
+            coupled_starts = {s.start for s in probe.program if isinstance(s, ModelCoupled)}
+            for s in probe.program:
+                if isinstance(s, ModelCoupled):
+                    # coupled from the segment's start, not at its end
+                    assert probe.speed_at(s.start) is None
+                    if s.end is not None and s.end not in coupled_starts:
+                        assert probe.speed_at(s.end) is not None
+        assert n_checked > 2000
+
+    def test_jump_is_two_knots_and_ramp_is_its_box_average(self):
+        program = (ExogenousSpeed(0.0, 1.0, 1.0), ExogenousSpeed(1.0, None, 0.2))
+        raw = ProbeTrajectory(0.0, program)
+        smooth = ProbeTrajectory(0.0, program, mollify_radius=0.25)
+        assert raw.speed_at(math.nextafter(1.0, 0.0)) == 1.0 and raw.speed_at(1.0) == 0.2
+        assert raw.speed_jumps() == smooth.speed_jumps() == [pytest.approx(0.8)]
+        assert raw.boundary_times() == [1.0]
+        assert smooth.boundary_times() == [0.75, 1.0, 1.25]
+        assert smooth.speed_at(1.0) == pytest.approx(0.6)
+        assert smooth.state_at(2.0) == pytest.approx(raw.state_at(2.0))
+        assert smooth.min_speed() == raw.min_speed() == 0.2
+        assert raw.profile_speeds() == [0.2, 1.0]
+        assert len(smooth.profile_speeds()) == 9
 
 
 # ---------------------------------------------------------------------------
