@@ -102,7 +102,7 @@ def main(argv=None):
         return 2
     for name in names:
         scenario, overrides = load_case(name)
-        print(name, digest(scenarios.run_scenario(scenario, **overrides)), flush=True)
+        print(name, digest(scenarios.run_scenario(scenario.with_overrides(**overrides))), flush=True)
     return 0
 
 

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 
+from . import verify
 from .errors import DomainError, FrontTrackError, ProbeStateError, StabilityError
 from .inverse import (
     evaluate_candidate,
@@ -115,8 +116,7 @@ def _build_parser():
         "suite",
         nargs="?",
         default="all",
-        help="phi, riemann, conservation, lemma1, lipschitz-stability, "
-        "rescaling, calibration, or all",
+        help=", ".join(verify.SUITES) + ", or all",
     )
     p_verify.add_argument(
         "--seed", type=int, default=None, help="override the fuzz seeds"
@@ -267,12 +267,10 @@ def _cmd_inverse(args):
 
 
 def _cmd_verify(args):
-    from . import verify as verify_mod
-
     if args.suite == "all":
-        suites = verify_mod.run_all(seed=args.seed)
+        suites = verify.run_all(seed=args.seed)
     else:
-        suites = [verify_mod.run_suite(args.suite, seed=args.seed)]
+        suites = [verify.run_suite(args.suite, seed=args.seed)]
     failed = False
     for suite in suites:
         for line in suite.lines():

@@ -78,8 +78,6 @@ class PiecewiseConstant:
                 if values[-1] != val:
                     xs.append(float(x))
                     values.append(val)
-                elif xs and xs[-1] == x:
-                    pass
         return cls(xs, values)
 
     def value_at(self, x):
@@ -192,11 +190,6 @@ class PiecewiseLinearFlux:
         k_lo = max(0, int(math.floor(rho_min * 2 ** self.n + _GRID_TOL)) - 1)
         k_hi = min(len(slopes), int(math.ceil(rho_max * 2 ** self.n - _GRID_TOL)) + 1)
         return float(np.max(slopes[k_lo:k_hi]))
-
-
-def piecewise_linearize(law, n):
-    """The dyadic-grid piecewise linear stand-in for a speed law's flux."""
-    return PiecewiseLinearFlux(law, n)
 
 
 def _lower_convex_path(points):

@@ -15,6 +15,8 @@ simulation lands exactly on probe program boundaries and snapshot times.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,9 +48,20 @@ _SLOPE_SPAN = _SLOPE_HI - _SLOPE_LO
 _SLOPE_RHO = np.concatenate([_SLOPE_HI, _SLOPE_LO])[None, :]
 
 
-def _read_only(array):
-    array.flags.writeable = False
-    return array
+#: Packers of one step-log row and one probe-path row, as raw float64 bytes.
+_LOG_ROW = struct.Struct("8d").pack
+_PATH_ROW = struct.Struct("4d").pack
+
+
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+def _rows(buffer, width):
+    """A float64 ``array`` buffer as a read-only ``(n, width)`` array,
+    without a copy."""
+    return _read_only(np.frombuffer(buffer).reshape(-1, width))
 
 
 @dataclass(frozen=True)
@@ -349,8 +362,8 @@ class RunResult:
     step (the state before the first step is summarised by
     ``initial_mass``; the rates are evaluated on the pre-step field);
     ``model`` is the model the run was given, unchanged; ``probe_paths``
-    holds one ``(n_steps, 4)`` array of pre-step ``(t, x, speed, trace)``
-    rows per probe, in ``model.probes`` order.
+    holds one read-only ``(n_steps, 4)`` float64 array of pre-step
+    ``(t, x, speed, trace)`` rows per probe, in ``model.probes`` order.
     """
 
     scenario: str | None
@@ -378,11 +391,13 @@ class RunResult:
     def snapshot_times(self):
         return [t for t, _ in self.snapshots]
 
-    def field_at(self, t, tol=1e-9):
-        for ts, field in self.snapshots:
-            if abs(ts - t) <= tol:
-                return field
-        raise DomainError(f"no snapshot at t={t}; have {self.snapshot_times}")
+    def field_at(self, t):
+        """The snapshot field nearest ``t``, which must lie within 1e-9 of
+        it."""
+        ts, field = min(self.snapshots, key=lambda snap: abs(snap[0] - t))
+        if not abs(ts - t) <= 1e-9:
+            raise DomainError(f"no snapshot at t={t}; have {self.snapshot_times}")
+        return field
 
     @property
     def final_field(self):
@@ -461,15 +476,17 @@ def run(
     coupled = [i for i, probe in enumerate(model.probes) if not probe.observer]
     positions = [probe.x0 for probe in model.probes]
     speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, positions)
-    paths = [[] for _ in model.probes]
+    # float64 buffers: 64 B per step for the log, 32 B per probe and step
+    paths = [array("d") for _ in model.probes]
     snapshots = [(0.0, field.copy())]
     initial_mass = float(np.sum(field)) * grid.dx
-    log = []
+    log = array("d")
+    n_steps = 0
     t = 0.0
     snap_idx = 1
     b_idx = 0  # boundaries[b_idx] is the first boundary beyond t + TIME_TOL
     while t < t_end - TIME_TOL:
-        if len(log) >= max_steps:
+        if n_steps >= max_steps:
             raise StabilityError(f"exceeded {max_steps} steps at t={t}")
         states = tuple((positions[i], speeds[i]) for i in coupled)
         dt = cfl_dt(model, grid, states, cfl)
@@ -485,13 +502,14 @@ def run(
         rate_in, rate_out = _edge_rates(F)
         new_field, lo, hi = _lxf_update(grid, rho, F, dt, t)
         for path, p, w, trace in zip(paths, positions, speeds, traces):
-            path.append((t, p, w, trace))
+            path.frombytes(_PATH_ROW(t, p, w, trace))
         positions = advance_probes(model, positions, speeds, dt, t_new)
         field = new_field
         t = t_new
         speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
         mass = float(np.sum(field)) * grid.dx
-        log.append((len(log) + 1, t, dt, mass, lo, hi, rate_in, rate_out))
+        n_steps += 1
+        log.frombytes(_LOG_ROW(n_steps, t, dt, mass, lo, hi, rate_in, rate_out))
         if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= TIME_TOL:
             snapshots.append((float(snap_times[snap_idx]), field.copy()))
             snap_idx += 1
@@ -507,7 +525,7 @@ def run(
         t_end=float(t_end),
         cfl=cfl,
         snapshots=snapshots,
-        log=_read_only(np.array(log, dtype=float).reshape(-1, 8)),
+        log=_rows(log, 8),
         initial_mass=initial_mass,
-        probe_paths=tuple(np.asarray(path, dtype=float).reshape(-1, 4) for path in paths),
+        probe_paths=tuple(_rows(path, 4) for path in paths),
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .fronttrack import (
 from .fvsolver import Grid, run
 from .model import EpsilonLaw, Greenshields
 from .riemann import solve_riemann
-from .scenarios import Scenario, run_scenario
+from .scenarios import run_scenario
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -122,11 +123,6 @@ def evaluate_candidate(scenario, v):
     return total
 
 
-def _scan_worker(payload):
-    scenario_json, v = payload
-    return evaluate_candidate(Scenario.from_json(scenario_json), v)
-
-
 @dataclass(frozen=True)
 class ScanResult:
     """Calibration sweep: candidate slopes and their misfits."""
@@ -166,9 +162,8 @@ def scan_E(scenario, v_lo, v_hi, n, workers=1):
         raise DomainError(f"scan needs at least one worker, got workers={workers}")
     v_values = [float(v) for v in np.linspace(v_lo, v_hi, int(n) + 1)]
     if workers > 1 and len(v_values) >= 4:
-        payloads = [(scenario.to_json(), v) for v in v_values]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(_scan_worker, payloads))
+            errors = list(pool.map(evaluate_candidate, repeat(scenario), v_values))
     else:
         errors = [evaluate_candidate(scenario, v) for v in v_values]
     return ScanResult(v_values=tuple(v_values), errors=tuple(float(e) for e in errors))
@@ -413,10 +408,10 @@ class RescalingReport:
         return self.discrepancy <= self.bound
 
 
-def _rescaled_pair(v1, v2, datum, t_end, dx, n_compare=5):
+def _rescaled_pair(v1, v2, datum, t_end, dx):
     """Run ``datum`` under ``v1`` on the reference grid and its stretched
     image under ``v2`` on the space-stretched grid; return the largest L1
-    discrepancy in reference coordinates over matched snapshots.
+    discrepancy in reference coordinates over five matched snapshots.
 
     Stretching space by ``v2/v1`` turns the ``v1`` solution into the ``v2``
     one at equal times; the stretched grid keeps the cell count, so the two
@@ -443,10 +438,10 @@ def _rescaled_pair(v1, v2, datum, t_end, dx, n_compare=5):
     datum_b = PiecewiseConstant([scale * x for x in xs], datum.values)
 
     result_a = run(
-        FluxModel(Greenshields(v1)), grid_a, datum, t_end, n_snapshots=n_compare
+        FluxModel(Greenshields(v1)), grid_a, datum, t_end, n_snapshots=5
     )
     result_b = run(
-        FluxModel(Greenshields(v2)), grid_b, datum_b, t_end, n_snapshots=n_compare
+        FluxModel(Greenshields(v2)), grid_b, datum_b, t_end, n_snapshots=5
     )
     pulled = grid_b.centers / scale
     worst = 0.0

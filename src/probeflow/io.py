@@ -70,10 +70,11 @@ def pgm_bytes(result):
     return header + gray.tobytes()
 
 
-def metadata_dict(result, scenario, overrides=None, outputs=None):
+def metadata_dict(result, scenario, overrides=None):
     """Run metadata: the full parameter set, any overrides that were
     applied, which parameters are reconstructions (``true`` per name), the
-    package version, and run summary figures."""
+    package version, and run summary figures; :func:`write_bundle` adds the
+    ``outputs`` it wrote."""
     from . import __version__
 
     return {
@@ -91,43 +92,7 @@ def metadata_dict(result, scenario, overrides=None, outputs=None):
             "final_mass": float(result.log[-1, 3]) if len(result.log) else result.initial_mass,
             "n_snapshots": len(result.snapshots),
         },
-        "outputs": dict(outputs or {}),
     }
-
-
-def metadata_text(result, scenario, overrides=None, outputs=None):
-    data = metadata_dict(result, scenario, overrides=overrides, outputs=outputs)
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def write_density_csv(path, result):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(density_csv_text(result))
-    return path
-
-
-def write_probe_csv(path, result):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(probe_csv_text(result))
-    return path
-
-
-def write_diagnostics_csv(path, result):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(diagnostics_csv_text(result))
-    return path
-
-
-def write_pgm(path, result):
-    with open(path, "wb") as handle:
-        handle.write(pgm_bytes(result))
-    return path
-
-
-def write_metadata(path, result, scenario, overrides=None, outputs=None):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(metadata_text(result, scenario, overrides=overrides, outputs=outputs))
-    return path
 
 
 @dataclass(frozen=True)
@@ -149,40 +114,30 @@ class OutputBundle:
         return out
 
 
+def _write(path, blob):
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    return path
+
+
 def write_bundle(out_dir, result, scenario, overrides=None, image=True):
-    """Export a run: ``metadata.json``, ``density.csv``, ``probe.csv``,
-    ``diagnostics.csv``, and (default) the ``density.pgm`` heatmap."""
+    """Export a run: ``density.csv``, ``probe.csv``, ``diagnostics.csv``,
+    (default) the ``density.pgm`` heatmap, and last ``metadata.json``,
+    whose ``outputs`` names the others."""
     os.makedirs(out_dir, exist_ok=True)
-    names = {
-        "density_csv": "density.csv",
-        "probe_csv": "probe.csv",
-        "diagnostics_csv": "diagnostics.csv",
-    }
+    files = [
+        ("density_csv", "density.csv", density_csv_text(result).encode()),
+        ("probe_csv", "probe.csv", probe_csv_text(result).encode()),
+        ("diagnostics_csv", "diagnostics.csv", diagnostics_csv_text(result).encode()),
+    ]
     if image:
-        names["heatmap"] = "density.pgm"
-    density = write_density_csv(os.path.join(out_dir, names["density_csv"]), result)
-    probe = write_probe_csv(os.path.join(out_dir, names["probe_csv"]), result)
-    diagnostics = write_diagnostics_csv(
-        os.path.join(out_dir, names["diagnostics_csv"]), result
-    )
-    heatmap = None
-    if image:
-        heatmap = write_pgm(os.path.join(out_dir, names["heatmap"]), result)
-    metadata = write_metadata(
-        os.path.join(out_dir, "metadata.json"),
-        result,
-        scenario,
-        overrides=overrides,
-        outputs=names,
-    )
-    return OutputBundle(
-        directory=out_dir,
-        metadata=metadata,
-        density_csv=density,
-        probe_csv=probe,
-        diagnostics_csv=diagnostics,
-        heatmap=heatmap,
-    )
+        files.append(("heatmap", "density.pgm", pgm_bytes(result)))
+    metadata = metadata_dict(result, scenario, overrides)
+    metadata["outputs"] = {key: name for key, name, _ in files}
+    text = json.dumps(metadata, indent=2, sort_keys=True) + "\n"
+    files.append(("metadata", "metadata.json", text.encode()))
+    paths = {key: _write(os.path.join(out_dir, name), blob) for key, name, blob in files}
+    return OutputBundle(directory=out_dir, **paths)
 
 
 # ---------------------------------------------------------------------------

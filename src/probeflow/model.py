@@ -43,10 +43,10 @@ def _require_finite(what, *values):
         raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
 
 
-def _as_density(rho, check=True):
-    """Coerce to float array; optionally reject values outside [0, 1]."""
+def _as_density(rho):
+    """Coerce to float array; reject values outside [0, 1]."""
     rho = np.asarray(rho, dtype=float)
-    if check and rho.size and (np.min(rho) < -1e-12 or np.max(rho) > 1 + 1e-12):
+    if rho.size and (np.min(rho) < -1e-12 or np.max(rho) > 1 + 1e-12):
         raise DomainError(
             f"density outside [0, 1]: range [{np.min(rho)}, {np.max(rho)}]"
         )
@@ -648,7 +648,6 @@ class ConditionCheck:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     law: SpeedLaw
-    n_samples: int
     conditions: tuple
 
     @property
@@ -703,8 +702,9 @@ STRICT_CONCAVITY_REL = 1e-4
 EPSILON_ADMISSIBLE = (-1.0 / 3.0, 1.0 / 3.0)
 
 
-def check_admissible(law, n_samples=201):
-    """Scan a speed law for the admissibility conditions.
+def check_admissible(law):
+    """Scan a speed law on 201 evenly spaced densities for the
+    admissibility conditions.
 
     Checks, each reported with its worst violation magnitude:
 
@@ -718,9 +718,7 @@ def check_admissible(law, n_samples=201):
       ``rho -> w*rho*v/(w+v)`` for ``w`` in ``{0.1, 0.5, 1, 2} * v_max``;
     * for :class:`EpsilonLaw`, the declared parameter range [-1/3, 1/3].
     """
-    if n_samples < 3:
-        raise DomainError(f"n_samples must be >= 3, got {n_samples}")
-    grid = np.linspace(0.0, 1.0, n_samples)
+    grid = np.linspace(0.0, 1.0, 201)
     h = grid[1] - grid[0]
     v = law(grid)
     conditions = []
@@ -762,7 +760,7 @@ def check_admissible(law, n_samples=201):
         viol = max(0.0, lo - law.eps, law.eps - hi)
         conditions.append(ConditionCheck("family_parameter_range", viol == 0.0, viol))
 
-    return AdmissibilityReport(law=law, n_samples=n_samples, conditions=tuple(conditions))
+    return AdmissibilityReport(law=law, conditions=tuple(conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -841,16 +839,17 @@ def _sampled_xrho_lipschitz(model):
     return worst
 
 
-def mixed_difference_constant(law, P, n=241, h=1e-5):
+def mixed_difference_constant(law, P):
     """Sampled bound on the mixed second derivative of ``g``.
 
-    Returns the sup over a fine ``(rho, q)`` grid of
+    Returns the sup over a 241 x 241 ``(rho, q)`` grid of
     ``|d^2 g / (d rho d q)|`` estimated by nested central differences of
     :func:`eval_g`; this constant ``B`` satisfies (up to sampling)
     ``|g(r1,q1) - g(r1,q2) - g(r2,q1) + g(r2,q2)| <= B |r1-r2| |q1-q2|``.
     """
     if P <= 0.0:
         return 0.0
+    n, h = 241, 1e-5
     k = min(h, P / 4.0)
     rho = np.linspace(h, 1.0 - h, n)[:, None]
     q = np.linspace(k, P - k, n)[None, :]
@@ -939,12 +938,12 @@ def stability_constant_C(model):
     return StabilityConstant(value=total, per_probe=tuple(parts))
 
 
-def _sampled_harmonic_lipschitz(law, speeds, n=2001):
+def _sampled_harmonic_lipschitz(law, speeds):
     """Sampled sup over probe speeds ``w`` of the Lipschitz constant of
     ``rho -> rho * v(rho) / (w + v(rho))``."""
     if not speeds:
         return 0.0
-    rho = np.linspace(0.0, 1.0, n)
+    rho = np.linspace(0.0, 1.0, 2001)
     v = law(rho)
     drho = rho[1] - rho[0]
     worst = 0.0

@@ -187,8 +187,8 @@ class Scenario:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed scenario data: {exc}") from exc
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
@@ -447,15 +447,10 @@ def get_scenario(name):
     return factory()
 
 
-#: Alias matching the documented operation name.
-builtin = get_scenario
-
-
-def run_scenario(scenario, **overrides):
-    """Run a scenario end to end; keyword overrides replace scenario fields
-    (e.g. ``t_end=2.0`` for a shorter run)."""
-    if overrides:
-        scenario = scenario.with_overrides(**overrides)
+def run_scenario(scenario):
+    """Validate a scenario and run it end to end; override its fields with
+    :meth:`Scenario.with_overrides` first (e.g. ``t_end=2.0`` for a shorter
+    run)."""
     problems = scenario.errors()
     if problems:
         raise DomainError(

@@ -27,7 +27,7 @@ from probeflow import (
     modulus_bound,
     phi_epsilon,
     phi_one_sided_limits,
-    piecewise_linearize,
+    PiecewiseLinearFlux,
     rescaling_check,
     run,
     run_scenario,
@@ -76,7 +76,7 @@ def test_tracked_shock_speed_matches_exact_solver():
         law = EpsilonLaw(eps)
         exact = solve_riemann(law, 0.125, 0.375)
         assert exact.kind == "shock"
-        states, speeds = ft_riemann(piecewise_linearize(law, 12), 0.125, 0.375)
+        states, speeds = ft_riemann(PiecewiseLinearFlux(law, 12), 0.125, 0.375)
         assert len(speeds) == 1
         assert abs(exact.speed - speeds[0]) <= 2.0 * 2.0**-12
     assert time.perf_counter() - start < 10.0

@@ -23,7 +23,6 @@ from probeflow import (
     from_datum,
     ft_evolve,
     ft_riemann,
-    piecewise_linearize,
     quantize_datum,
     sample_curve_integral,
     solve_riemann,
@@ -154,12 +153,10 @@ class TestPiecewiseLinearFlux:
         # the bound widens by one cell on each side of the density range
         assert flux.speed_bound(0.5, 0.75) == 0.25
 
-    def test_linearize_helper(self):
-        flux = piecewise_linearize(EpsilonLaw(0.2), 4)
-        assert isinstance(flux, PiecewiseLinearFlux)
-        assert flux.n == 4
+    def test_grid_exponent_is_kept_and_must_be_positive(self):
+        assert PiecewiseLinearFlux(EpsilonLaw(0.2), 4).n == 4
         with pytest.raises(DomainError):
-            piecewise_linearize(Greenshields(1.0), 0)
+            PiecewiseLinearFlux(Greenshields(1.0), 0)
 
 
 class TestFtRiemann:

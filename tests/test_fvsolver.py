@@ -1,6 +1,7 @@
 """Finite-volume machinery: grids, cell averages, CFL steps, full runs."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,7 @@ from probeflow import (
     lxf_step,
     resolve_probe_speeds,
     run,
+    run_scenario,
     solve_riemann,
     trace_density,
 )
@@ -275,6 +277,19 @@ class TestRun:
         assert result.field_at(0.1).shape == (grid.n_cells,)
         with pytest.raises(DomainError):
             result.field_at(0.123)
+
+    def test_field_at_returns_the_nearest_snapshot(self):
+        # snapshots 1e-9 apart: each lies within 1e-9 of its neighbours too
+        scenario = get_scenario("calibration").with_overrides(
+            dx=0.01, t_end=1e-8, n_snapshots=11
+        )
+        result = run_scenario(scenario)
+        for t, field in result.snapshots:
+            assert result.field_at(t) is field
+        assert result.field_at(5e-9) is result.snapshots[5][1]
+        for t in (1.2e-8, -2e-9, math.nan):
+            with pytest.raises(DomainError):
+                result.field_at(t)
 
     def test_mass_conserved_with_matched_boundaries(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
@@ -683,6 +698,28 @@ class TestStepLog:
         assert result.diagnostics.tobytes() == log[:, :6].tobytes()
         assert result.boundary_flux.tobytes() == log[:, [0, 1, 2, 6, 7]].tobytes()
         assert len(result.diagnostics) == len(result.boundary_flux) == n
+        for path in result.probe_paths:
+            assert path.shape == (n, 4) and path.dtype == np.float64
+            assert path.flags.c_contiguous and not path.flags.writeable
+
+    def test_a_step_holds_float64_rows_only(self):
+        # 3000 steps of a 50-cell road with an observer probe: the log row
+        # and the path row take 64 + 32 B, so anything near 128 B per step
+        # means Python objects are held per step while the run lasts
+        grid = Grid.from_extent(0.0, 1.0, 0.02)
+        probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 0.3),), observer=True)
+        model = FluxModel(Greenshields(1.0), probes=(probe,))
+        datum = PiecewiseConstant.from_blocks(0.2, [(0.4, 0.6, 0.6)])
+        run(model, grid, datum, 54.0, n_snapshots=2)  # fill caches and free lists
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run(model, grid, datum, 54.0, n_snapshots=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.log) == 3000
+        assert (peak - base) / len(result.log) < 128.0
 
     @pytest.mark.parametrize(
         "case", [_probe_free_case, _calibration_case, _fleet_case], ids=lambda c: c.__name__

@@ -657,7 +657,3 @@ class TestAdmissibility:
         with pytest.raises(KeyError):
             report.condition("no_such_condition")
         assert "PASS" in str(report)
-
-    def test_rejects_tiny_sample_count(self):
-        with pytest.raises(DomainError):
-            check_admissible(Greenshields(1.0), n_samples=2)

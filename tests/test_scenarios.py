@@ -13,7 +13,6 @@ from probeflow import (
     PiecewiseConstant,
     ProbeTrajectory,
     Scenario,
-    builtin,
     get_scenario,
     run_scenario,
     scenario_names,
@@ -57,9 +56,6 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             get_scenario("no_such_scenario")
-
-    def test_builtin_alias(self):
-        assert builtin is get_scenario
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_every_builtin_is_error_free(self, name):
@@ -246,16 +242,18 @@ class TestSerialization:
 
 class TestRunScenario:
     def test_runs_and_tags_result(self):
-        result = run_scenario(toy_scenario(), t_end=0.05, n_snapshots=3)
+        result = run_scenario(toy_scenario().with_overrides(t_end=0.05, n_snapshots=3))
         assert result.scenario == "toy"
         assert len(result.snapshots) == 3
         assert result.t_end == 0.05
 
     def test_invalid_scenario_blocks_the_run(self):
         with pytest.raises(DomainError):
-            run_scenario(toy_scenario(), t_end=-1.0)
+            run_scenario(toy_scenario().with_overrides(t_end=-1.0))
 
     def test_warnings_do_not_block(self):
         probe = ProbeTrajectory(0.1, (ExogenousSpeed(0.0, None, 0.5),))
-        result = run_scenario(toy_scenario(probes=(probe,)), t_end=0.02, n_snapshots=2)
+        result = run_scenario(
+            toy_scenario(probes=(probe,)).with_overrides(t_end=0.02, n_snapshots=2)
+        )
         assert result.probe_path(0).shape[1] == 4

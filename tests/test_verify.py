@@ -13,14 +13,25 @@ def test_seed_reaches_only_seeded_suites(monkeypatch):
 
         return suite
 
-    monkeypatch.setattr(
-        verify, "_SUITE_FUNCS", {name: stub(name) for name in verify.SUITES}
-    )
-    assert verify.run_all(seed=7) == list(verify.SUITES)
     seeded = {"conservation", "lemma1", "lipschitz-stability"}
-    assert calls == {
-        name: {"seed": 7} if name in seeded else {} for name in verify.SUITES
-    }
+    names = list(verify.SUITES)
+    assert names == [
+        "phi",
+        "riemann",
+        "conservation",
+        "lemma1",
+        "lipschitz-stability",
+        "rescaling",
+        "calibration",
+    ]
+    assert {name for name, (_, takes_seed) in verify.SUITES.items() if takes_seed} == seeded
+    monkeypatch.setattr(
+        verify,
+        "SUITES",
+        {name: (stub(name), takes_seed) for name, (_, takes_seed) in verify.SUITES.items()},
+    )
+    assert verify.run_all(seed=7) == names
+    assert calls == {name: {"seed": 7} if name in seeded else {} for name in names}
     calls.clear()
     verify.run_suite("lemma1")
     assert calls == {"lemma1": {}}
