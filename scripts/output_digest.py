@@ -2,6 +2,7 @@
 
     python scripts/output_digest.py             # every case
     python scripts/output_digest.py calibration fleet_7
+    python scripts/output_digest.py --bundle    # the exported files instead
 
 Each case is one finite-volume run.  The cases are every built-in scenario
 (``fig_questa`` shortened to ``t_end=3``); ``fig_questa_mollified``, whose
@@ -13,7 +14,10 @@ and ``fleet_31`` (``perfbench/workloads.fleet_scenario``), plus
 than the 0.3-wide cutoff support, so neighbouring supports overlap.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
-rows and every probe path.
+rows and every probe path.  With ``--bundle`` the hash is taken instead
+over every file ``io.write_bundle`` writes for the run (name, size and
+bytes, in ``OutputBundle.paths`` order), so the exports can be compared
+byte for byte.
 
 Run it on two checkouts and diff the outputs: a refactor that keeps outputs
 bit-for-bit equal shows no difference.  The library is imported from the
@@ -23,9 +27,11 @@ loaded from its file, unchanged.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from probeflow import scenarios  # noqa: E402
+from probeflow.io import write_bundle  # noqa: E402
 from probeflow.model import ProbeTrajectory  # noqa: E402
 
 #: Overrides that keep a built-in scenario's run short.
@@ -93,8 +100,25 @@ def digest(result):
     return h.hexdigest()
 
 
+def bundle_digest(result, scenario, overrides):
+    """sha256 over every file :func:`write_bundle` writes for ``result``:
+    each file's name and size, then its bytes."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as out_dir:
+        for path in write_bundle(out_dir, result, scenario, overrides).paths:
+            blob = Path(path).read_bytes()
+            h.update(f"{Path(path).name} {len(blob)}\n".encode())
+            h.update(blob)
+    return h.hexdigest()
+
+
 def main(argv=None):
-    names = list(sys.argv[1:] if argv is None else argv) or case_names()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("cases", nargs="*", help="case names (default: every case)")
+    parser.add_argument("--bundle", action="store_true",
+                        help="hash the files write_bundle writes, not the arrays")
+    args = parser.parse_args(argv)
+    names = args.cases or case_names()
     unknown = [name for name in names if name not in case_names()]
     if unknown:
         print(f"unknown case(s) {', '.join(unknown)}; have {', '.join(case_names())}",
@@ -102,7 +126,10 @@ def main(argv=None):
         return 2
     for name in names:
         scenario, overrides = load_case(name)
-        print(name, digest(scenarios.run_scenario(scenario.with_overrides(**overrides))), flush=True)
+        scenario = scenario.with_overrides(**overrides)
+        result = scenarios.run_scenario(scenario)
+        fingerprint = bundle_digest(result, scenario, overrides) if args.bundle else digest(result)
+        print(name, fingerprint, flush=True)
     return 0
 
 

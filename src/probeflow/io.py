@@ -3,53 +3,62 @@ metadata, plus readers that parse every emitted file back.
 
 All floats are rendered with ``%.17g`` (round-trip exact for binary64), all
 text files use ``\\n`` newlines, and rows follow a fixed order, so repeated
-exports of the same result are byte-identical.
+exports of the same result are byte-identical.  The CSV writers format each
+value once and render a whole snapshot or table with one ``%`` over a row
+template.
+
+The readers parse each CSV body in one numpy pass and return arrays: each
+snapshot's cells, each probe's rows, and the diagnostics as tuples.  A file
+that does not have the exact header, a row that is not the header's number
+of numbers (``#`` lines included), a non-integral ``step`` or ``probe_id``,
+and a PGM whose dimensions or pixel count do not match are each a
+:class:`DomainError` naming the file.  A header-only CSV reads back as an
+empty table.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError
 
 
-def _fmt(value):
-    return "%.17g" % float(value)
-
-
 def density_csv_text(result):
-    """``t,x,rho`` rows: snapshots in time order, cells left to right."""
-    centers = result.grid.centers
-    lines = ["t,x,rho"]
+    """``t,x,rho`` rows: snapshots in time order, cells left to right.
+
+    The cell centres are formatted once per call and each snapshot's ``t``
+    once; a snapshot is then one ``%`` over its row template
+    (``"{t},{x},%.17g\\n"`` per cell) with its field."""
+    xs = ["%.17g" % x for x in result.grid.centers.tolist()]
+    cells = [""] + [f",{x},%.17g\n" for x in xs]
+    chunks = ["t,x,rho\n"]
     for t, field in result.snapshots:
-        ts = _fmt(t)
-        for x, rho in zip(centers, field):
-            lines.append(f"{ts},{_fmt(x)},{_fmt(rho)}")
-    return "\n".join(lines) + "\n"
+        template = ("%.17g" % t).join(cells)
+        chunks.append(template % tuple(field.tolist()))
+    return "".join(chunks)
 
 
 def probe_csv_text(result):
     """``t,probe_id,x,speed,trace_rho`` rows: probe-major, then time."""
-    lines = ["t,probe_id,x,speed,trace_rho"]
-    for pid, path in enumerate(result.probe_paths):
-        for t, x, speed, trace in path:
-            lines.append(f"{_fmt(t)},{pid},{_fmt(x)},{_fmt(speed)},{_fmt(trace)}")
-    return "\n".join(lines) + "\n"
+    paths = result.probe_paths
+    template = "".join(
+        f"%.17g,{pid},%.17g,%.17g,%.17g\n" * len(path) for pid, path in enumerate(paths)
+    )
+    values = chain.from_iterable(path.ravel().tolist() for path in paths)
+    return "t,probe_id,x,speed,trace_rho\n" + template % tuple(values)
 
 
 def diagnostics_csv_text(result):
     """``step,t,dt,mass,min,max`` rows, one per recorded step."""
-    lines = ["step,t,dt,mass,min,max"]
-    for step, t, dt, mass, lo, hi, _, _ in result.log.tolist():
-        lines.append(
-            f"{int(step)},{_fmt(t)},{_fmt(dt)},{_fmt(mass)},{_fmt(lo)},{_fmt(hi)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = result.diagnostics
+    template = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)
+    return "step,t,dt,mass,min,max\n" + template % tuple(rows.ravel().tolist())
 
 
 def pgm_bytes(result):
@@ -144,50 +153,80 @@ def write_bundle(out_dir, result, scenario, overrides=None, image=True):
 # Readers (every emitted file parses back)
 # ---------------------------------------------------------------------------
 
-def _read_rows(path, header):
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        if first != header:
-            raise DomainError(f"{path}: expected header {header}, got {first}")
-        return [row for row in reader if row]
+def _read_table(path, header):
+    """The body of a CSV file written by this package as an ``(n, k)``
+    float64 array, ``k = len(header)``, parsed in one pass.  The first line
+    must be ``header`` exactly; blank lines are skipped; any other row that
+    is not ``k`` numbers (a ``#`` line included) is a :class:`DomainError`
+    naming the file."""
+    with open(path) as handle:
+        first = handle.readline()
+        if not first:
+            raise DomainError(f"{path}: empty file")
+        names = first.rstrip("\n").split(",")
+        if names != header:
+            raise DomainError(f"{path}: expected header {header}, got {names}")
+        with warnings.catch_warnings():
+            # a header-only file is an empty table, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise DomainError(f"{path}: malformed row: {exc}") from None
+    if table.size == 0:
+        return np.empty((0, len(header)))
+    if table.shape[1] != len(header):
+        raise DomainError(
+            f"{path}: rows have {table.shape[1]} fields, expected {len(header)}"
+        )
+    return table
+
+
+def _integral(path, table, column, name):
+    """Column ``column`` of ``table``, which must hold whole numbers: the
+    float parse would otherwise truncate ``1.5`` without a word."""
+    values = table[:, column]
+    bad = ~np.isfinite(values) | (values != np.trunc(values))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DomainError(
+            f"{path}: {name} must be an integer, got {float(values[row])} in data row {row + 1}"
+        )
+    return values
 
 
 def read_density_csv(path):
-    """Snapshots back from ``density.csv``: a list of ``(t, xs, rhos)``."""
-    rows = _read_rows(path, ["t", "x", "rho"])
-    out = []
-    for row in rows:
-        t, x, rho = (float(v) for v in row)
-        if not out or out[-1][0] != t:
-            out.append((t, [], []))
-        out[-1][1].append(x)
-        out[-1][2].append(rho)
-    return [(t, np.asarray(xs), np.asarray(rhos)) for t, xs, rhos in out]
+    """Snapshots back from ``density.csv``: a list of ``(t, xs, rhos)``, one
+    per run of rows with equal ``t``."""
+    ts, xs, rhos = _read_table(path, ["t", "x", "rho"]).T
+    bounds = [0, *(np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist(), len(ts)]
+    return [
+        (float(ts[a]), xs[a:b].copy(), rhos[a:b].copy())
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a  # only a header-only file has an empty run
+    ]
 
 
 def read_probe_csv(path):
     """Probe paths back from ``probe.csv``: ``{probe_id: (n, 4) array}`` of
-    ``(t, x, speed, trace_rho)`` rows."""
-    rows = _read_rows(path, ["t", "probe_id", "x", "speed", "trace_rho"])
-    paths = {}
-    for t, pid, x, speed, trace in rows:
-        paths.setdefault(int(pid), []).append(
-            (float(t), float(x), float(speed), float(trace))
-        )
-    return {pid: np.asarray(rows) for pid, rows in paths.items()}
+    ``(t, x, speed, trace_rho)`` rows, ids in order of first appearance and
+    each id's rows in file order."""
+    table = _read_table(path, ["t", "probe_id", "x", "speed", "trace_rho"])
+    pids = _integral(path, table, 1, "probe_id")
+    ids, first, inverse, counts = np.unique(
+        pids, return_index=True, return_inverse=True, return_counts=True
+    )
+    rows = table[:, [0, 2, 3, 4]][np.argsort(inverse, kind="stable")]
+    groups = np.split(rows, np.cumsum(counts)[:-1])
+    return {int(ids[g]): groups[g] for g in np.argsort(first, kind="stable")}
 
 
 def read_diagnostics_csv(path):
-    """Diagnostics rows back from ``diagnostics.csv``."""
-    rows = _read_rows(path, ["step", "t", "dt", "mass", "min", "max"])
-    return [
-        (int(step), float(t), float(dt), float(mass), float(lo), float(hi))
-        for step, t, dt, mass, lo, hi in rows
-    ]
+    """Diagnostics rows back from ``diagnostics.csv``: ``(step, t, dt, mass,
+    min, max)`` tuples, ``step`` an int."""
+    table = _read_table(path, ["step", "t", "dt", "mass", "min", "max"])
+    _integral(path, table, 0, "step")
+    return [(int(step), *rest) for step, *rest in table.tolist()]
 
 
 def read_pgm(path):
@@ -202,12 +241,15 @@ def read_pgm(path):
         maxval = int(parts[2])
     except ValueError as exc:
         raise DomainError(f"{path}: malformed PGM header") from exc
+    if width < 1 or height < 1:
+        raise DomainError(f"{path}: image must be at least 1x1, got {width}x{height}")
     if maxval != 255:
         raise DomainError(f"{path}: expected 8-bit gray, got maxval {maxval}")
-    data = np.frombuffer(parts[3][: width * height], dtype=np.uint8)
-    if data.size != width * height:
-        raise DomainError(f"{path}: truncated pixel data")
-    return data.reshape(height, width)
+    if len(parts[3]) != width * height:
+        raise DomainError(
+            f"{path}: expected {width * height} pixel bytes, got {len(parts[3])}"
+        )
+    return np.frombuffer(parts[3], dtype=np.uint8).reshape(height, width)
 
 
 def read_metadata(path):

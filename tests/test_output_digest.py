@@ -82,3 +82,42 @@ def test_digest_sees_every_output():
 def test_unknown_case_exits_2(capsys):
     assert _load_script().main(["no_such_case"]) == 2
     assert "unknown case" in capsys.readouterr().err
+    assert _load_script().main(["--bundle", "no_such_case"]) == 2
+
+
+def test_bundle_digest_from_the_command_line():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--bundle", "calibration"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    assert len(out) == 2 and out[0] == "calibration"
+    scenario = get_scenario("calibration")
+    script = _load_script()
+    digest = script.bundle_digest(run_scenario(scenario), scenario, {})
+    assert out[1] == digest and len(digest) == 64
+    assert digest != script.digest(run_scenario(scenario))
+
+
+def test_bundle_digest_sees_every_file(monkeypatch):
+    script = _load_script()
+    scenario = get_scenario("calibration").with_overrides(t_end=0.05)
+    result = run_scenario(scenario)
+    base = script.bundle_digest(result, scenario, {"t_end": 0.05})
+    assert script.bundle_digest(result, scenario, {"t_end": 0.05}) == base
+    # metadata.json records the overrides
+    assert script.bundle_digest(result, scenario, {}) != base
+    write_bundle = script.write_bundle
+    for index in range(5):  # metadata, the three tables, the heatmap
+
+        def flip_last_bit(*args, index=index):
+            bundle = write_bundle(*args)
+            path = Path(bundle.paths[index])
+            blob = path.read_bytes()
+            path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+            return bundle
+
+        monkeypatch.setattr(script, "write_bundle", flip_last_bit)
+        assert script.bundle_digest(result, scenario, {"t_end": 0.05}) != base, index
