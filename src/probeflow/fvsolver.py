@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StabilityError
-from .model import SLOPE_SAMPLES, check_states, cutoff_weights, eval_flux
+from .model import SLOPE_SAMPLES, check_states, eval_flux, harmonic_speed
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -39,8 +39,9 @@ BOUND_TOL = 1e-12
 #: step ending this close to a snapshot time records that snapshot.
 TIME_TOL = 1e-14
 
-#: Central-difference stencil of the blended CFL scan around ``SLOPE_SAMPLES``,
-#: and its upper and lower densities in one row for a single flux evaluation.
+#: Central-difference stencil of the CFL bound's vertex fluxes around
+#: ``SLOPE_SAMPLES``: its upper and lower densities side by side in one row,
+#: so each vertex flux is one row of a single evaluation.
 _SLOPE_H = 1e-7
 _SLOPE_LO = np.clip(SLOPE_SAMPLES - _SLOPE_H, 0.0, 1.0)
 _SLOPE_HI = np.clip(SLOPE_SAMPLES + _SLOPE_H, 0.0, 1.0)
@@ -195,60 +196,42 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     Away from every probe the flux reduces to the speed law's, whose
     sampled slope maximum (:attr:`~probeflow.model.SpeedLaw.max_flux_slope`)
     is computed once per law, so a step without coupled probes does no
-    array work.  Only cells inside the union of the coupled probes' cutoff
-    supports need the blended finite-difference scan at the same sample
-    densities.  The flux is pointwise and the maximum order-independent,
-    so one scan over the union equals one scan per probe.  The scan
-    evaluates the flux once, on the upper and lower stencil densities side
-    by side, with each probe blended over its own window of the scanned
-    cells.
+    array work.  Near the probes no cell is scanned: the blended speed
+    ``(1 - sum a_i) v + sum a_i H(w_i, v)`` has weights ``a_i`` that depend
+    on ``x`` alone and sum to at most 1, so every cell's flux slope is a
+    convex combination of the slopes of the vertex fluxes ``rho v`` and
+    ``rho H(w_i, v)``, one per probe whose support reaches a cell centre.
+    Their sampled slopes, evaluated as the blend adds a probe at weight 1,
+    bound it, with the slope at ``rho = 1`` (``2 |f'(1)|`` if a counted
+    probe moves, which the samples miss for small ``w``) in closed form.
+    Where no cell has a weight of exactly 1 (overlapping supports, a probe
+    within ``outer`` of a domain end, a plateau narrower than a cell) the
+    bound is conservative: the step may be shorter than a cell scan's,
+    never longer.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
     check_states(model, states)
-    S = model.speed_law.max_flux_slope
+    law = model.speed_law
+    S = law.max_flux_slope
     if not states:
         return cfl * grid.dx / max(S, 1e-10)
-    centers = grid.centers
-    reach = model.cutoff.outer + grid.dx
-    near = np.zeros(centers.shape, dtype=bool)
-    first = grid.x_min + 0.5 * grid.dx
-    for win, (p, _) in zip(_cell_windows(states, first, grid.dx, reach, grid.n_cells), states):
-        near[win] |= np.abs(centers[win] - p) <= reach
-    x = centers[near]
-    if x.size:
-        # x is sorted, and every point of a probe's support lies a cell
-        # inside [p - reach, p + reach]
-        positions = np.array([p for p, _ in states])
-        windows = [
-            slice(lo, hi)
-            for lo, hi in zip(
-                np.searchsorted(x, positions - reach).tolist(),
-                np.searchsorted(x, positions + reach, side="right").tolist(),
-            )
-        ]
+    lo = grid.centers[0] - model.cutoff.outer
+    hi = grid.centers[-1] + model.cutoff.outer
+    ws = [w for p, w in states if lo < p < hi]
+    if ws:
         # an overflowing blend yields a non-finite slope, which is checked
         # below: no floating-point warnings on the way
         with np.errstate(over="ignore", invalid="ignore"):
-            F = eval_flux(model, states, x[:, None], _SLOPE_RHO, windows)
+            v = law(_SLOPE_RHO)
+            H = harmonic_speed(np.array(ws)[:, None], v)
+            # the law's row, then each probe's as the blend adds it at weight 1
+            F = _SLOPE_RHO * np.concatenate([v, v + (H - v)])
             k = _SLOPE_SPAN.size
-            slopes = (F[:, :k] - F[:, k:]) / _SLOPE_SPAN[None, :]
-            sampled = float(np.max(np.abs(slopes)))
-        # The sampled scan cannot resolve the slope at rho = 1 when a probe
-        # speed w is positive but smaller than the sampling step: the
-        # harmonic mean's v-derivative tends to 2 as v -> 0 for any w > 0,
-        # so d(rho V)/d rho at rho = 1 equals v'(1) * (1 + sum chi/scale)
-        # there, in a band of width ~w that the finite differences miss.
-        # Add that endpoint slope in closed form.
-        weights, scale = cutoff_weights(model, states, x, windows)
-        signed = np.zeros_like(x)
-        for c, win, (_, w) in zip(weights, windows, states):
-            signed[win] += c * (2.0 * float(w > 0.0) - 1.0)
-        end_slope = np.abs(float(model.speed_law.flux_slope(1.0))) * np.abs(
-            1.0 + signed / scale
-        )
+            sampled = np.max(np.abs((F[:, :k] - F[:, k:]) / _SLOPE_SPAN))
+        end = abs(float(law.flux_slope(1.0))) * (2.0 if any(w > 0.0 for w in ws) else 1.0)
         # np.max keeps a NaN slope, which max() would drop in favour of S
-        S = float(np.max([S, sampled, np.max(end_slope)]))
+        S = float(np.max([S, sampled, end]))
         if not math.isfinite(S):
             raise StabilityError(f"blended-flux slope is not finite near the coupled probes: {S}")
     return cfl * grid.dx / max(S, 1e-10)
@@ -444,7 +427,9 @@ def run(
     these and on probe program boundaries exactly, so ``n_snapshots`` may
     not exceed ``max_steps + 1``, and the snapshot spacing
     ``t_end / (n_snapshots - 1)`` (``t_end`` for one snapshot) must exceed
-    :data:`TIME_TOL`.
+    :data:`TIME_TOL`.  No step is longer than the law's own CFL step, so
+    a run that would need more than ``max_steps`` steps even at that step
+    is rejected before it starts.
 
     A step evaluates the blended flux once, on the ghosted field: the
     update (as :func:`lxf_step`) and the boundary rates (as
@@ -467,12 +452,21 @@ def run(
             f"the time tolerance {TIME_TOL}"
         )
     snap_times = marks if n_snapshots > 1 else marks[:1]
-    field = init_field(grid, datum)
     boundaries = {float(t_end)}
     boundaries.update(float(t) for t in snap_times if 0.0 < t <= t_end)
     for probe in model.probes:
         boundaries.update(t for t in probe.boundary_times() if t < t_end)
     boundaries = sorted(boundaries)
+    if not 0.0 < cfl <= 1.0:
+        raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
+    # no step is longer than cfl * dx / S_law, bar the at most TIME_TOL a
+    # step gains landing on a boundary; the margin covers rounding
+    span = (t_end - len(boundaries) * TIME_TOL) * max(model.speed_law.max_flux_slope, 1e-10)
+    if span * (1.0 - 1e-9) > max_steps * cfl * grid.dx:
+        raise DomainError(
+            f"t_end={t_end} at cfl={cfl} and dx={grid.dx} needs more than {max_steps=} steps"
+        )
+    field = init_field(grid, datum)
     coupled = [i for i, probe in enumerate(model.probes) if not probe.observer]
     positions = [probe.x0 for probe in model.probes]
     speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, positions)

@@ -7,6 +7,7 @@ pytest temporaries and are parsed back with the package's own readers.
 from __future__ import annotations
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -40,6 +41,17 @@ def _run_args(out_dir, *extra):
         "5",
         *extra,
     ]
+
+
+def _overflowing_probe_scenario():
+    """``fig_int32`` with its probe programmed to a speed ``w`` so large
+    that ``2 w v`` overflows in the harmonic mean where the law's speed
+    ``v`` exceeds 1.125; the probe's path stays finite, and the law's
+    ``v_max = 2`` keeps the run within ``max_steps``."""
+    data = get_scenario("fig_int32").to_dict()
+    data["law"] = {"kind": "greenshields", "v_max": 2.0}
+    data["probes"][0]["program"][0] = {"from": 0.0, "to": 1.0, "mode": "speed", "speed": 8e307}
+    return data
 
 
 class TestRunCommand:
@@ -219,9 +231,8 @@ class TestRunCommand:
 
     def test_non_finite_flux_slope_exits_3(self, tmp_path, capsys):
         # 2 w v overflows in the harmonic mean near the coupled probe: the
-        # CFL scan must say so, not let the update fail as a CFL violation
-        data = get_scenario("fig_int32").to_dict()
-        data["law"] = {"kind": "greenshields", "v_max": 1e200}
+        # CFL bound must say so, not let the update fail as a CFL violation
+        data = _overflowing_probe_scenario()
         scenario_file = tmp_path / "scenario.json"
         scenario_file.write_text(json.dumps(data))
         with np.errstate(all="ignore"):
@@ -233,8 +244,7 @@ class TestRunCommand:
     def test_non_finite_flux_slope_prints_only_the_error_line(self, tmp_path, capsys):
         # the overflowing blend is checked right after: no RuntimeWarning
         # from numpy may reach stderr ahead of the error line
-        data = get_scenario("fig_int32").to_dict()
-        data["law"] = {"kind": "greenshields", "v_max": 1e200}
+        data = _overflowing_probe_scenario()
         scenario_file = tmp_path / "scenario.json"
         scenario_file.write_text(json.dumps(data))
         with warnings.catch_warnings(record=True) as caught:
@@ -245,6 +255,23 @@ class TestRunCommand:
         assert capsys.readouterr().err.splitlines() == [
             "numerical failure: blended-flux slope is not finite near the coupled probes: nan"
         ]
+
+    @pytest.mark.parametrize(
+        "key, value", [("cfl", 1e-300), ("law", {"kind": "greenshields", "v_max": 1e200})]
+    )
+    def test_run_that_certainly_exceeds_max_steps_exits_2(self, tmp_path, capsys, key, value):
+        # no step is longer than cfl * dx over the law's CFL speed, so these
+        # runs need far more than max_steps steps: rejected before the first
+        data = get_scenario("fig_int32").to_dict()
+        data[key] = value
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        start = time.perf_counter()
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_steps" in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("t_end", [1e-300, 1e-13])
     def test_snapshot_spacing_below_the_time_tolerance_exits_2(self, tmp_path, capsys, t_end):
