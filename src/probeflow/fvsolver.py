@@ -163,11 +163,9 @@ def trace_density(grid, field, x, side="right"):
     of ``x`` (``side='right'``), or the last at or behind it (``'left'``)."""
     centers = grid.centers
     if side == "right":
-        j = int(np.searchsorted(centers, x, side="left"))
-        j = min(j, grid.n_cells - 1)
+        j = min(int(centers.searchsorted(x, "left")), grid.n_cells - 1)
     elif side == "left":
-        j = int(np.searchsorted(centers, x, side="right")) - 1
-        j = max(j, 0)
+        j = max(int(centers.searchsorted(x, "right")) - 1, 0)
     else:
         raise DomainError(f"side must be 'right' or 'left', got {side!r}")
     return float(field[j])
@@ -237,12 +235,20 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     return cfl * grid.dx / max(S, 1e-10)
 
 
-def _ghosted_flux(model, grid, states, field):
+def _ghosted_flux(model, grid, states, field, rho=None):
     """The field padded with one zero-order extrapolation ghost cell per
     side, and the blended flux on it: the one flux evaluation of a step.
     Each coupled probe is blended over the ghosted cells of its cutoff
-    support, found from the grid's geometry."""
-    rho = np.concatenate([[field[0]], field, [field[-1]]])
+    support, found from the grid's geometry.
+
+    ``rho`` is an optional ``(n + 2)`` buffer whose interior ``rho[1:-1]``
+    already holds ``field``: only its two ghost cells are written.
+    """
+    if rho is None:
+        rho = np.concatenate([[field[0]], field, [field[-1]]])
+    else:
+        rho[0] = field[0]
+        rho[-1] = field[-1]
     windows = None
     if states:
         windows = _cell_windows(
@@ -257,26 +263,34 @@ def _edge_rates(F):
     return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[-2]) + float(F[-1]))
 
 
-def _lxf_update(grid, rho, F, dt, t=None):
+def _lxf_update(grid, rho, F, dt, t=None, out=None, scratch=None):
     """The Lax-Friedrichs update from a ghosted density and flux.
 
     Returns the new field and its minimum and maximum.  Raises
     :class:`StabilityError` (naming ``t`` if given) if the update leaves
     ``[0, 1]`` beyond tolerance or holds a NaN; values within tolerance are
-    clamped.
+    clamped.  Given ``out`` and ``scratch``, two ``(n,)`` arrays, the new
+    field is computed into ``out`` and returned in it.
     """
+    if out is None:
+        out, scratch = np.empty(grid.n_cells), np.empty(grid.n_cells)
     lam = dt / grid.dx
+    # new = 0.5 * (rho[:-2] + rho[2:]) - (0.5 * lam) * (F[2:] - F[:-2])
     with np.errstate(over="ignore", invalid="ignore"):  # the range check below catches it
-        new = 0.5 * (rho[:-2] + rho[2:]) - 0.5 * lam * (F[2:] - F[:-2])
-    lo = float(np.min(new))
-    hi = float(np.max(new))
+        new = np.add(rho[:-2], rho[2:], out=out)
+        new *= 0.5
+        np.subtract(F[2:], F[:-2], out=scratch)
+        scratch *= 0.5 * lam
+        new -= scratch
+    lo = float(new.min())
+    hi = float(new.max())
     if not (lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL):
         raise StabilityError(
             f"update left [0, 1]{'' if t is None else f' at t={t}'}: range [{lo}, {hi}] "
             f"(dt={dt}, likely a CFL violation)"
         )
     if lo < 0.0 or hi > 1.0:
-        new = np.clip(new, 0.0, 1.0)
+        np.clip(new, 0.0, 1.0, out=new)
         # clipping is monotone, so the clipped field's extrema are lo, hi clipped
         lo = min(max(lo, 0.0), 1.0)
         hi = min(max(hi, 0.0), 1.0)
@@ -435,7 +449,9 @@ def run(
     update (as :func:`lxf_step`) and the boundary rates (as
     :func:`boundary_flux_rates`) both read that one evaluation, and the
     step log's minimum and maximum come from the update's own range
-    check.
+    check.  A run allocates its arrays once: two ghosted buffers take
+    turns holding the field in their interior, the update writing the
+    next field into the other one, and every snapshot is a copy.
     """
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
@@ -466,14 +482,17 @@ def run(
         raise DomainError(
             f"t_end={t_end} at cfl={cfl} and dx={grid.dx} needs more than {max_steps=} steps"
         )
-    field = init_field(grid, datum)
+    rho, spare = np.empty(grid.n_cells + 2), np.empty(grid.n_cells + 2)
+    scratch = np.empty(grid.n_cells)
+    field = rho[1:-1]
+    field[:] = init_field(grid, datum)
     coupled = [i for i, probe in enumerate(model.probes) if not probe.observer]
     positions = [probe.x0 for probe in model.probes]
     speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, positions)
     # float64 buffers: 64 B per step for the log, 32 B per probe and step
     paths = [array("d") for _ in model.probes]
     snapshots = [(0.0, field.copy())]
-    initial_mass = float(np.sum(field)) * grid.dx
+    initial_mass = float(field.sum()) * grid.dx
     log = array("d")
     n_steps = 0
     t = 0.0
@@ -492,16 +511,17 @@ def run(
             t_new = b_next
         else:
             t_new = t + dt
-        rho, F = _ghosted_flux(model, grid, states, field)
+        rho, F = _ghosted_flux(model, grid, states, field, rho)
         rate_in, rate_out = _edge_rates(F)
-        new_field, lo, hi = _lxf_update(grid, rho, F, dt, t)
+        new_field, lo, hi = _lxf_update(grid, rho, F, dt, t, spare[1:-1], scratch)
+        rho, spare = spare, rho
         for path, p, w, trace in zip(paths, positions, speeds, traces):
             path.frombytes(_PATH_ROW(t, p, w, trace))
         positions = advance_probes(model, positions, speeds, dt, t_new)
         field = new_field
         t = t_new
         speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
-        mass = float(np.sum(field)) * grid.dx
+        mass = float(field.sum()) * grid.dx
         n_steps += 1
         log.frombytes(_LOG_ROW(n_steps, t, dt, mass, lo, hi, rate_in, rate_out))
         if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= TIME_TOL:

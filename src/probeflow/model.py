@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,10 +47,8 @@ def _require_finite(what, *values):
 def _as_density(rho):
     """Coerce to float array; reject values outside [0, 1]."""
     rho = np.asarray(rho, dtype=float)
-    if rho.size and (np.min(rho) < -1e-12 or np.max(rho) > 1 + 1e-12):
-        raise DomainError(
-            f"density outside [0, 1]: range [{np.min(rho)}, {np.max(rho)}]"
-        )
+    if rho.size and (rho.min() < -1e-12 or rho.max() > 1 + 1e-12):
+        raise DomainError(f"density outside [0, 1]: range [{rho.min()}, {rho.max()}]")
     return rho
 
 
@@ -301,6 +300,9 @@ class _SpeedTable:
     ``t_b`` on), a linear ramp (the moving box average of the jump) when
     ``tau > 0``.  The last piece runs on past the last knot.  A
     model-coupled piece has no programmed speed: its knots hold NaN.
+
+    ``t`` and ``w`` are numpy arrays; ``ts``, ``ws`` and ``disp`` are
+    lists of Python floats, for the scalar queries of a run's step loop.
     """
 
     def __init__(self, segments, tau):
@@ -317,10 +319,61 @@ class _SpeedTable:
             ws += [w0, w1]
         self.t = np.array(ts)
         self.w = np.array(ws, dtype=float)
-        self.disp = np.concatenate(
-            [[0.0], np.cumsum(np.diff(self.t) * (self.w[1:] + self.w[:-1]) / 2.0)]
-        )
+        # an overflowing displacement is rejected below, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            disp = np.concatenate(
+                [[0.0], np.cumsum(np.diff(self.t) * (self.w[1:] + self.w[:-1]) / 2.0)]
+            )
         self.exogenous = not np.isnan(self.w).any()
+        # past the last knot the trapezoid adds w[-1] + w[-1]
+        if self.exogenous and not (np.all(np.isfinite(disp)) and math.isfinite(2.0 * ws[-1])):
+            raise DomainError(
+                f"probe program's closed-form displacement is not finite: "
+                f"speeds up to {max(ws)} overflow it"
+            )
+        self.ts, self.ws, self.disp = self.t.tolist(), self.w.tolist(), disp.tolist()
+        self._last = (math.nan, 0, math.nan)  # no time equals NaN
+
+    def lookup(self, t):
+        """:func:`_knot_lookup` on this table's knots.  The last answer is
+        kept, so the state and the speed a run step asks for at one time
+        cost one search.  It is one tuple, replaced whole, so runs sharing
+        the table in threads read a consistent answer."""
+        last = self._last
+        if last[0] == t:
+            return last[1], last[2]
+        t = float(t)
+        i, w = _knot_lookup(self.ts, self.ws, t)
+        self._last = (t, i, w)
+        return i, w
+
+
+def _knot_lookup(ts, ws, t):
+    """``(i, w)`` at the float time ``t`` for the knots ``(ts, ws)``, lists
+    of floats with ``ts`` sorted: the index ``i`` of the last knot at or
+    before ``t`` (0 before the first) and the interpolated value ``w``, bit
+    for bit ``max(np.searchsorted(ts, t, "right") - 1, 0)`` and
+    ``np.interp(t, ts, ws)`` without numpy's per-call cost."""
+    k = bisect_right(ts, t)
+    i = max(k - 1, 0)
+    # np.interp's branches, in its order, with the same arithmetic
+    if len(ts) == 1:
+        return i, ws[0]
+    if t != t:
+        return i, t
+    if k == 0:
+        return i, ws[0]
+    if k == len(ts):
+        return i, ws[-1]
+    if ts[i] == t:
+        return i, ws[i]
+    slope = (ws[i + 1] - ws[i]) / (ts[i + 1] - ts[i])
+    w = slope * (t - ts[i]) + ws[i]
+    if w != w:  # NaN one way: try from the other end of the span
+        w = slope * (t - ts[i + 1]) + ws[i + 1]
+        if w != w and ws[i] == ws[i + 1]:
+            w = ws[i]
+    return i, w
 
 
 def _program_pieces(segments):
@@ -385,8 +438,8 @@ class ProbeTrajectory:
     def speed_at(self, t):
         """Programmed (possibly mollified) speed at time t, or ``None`` where
         the program is model-coupled."""
-        w = float(np.interp(t, self._table.t, self._table.w))
-        return None if math.isnan(w) else w
+        _, w = self._table.lookup(t)
+        return None if w != w else w
 
     def state_at(self, t):
         """Position and speed at time t of a fully exogenous program, in
@@ -402,10 +455,9 @@ class ProbeTrajectory:
                 "positions become available only while a simulation advances it"
             )
         table = self._table
-        i = max(int(np.searchsorted(table.t, t, side="right")) - 1, 0)
-        w = np.interp(t, table.t, table.w)
-        disp = table.disp[i] + (t - table.t[i]) * (table.w[i] + w) / 2.0
-        return self.x0 + float(disp), float(w)
+        i, w = table.lookup(t)
+        disp = table.disp[i] + (float(t) - table.ts[i]) * (table.ws[i] + w) / 2.0
+        return self.x0 + disp, w
 
     def max_speed(self, law_vmax):
         """Upper bound for the probe's speed over its whole program."""
@@ -596,7 +648,11 @@ def _blended_speed(model, states, x, rho, windows=None):
     # combination, but exact (not just close) wherever every H_i equals v.
     # Outside its window a probe's term would be (0 / scale) * (H_i - v),
     # a signed zero, which leaves every bit of out (never -0) unchanged.
-    out = np.asarray(v + np.zeros(np.broadcast_shapes(x.shape, rho.shape)))
+    # Adding 0.0 turns a -0 of v into +0, as adding the zeros would.
+    if np.shape(v) == x.shape == rho.shape:
+        out = np.asarray(v + 0.0)
+    else:
+        out = np.asarray(v + np.zeros(np.broadcast_shapes(x.shape, rho.shape)))
     if states:
         if windows is None:
             windows = (...,) * len(states)

@@ -256,6 +256,28 @@ class TestRunCommand:
             "numerical failure: blended-flux slope is not finite near the coupled probes: nan"
         ]
 
+    @pytest.mark.parametrize("end", [2.0, None], ids=["two_time_units", "open_ended"])
+    def test_overflowing_program_displacement_exits_2_with_only_the_error_line(
+        self, tmp_path, capsys, end
+    ):
+        # at 1.5e308 the closed-form path overflows, over [0, 2) or on the
+        # open last piece: an invalid program, not a numerical failure
+        data = get_scenario("fig_int32").to_dict()
+        segment = {"from": 0.0, "to": end, "mode": "speed", "speed": 1.5e308}
+        # an open-ended segment replaces the whole program
+        rest = data["probes"][0]["program"][1:] if end is not None else []
+        data["probes"][0]["program"] = [segment, *rest]
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", str(scenario_file), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not finite" in err[0]
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "key, value", [("cfl", 1e-300), ("law", {"kind": "greenshields", "v_max": 1e200})]
     )

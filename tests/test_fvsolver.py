@@ -38,6 +38,7 @@ from probeflow import (
     trace_density,
 )
 from probeflow import fvsolver
+from probeflow import model as model_module
 from probeflow.fvsolver import _ghosted_flux, _lxf_update
 from probeflow.model import cutoff_weights
 
@@ -445,7 +446,7 @@ class TestRun:
 
         def recording(*args):
             new, lo, hi = update(*args)
-            fields.append(new)
+            fields.append(new.copy())  # the run reuses its buffers
             return new, lo, hi
 
         monkeypatch.setattr(fvsolver, "_lxf_update", recording)
@@ -454,6 +455,52 @@ class TestRun:
         assert 1.5e-13 in after and len(result.snapshots) == 6
         for t, field in result.snapshots[1:]:
             assert field.tobytes() == after[t].tobytes()
+
+    def test_snapshots_share_no_memory_with_each_other_or_later_steps(self, monkeypatch):
+        # the run computes into two reused buffers: what it returns must be
+        # copies, untouched by the steps that follow
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probe = ProbeTrajectory(0.3, (ExogenousSpeed(0.0, None, 0.2),))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
+        outputs = []
+        update = fvsolver._lxf_update
+
+        def recording(*args):
+            new, lo, hi = update(*args)
+            outputs.append(new)
+            return new, lo, hi
+
+        monkeypatch.setattr(fvsolver, "_lxf_update", recording)
+        result = run(model, grid, self._bump_datum(), 0.2, n_snapshots=5)
+        fields = [field for _, field in result.snapshots]
+        assert len(outputs) > len(fields)
+        for i, field in enumerate(fields):
+            assert not any(np.shares_memory(field, other) for other in fields[i + 1 :])
+            assert not any(np.shares_memory(field, new) for new in outputs)
+        assert not any(np.shares_memory(result.final_field, f) for f in fields[:-1])
+
+    def test_each_program_is_looked_up_once_per_probe_and_step(self, monkeypatch):
+        # advance_probes asks for the closed-form state at the step's end,
+        # resolve_probe_speeds for the speed at the same time: one search
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        probes = (
+            ProbeTrajectory(0.3, (ExogenousSpeed(0.0, 0.05, 0.4), ExogenousSpeed(0.05, None, 0.1))),
+            ProbeTrajectory(0.6, (ExogenousSpeed(0.0, None, 0.2),), observer=True),
+            ProbeTrajectory(0.5, (ModelCoupled(0.0, None),)),
+        )
+        model = FluxModel(speed_law=Greenshields(1.0), probes=probes)
+        searches = {id(probe._table.ts): 0 for probe in probes}
+        lookup = model_module._knot_lookup
+
+        def counting(ts, ws, t):
+            searches[id(ts)] += 1
+            return lookup(ts, ws, t)
+
+        monkeypatch.setattr(model_module, "_knot_lookup", counting)
+        result = run(model, grid, self._bump_datum(), 0.1, n_snapshots=2)
+        n_steps = len(result.log)
+        assert n_steps > 10
+        assert list(searches.values()) == [n_steps + 1] * len(probes)
 
     def test_run_constructs_no_flux_model(self, monkeypatch):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
@@ -842,6 +889,19 @@ class TestStepLoopMatchesReference:
         assert np.min(unclipped) < 0.0 or np.max(unclipped) > 1.0
         assert new.tobytes() == lxf_step(model, grid, (), field, 2.0 * grid.dx).tobytes()
         assert (lo, hi) == (float(np.min(new)), float(np.max(new)))
+        # the run's path: the field is the interior of a ghosted buffer, and
+        # the update clips in place in the interior of another
+        current, following = np.full((2, grid.n_cells + 2), np.nan)
+        current[1:-1] = field
+        scratch = np.full(grid.n_cells, np.nan)
+        rho_b, F_b = _ghosted_flux(model, grid, (), current[1:-1], current)
+        assert rho_b is current and rho_b.tobytes() == rho.tobytes()
+        assert F_b.tobytes() == F.tobytes()
+        out = following[1:-1]
+        new_b, lo_b, hi_b = _lxf_update(grid, rho_b, F_b, 2.0 * grid.dx, None, out, scratch)
+        assert new_b is out and new_b.tobytes() == new.tobytes()
+        assert (lo_b, hi_b) == (lo, hi)
+        assert np.isnan(following[[0, -1]]).all()  # the next step writes these ghosts
 
 
 # ---------------------------------------------------------------------------

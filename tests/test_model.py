@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from probeflow import (
@@ -34,6 +34,7 @@ from probeflow import (
     mixed_difference_constant,
     stability_constant_C,
 )
+from probeflow.model import _knot_lookup, _SpeedTable
 
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 speeds = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -388,6 +389,59 @@ class TestSpeedTable:
                     if s.end is not None and s.end not in coupled_starts:
                         assert probe.speed_at(s.end) is not None
         assert n_checked > 2000
+
+    @given(
+        knots=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(-1.0, 4.0),
+                st.floats(0.0, 2.0) | st.sampled_from([0.0, math.nan, math.inf, 1e308]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        extra=st.lists(st.floats(-2.0, 5.0), max_size=4),
+    )
+    # NaN one way and not the other; NaN both ways between equal values
+    @example(knots=[(0.0, math.inf), (1.0, 0.5)], extra=[])
+    @example(knots=[(0.0, math.inf), (1.0, math.inf)], extra=[])
+    def test_knot_lookup_is_numpy_to_the_bit(self, knots, extra):
+        # any sorted knot table: repeated times (tau = 0 jumps), NaN values
+        # (model-coupled pieces), overflowing and infinite slopes
+        knots.sort(key=lambda knot: knot[0])
+        ts = [t for t, _ in knots]
+        ws = [w for _, w in knots]
+        self._assert_lookup_matches_numpy(ts, ws, extra)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        coupled=st.booleans(),
+        tau=st.sampled_from([0.0, 0.001, 0.004]),
+    )
+    def test_program_tables_are_numpy_to_the_bit(self, seed, coupled, tau):
+        # the tables programs compile to: jumps as repeated knots, mollified
+        # ramps, and ramps into and out of NaN (model-coupled) pieces
+        table = _SpeedTable(_random_program(np.random.default_rng(seed), coupled), tau)
+        self._assert_lookup_matches_numpy(table.ts, table.ws, [])
+        # the table's own lookup, which keeps its last answer, asked twice
+        for t in table.ts + [-1.0, table.ts[-1] + 1.0]:
+            want = self._bits(np.interp(t, table.t, table.w))
+            assert self._bits(table.lookup(t)[1]) == self._bits(table.lookup(t)[1]) == want
+
+    @staticmethod
+    def _bits(value):
+        return np.float64(value).tobytes()
+
+    def _assert_lookup_matches_numpy(self, ts, ws, extra):
+        times = list(ts) + extra + [ts[0] - 1.0, ts[-1] + 1.0, -math.inf, math.inf, math.nan]
+        times += [math.nextafter(t, s) for t in ts for s in (-math.inf, math.inf)]
+        times += [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+        xp, fp = np.array(ts), np.array(ws)
+        for t in times:
+            i, w = _knot_lookup(ts, ws, t)
+            assert i == max(int(np.searchsorted(xp, t, side="right")) - 1, 0)
+            with np.errstate(all="ignore"):
+                want = np.interp(t, xp, fp)
+            assert self._bits(w) == self._bits(want), (t, w, want)
 
     def test_jump_is_two_knots_and_ramp_is_its_box_average(self):
         program = (ExogenousSpeed(0.0, 1.0, 1.0), ExogenousSpeed(1.0, None, 0.2))
