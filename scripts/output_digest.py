@@ -11,7 +11,10 @@ runs to ``t_end=5.5``, across the ramp on [4.75, 5.25], so the mollified
 probe path is exercised; and the benchmark's seeded fleet roads ``fleet_7``
 and ``fleet_31`` (``perfbench/workloads.fleet_scenario``), plus
 ``fleet_7x40``: seed 7 with 40 probes, whose 0.175-wide slots are narrower
-than the 0.3-wide cutoff support, so neighbouring supports overlap.
+than the 0.3-wide cutoff support, so neighbouring supports overlap; and
+``fleet_7_clipped``: seed 7 with its first, traffic-coupled probe started
+at ``x = 0.1``, within the cutoff's ``outer = 0.15`` of ``x_min = 0``, so
+its blend window is clipped at the domain's left end.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
 rows and every probe path.  With ``--bundle`` the hash is taken instead
@@ -49,18 +52,29 @@ OVERRIDES = {"fig_questa": {"t_end": 3.0}}
 #: Mollified cases: name -> (built-in scenario, mollify_radius, t_end).
 MOLLIFIED = {"fig_questa_mollified": ("fig_questa", 0.25, 5.5)}
 
-#: Fleet road cases: name -> (seed, number of probes).
-FLEETS = {"fleet_7": (7, 8), "fleet_31": (31, 8), "fleet_7x40": (7, 40)}
+#: Fleet road cases: name -> (seed, number of probes, start of the first
+#: probe, or None for the seeded start).
+FLEETS = {
+    "fleet_7": (7, 8, None),
+    "fleet_31": (31, 8, None),
+    "fleet_7x40": (7, 40, None),
+    "fleet_7_clipped": (7, 8, 0.1),
+}
 
 
-def _fleet_scenario(seed, n_probes):
+def _fleet_scenario(seed, n_probes, first_start):
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
-    return module.fleet_scenario(seed, n_probes=n_probes)
+    scenario = module.fleet_scenario(seed, n_probes=n_probes)
+    if first_start is None:
+        return scenario
+    first, *rest = scenario.probes
+    moved = ProbeTrajectory(first_start, first.program, first.mollify_radius, first.observer)
+    return scenario.with_overrides(probes=(moved, *rest))
 
 
 def _mollified_scenario(name, radius):

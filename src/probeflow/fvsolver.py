@@ -14,6 +14,7 @@ simulation lands exactly on probe program boundaries and snapshot times.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from array import array
@@ -47,6 +48,11 @@ _SLOPE_LO = np.clip(SLOPE_SAMPLES - _SLOPE_H, 0.0, 1.0)
 _SLOPE_HI = np.clip(SLOPE_SAMPLES + _SLOPE_H, 0.0, 1.0)
 _SLOPE_SPAN = _SLOPE_HI - _SLOPE_LO
 _SLOPE_RHO = np.concatenate([_SLOPE_HI, _SLOPE_LO])[None, :]
+
+#: Laws, and ``(law, probe speed)`` pairs, whose CFL vertex slopes are
+#: kept, the least recently used dropped first: a traffic-coupled probe
+#: takes a new speed nearly every step, so the memos need a bound.
+_VERTEX_MEMO_SIZE = 1024
 
 
 #: Packers of one step-log row and one probe-path row, as raw float64 bytes.
@@ -186,6 +192,32 @@ def _cell_windows(states, first, dx, reach, n):
     return windows
 
 
+def _stencil_slope(F):
+    """``max |(F_hi - F_lo) / span|`` over the rows of vertex fluxes ``F``
+    evaluated on :data:`_SLOPE_RHO`."""
+    k = _SLOPE_SPAN.size
+    return float(np.max(np.abs((F[:, :k] - F[:, k:]) / _SLOPE_SPAN)))
+
+
+@functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
+def _law_vertex(law):
+    """The law's speeds on the stencil, the sampled slope of its own vertex
+    flux ``rho v``, and its slope ``|f'(1)|`` at full density."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _read_only(np.asarray(law(_SLOPE_RHO), dtype=float))
+        return v, _stencil_slope(_SLOPE_RHO * v), abs(float(law.flux_slope(1.0)))
+
+
+@functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
+def _vertex_slope(law, w):
+    """The sampled slope of the vertex flux ``rho H(w, v)`` of a probe at
+    speed ``w``, as the blend adds it at weight 1 (possibly non-finite: an
+    overflowing blend is reported by :func:`cfl_dt`, not warned about)."""
+    v = _law_vertex(law)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _stencil_slope(_SLOPE_RHO * (v + (harmonic_speed(w, v) - v)))
+
+
 def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     """Largest stable step: ``cfl * dx / S`` with ``S`` the sampled maximal
     characteristic speed ``|d f / d rho|`` of the blended flux, with the
@@ -206,6 +238,13 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     within ``outer`` of a domain end, a plateau narrower than a cell) the
     bound is conservative: the step may be shorter than a cell scan's,
     never longer.
+
+    The law's own vertex slope and end slope are kept per law, and each
+    probe's vertex slope per ``(law, speed)`` (the
+    :data:`_VERTEX_MEMO_SIZE` most recently used of each), so a step whose
+    probe speeds were all seen before does no array work either.  The memos
+    hold only what the law and the speed determine, so they never change a
+    step.  A non-finite slope raises :class:`StabilityError` on every call.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
@@ -214,24 +253,20 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     S = law.max_flux_slope
     if not states:
         return cfl * grid.dx / max(S, 1e-10)
-    lo = grid.centers[0] - model.cutoff.outer
-    hi = grid.centers[-1] + model.cutoff.outer
+    lo = float(grid.centers[0]) - model.cutoff.outer
+    hi = float(grid.centers[-1]) + model.cutoff.outer
     ws = [w for p, w in states if lo < p < hi]
     if ws:
-        # an overflowing blend yields a non-finite slope, which is checked
-        # below: no floating-point warnings on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = law(_SLOPE_RHO)
-            H = harmonic_speed(np.array(ws)[:, None], v)
-            # the law's row, then each probe's as the blend adds it at weight 1
-            F = _SLOPE_RHO * np.concatenate([v, v + (H - v)])
-            k = _SLOPE_SPAN.size
-            sampled = np.max(np.abs((F[:, :k] - F[:, k:]) / _SLOPE_SPAN))
-        end = abs(float(law.flux_slope(1.0))) * (2.0 if any(w > 0.0 for w in ws) else 1.0)
-        # np.max keeps a NaN slope, which max() would drop in favour of S
-        S = float(np.max([S, sampled, end]))
-        if not math.isfinite(S):
-            raise StabilityError(f"blended-flux slope is not finite near the coupled probes: {S}")
+        _, own, end = _law_vertex(law)
+        if any(w > 0.0 for w in ws):
+            end = 2.0 * end
+        slopes = [S, own, end] + [_vertex_slope(law, w) for w in ws]
+        S = max(slopes)
+        if not all(map(math.isfinite, slopes)):
+            # np.max keeps a NaN slope, which max() may drop in favour of S
+            raise StabilityError(
+                f"blended-flux slope is not finite near the coupled probes: {np.max(slopes)}"
+            )
     return cfl * grid.dx / max(S, 1e-10)
 
 

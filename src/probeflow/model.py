@@ -45,10 +45,13 @@ def _require_finite(what, *values):
 
 
 def _as_density(rho):
-    """Coerce to float array; reject values outside [0, 1]."""
+    """Coerce to float array; reject values outside [0, 1] and NaN."""
     rho = np.asarray(rho, dtype=float)
-    if rho.size and (rho.min() < -1e-12 or rho.max() > 1 + 1e-12):
-        raise DomainError(f"density outside [0, 1]: range [{rho.min()}, {rho.max()}]")
+    if rho.size:
+        lo, hi = rho.min(), rho.max()
+        # written negated so that a NaN extremum fails it
+        if not (lo >= -1e-12 and hi <= 1 + 1e-12):
+            raise DomainError(f"density outside [0, 1]: range [{lo}, {hi}]")
     return rho
 
 
@@ -59,10 +62,12 @@ def _as_density(rho):
 class SpeedLaw(ABC):
     """Density-dependent speed ``v(rho)`` on ``[0, 1]``.
 
-    Implementations are immutable and vectorised: ``law(rho)`` accepts
-    scalars or arrays.  ``v_max`` is the maximal speed, ``lipschitz`` a
-    Lipschitz constant of ``v`` and ``flux_lipschitz`` one of the flux
-    ``rho -> rho*v(rho)``, both on ``[0, 1]``.
+    Implementations are immutable, hashable (the CFL bound keeps slopes
+    per law; :class:`FluxModel` rejects an unhashable law) and vectorised:
+    ``law(rho)`` accepts scalars or arrays.
+    ``v_max`` is the maximal speed, ``lipschitz`` a Lipschitz constant of
+    ``v`` and ``flux_lipschitz`` one of the flux ``rho -> rho*v(rho)``,
+    both on ``[0, 1]``.
     """
 
     @abstractmethod
@@ -545,6 +550,10 @@ class FluxModel:
     def __post_init__(self):
         if self.trace_side not in ("right", "left"):
             raise DomainError(f"trace_side must be 'right' or 'left', got {self.trace_side!r}")
+        try:  # the CFL bound keeps slopes per law
+            hash(self.speed_law)
+        except TypeError:
+            raise DomainError(f"speed law {type(self.speed_law).__name__} is not hashable") from None
         object.__setattr__(self, "probes", tuple(self.probes))
 
     @cached_property
@@ -583,10 +592,13 @@ def harmonic_speed(w, v):
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     denom = w + v
-    safe = np.where(denom < ZERO_DENOM_TOL, 1.0, denom)
-    out = np.where(denom < ZERO_DENOM_TOL, 0.0, 2.0 * w * v / safe)
+    # one masked division; where it is skipped the result stays 0.  A NaN
+    # denominator fails ``denom < tol``, so it is divided by and stays NaN.
+    out = np.divide(
+        2.0 * w * v, denom, out=np.zeros(np.shape(denom)), where=~(denom < ZERO_DENOM_TOL)
+    )
     # exact fixed point: agreement between the two speeds is preserved bitwise
-    out = np.where(w == v, v, out)
+    np.copyto(out, v, where=w == v)
     if out.ndim == 0:
         return float(out)
     return out
@@ -598,27 +610,35 @@ def check_states(model, states):
         raise DomainError(f"{len(states)} states for {len(model.coupled_probes)} coupled probes")
 
 
-def cutoff_weights(model, states, x, windows=None):
-    """Each coupled probe's cutoff weight ``chi(x - p_i)``, and their
-    normaliser ``max(sum_i chi(x - p_i), 1)`` at ``x``'s shape.
+def _stacked_weights(model, states, x, windows):
+    """Every coupled probe's cutoff weight over its window of ``x``, all
+    probes in one pass.
 
-    ``windows`` holds one slice per probe along ``x``'s first axis, by
-    default the whole of ``x``.  Probe ``i``'s weight is computed on
-    ``x[windows[i]]`` only, and the normaliser sums it there.  A window
-    must cover every point with ``|x - p_i| < outer``: ``chi`` is exactly 0
-    elsewhere, so a skipped point only loses a ``+0`` and the normaliser is
-    bit-for-bit the one summed over the whole of ``x``.
+    ``windows`` holds one slice per probe along ``x``'s first axis, or is
+    ``None`` for the whole of ``x``.  Returns ``idx``, the flat (C-order)
+    indices into ``x`` of every window concatenated in probe order;
+    ``counts``, the number of them per probe; ``chi``, the weights
+    ``chi(x - p_i)`` at ``idx``; and ``total``, the flat per-point sum of
+    the weights, added in probe order as one running sum per point would
+    be.  A window must cover every point with ``|x - p_i| < outer``:
+    ``chi`` is exactly 0 elsewhere, so a skipped point only loses a ``+0``
+    and ``total`` is bit-for-bit the one summed over the whole of ``x``.
     """
-    x = np.asarray(x, dtype=float)
+    n, m = (x.shape[0], math.prod(x.shape[1:])) if x.ndim else (1, 1)
     if windows is None:
-        windows = (...,) * len(states)
+        windows = (slice(None),) * len(states)
     elif len(windows) != len(states):
         raise DomainError(f"{len(windows)} windows for {len(states)} probe states")
-    weights = [model.cutoff(x[win] - p) for win, (p, _) in zip(windows, states)]
-    total = np.zeros(x.shape)
-    for win, w in zip(windows, weights):
-        total[win] += w
-    return weights, np.maximum(total, 1.0)
+    rows = [range(n)[win] for win in windows]
+    idx = np.concatenate([np.arange(r.start, r.stop, r.step) for r in rows] or [np.arange(0)])
+    if m != 1:  # each selected point's values along the other axes
+        idx = (idx[:, None] * m + np.arange(m)).ravel()
+    counts = [len(r) * m for r in rows]
+    positions = np.repeat(np.array([p for p, _ in states], dtype=float), counts)
+    chi = model.cutoff(x.reshape(-1)[idx] - positions)
+    # bincount adds in the order of idx: probe order at every point
+    total = np.bincount(idx, weights=chi, minlength=x.size)
+    return idx, counts, chi, total
 
 
 def eval_encoded_speed(model, states, x, rho):
@@ -639,8 +659,15 @@ def eval_encoded_speed(model, states, x, rho):
 def _blended_speed(model, states, x, rho, windows=None):
     """:func:`eval_encoded_speed` on a density array already checked, each
     probe blended only over its window of ``x`` (see
-    :func:`cutoff_weights`).  Given windows, ``x``'s first axis must be
-    the first axis of the broadcast ``(x, rho)``."""
+    :func:`_stacked_weights`).  Given windows, ``x``'s first axis must be
+    the first axis of the broadcast ``(x, rho)``.
+
+    Every probe's window is blended in one stacked pass, whatever the
+    number of probes: one cutoff evaluation and one harmonic blend over the
+    concatenated windows, and one unbuffered ``np.add.at``, which adds in
+    index order, so each point receives its probes' terms in probe order,
+    as a loop over the probes would add them.
+    """
     check_states(model, states)
     x = np.asarray(x, dtype=float)
     v = model.speed_law(rho)
@@ -648,22 +675,25 @@ def _blended_speed(model, states, x, rho, windows=None):
     # combination, but exact (not just close) wherever every H_i equals v.
     # Outside its window a probe's term would be (0 / scale) * (H_i - v),
     # a signed zero, which leaves every bit of out (never -0) unchanged.
-    # Adding 0.0 turns a -0 of v into +0, as adding the zeros would.
+    # Adding 0.0 turns a -0 of v into +0, as adding the zeros would.  out
+    # is C-ordered whatever v's order, so np.add.at below writes through
+    # out.reshape(-1), a view, not into a copy.
     if np.shape(v) == x.shape == rho.shape:
-        out = np.asarray(v + 0.0)
+        out = np.asarray(np.add(v, 0.0, order="C"))
     else:
-        out = np.asarray(v + np.zeros(np.broadcast_shapes(x.shape, rho.shape)))
+        out = np.asarray(np.add(v, np.zeros(np.broadcast_shapes(x.shape, rho.shape)), order="C"))
     if states:
-        if windows is None:
-            windows = (...,) * len(states)
-        elif x.ndim != out.ndim or x.shape[:1] != out.shape[:1]:
+        if windows is not None and (x.ndim != out.ndim or x.shape[:1] != out.shape[:1]):
             raise DomainError(f"windows need x spanning the first axis of {out.shape}, got {x.shape}")
-        weights, scale = cutoff_weights(model, states, x, windows)
-        # v is windowed too where it varies along that axis
-        sliced = np.ndim(v) == out.ndim and np.shape(v)[:1] == out.shape[:1]
-        for w, win, (_, pdot) in zip(weights, windows, states):
-            vw = v[win] if sliced else v
-            out[win] += (w / scale[win]) * (harmonic_speed(pdot, vw) - vw)
+        if x.shape != out.shape:
+            x = np.broadcast_to(x, out.shape)
+        if np.shape(v) != out.shape:
+            v = np.broadcast_to(v, out.shape)
+        idx, counts, chi, total = _stacked_weights(model, states, x, windows)
+        vw = v.reshape(-1)[idx]
+        speeds = np.repeat(np.array([pdot for _, pdot in states], dtype=float), counts)
+        term = (chi / np.maximum(total[idx], 1.0)) * (harmonic_speed(speeds, vw) - vw)
+        np.add.at(out.reshape(-1), idx, term)
     return out[()]
 
 
@@ -671,7 +701,7 @@ def eval_flux(model, states, x, rho, windows=None):
     """The conservation-law flux ``rho * V(x, rho)``, with the coupled
     probes' ``states`` as in :func:`eval_encoded_speed`, each blended only
     over its slice of ``windows`` along ``x``'s first axis (see
-    :func:`cutoff_weights`; by default the whole of ``x``)."""
+    :func:`_stacked_weights`; by default the whole of ``x``)."""
     rho = _as_density(rho)
     return rho * _blended_speed(model, states, x, rho, windows)
 

@@ -1,5 +1,6 @@
 """Finite-volume machinery: grids, cell averages, CFL steps, full runs."""
 
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -40,7 +41,7 @@ from probeflow import (
 from probeflow import fvsolver
 from probeflow import model as model_module
 from probeflow.fvsolver import _ghosted_flux, _lxf_update
-from probeflow.model import cutoff_weights
+from probeflow.model import _stacked_weights
 
 
 def quarter_grid():
@@ -207,12 +208,23 @@ class TestLxfStep:
             lxf_step(model, grid, model.probe_states(0.0), field, 10.0 * grid.dx)
 
     def test_nan_in_the_field_raises(self):
+        # a NaN density is outside [0, 1]: the flux rejects it like 1.2
         grid = Grid.from_extent(0.0, 1.0, 0.125)
         model = FluxModel(speed_law=Greenshields(1.0))
         field = np.full(grid.n_cells, 0.3)
         field[3] = math.nan
-        with pytest.raises(StabilityError):
+        with pytest.raises(DomainError, match="outside"):
             lxf_step(model, grid, model.probe_states(0.0), field, 0.5 * grid.dx)
+
+    def test_nan_from_the_update_raises(self):
+        # a finite field whose blended flux overflows: 2 w v is inf, and a
+        # zero weight times inf is NaN, so the update holds NaN
+        grid = Grid.from_extent(0.0, 1.0, 0.125)
+        probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+        model = FluxModel(speed_law=Greenshields(2.0), probes=(probe,))
+        field = np.full(grid.n_cells, 0.3)
+        with np.errstate(all="ignore"), pytest.raises(StabilityError, match="update left"):
+            lxf_step(model, grid, ((0.5, 8e307),), field, 0.5 * grid.dx)
 
     def test_mass_change_matches_boundary_rates(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
@@ -1024,10 +1036,16 @@ class TestWindowedBlendMatchesReference:
         model = _probe_model(cutoff, states)
         x = grid.centers
         windows = _tight_windows(model, states, x)
-        full, full_scale = cutoff_weights(model, states, x)
-        weights, scale = cutoff_weights(model, states, x, windows)
-        assert scale.tobytes() == full_scale.tobytes()
-        for w, c, win in zip(weights, full, windows):
+        _, full_counts, full, full_total = _stacked_weights(model, states, x, None)
+        idx, counts, chi, total = _stacked_weights(model, states, x, windows)
+        assert total.tobytes() == full_total.tobytes()
+        assert full_counts == [x.size] * len(states)
+        assert idx.tobytes() == np.concatenate(
+            [np.arange(x.size)[win] for win in windows] or [np.arange(0)]
+        ).tobytes()
+        starts = np.cumsum([0, *counts])
+        for i, win in enumerate(windows):
+            w, c = chi[starts[i] : starts[i + 1]], full[i * x.size : (i + 1) * x.size]
             assert w.tobytes() == c[win].tobytes()
             outside = np.ones(x.size, dtype=bool)
             outside[win] = False
@@ -1124,3 +1142,226 @@ class TestBlendWindowsValidated:
         rho = np.full((3, 10), 0.5)
         with pytest.raises(DomainError, match="first axis"):
             eval_flux(model, states, x, rho, [slice(None)] * len(states))
+
+
+# ---------------------------------------------------------------------------
+# The stacked blend against the per-probe reference
+# ---------------------------------------------------------------------------
+#
+# ``_blended_speed`` blends every probe's window in one pass: the windows'
+# indices concatenated in probe order, one cutoff evaluation, a bincount
+# normaliser and one ``np.add.at``.  ``reference_blended_speed`` above loops
+# over the probes on the whole array; the two must agree byte for byte.
+
+
+def _one_probe():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.5, 0.3),)
+
+
+def _clipped_at_the_left_end():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.04, 0.3), (0.6, 0.8))
+
+
+def _clipped_at_the_right_end():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.4, 0.1), (0.97, 0.6))
+
+
+def _nan_position():
+    # a NaN position's window spans every point, so its NaN weight reaches
+    # every point as it would without windows
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.3, 0.2), (math.nan, 0.4))
+
+
+def _empty_window():
+    # probes far outside the domain select no point at all
+    states = ((-25.0, 0.5), (0.5, 0.3), (25.0, 0.4))
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), states
+
+
+def _forty_probes():
+    # 40 probes over a 1.4-wide stretch: every support overlaps its neighbours'
+    rng = np.random.default_rng(40)
+    states = tuple(
+        (float(p), float(w)) for p, w in zip(rng.uniform(-0.2, 1.2, 40), rng.uniform(0.0, 1.5, 40))
+    )
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), states
+
+
+def _stacked_model(cutoff, states):
+    # the blend reads positions from the states; a program needs a finite start
+    return _probe_model(cutoff, [(p if math.isfinite(p) else 0.0, w) for p, w in states])
+
+
+STACKED_CASES = [
+    _overlapping_supports,
+    _clipped_at_the_left_end,
+    _clipped_at_the_right_end,
+    _nan_position,
+    _empty_window,
+    _one_probe,
+    _forty_probes,
+]
+
+
+@pytest.mark.parametrize("case", STACKED_CASES, ids=lambda c: c.__name__.strip("_"))
+class TestStackedBlendMatchesReference:
+    def test_ghosted_flux(self, case):
+        cutoff, grid, states = case()
+        model = _stacked_model(cutoff, states)
+        rho, F = _ghosted_flux(model, grid, states, _blend_field(grid))
+        want = reference_flux(model, states, _reference_ghosted_centers(grid), rho)
+        assert F.tobytes() == want.tobytes()
+
+    def test_one_dimensional_with_and_without_windows(self, case):
+        cutoff, grid, states = case()
+        model = _stacked_model(cutoff, states)
+        x, rho = grid.centers, _blend_field(grid)
+        want = reference_blended_speed(model, states, x, rho)
+        assert eval_encoded_speed(model, states, x, rho).tobytes() == want.tobytes()
+        assert eval_flux(model, states, x, rho).tobytes() == (rho * want).tobytes()
+        windows = fvsolver._cell_windows(states, x[0], grid.dx, cutoff.outer, x.size)
+        assert eval_flux(model, states, x, rho, windows).tobytes() == (rho * want).tobytes()
+
+    def test_two_dimensional_x(self, case):
+        cutoff, grid, states = case()
+        model = _stacked_model(cutoff, states)
+        centers = grid.centers
+        windows = fvsolver._cell_windows(states, centers[0], grid.dx, cutoff.outer, centers.size)
+        densities = np.linspace(0.0, 1.0, 7)
+        field = _blend_field(grid)
+        x2 = np.stack([centers, centers], axis=1)
+        rho2 = np.stack([field, 1.0 - field], axis=1)
+        inputs = [
+            (centers[:, None], densities[None, :]),  # (m, 1) x (1, k)
+            (x2, rho2),
+            # column-major inputs of the same values, and (k, m) arrays
+            # transposed, which blend along the transposed view's first axis
+            (np.asfortranarray(x2), np.asfortranarray(rho2)),
+            (x2, np.asfortranarray(rho2)),
+            (np.stack([centers] * 3).T, np.stack([field, 1.0 - field, 0.5 * field]).T),
+        ]
+        for x, rho in inputs:
+            want = reference_flux(model, states, x, rho)
+            # compared in C order: only the values must match, not the layout
+            assert np.ascontiguousarray(eval_flux(model, states, x, rho)).tobytes() == (
+                np.ascontiguousarray(want).tobytes()
+            )
+            flux = eval_flux(model, states, x, rho, windows)
+            assert np.ascontiguousarray(flux).tobytes() == np.ascontiguousarray(want).tobytes()
+            speed = eval_encoded_speed(model, states, x, rho)
+            want_speed = reference_blended_speed(model, states, x, rho)
+            assert np.ascontiguousarray(speed).tobytes() == (
+                np.ascontiguousarray(want_speed).tobytes()
+            )
+
+
+@pytest.mark.parametrize("n_probes", [1, 8, 40])
+def test_one_cutoff_and_one_blend_per_flux_evaluation(n_probes, monkeypatch):
+    # the blend's cost does not grow with the number of per-probe calls
+    rng = np.random.default_rng(n_probes)
+    states = tuple((float(p), 0.4) for p in rng.uniform(0.0, 1.0, n_probes))
+    cutoff, grid = CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01)
+    model = _stacked_model(cutoff, states)
+    calls = {"cutoff": 0, "blend": 0}
+    cutoff_call = CutoffProfile.__call__
+    blend = model_module.harmonic_speed
+
+    def counting_cutoff(self, xi):
+        calls["cutoff"] += 1
+        return cutoff_call(self, xi)
+
+    def counting_blend(w, v):
+        calls["blend"] += 1
+        return blend(w, v)
+
+    monkeypatch.setattr(CutoffProfile, "__call__", counting_cutoff)
+    monkeypatch.setattr(model_module, "harmonic_speed", counting_blend)
+    field = _blend_field(grid)
+    for evaluate in (
+        lambda: _ghosted_flux(model, grid, states, field),
+        lambda: eval_flux(model, states, grid.centers, field),
+        lambda: eval_encoded_speed(model, states, grid.centers[:, None], field[None, :5]),
+    ):
+        calls.update(cutoff=0, blend=0)
+        evaluate()
+        assert calls == {"cutoff": 1, "blend": 1}
+
+
+# ---------------------------------------------------------------------------
+# The memoised vertex slopes
+# ---------------------------------------------------------------------------
+
+
+def _forget_vertex_slopes():
+    fvsolver._law_vertex.cache_clear()
+    fvsolver._vertex_slope.cache_clear()
+
+
+def _no_stencil(F):
+    raise AssertionError("a warm cfl_dt evaluated the stencil")
+
+
+# a NaN position is no probe the vertex bound counts, and no bound the scan
+# can take a maximum with, so that case has no reference step
+@pytest.mark.parametrize(
+    "case",
+    [c for c in dict.fromkeys(BLEND_CASES + STACKED_CASES) if c is not _nan_position],
+    ids=lambda c: c.__name__.strip("_"),
+)
+def test_cfl_dt_cold_and_warm_equals_the_reference_scan(case, monkeypatch):
+    cutoff, grid, states = case()
+    model = _stacked_model(cutoff, states)
+    want = reference_cfl_dt(model, grid, states, CFL_DEFAULT)
+    _forget_vertex_slopes()
+    assert cfl_dt(model, grid, states) == want
+    # every speed seen: the step reads the memo and does no array work
+    monkeypatch.setattr(fvsolver, "_stencil_slope", _no_stencil)
+    assert cfl_dt(model, grid, states) == want
+    assert cfl_dt(model, grid, states[::-1]) == want
+
+
+def test_warm_vertex_bound_is_the_cold_bound():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        model, grid, states = _random_cfl_case(rng)
+        _forget_vertex_slopes()
+        cold = cfl_dt(model, grid, states)
+        assert cfl_dt(model, grid, states) == cold
+        # a copy's law is equal (a tabulated one: a new key): the same step
+        assert cfl_dt(copy.deepcopy(model), grid, states) == cold
+        assert cold <= reference_cfl_dt(model, grid, states, CFL_DEFAULT)
+
+
+def test_vertex_memo_stays_within_its_bound_on_a_long_coupled_run():
+    # two traffic-coupled probes read a new density, so take a new speed,
+    # nearly every step: more distinct speeds than the memo keeps
+    grid = Grid.from_extent(0.0, 2.0, 0.01)
+    probes = (
+        ProbeTrajectory(0.3, (ModelCoupled(0.0, None),)),
+        ProbeTrajectory(1.1, (ModelCoupled(0.0, None),)),
+    )
+    model = FluxModel(Greenshields(1.0), cutoff=CutoffProfile(0.05, 0.15), probes=probes)
+    datum = PiecewiseConstant.from_blocks(0.3, [(0.2, 0.6, 0.9), (0.9, 1.5, 0.7)])
+    _forget_vertex_slopes()
+    result = run(model, grid, datum, 6.0, n_snapshots=2)
+    info = fvsolver._vertex_slope.cache_info()
+    assert info.maxsize == fvsolver._VERTEX_MEMO_SIZE
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
+    assert fvsolver._law_vertex.cache_info().currsize == 1
+    # the same run on the full memo takes the same steps
+    again = run(model, grid, datum, 6.0, n_snapshots=2)
+    assert again.log.tobytes() == result.log.tobytes()
+    assert fvsolver._vertex_slope.cache_info().currsize <= info.maxsize
+
+
+def test_non_finite_blended_slope_raises_on_every_call():
+    # 2 w v overflows: the memoised NaN slope still raises, cold and warm
+    grid = Grid.from_extent(0.0, 1.0, 0.01)
+    probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+    model = FluxModel(speed_law=Greenshields(1e200), probes=(probe,))
+    _forget_vertex_slopes()
+    for _ in range(3):
+        with pytest.raises(StabilityError, match="not finite"):
+            cfl_dt(model, grid, ((0.5, 1e200),))
+    assert fvsolver._vertex_slope.cache_info().hits >= 2

@@ -5,6 +5,7 @@ property-style checks draw their inputs with hypothesis.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from probeflow import (
     ModelCoupled,
     ProbeStateError,
     ProbeTrajectory,
+    SpeedLaw,
     TabulatedLaw,
     cfl_dt,
     check_admissible,
@@ -162,6 +164,64 @@ class TestHarmonicSpeed:
     def test_vectorised(self):
         out = harmonic_speed(np.array([0.2, 0.0]), np.array([0.5, 0.5]))
         np.testing.assert_allclose(out, [0.2 / 0.7, 0.0], atol=1e-16)
+
+    def test_masked_pass_on_every_pair_of_edge_values(self):
+        # the tolerance, values either side of it and pairs summing to it,
+        # signed zeros, infinities, NaN and overflowing products, as an
+        # (L, 1) x (1, L) grid of every pair, equal pairs included
+        values = np.array(HARMONIC_EDGE_VALUES)
+        _assert_harmonic_matches_reference(values[:, None], values[None, :])
+        for w in HARMONIC_EDGE_VALUES:
+            for v in HARMONIC_EDGE_VALUES:
+                _assert_harmonic_matches_reference(w, v)
+
+    @given(st.data())
+    def test_masked_pass_is_the_three_where_form_to_the_bit(self, data):
+        shape_w, shape_v = data.draw(st.sampled_from(HARMONIC_SHAPES))
+        w = data.draw(_harmonic_operand(shape_w))
+        v = data.draw(_harmonic_operand(shape_v))
+        if data.draw(st.booleans()) and np.shape(w) == np.shape(v):
+            v = w  # the fixed point at every entry
+        _assert_harmonic_matches_reference(w, v)
+
+
+def _assert_harmonic_matches_reference(w, v):
+    with np.errstate(all="ignore"):
+        got = harmonic_speed(w, v)
+        want = reference_harmonic_speed(w, v)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (w, v, got, want)
+
+
+def reference_harmonic_speed(w, v):
+    """The blend as three ``np.where`` passes, before the masked division."""
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(v, dtype=float)
+    denom = w + v
+    safe = np.where(denom < 1e-12, 1.0, denom)
+    out = np.where(denom < 1e-12, 0.0, 2.0 * w * v / safe)
+    out = np.where(w == v, v, out)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+_TOL = 1e-12
+HARMONIC_EDGE_VALUES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, _TOL, -_TOL, 0.5 * _TOL,
+    np.nextafter(_TOL, 0.0), np.nextafter(_TOL, 1.0), 0.25 * _TOL, 0.75 * _TOL,
+    1e-300, 0.3, 1.0, 2.0, 1e308, -1.0,
+]
+HARMONIC_SHAPES = [((), ()), ((), (5,)), ((5,), ()), ((5,), (5,)), ((4, 1), (1, 3)), ((1, 3), (4, 1))]
+
+
+def _harmonic_operand(shape):
+    element = st.sampled_from(HARMONIC_EDGE_VALUES) | st.floats(allow_nan=True, allow_infinity=True)
+    if shape == ():
+        return element
+    n = math.prod(shape)
+    return st.lists(element, min_size=n, max_size=n).map(lambda xs: np.array(xs).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +606,27 @@ class TestEncodedSpeed:
             with pytest.raises(DomainError):
                 eval_flux(model, model.probe_states(0.0), 0.0, rho)
 
+    @pytest.mark.parametrize(
+        "rho",
+        [math.nan, [0.5, math.nan], [math.nan, 0.5], [math.nan] * 3],
+        ids=["scalar", "last", "first", "all"],
+    )
+    def test_rejects_nan_density(self, rho):
+        # NaN is no density in [0, 1]: every checked entry point rejects it
+        law = Greenshields(1.0)
+        model = _single_probe_model(0.2)
+        states = model.probe_states(0.0)
+        x = np.zeros(np.shape(rho))
+        for call in (
+            lambda: eval_flux(model, states, x, rho),
+            lambda: eval_flux(FluxModel(law), (), x, rho),
+            lambda: eval_encoded_speed(model, states, x, rho),
+            lambda: eval_speed_law(law, rho),
+            lambda: eval_g(law, rho, 0.5),
+        ):
+            with pytest.raises(DomainError, match="outside"):
+                call()
+
     @given(
         st.floats(min_value=0.0, max_value=1.5),
         densities,
@@ -581,6 +662,25 @@ class TestFluxModel:
         assert model.max_probe_speed() == 0.7
         empty = FluxModel(speed_law=Greenshields(1.0))
         assert empty.max_probe_speed() == 0.0
+
+    def test_unhashable_law_rejected(self):
+        # the CFL bound keeps slopes per law, so a law must be hashable
+        @dataclass
+        class PlainLaw(SpeedLaw):  # eq=True without frozen sets __hash__ = None
+            vmax: float = 1.0
+
+            def __call__(self, rho):
+                return self.vmax * (1.0 - np.asarray(rho, dtype=float))
+
+            @property
+            def v_max(self):
+                return self.vmax
+
+            def lipschitz(self):
+                return self.vmax
+
+        with pytest.raises(DomainError, match="not hashable"):
+            FluxModel(speed_law=PlainLaw())
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         "fleet_7",
         "fleet_31",
         "fleet_7x40",
+        "fleet_7_clipped",
     ]
     scenario, overrides = script.load_case("fig_questa")
     assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
@@ -60,6 +61,15 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
     scenario, overrides = script.load_case("fleet_7x40")
     assert scenario.name == "fleet_7" and overrides == {}
     assert len(scenario.flux_model().probes) == 40
+    # the first, traffic-coupled probe starts within outer of x_min, so its
+    # blend window is clipped at the left end; the other probes are fleet_7's
+    scenario, overrides = script.load_case("fleet_7_clipped")
+    seeded, _ = script.load_case("fleet_7")
+    first, *rest = scenario.probes
+    assert scenario.name == "fleet_7" and overrides == {}
+    assert 0.0 < first.x0 - scenario.x_min < scenario.cutoff.outer
+    assert first.program == seeded.probes[0].program and not first.is_exogenous
+    assert [(p.x0, p.program) for p in rest] == [(p.x0, p.program) for p in seeded.probes[1:]]
 
 
 def test_digest_sees_every_output():
