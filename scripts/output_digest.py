@@ -17,7 +17,8 @@ at ``x = 0.1``, within the cutoff's ``outer = 0.15`` of ``x_min = 0``, so
 its blend window is clipped at the domain's left end.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
-rows and every probe path.  With ``--bundle`` the hash is taken instead
+rows (the log's ``step, t, dt, rate_in, rate_out`` columns) and every
+probe path.  With ``--bundle`` the hash is taken instead
 over every file ``io.write_bundle`` writes for the run (name, size and
 bytes, in ``OutputBundle.paths`` order), so the exports can be compared
 byte for byte.
@@ -108,7 +109,7 @@ def digest(result):
         h.update(np.float64(t).tobytes())
         h.update(np.ascontiguousarray(field, dtype=float).tobytes())
     h.update(np.asarray(result.diagnostics, dtype=float).tobytes())
-    h.update(np.asarray(result.boundary_flux, dtype=float).tobytes())
+    h.update(np.asarray(result.log[:, [0, 1, 2, 6, 7]], dtype=float).tobytes())
     for path in result.probe_paths:
         h.update(np.ascontiguousarray(path, dtype=float).tobytes())
     return h.hexdigest()

@@ -32,6 +32,12 @@ CFL_DEFAULT = 0.9
 #: Default number of evenly spaced snapshots a run records.
 SNAPSHOTS_DEFAULT = 50
 
+#: Most steps a run may take.
+MAX_STEPS = 2_000_000
+
+#: Most bytes of per-cell float64 arrays a run may hold (2 GiB; see :func:`run`).
+MAX_FIELD_BYTES = 2 * 1024**3
+
 #: Densities outside [0 - tol, 1 + tol] after an update abort the run.
 BOUND_TOL = 1e-12
 
@@ -270,26 +276,26 @@ def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
     return cfl * grid.dx / max(S, 1e-10)
 
 
-def _ghosted_flux(model, grid, states, field, rho=None):
-    """The field padded with one zero-order extrapolation ghost cell per
-    side, and the blended flux on it: the one flux evaluation of a step.
-    Each coupled probe is blended over the ghosted cells of its cutoff
-    support, found from the grid's geometry.
+def _ghost_buffer(field):
+    """A new ghosted buffer holding ``field`` in its interior."""
+    return np.concatenate([[0.0], field, [0.0]])
 
-    ``rho`` is an optional ``(n + 2)`` buffer whose interior ``rho[1:-1]``
-    already holds ``field``: only its two ghost cells are written.
+
+def _ghosted_flux(model, grid, states, rho):
+    """The blended flux on the ghosted buffer ``rho``, whose interior
+    ``rho[1:-1]`` holds the field: the one flux evaluation of a step.  The
+    two ghost cells are first set by zero-order extrapolation.  Each
+    coupled probe is blended over the ghosted cells of its cutoff support,
+    found from the grid's geometry.
     """
-    if rho is None:
-        rho = np.concatenate([[field[0]], field, [field[-1]]])
-    else:
-        rho[0] = field[0]
-        rho[-1] = field[-1]
+    rho[0] = rho[1]
+    rho[-1] = rho[-2]
     windows = None
     if states:
         windows = _cell_windows(
             states, grid.x_min - 0.5 * grid.dx, grid.dx, model.cutoff.outer, grid.n_cells + 2
         )
-    return rho, eval_flux(model, states, grid.ghosted_centers, rho, windows)
+    return eval_flux(model, states, grid.ghosted_centers, rho, windows)
 
 
 def _edge_rates(F):
@@ -298,17 +304,15 @@ def _edge_rates(F):
     return 0.5 * (float(F[0]) + float(F[1])), 0.5 * (float(F[-2]) + float(F[-1]))
 
 
-def _lxf_update(grid, rho, F, dt, t=None, out=None, scratch=None):
-    """The Lax-Friedrichs update from a ghosted density and flux.
+def _lxf_update(grid, rho, F, dt, t, out, scratch):
+    """The Lax-Friedrichs update from a ghosted density and flux, computed
+    into ``out`` with the help of ``scratch``, two ``(n,)`` arrays.
 
-    Returns the new field and its minimum and maximum.  Raises
-    :class:`StabilityError` (naming ``t`` if given) if the update leaves
-    ``[0, 1]`` beyond tolerance or holds a NaN; values within tolerance are
-    clamped.  Given ``out`` and ``scratch``, two ``(n,)`` arrays, the new
-    field is computed into ``out`` and returned in it.
+    Returns ``out`` holding the new field, and its minimum and maximum.
+    Raises :class:`StabilityError` (naming ``t`` unless it is ``None``) if
+    the update leaves ``[0, 1]`` beyond tolerance or holds a NaN; values
+    within tolerance are clamped.
     """
-    if out is None:
-        out, scratch = np.empty(grid.n_cells), np.empty(grid.n_cells)
     lam = dt / grid.dx
     # new = 0.5 * (rho[:-2] + rho[2:]) - (0.5 * lam) * (F[2:] - F[:-2])
     with np.errstate(over="ignore", invalid="ignore"):  # the range check below catches it
@@ -340,8 +344,9 @@ def lxf_step(model, grid, states, field, dt):
     floating-point tolerance or holds a NaN; values within tolerance are
     clamped.
     """
-    new, _, _ = _lxf_update(grid, *_ghosted_flux(model, grid, states, field), dt)
-    return new
+    rho = _ghost_buffer(field)
+    F = _ghosted_flux(model, grid, states, rho)
+    return _lxf_update(grid, rho, F, dt, None, np.empty(grid.n_cells), np.empty(grid.n_cells))[0]
 
 
 def boundary_flux_rates(model, grid, states, field):
@@ -350,8 +355,7 @@ def boundary_flux_rates(model, grid, states, field):
     the ghost cell and the adjacent interior cell on each side.  Summing
     ``dt * (rate_in - rate_out)`` over steps reproduces the change of the
     tracked mass exactly, up to rounding."""
-    _, F = _ghosted_flux(model, grid, states, field)
-    return _edge_rates(F)
+    return _edge_rates(_ghosted_flux(model, grid, states, _ghost_buffer(field)))
 
 
 def resolve_probe_speeds(model, grid, t, field, positions):
@@ -411,13 +415,9 @@ class RunResult:
 
     @property
     def diagnostics(self):
-        """The ``(step, t, dt, mass, min, max)`` columns of :attr:`log`."""
+        """The ``(step, t, dt, mass, min, max)`` columns of :attr:`log`
+        (the benchmark in ``perfbench/`` reads a run's steps and range here)."""
         return self.log[:, :6]
-
-    @property
-    def boundary_flux(self):
-        """The ``(step, t, dt, rate_in, rate_out)`` columns of :attr:`log`."""
-        return self.log[:, [0, 1, 2, 6, 7]]
 
     @property
     def snapshot_times(self):
@@ -464,7 +464,6 @@ def run(
     n_snapshots=SNAPSHOTS_DEFAULT,
     cfl=CFL_DEFAULT,
     scenario=None,
-    max_steps=2_000_000,
 ):
     """Evolve ``datum`` under ``model`` until ``t_end``.
 
@@ -474,11 +473,16 @@ def run(
     flux as an argument.  Snapshots are taken at ``n_snapshots`` evenly
     spaced times including 0 and ``t_end``; steps are shortened to land on
     these and on probe program boundaries exactly, so ``n_snapshots`` may
-    not exceed ``max_steps + 1``, and the snapshot spacing
+    not exceed ``MAX_STEPS + 1``, and the snapshot spacing
     ``t_end / (n_snapshots - 1)`` (``t_end`` for one snapshot) must exceed
     :data:`TIME_TOL`.  No step is longer than the law's own CFL step, so
-    a run that would need more than ``max_steps`` steps even at that step
-    is rejected before it starts.
+    a run that would need more than :data:`MAX_STEPS` steps even at that
+    step is rejected before :func:`init_field`, and so is a run whose
+    float64 arrays of one value per cell would exceed
+    :data:`MAX_FIELD_BYTES`: the ``n_snapshots`` snapshots and nine working
+    arrays (the grid's edges, centres and ghosted centres, two ghosted
+    buffers and a scratch array, and up to three temporaries of a step or
+    of :func:`init_field`).
 
     A step evaluates the blended flux once, on the ghosted field: the
     update (as :func:`lxf_step`) and the boundary rates (as
@@ -492,8 +496,8 @@ def run(
         raise DomainError(f"t_end must be positive, got {t_end}")
     if n_snapshots < 1:
         raise DomainError(f"n_snapshots must be >= 1, got {n_snapshots}")
-    if n_snapshots > max_steps + 1:  # each snapshot interval takes a step
-        raise DomainError(f"n_snapshots={n_snapshots} needs more than {max_steps=} steps")
+    if n_snapshots > MAX_STEPS + 1:  # each snapshot interval takes a step
+        raise DomainError(f"n_snapshots={n_snapshots} needs more than {MAX_STEPS=} steps")
     # 0, the snapshot times and t_end, in the arithmetic of the step loop's
     # next-boundary and end tests: each must lie beyond TIME_TOL of the last
     marks = np.linspace(0.0, t_end, max(n_snapshots, 2))
@@ -513,10 +517,13 @@ def run(
     # no step is longer than cfl * dx / S_law, bar the at most TIME_TOL a
     # step gains landing on a boundary; the margin covers rounding
     span = (t_end - len(boundaries) * TIME_TOL) * max(model.speed_law.max_flux_slope, 1e-10)
-    if span * (1.0 - 1e-9) > max_steps * cfl * grid.dx:
+    if span * (1.0 - 1e-9) > MAX_STEPS * cfl * grid.dx:
         raise DomainError(
-            f"t_end={t_end} at cfl={cfl} and dx={grid.dx} needs more than {max_steps=} steps"
+            f"t_end={t_end} at cfl={cfl} and dx={grid.dx} needs more than {MAX_STEPS=} steps"
         )
+    n_bytes = 8 * (n_snapshots + 9) * grid.n_cells  # the snapshots and working arrays
+    if n_bytes > MAX_FIELD_BYTES:
+        raise DomainError(f"{grid.n_cells} cells need {n_bytes} B of arrays > {MAX_FIELD_BYTES=}")
     rho, spare = np.empty(grid.n_cells + 2), np.empty(grid.n_cells + 2)
     scratch = np.empty(grid.n_cells)
     field = rho[1:-1]
@@ -534,8 +541,8 @@ def run(
     snap_idx = 1
     b_idx = 0  # boundaries[b_idx] is the first boundary beyond t + TIME_TOL
     while t < t_end - TIME_TOL:
-        if n_steps >= max_steps:
-            raise StabilityError(f"exceeded {max_steps} steps at t={t}")
+        if n_steps >= MAX_STEPS:
+            raise StabilityError(f"exceeded {MAX_STEPS=} steps at t={t}")
         states = tuple((positions[i], speeds[i]) for i in coupled)
         dt = cfl_dt(model, grid, states, cfl)
         while b_idx < len(boundaries) and boundaries[b_idx] <= t + TIME_TOL:
@@ -546,14 +553,13 @@ def run(
             t_new = b_next
         else:
             t_new = t + dt
-        rho, F = _ghosted_flux(model, grid, states, field, rho)
+        F = _ghosted_flux(model, grid, states, rho)
         rate_in, rate_out = _edge_rates(F)
-        new_field, lo, hi = _lxf_update(grid, rho, F, dt, t, spare[1:-1], scratch)
+        field, lo, hi = _lxf_update(grid, rho, F, dt, t, spare[1:-1], scratch)
         rho, spare = spare, rho
         for path, p, w, trace in zip(paths, positions, speeds, traces):
             path.frombytes(_PATH_ROW(t, p, w, trace))
         positions = advance_probes(model, positions, speeds, dt, t_new)
-        field = new_field
         t = t_new
         speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
         mass = float(field.sum()) * grid.dx

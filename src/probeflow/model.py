@@ -306,8 +306,8 @@ class _SpeedTable:
     ``tau > 0``.  The last piece runs on past the last knot.  A
     model-coupled piece has no programmed speed: its knots hold NaN.
 
-    ``t`` and ``w`` are numpy arrays; ``ts``, ``ws`` and ``disp`` are
-    lists of Python floats, for the scalar queries of a run's step loop.
+    ``ts``, ``ws`` and ``disp`` are lists of Python floats, for the scalar
+    queries of a run's step loop.
     """
 
     def __init__(self, segments, tau):
@@ -322,21 +322,18 @@ class _SpeedTable:
         for (_, t_b, w0), (_, _, w1) in zip(pieces, pieces[1:]):
             ts += [t_b - tau, t_b + tau]
             ws += [w0, w1]
-        self.t = np.array(ts)
-        self.w = np.array(ws, dtype=float)
+        t, w = np.array(ts), np.array(ws, dtype=float)
         # an overflowing displacement is rejected below, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            disp = np.concatenate(
-                [[0.0], np.cumsum(np.diff(self.t) * (self.w[1:] + self.w[:-1]) / 2.0)]
-            )
-        self.exogenous = not np.isnan(self.w).any()
+            disp = np.concatenate([[0.0], np.cumsum(np.diff(t) * (w[1:] + w[:-1]) / 2.0)])
+        self.exogenous = not np.isnan(w).any()
         # past the last knot the trapezoid adds w[-1] + w[-1]
         if self.exogenous and not (np.all(np.isfinite(disp)) and math.isfinite(2.0 * ws[-1])):
             raise DomainError(
                 f"probe program's closed-form displacement is not finite: "
                 f"speeds up to {max(ws)} overflow it"
             )
-        self.ts, self.ws, self.disp = self.t.tolist(), self.w.tolist(), disp.tolist()
+        self.ts, self.ws, self.disp = t.tolist(), w.tolist(), disp.tolist()
         self._last = (math.nan, 0, math.nan)  # no time equals NaN
 
     def lookup(self, t):
@@ -477,19 +474,19 @@ class ProbeTrajectory:
     def min_speed(self):
         """Smallest speed a fully exogenous program takes (ramps are
         monotone, so the knots suffice)."""
-        return float(np.min(self._table.w))
+        return float(np.min(self._table.ws))
 
     def speed_jumps(self):
         """Size of each switch between program pieces, in time order."""
-        w = self._table.w
-        return [float(j) for j in np.abs(w[2::2] - w[1::2])]
+        ws = self._table.ws
+        return [abs(w1 - w0) for w0, w1 in zip(ws[1::2], ws[2::2])]
 
     def profile_speeds(self):
         """Representative speeds above :data:`ZERO_DENOM_TOL` that a fully
         exogenous program takes: its knot values plus nine samples across
         each ramp."""
-        t, w = self._table.t, self._table.w
-        values = set(float(v) for v in w)
+        t, w = self._table.ts, self._table.ws
+        values = set(w)
         for t0, t1, w0, w1 in zip(t, t[1:], w, w[1:]):
             if t0 != t1 and w0 != w1:
                 values.update(float(v) for v in np.linspace(w0, w1, 9))
@@ -498,7 +495,7 @@ class ProbeTrajectory:
     def boundary_times(self):
         """Times where the program's speed law changes (segment edges and
         mollification ramp edges), for exact time-step alignment."""
-        times = {float(t) for t in self._table.t if t > 0.0}
+        times = {t for t in self._table.ts if t > 0.0}
         for s in self.program:
             for t in (s.start, s.end):
                 if t is not None and t > 0.0:
@@ -611,31 +608,28 @@ def check_states(model, states):
 
 
 def _stacked_weights(model, states, x, windows):
-    """Every coupled probe's cutoff weight over its window of ``x``, all
+    """Every coupled probe's cutoff weight over its window of 1-d ``x``, all
     probes in one pass.
 
-    ``windows`` holds one slice per probe along ``x``'s first axis, or is
-    ``None`` for the whole of ``x``.  Returns ``idx``, the flat (C-order)
-    indices into ``x`` of every window concatenated in probe order;
-    ``counts``, the number of them per probe; ``chi``, the weights
-    ``chi(x - p_i)`` at ``idx``; and ``total``, the flat per-point sum of
-    the weights, added in probe order as one running sum per point would
-    be.  A window must cover every point with ``|x - p_i| < outer``:
-    ``chi`` is exactly 0 elsewhere, so a skipped point only loses a ``+0``
-    and ``total`` is bit-for-bit the one summed over the whole of ``x``.
+    ``windows`` holds one slice of ``x`` per probe, or is ``None`` for the
+    whole of ``x``.  Returns ``idx``, the indices into ``x`` of every
+    window concatenated in probe order; ``counts``, the number of them per
+    probe; ``chi``, the weights ``chi(x - p_i)`` at ``idx``; and ``total``,
+    the per-point sum of the weights, added in probe order as one running
+    sum per point would be.  A window must cover every point with
+    ``|x - p_i| < outer``: ``chi`` is exactly 0 elsewhere, so a skipped
+    point only loses a ``+0`` and ``total`` is bit-for-bit the one summed
+    over the whole of ``x``.
     """
-    n, m = (x.shape[0], math.prod(x.shape[1:])) if x.ndim else (1, 1)
     if windows is None:
         windows = (slice(None),) * len(states)
     elif len(windows) != len(states):
         raise DomainError(f"{len(windows)} windows for {len(states)} probe states")
-    rows = [range(n)[win] for win in windows]
+    rows = [range(x.size)[win] for win in windows]
     idx = np.concatenate([np.arange(r.start, r.stop, r.step) for r in rows] or [np.arange(0)])
-    if m != 1:  # each selected point's values along the other axes
-        idx = (idx[:, None] * m + np.arange(m)).ravel()
-    counts = [len(r) * m for r in rows]
+    counts = [len(r) for r in rows]
     positions = np.repeat(np.array([p for p, _ in states], dtype=float), counts)
-    chi = model.cutoff(x.reshape(-1)[idx] - positions)
+    chi = model.cutoff(x[idx] - positions)
     # bincount adds in the order of idx: probe order at every point
     total = np.bincount(idx, weights=chi, minlength=x.size)
     return idx, counts, chi, total
@@ -651,7 +645,7 @@ def eval_encoded_speed(model, states, x, rho):
     ``w_i = chi(x - p_i)``.  With ``W = sum(w_i) <= 1`` the speed is
     ``(1 - W) * v(rho) + sum_i w_i * harmonic_speed(pdot_i, v(rho))``; for
     ``W > 1`` the weights are first normalised by ``W`` (the blend stays a
-    convex combination).
+    convex combination).  ``x`` and ``rho`` may be of any broadcast shapes.
     """
     return _blended_speed(model, states, x, _as_density(rho))
 
@@ -659,8 +653,9 @@ def eval_encoded_speed(model, states, x, rho):
 def _blended_speed(model, states, x, rho, windows=None):
     """:func:`eval_encoded_speed` on a density array already checked, each
     probe blended only over its window of ``x`` (see
-    :func:`_stacked_weights`).  Given windows, ``x``'s first axis must be
-    the first axis of the broadcast ``(x, rho)``.
+    :func:`_stacked_weights`).  Shapes other than 1-d ``x`` and ``rho`` of
+    one shape are broadcast together, blended as one flat C-ordered row and
+    reshaped back; ``windows`` need the 1-d form (:class:`DomainError`).
 
     Every probe's window is blended in one stacked pass, whatever the
     number of probes: one cutoff evaluation and one harmonic blend over the
@@ -670,37 +665,31 @@ def _blended_speed(model, states, x, rho, windows=None):
     """
     check_states(model, states)
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.shape != rho.shape:
+        if windows is not None:
+            raise DomainError(f"windows need 1-d x and rho of one shape: {x.shape}, {rho.shape}")
+        x, rho = np.broadcast_arrays(x, rho)
+        return _blended_speed(model, states, x.ravel(), rho.ravel()).reshape(x.shape)[()]
     v = model.speed_law(rho)
     # accumulate as v + sum w_i (H_i - v): algebraically the convex
     # combination, but exact (not just close) wherever every H_i equals v.
     # Outside its window a probe's term would be (0 / scale) * (H_i - v),
     # a signed zero, which leaves every bit of out (never -0) unchanged.
-    # Adding 0.0 turns a -0 of v into +0, as adding the zeros would.  out
-    # is C-ordered whatever v's order, so np.add.at below writes through
-    # out.reshape(-1), a view, not into a copy.
-    if np.shape(v) == x.shape == rho.shape:
-        out = np.asarray(np.add(v, 0.0, order="C"))
-    else:
-        out = np.asarray(np.add(v, np.zeros(np.broadcast_shapes(x.shape, rho.shape)), order="C"))
+    # Adding 0.0 turns a -0 of v into +0, as adding the zeros would.
+    out = v + 0.0
     if states:
-        if windows is not None and (x.ndim != out.ndim or x.shape[:1] != out.shape[:1]):
-            raise DomainError(f"windows need x spanning the first axis of {out.shape}, got {x.shape}")
-        if x.shape != out.shape:
-            x = np.broadcast_to(x, out.shape)
-        if np.shape(v) != out.shape:
-            v = np.broadcast_to(v, out.shape)
         idx, counts, chi, total = _stacked_weights(model, states, x, windows)
-        vw = v.reshape(-1)[idx]
+        vw = v[idx]
         speeds = np.repeat(np.array([pdot for _, pdot in states], dtype=float), counts)
         term = (chi / np.maximum(total[idx], 1.0)) * (harmonic_speed(speeds, vw) - vw)
-        np.add.at(out.reshape(-1), idx, term)
-    return out[()]
+        np.add.at(out, idx, term)
+    return out
 
 
 def eval_flux(model, states, x, rho, windows=None):
     """The conservation-law flux ``rho * V(x, rho)``, with the coupled
     probes' ``states`` as in :func:`eval_encoded_speed`, each blended only
-    over its slice of ``windows`` along ``x``'s first axis (see
+    over its slice of ``windows`` of 1-d ``x`` (see
     :func:`_stacked_weights`; by default the whole of ``x``)."""
     rho = _as_density(rho)
     return rho * _blended_speed(model, states, x, rho, windows)

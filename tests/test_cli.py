@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from probeflow import fvsolver
 from probeflow.cli import main
 from probeflow.io import (
     read_density_csv,
@@ -47,7 +48,7 @@ def _overflowing_probe_scenario():
     """``fig_int32`` with its probe programmed to a speed ``w`` so large
     that ``2 w v`` overflows in the harmonic mean where the law's speed
     ``v`` exceeds 1.125; the probe's path stays finite, and the law's
-    ``v_max = 2`` keeps the run within ``max_steps``."""
+    ``v_max = 2`` keeps the run within ``MAX_STEPS``."""
     data = get_scenario("fig_int32").to_dict()
     data["law"] = {"kind": "greenshields", "v_max": 2.0}
     data["probes"][0]["program"][0] = {"from": 0.0, "to": 1.0, "mode": "speed", "speed": 8e307}
@@ -203,7 +204,7 @@ class TestRunCommand:
             (("domain", "dx"), "abc", "malformed scenario data"),
             (("t_end",), "soon", "malformed scenario data"),
             (("n_snapshots",), 2.5, "whole number"),
-            (("n_snapshots",), 1.5e300, "max_steps"),
+            (("n_snapshots",), 1.5e300, "MAX_STEPS"),
         ],
     )
     def test_bad_scenario_json_number_exits_2(self, tmp_path, capsys, path, value, fragment):
@@ -283,7 +284,7 @@ class TestRunCommand:
     )
     def test_run_that_certainly_exceeds_max_steps_exits_2(self, tmp_path, capsys, key, value):
         # no step is longer than cfl * dx over the law's CFL speed, so these
-        # runs need far more than max_steps steps: rejected before the first
+        # runs need far more than MAX_STEPS steps: rejected before the first
         data = get_scenario("fig_int32").to_dict()
         data[key] = value
         scenario_file = tmp_path / "scenario.json"
@@ -292,8 +293,30 @@ class TestRunCommand:
         assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "max_steps" in err
+        assert err.startswith("error:") and "MAX_STEPS" in err
         assert not (tmp_path / "x").exists()
+
+    def test_run_whose_field_arrays_exceed_the_memory_cap_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 45e6 cells stay under MAX_STEPS (at least 1.11e6 steps), but 50
+        # snapshots and the working arrays would hold about 21 GB of float64:
+        # rejected before the field is ever built
+        calls = []
+
+        def no_field(*args):
+            calls.append(args)
+            raise AssertionError("init_field called")
+
+        monkeypatch.setattr(fvsolver, "init_field", no_field)
+        out = tmp_path / "x"
+        start = time.perf_counter()
+        assert main(["run", "fig_int32", "--out", str(out), "--dx", "1e-7", "--T", "0.1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "45000000 cells" in err and "MAX_FIELD_BYTES" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("t_end", [1e-300, 1e-13])
     def test_snapshot_spacing_below_the_time_tolerance_exits_2(self, tmp_path, capsys, t_end):

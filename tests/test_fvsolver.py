@@ -40,7 +40,7 @@ from probeflow import (
 )
 from probeflow import fvsolver
 from probeflow import model as model_module
-from probeflow.fvsolver import _ghosted_flux, _lxf_update
+from probeflow.fvsolver import _ghost_buffer, _ghosted_flux, _lxf_update
 from probeflow.model import _stacked_weights
 
 
@@ -285,7 +285,7 @@ class TestRun:
         model = FluxModel(speed_law=Greenshields(1.0))
         result = run(model, grid, self._bump_datum(), 0.2, n_snapshots=5)
         np.testing.assert_allclose(result.snapshot_times, np.linspace(0.0, 0.2, 5))
-        assert len(result.diagnostics) == len(result.boundary_flux)
+        assert len(result.diagnostics) == len(result.log)
         assert result.diagnostics[-1][0] == len(result.diagnostics)
         assert result.diagnostics[-1][1] == pytest.approx(0.2)
         assert result.field_at(0.1).shape == (grid.n_cells,)
@@ -361,7 +361,7 @@ class TestRun:
         assert model == FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
         np.testing.assert_array_equal(first.final_field, second.final_field)
         assert first.diagnostics.tobytes() == second.diagnostics.tobytes()
-        assert first.boundary_flux.tobytes() == second.boundary_flux.tobytes()
+        assert first.log.tobytes() == second.log.tobytes()
         np.testing.assert_array_equal(first.probe_path(0), second.probe_path(0))
 
     def test_steps_land_on_program_boundaries(self):
@@ -374,7 +374,7 @@ class TestRun:
         times = [row[1] for row in result.diagnostics]
         assert any(abs(t - 0.1234) <= 1e-12 for t in times)
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         with pytest.raises(DomainError):
@@ -385,29 +385,32 @@ class TestRun:
         # moving probe halves the steps, which only the step loop finds out
         probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 0.5),))
         coupled = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
-        with pytest.raises(StabilityError, match="at t="):
-            run(coupled, grid, self._bump_datum(), 0.1, n_snapshots=2, max_steps=15)
+        monkeypatch.setattr(fvsolver, "MAX_STEPS", 15)
+        with pytest.raises(StabilityError, match="MAX_STEPS=15 steps at t="):
+            run(coupled, grid, self._bump_datum(), 0.1, n_snapshots=2)
 
     @pytest.mark.parametrize(
-        "cfl, max_steps", [(CFL_DEFAULT, 1), (CFL_DEFAULT, 11), (1e-300, 2_000_000)]
+        "cfl, limit", [(CFL_DEFAULT, 1), (CFL_DEFAULT, 11), (1e-300, 2_000_000)]
     )
     def test_run_that_certainly_exceeds_max_steps_rejected_up_front(
-        self, monkeypatch, cfl, max_steps
+        self, monkeypatch, cfl, limit
     ):
         # no step is longer than cfl * dx / S_law = 0.009 here, so t_end =
         # 0.1 takes at least 11.1 steps
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         monkeypatch.setattr(fvsolver, "init_field", None)  # nothing allocated
-        with pytest.raises(DomainError, match="max_steps"):
-            run(model, grid, self._bump_datum(), 0.1, n_snapshots=2, cfl=cfl, max_steps=max_steps)
+        monkeypatch.setattr(fvsolver, "MAX_STEPS", limit)
+        with pytest.raises(DomainError, match=f"MAX_STEPS={limit} steps"):
+            run(model, grid, self._bump_datum(), 0.1, n_snapshots=2, cfl=cfl)
 
-    def test_run_at_its_step_count_completes(self):
+    def test_run_at_its_step_count_completes(self, monkeypatch):
         # the up-front bound is a lower bound: the run that takes 12 steps
-        # still runs with max_steps=12
+        # still runs with MAX_STEPS = 12
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
-        result = run(model, grid, self._bump_datum(), 0.1, n_snapshots=2, max_steps=12)
+        monkeypatch.setattr(fvsolver, "MAX_STEPS", 12)
+        result = run(model, grid, self._bump_datum(), 0.1, n_snapshots=2)
         assert len(result.log) == 12
 
     @pytest.mark.parametrize("n_snapshots", [5, 10**300], ids=["five", "huge"])
@@ -416,8 +419,9 @@ class TestRun:
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         monkeypatch.setattr(fvsolver, "init_field", None)  # nothing allocated
-        with pytest.raises(DomainError, match="max_steps"):
-            run(model, grid, self._bump_datum(), 0.1, n_snapshots=n_snapshots, max_steps=3)
+        monkeypatch.setattr(fvsolver, "MAX_STEPS", 3)
+        with pytest.raises(DomainError, match="MAX_STEPS=3 steps"):
+            run(model, grid, self._bump_datum(), 0.1, n_snapshots=n_snapshots)
 
     @pytest.mark.parametrize(
         "t_end, n_snapshots",
@@ -782,8 +786,7 @@ class TestStepLog:
         np.testing.assert_array_equal(log[:, 0], np.arange(1, n + 1))
         assert log[-1, 1] == t_end
         assert result.diagnostics.tobytes() == log[:, :6].tobytes()
-        assert result.boundary_flux.tobytes() == log[:, [0, 1, 2, 6, 7]].tobytes()
-        assert len(result.diagnostics) == len(result.boundary_flux) == n
+        assert len(result.diagnostics) == n
         for path in result.probe_paths:
             assert path.shape == (n, 4) and path.dtype == np.float64
             assert path.flags.c_contiguous and not path.flags.writeable
@@ -839,7 +842,7 @@ class TestStepLoopMatchesReference:
         for (_, got), (_, want) in zip(result.snapshots, snapshots):
             assert got.tobytes() == want.tobytes()
         assert _as_bytes(result.diagnostics) == _as_bytes(diagnostics)
-        assert _as_bytes(result.boundary_flux) == _as_bytes(boundary_flux)
+        assert _as_bytes(result.log[:, [0, 1, 2, 6, 7]]) == _as_bytes(boundary_flux)
         assert len(result.probe_paths) == len(paths)
         for got, want in zip(result.probe_paths, paths):
             assert got.tobytes() == _as_bytes(want)
@@ -895,8 +898,9 @@ class TestStepLoopMatchesReference:
         model = FluxModel(speed_law=Greenshields(1.0))
         field = np.full(grid.n_cells, background)
         field[4] = spike
-        rho, F = _ghosted_flux(model, grid, (), field)
-        new, lo, hi = _lxf_update(grid, rho, F, 2.0 * grid.dx)
+        rho = _ghost_buffer(field)
+        F = _ghosted_flux(model, grid, (), rho)
+        new, lo, hi = _lxf_update(grid, rho, F, 2.0 * grid.dx, None, *np.empty((2, grid.n_cells)))
         unclipped = 0.5 * (rho[:-2] + rho[2:]) - (F[2:] - F[:-2])
         assert np.min(unclipped) < 0.0 or np.max(unclipped) > 1.0
         assert new.tobytes() == lxf_step(model, grid, (), field, 2.0 * grid.dx).tobytes()
@@ -906,11 +910,11 @@ class TestStepLoopMatchesReference:
         current, following = np.full((2, grid.n_cells + 2), np.nan)
         current[1:-1] = field
         scratch = np.full(grid.n_cells, np.nan)
-        rho_b, F_b = _ghosted_flux(model, grid, (), current[1:-1], current)
-        assert rho_b is current and rho_b.tobytes() == rho.tobytes()
+        F_b = _ghosted_flux(model, grid, (), current)
+        assert current.tobytes() == rho.tobytes()
         assert F_b.tobytes() == F.tobytes()
         out = following[1:-1]
-        new_b, lo_b, hi_b = _lxf_update(grid, rho_b, F_b, 2.0 * grid.dx, None, out, scratch)
+        new_b, lo_b, hi_b = _lxf_update(grid, current, F_b, 2.0 * grid.dx, None, out, scratch)
         assert new_b is out and new_b.tobytes() == new.tobytes()
         assert (lo_b, hi_b) == (lo, hi)
         assert np.isnan(following[[0, -1]]).all()  # the next step writes these ghosts
@@ -983,7 +987,8 @@ class TestWindowedBlendMatchesReference:
         cutoff, grid, states = case()
         model = _probe_model(cutoff, states)
         field = _blend_field(grid)
-        rho, F = _ghosted_flux(model, grid, states, field)
+        rho = _ghost_buffer(field)
+        F = _ghosted_flux(model, grid, states, rho)
         want = reference_flux(model, states, _reference_ghosted_centers(grid), rho)
         assert F.tobytes() == want.tobytes()
 
@@ -1026,8 +1031,8 @@ class TestWindowedBlendMatchesReference:
             assert np.asarray(speed).tobytes() == want_speed.tobytes()
             flux = eval_flux(model, states, x, rho)
             assert np.asarray(flux).tobytes() == want_flux.tobytes()
-            if np.ndim(x):
-                windows = _tight_windows(model, states, np.ravel(x))
+            if np.ndim(x) == 1:  # windows slice 1-d x and rho of one shape
+                windows = _tight_windows(model, states, x)
                 flux = eval_flux(model, states, x, rho, windows)
                 assert flux.tobytes() == want_flux.tobytes()
 
@@ -1132,16 +1137,30 @@ class TestBlendWindowsValidated:
     def test_one_window_per_state(self):
         cutoff, grid, states = _overlapping_supports()
         model = _probe_model(cutoff, states)
-        with pytest.raises(DomainError, match="windows"):
-            eval_flux(model, states, grid.centers, 0.5, [slice(None)] * 3)
+        field = np.full(grid.n_cells, 0.5)
+        with pytest.raises(DomainError, match="3 windows for 4 probe states"):
+            eval_flux(model, states, grid.centers, field, [slice(None)] * 3)
 
-    def test_windows_need_x_along_the_first_axis(self):
+    @pytest.mark.parametrize(
+        "x_shape, rho_shape",
+        [((10,), ()), ((10,), (1,)), ((10,), (9,)), ((1, 10), (10,)), ((3, 10), (3, 10)),
+         ((10, 1), (10, 3)), ((), ())],
+        ids=["scalar_rho", "length_one_rho", "shorter_rho", "2d_x", "both_2d", "broadcast",
+             "both_0d"],
+    )
+    def test_windows_need_1d_x_and_rho_of_one_shape(self, x_shape, rho_shape):
+        # windows slice one flat row; any other form is refused, not
+        # broadcast, whatever the memory order
         cutoff, grid, states = _overlapping_supports()
         model = _probe_model(cutoff, states)
-        x = grid.centers[None, :10]
-        rho = np.full((3, 10), 0.5)
-        with pytest.raises(DomainError, match="first axis"):
-            eval_flux(model, states, x, rho, [slice(None)] * len(states))
+        x = np.resize(grid.centers, x_shape)
+        rho = np.full(rho_shape, 0.5)
+        windows = [slice(None)] * len(states)
+        for x_in in (x, np.asfortranarray(x)):
+            with pytest.raises(DomainError, match="windows need 1-d x and rho of one shape"):
+                eval_flux(model, states, x_in, rho, windows)
+            with pytest.raises(DomainError, match="windows need 1-d x and rho of one shape"):
+                model_module._blended_speed(model, states, x_in, rho, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,7 +1227,8 @@ class TestStackedBlendMatchesReference:
     def test_ghosted_flux(self, case):
         cutoff, grid, states = case()
         model = _stacked_model(cutoff, states)
-        rho, F = _ghosted_flux(model, grid, states, _blend_field(grid))
+        rho = _ghost_buffer(_blend_field(grid))
+        F = _ghosted_flux(model, grid, states, rho)
         want = reference_flux(model, states, _reference_ghosted_centers(grid), rho)
         assert F.tobytes() == want.tobytes()
 
@@ -1223,10 +1243,11 @@ class TestStackedBlendMatchesReference:
         assert eval_flux(model, states, x, rho, windows).tobytes() == (rho * want).tobytes()
 
     def test_two_dimensional_x(self, case):
+        # any other shapes blend as one flat C-ordered row, whatever the
+        # memory order of the inputs
         cutoff, grid, states = case()
         model = _stacked_model(cutoff, states)
         centers = grid.centers
-        windows = fvsolver._cell_windows(states, centers[0], grid.dx, cutoff.outer, centers.size)
         densities = np.linspace(0.0, 1.0, 7)
         field = _blend_field(grid)
         x2 = np.stack([centers, centers], axis=1)
@@ -1235,7 +1256,7 @@ class TestStackedBlendMatchesReference:
             (centers[:, None], densities[None, :]),  # (m, 1) x (1, k)
             (x2, rho2),
             # column-major inputs of the same values, and (k, m) arrays
-            # transposed, which blend along the transposed view's first axis
+            # transposed
             (np.asfortranarray(x2), np.asfortranarray(rho2)),
             (x2, np.asfortranarray(rho2)),
             (np.stack([centers] * 3).T, np.stack([field, 1.0 - field, 0.5 * field]).T),
@@ -1246,8 +1267,6 @@ class TestStackedBlendMatchesReference:
             assert np.ascontiguousarray(eval_flux(model, states, x, rho)).tobytes() == (
                 np.ascontiguousarray(want).tobytes()
             )
-            flux = eval_flux(model, states, x, rho, windows)
-            assert np.ascontiguousarray(flux).tobytes() == np.ascontiguousarray(want).tobytes()
             speed = eval_encoded_speed(model, states, x, rho)
             want_speed = reference_blended_speed(model, states, x, rho)
             assert np.ascontiguousarray(speed).tobytes() == (
@@ -1278,7 +1297,7 @@ def test_one_cutoff_and_one_blend_per_flux_evaluation(n_probes, monkeypatch):
     monkeypatch.setattr(model_module, "harmonic_speed", counting_blend)
     field = _blend_field(grid)
     for evaluate in (
-        lambda: _ghosted_flux(model, grid, states, field),
+        lambda: _ghosted_flux(model, grid, states, _ghost_buffer(field)),
         lambda: eval_flux(model, states, grid.centers, field),
         lambda: eval_encoded_speed(model, states, grid.centers[:, None], field[None, :5]),
     ):

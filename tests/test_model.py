@@ -483,8 +483,9 @@ class TestSpeedTable:
         table = _SpeedTable(_random_program(np.random.default_rng(seed), coupled), tau)
         self._assert_lookup_matches_numpy(table.ts, table.ws, [])
         # the table's own lookup, which keeps its last answer, asked twice
+        knots, speeds = np.array(table.ts), np.array(table.ws)
         for t in table.ts + [-1.0, table.ts[-1] + 1.0]:
-            want = self._bits(np.interp(t, table.t, table.w))
+            want = self._bits(np.interp(t, knots, speeds))
             assert self._bits(table.lookup(t)[1]) == self._bits(table.lookup(t)[1]) == want
 
     @staticmethod
