@@ -26,12 +26,13 @@ import numpy as np
 
 from .errors import DomainError
 from .fronttrack import (
+    PiecewiseConstant,
     from_datum,
     ft_evolve,
     sample_curve_integral,
 )
 from .fvsolver import Grid, run
-from .model import EpsilonLaw, Greenshields
+from .model import EpsilonLaw, FluxModel, Greenshields
 from .riemann import solve_riemann
 from .scenarios import run_scenario
 
@@ -421,9 +422,6 @@ def _rescaled_pair(v1, v2, datum, t_end, dx):
     cells are compared against the reference field by linear interpolation
     between its cell centres.
     """
-    from .fronttrack import PiecewiseConstant
-    from .model import FluxModel
-
     xs = datum.xs
     x_lo = math.floor(min(xs, default=0.0)) - 1.0
     x_hi = math.ceil(max(xs, default=0.0)) + 2.0

@@ -307,7 +307,8 @@ class _SpeedTable:
     model-coupled piece has no programmed speed: its knots hold NaN.
 
     ``ts``, ``ws`` and ``disp`` are lists of Python floats, for the scalar
-    queries of a run's step loop.
+    queries of a run's step loop; ``switches`` holds the switch times
+    ``t_b``, which are not knots when ``tau > 0``.
     """
 
     def __init__(self, segments, tau):
@@ -318,6 +319,7 @@ class _SpeedTable:
                 f"mollification radius {tau} exceeds half the narrowest "
                 f"program piece ({min(widths)})"
             )
+        self.switches = [float(b) for _, b, _ in pieces[:-1]]
         ts, ws = [0.0], [pieces[0][2]]
         for (_, t_b, w0), (_, _, w1) in zip(pieces, pieces[1:]):
             ts += [t_b - tau, t_b + tau]
@@ -381,18 +383,19 @@ def _knot_lookup(ts, ws, t):
 def _program_pieces(segments):
     """Normalise a segment list into contiguous (start, end, speed) pieces
     covering [0, inf); uncovered time runs at speed 0 and a model-coupled
-    segment has speed NaN."""
-    segs = sorted(segments, key=lambda s: s.start)
+    segment has speed NaN.  Overlapping segments, and a segment after an
+    open-ended one, are a :class:`DomainError`."""
     pieces = []
     t = 0.0
-    for s in segs:
+    for s in sorted(segments, key=lambda s: s.start):
+        if s.start < t:
+            raise DomainError(f"probe program segments overlap near t={s.start}")
         if s.start > t:
             pieces.append((t, s.start, 0.0))
         pieces.append((s.start, s.end, s.speed if isinstance(s, ExogenousSpeed) else math.nan))
-        if s.end is None:
-            return pieces
-        t = s.end
-    pieces.append((t, None, 0.0))
+        t = math.inf if s.end is None else s.end
+    if t < math.inf:
+        pieces.append((t, None, 0.0))
     return pieces
 
 
@@ -407,29 +410,31 @@ class ProbeTrajectory:
     ``observer=True`` excludes the probe from the flux blend: it is advanced
     and recorded, but does not feed back into the equation.
 
-    The program is compiled once into one speed table, which answers
-    :meth:`speed_at` and :meth:`state_at`.  A trajectory carries no run-time
-    state, so one object can serve any number of runs; a run keeps its
-    probes' positions, speeds and recorded paths itself.
+    The program is compiled once into one speed table, which answers every
+    query (:meth:`speed_at`, :meth:`state_at`, :meth:`max_speed`,
+    :meth:`boundary_times`, ...) and so the solver and the analytic
+    constants; ``program`` is kept only for :meth:`clone` and
+    serialisation.  A trajectory carries no run-time state, so one object
+    can serve any number of runs; a run keeps its probes' positions, speeds
+    and recorded paths itself.
     """
 
     def __init__(self, x0, program, mollify_radius=0.0, observer=False):
         program = tuple(program)
         if not program:
             raise DomainError("probe program must contain at least one segment")
-        _check_disjoint(program)
         _require_finite("x0 and mollify_radius", x0, mollify_radius)
         if mollify_radius < 0.0:
             raise DomainError("mollify_radius must be >= 0")
-        if mollify_radius > 0.0 and any(isinstance(s, ModelCoupled) for s in program):
-            raise DomainError(
-                "mollification is defined only for fully exogenous programs"
-            )
         self.x0 = float(x0)
         self.program = program
         self.mollify_radius = float(mollify_radius)
         self.observer = bool(observer)
         self._table = _SpeedTable(program, self.mollify_radius)
+        if self.mollify_radius > 0.0 and not self.is_exogenous:
+            raise DomainError(
+                "mollification is defined only for fully exogenous programs"
+            )
 
     # -- program queries ---------------------------------------------------
 
@@ -461,15 +466,15 @@ class ProbeTrajectory:
         disp = table.disp[i] + (float(t) - table.ts[i]) * (table.ws[i] + w) / 2.0
         return self.x0 + disp, w
 
+    def _capped_speeds(self, law_vmax):
+        """The table's knot speeds, ``law_vmax`` standing in for the NaN of
+        a model-coupled piece."""
+        return [law_vmax if w != w else w for w in self._table.ws]
+
     def max_speed(self, law_vmax):
-        """Upper bound for the probe's speed over its whole program."""
-        bound = 0.0
-        for s in self.program:
-            if isinstance(s, ExogenousSpeed):
-                bound = max(bound, s.speed)
-            else:
-                bound = max(bound, law_vmax)
-        return bound
+        """Upper bound for the probe's speed over its whole program (ramps
+        are monotone, so the knots suffice)."""
+        return max(0.0, *self._capped_speeds(law_vmax))
 
     def min_speed(self):
         """Smallest speed a fully exogenous program takes (ramps are
@@ -495,12 +500,8 @@ class ProbeTrajectory:
     def boundary_times(self):
         """Times where the program's speed law changes (segment edges and
         mollification ramp edges), for exact time-step alignment."""
-        times = {t for t in self._table.ts if t > 0.0}
-        for s in self.program:
-            for t in (s.start, s.end):
-                if t is not None and t > 0.0:
-                    times.add(float(t))
-        return sorted(times)
+        table = self._table
+        return sorted({t for t in table.ts if t > 0.0}.union(table.switches))
 
     def clone(self, observer=None):
         """Probe with the same program, optionally with the observer flag
@@ -511,18 +512,6 @@ class ProbeTrajectory:
             mollify_radius=self.mollify_radius,
             observer=self.observer if observer is None else observer,
         )
-
-
-def _check_disjoint(program):
-    spans = sorted(
-        ((s.start, math.inf if s.end is None else s.end) for s in program),
-        key=lambda ab: ab[0],
-    )
-    for (a0, b0), (a1, _) in zip(spans, spans[1:]):
-        if a1 < b0:
-            raise DomainError(
-                f"probe program segments overlap near t={a1}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -888,20 +877,16 @@ def _sampled_xrho_lipschitz(model):
 
     ``dV/dx = chi'(x - p) * (blend(pdot, v) - v)`` depends on (t, x) only
     through the offset ``xi = x - p(t)`` and the probe speed, so the sup is
-    taken over a (xi, speed, rho) grid; probe speeds are sampled from each
-    program (the law's maximal speed stands in for model-coupled segments).
+    taken over a (xi, speed, rho) grid; the speeds are 0 and every
+    program's knot speeds (the law's maximal speed stands in for
+    model-coupled pieces).
     """
     if not model.coupled_probes:
         return 0.0
     law = model.speed_law
-    speeds = set()
+    speeds = {0.0}
     for probe in model.coupled_probes:
-        for seg in probe.program:
-            if isinstance(seg, ExogenousSpeed):
-                speeds.add(seg.speed)
-            else:
-                speeds.add(law.v_max)
-        speeds.add(0.0)  # gaps and program end run at speed 0
+        speeds.update(probe._capped_speeds(law.v_max))
     xi = np.linspace(-model.cutoff.outer, model.cutoff.outer, 201)
     slope = model.cutoff.derivative(xi)[:, None]
     rho = np.linspace(0.0, 1.0, 201)

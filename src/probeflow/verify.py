@@ -546,7 +546,9 @@ SUITES = {
 
 def run_suite(name, seed=None):
     """Run one named suite; ``seed`` overrides its fuzz seed when it has
-    one."""
+    one.  A negative ``seed`` is a :class:`DomainError`, for every suite."""
+    if seed is not None and not seed >= 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     try:
         func, takes_seed = SUITES[name]
     except KeyError:
@@ -559,5 +561,6 @@ def run_suite(name, seed=None):
 
 
 def run_all(seed=None):
-    """Run every suite, in a fixed order."""
+    """Run every suite, in a fixed order (a negative ``seed`` stops the
+    first, before it runs)."""
     return [run_suite(name, seed=seed) for name in SUITES]

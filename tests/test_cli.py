@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from probeflow import fvsolver
+from probeflow import cli, fvsolver
 from probeflow.cli import main
 from probeflow.io import (
     read_density_csv,
@@ -384,6 +384,27 @@ class TestPhiCommand:
         assert main(["phi", "--range", "0", "1", "-0.1"]) == 2
         assert "step must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bounds", [("nan", "1", "0.1"), ("0", "inf", "1"), ("inf", "2", "1"), ("0", "1", "nan")]
+    )
+    def test_non_finite_range_exits_2(self, bounds, capsys):
+        assert main(["phi", "--range", *bounds]) == 2
+        assert "range bounds and step must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [("0", "1", "1e-300"), ("0", "1e308", "1e-300")])
+    def test_range_of_too_many_values_exits_2(self, bounds, capsys):
+        started = time.perf_counter()
+        assert main(["phi", "--range", *bounds]) == 2
+        assert time.perf_counter() - started < 5.0
+        assert f"MAX_RANGE_VALUES={cli.MAX_RANGE_VALUES}" in capsys.readouterr().err
+
+    def test_range_of_max_range_values_is_evaluated(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_RANGE_VALUES", 5)
+        assert main(["phi", "--range", "0", "0.2", "0.05"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert main(["phi", "--range", "0", "0.25", "0.05"]) == 2
+        assert "more than MAX_RANGE_VALUES=5 values" in capsys.readouterr().err
+
     def test_unwritable_out_exits_4(self, tmp_path, capsys):
         target = tmp_path / "missing_dir" / "phi.csv"
         assert main(["phi", "0.1", "--out", str(target)]) == 4
@@ -475,6 +496,13 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self, capsys):
         assert main(["verify", "no_such_suite"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["lemma1", "conservation", "all"])
+    def test_negative_seed_exits_2_before_any_run(self, suite, capsys):
+        started = time.perf_counter()
+        assert main(["verify", suite, "--seed", "-1"]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestListScenarios:

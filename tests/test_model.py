@@ -21,6 +21,7 @@ from probeflow import (
     Greenshields,
     Grid,
     ModelCoupled,
+    PiecewiseConstant,
     ProbeStateError,
     ProbeTrajectory,
     SpeedLaw,
@@ -34,8 +35,10 @@ from probeflow import (
     harmonic_speed,
     lipschitz_constants,
     mixed_difference_constant,
+    run,
     stability_constant_C,
 )
+from probeflow import model as model_module
 from probeflow.model import _knot_lookup, _SpeedTable
 
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -303,12 +306,26 @@ class TestProbeTrajectory:
                 mollify_radius=0.2,
             )
 
-    def test_overlapping_segments_rejected(self):
-        with pytest.raises(DomainError):
-            ProbeTrajectory(
-                0.0,
-                (ExogenousSpeed(0.0, 2.0, 0.5), ExogenousSpeed(1.0, 3.0, 1.0)),
-            )
+    @pytest.mark.parametrize(
+        "program, start",
+        [
+            ((ExogenousSpeed(0.0, 2.0, 0.5), ExogenousSpeed(1.0, 3.0, 1.0)), 1.0),
+            ((ExogenousSpeed(0.0, None, 0.5), ExogenousSpeed(2.0, 3.0, 1.0)), 2.0),
+            ((ModelCoupled(0.0, None), ExogenousSpeed(0.0, 1.0, 1.0)), 0.0),
+            ((ExogenousSpeed(1.0, 2.0, 0.5), ExogenousSpeed(1.0, 3.0, 1.0)), 1.0),
+            ((ExogenousSpeed(1.0, 2.0, 0.5), ModelCoupled(1.0, None)), 1.0),
+        ],
+        ids=[
+            "overlap",
+            "after_open_end",
+            "after_open_end_same_start",
+            "equal_starts",
+            "equal_starts_coupled",
+        ],
+    )
+    def test_overlapping_segments_rejected(self, program, start):
+        with pytest.raises(DomainError, match=f"segments overlap near t={start}$"):
+            ProbeTrajectory(0.0, program)
 
     def test_empty_program_rejected(self):
         with pytest.raises(DomainError):
@@ -417,7 +434,109 @@ def reference_program_state(probe, t):
     return speed, probe.x0 + (disp + speed * (t - start))
 
 
+def reference_boundary_times(probe):
+    """Segment-walk reference for :meth:`ProbeTrajectory.boundary_times`:
+    the table's knot times plus every segment edge after 0."""
+    times = {t for t in probe._table.ts if t > 0.0}
+    for s in probe.program:
+        for t in (s.start, s.end):
+            if t is not None and t > 0.0:
+                times.add(float(t))
+    return sorted(times)
+
+
+def reference_max_speed(probe, law_vmax):
+    """Segment-walk reference for :meth:`ProbeTrajectory.max_speed`."""
+    bound = 0.0
+    for s in probe.program:
+        if isinstance(s, ExogenousSpeed):
+            bound = max(bound, s.speed)
+        else:
+            bound = max(bound, law_vmax)
+    return bound
+
+
+def reference_lipschitz_speeds(model):
+    """Segment-walk reference for the probe speeds the sampled Lipschitz
+    constant of ``rho -> dV/dx`` runs over."""
+    speeds = set()
+    for probe in model.coupled_probes:
+        for seg in probe.program:
+            if isinstance(seg, ExogenousSpeed):
+                speeds.add(seg.speed)
+            else:
+                speeds.add(model.speed_law.v_max)
+        speeds.add(0.0)
+    return sorted(speeds)
+
+
 class TestSpeedTable:
+    @pytest.mark.parametrize("tau", [0.0, 0.001, 0.004])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["exogenous", "coupled"])
+    def test_program_queries_equal_segment_walks(self, monkeypatch, coupled, tau):
+        sampled = []
+
+        def recording_blend(w, v):
+            sampled.append(w)
+            return v
+
+        monkeypatch.setattr(model_module, "harmonic_speed", recording_blend)
+        law = Greenshields(1.2)
+        rng = np.random.default_rng(20261019)
+        n_compared = n_refused = 0
+        for _ in range(150):
+            program = _random_program(rng, coupled)
+            if tau > 0.0 and any(isinstance(s, ModelCoupled) for s in program):
+                with pytest.raises(DomainError, match="fully exogenous"):
+                    ProbeTrajectory(0.0, program, mollify_radius=tau)
+                n_refused += 1
+                continue
+            probe = ProbeTrajectory(float(rng.uniform(-1.0, 1.0)), program, mollify_radius=tau)
+            got, want = probe.boundary_times(), reference_boundary_times(probe)
+            assert [t.hex() for t in got] == [t.hex() for t in want]
+            for vmax in (0.7, 1.2):
+                assert probe.max_speed(vmax).hex() == reference_max_speed(probe, vmax).hex()
+            model = FluxModel(speed_law=law, probes=(probe,))
+            sampled.clear()
+            model_module._sampled_xrho_lipschitz(model)
+            assert sampled == reference_lipschitz_speeds(model)
+            n_compared += 1
+        assert n_compared > 30 and (n_refused > 30 if coupled and tau > 0.0 else n_refused == 0)
+
+    def test_queries_need_only_the_compiled_table(self):
+        # the program is kept for serialisation and clone; every query and
+        # a run read the table it compiled to
+        gappy = (ExogenousSpeed(0.0, 0.2, 0.5), ExogenousSpeed(0.3, None, 0.1))
+        coupled = (ModelCoupled(0.0, 0.25), ExogenousSpeed(0.25, None, 0.3))
+
+        def probes():
+            return (
+                ProbeTrajectory(0.2, gappy, mollify_radius=0.02),
+                ProbeTrajectory(0.6, coupled),
+            )
+
+        kept, emptied = probes(), probes()
+        for probe in emptied:
+            probe.program = None
+        law, grid = Greenshields(1.0), Grid.from_extent(0.0, 1.0, 0.02)
+        for a, b in zip(kept, emptied):
+            assert a.max_speed(law.v_max) == b.max_speed(law.v_max)
+            assert a.boundary_times() == b.boundary_times()
+            # a coupled program's jumps are NaN: compared as arrays
+            np.testing.assert_array_equal(a.speed_jumps(), b.speed_jumps())
+            assert a.profile_speeds() == b.profile_speeds()
+        for a, b in ((kept, emptied), (kept[:1], emptied[:1])):
+            ma, mb = FluxModel(speed_law=law, probes=a), FluxModel(speed_law=law, probes=b)
+            assert lipschitz_constants(ma) == lipschitz_constants(mb)
+            assert stability_constant_C(ma) == stability_constant_C(mb)
+        assert stability_constant_C(FluxModel(speed_law=law, probes=emptied[:1])).value < math.inf
+        datum = PiecewiseConstant([0.5], [0.2, 0.6])
+        ra = run(FluxModel(speed_law=law, probes=kept), grid, datum, 0.4, n_snapshots=2)
+        rb = run(FluxModel(speed_law=law, probes=emptied), grid, datum, 0.4, n_snapshots=2)
+        assert np.array_equal(ra.log, rb.log)
+        assert all(np.array_equal(pa, pb) for pa, pb in zip(ra.probe_paths, rb.probe_paths))
+        assert np.array_equal(ra.snapshots[-1][1], rb.snapshots[-1][1])
+
     @pytest.mark.parametrize("coupled", [False, True], ids=["exogenous", "coupled"])
     def test_queries_equal_piecewise_integration_to_the_bit(self, coupled):
         rng = np.random.default_rng(20261018)

@@ -1,6 +1,7 @@
 """Scenario registry, validation findings, JSON round-trips, end-to-end runs."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -14,8 +15,10 @@ from probeflow import (
     ProbeTrajectory,
     Scenario,
     get_scenario,
+    lipschitz_constants,
     run_scenario,
     scenario_names,
+    stability_constant_C,
 )
 
 
@@ -257,3 +260,105 @@ class TestRunScenario:
             toy_scenario(probes=(probe,)).with_overrides(t_end=0.02, n_snapshots=2)
         )
         assert result.probe_path(0).shape[1] == 4
+
+
+#: The analytic constants of every built-in scenario, and of ``fig_questa``
+#: with both probes mollified over ``mollify_radius=0.25``, as
+#: ``float.hex``: the six :class:`LipschitzConstants` fields in field order,
+#: ``stability_constant_C(...).value`` and ``max_probe_speed()``.  No run
+#: output or verify report contains them, so a change to how programs are
+#: read is checked against these.
+CONSTANT_PINS = {
+    "calibration": (
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.3333333333333p+1",
+        "0x0.0p+0",
+        "0x1.3333333333333p+4",
+        "0x1.b000000000001p+5",
+        "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "fig_int3": (
+        "0x1.0000000000000p+0",
+        "0x1.e000000000001p+4",
+        "0x1.0000000000000p+1",
+        "0x1.dff3b645a1da8p+3",
+        "0x1.0000000000000p+4",
+        "0x1.6800000000001p+5",
+        "inf",
+        "0x1.0000000000000p+0",
+    ),
+    "fig_int32": (
+        "0x1.0000000000000p+0",
+        "0x1.2c00000000001p+7",
+        "0x1.0000000000000p+1",
+        "0x1.2bf851eb85270p+6",
+        "0x1.3000000000001p+6",
+        "0x1.c200000000002p+7",
+        "inf",
+        "0x1.0000000000000p+0",
+    ),
+    "fig_int33": (
+        "0x1.0000000000000p+0",
+        "0x1.e000000000001p+4",
+        "0x1.0000000000000p+1",
+        "0x1.dff3b645a1da8p+3",
+        "0x1.0000000000000p+4",
+        "0x1.6800000000001p+5",
+        "inf",
+        "0x1.0000000000000p+0",
+    ),
+    "fig_questa": (
+        "0x1.7ffffffffffffp-1",
+        "0x1.a400000000001p+4",
+        "0x1.0000000000000p+1",
+        "0x1.dff3b645a1da8p+3",
+        "0x1.0000000000000p+4",
+        "0x1.6800000000001p+5",
+        "inf",
+        "0x1.3333333333333p-1",
+    ),
+    "riemann_phi": (
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.0000000000000p+1",
+        "0x0.0p+0",
+        "0x1.0000000000000p+4",
+        "0x1.6800000000001p+5",
+        "0x0.0p+0",
+        "0x0.0p+0",
+    ),
+    "fig_questa_mollified": (
+        "0x1.7ffffffffffffp-1",
+        "0x1.a400000000001p+4",
+        "0x1.0000000000000p+1",
+        "0x1.dff3b645a1da8p+3",
+        "0x1.0000000000000p+4",
+        "0x1.6800000000001p+5",
+        "0x1.ddef4b4b46b57p+15",
+        "0x1.3333333333333p-1",
+    ),
+}
+
+
+def _constant_cases():
+    for name in scenario_names():
+        yield name, get_scenario(name)
+    base = get_scenario("fig_questa")
+    probes = tuple(
+        ProbeTrajectory(p.x0, p.program, mollify_radius=0.25, observer=p.observer)
+        for p in base.probes
+    )
+    yield "fig_questa_mollified", base.with_overrides(probes=probes)
+
+
+def test_analytic_constants_are_pinned_to_the_bit():
+    got = {}
+    for name, scenario in _constant_cases():
+        model = scenario.flux_model()
+        lip = lipschitz_constants(model)
+        values = [getattr(lip, f.name) for f in fields(lip)]
+        values += [stability_constant_C(model).value, model.max_probe_speed()]
+        got[name] = tuple(float(v).hex() for v in values)
+    assert got == CONSTANT_PINS

@@ -1,6 +1,8 @@
 """Suite dispatch of the verification runner."""
 
-from probeflow import verify
+import pytest
+
+from probeflow import DomainError, verify
 
 
 def test_seed_reaches_only_seeded_suites(monkeypatch):
@@ -35,3 +37,18 @@ def test_seed_reaches_only_seeded_suites(monkeypatch):
     calls.clear()
     verify.run_suite("lemma1")
     assert calls == {"lemma1": {}}
+
+
+def test_negative_seed_rejected_before_any_suite_runs(monkeypatch):
+    calls = []
+
+    def suite(**kwargs):
+        calls.append(kwargs)
+
+    monkeypatch.setattr(verify, "SUITES", {name: (suite, True) for name in verify.SUITES})
+    for call in (lambda: verify.run_all(seed=-1), lambda: verify.run_suite("lemma1", seed=-1)):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer, got -1"):
+            call()
+    assert calls == []
+    verify.run_all(seed=0)
+    assert calls == [{"seed": 0}] * len(verify.SUITES)
