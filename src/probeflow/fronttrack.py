@@ -98,9 +98,25 @@ class PiecewiseConstant:
         return min(self.values), max(self.values)
 
     def quantize(self, n):
-        """Round all states to the dyadic grid ``{k * 2**-n}``; see
-        :func:`quantize_datum`."""
-        return quantize_datum(self, n)
+        """Round all states to the grid ``{k * 2**-n}`` (ties to even) and
+        merge any neighbouring states that become equal."""
+        if n < 1:
+            raise DomainError(f"grid exponent n must be >= 1, got {n}")
+        scale = 2.0 ** n
+        rounded = [float(np.rint(v * scale) / scale) for v in self.values]
+        xs, values = [], [rounded[0]]
+        for x, v in zip(self.xs, rounded[1:]):
+            if v != values[-1]:
+                xs.append(x)
+                values.append(v)
+        quantized = PiecewiseConstant(xs, values)
+        tv0 = self.tv()
+        tvq = quantized.tv()
+        if tvq > tv0 + len(self.xs) * 2.0 ** -n + 1e-12:
+            raise FrontTrackError(
+                f"quantization increased variation beyond its bound: {tvq} vs {tv0}"
+            )
+        return QuantizeResult(datum=quantized, n=n, tv_preserved=tvq <= tv0 + 1e-12)
 
     def __repr__(self):
         return f"PiecewiseConstant(jumps={len(self.xs)}, tv={self.tv():.4g})"
@@ -119,28 +135,6 @@ class QuantizeResult:
     datum: PiecewiseConstant
     n: int
     tv_preserved: bool
-
-
-def quantize_datum(datum, n):
-    """Round a profile's states to the grid ``{k * 2**-n}`` (ties to even)
-    and merge any neighbouring states that become equal."""
-    if n < 1:
-        raise DomainError(f"grid exponent n must be >= 1, got {n}")
-    scale = 2.0 ** n
-    rounded = [float(np.rint(v * scale) / scale) for v in datum.values]
-    xs, values = [], [rounded[0]]
-    for x, v in zip(datum.xs, rounded[1:]):
-        if v != values[-1]:
-            xs.append(x)
-            values.append(v)
-    quantized = PiecewiseConstant(xs, values)
-    tv0 = datum.tv()
-    tvq = quantized.tv()
-    if tvq > tv0 + len(datum.xs) * 2.0 ** -n + 1e-12:
-        raise FrontTrackError(
-            f"quantization increased variation beyond its bound: {tvq} vs {tv0}"
-        )
-    return QuantizeResult(datum=quantized, n=n, tv_preserved=tvq <= tv0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

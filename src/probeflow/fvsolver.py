@@ -420,29 +420,12 @@ class RunResult:
         return self.log[:, :6]
 
     @property
-    def snapshot_times(self):
-        return [t for t, _ in self.snapshots]
-
-    def field_at(self, t):
-        """The snapshot field nearest ``t``, which must lie within 1e-9 of
-        it."""
-        ts, field = min(self.snapshots, key=lambda snap: abs(snap[0] - t))
-        if not abs(ts - t) <= 1e-9:
-            raise DomainError(f"no snapshot at t={t}; have {self.snapshot_times}")
-        return field
-
-    @property
     def final_field(self):
         return self.snapshots[-1][1]
 
     def probe_path(self, index):
         """Recorded ``(t, x, speed, trace)`` rows of probe ``index``."""
         return self.probe_paths[index]
-
-    def mass_drift(self):
-        """Largest deviation of the tracked mass from its initial value;
-        NaN if any tracked mass is NaN."""
-        return float(np.max(np.abs(self.log[:, 3] - self.initial_mass), initial=0.0))
 
     def mass_balance_residual(self):
         """Largest deviation of the tracked mass from the initial mass plus

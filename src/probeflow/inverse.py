@@ -49,14 +49,10 @@ class ErrorFunctionalReport:
 
     ``value`` is the time integral of ``|measured speed - law(trace)|``
     along the probe, evaluated by the left-endpoint rule on the recorded
-    rows; ``times`` / ``speeds`` / ``traces`` are the series it was built
-    from and ``n_steps`` the number of quadrature steps.
+    rows; ``n_steps`` is the number of quadrature steps.
     """
 
     value: float
-    times: tuple
-    speeds: tuple
-    traces: tuple
     n_steps: int
 
 
@@ -98,13 +94,7 @@ def error_functional(result, probe_index, law):
     """
     records = probe_records(result, probe_index)
     value = score_records(records, law, result.t_end)
-    return ErrorFunctionalReport(
-        value=float(value),
-        times=tuple(float(t) for t in records[:, 0]),
-        speeds=tuple(float(w) for w in records[:, 1]),
-        traces=tuple(float(r) for r in records[:, 2]),
-        n_steps=int(records.shape[0]),
-    )
+    return ErrorFunctionalReport(value=float(value), n_steps=int(records.shape[0]))
 
 
 def evaluate_candidate(scenario, v):
@@ -136,16 +126,8 @@ class ScanResult:
         return list(zip(self.v_values, self.errors))
 
     @property
-    def best_index(self):
-        return int(np.argmin(self.errors))
-
-    @property
     def best_v(self):
-        return self.v_values[self.best_index]
-
-    @property
-    def best_error(self):
-        return self.errors[self.best_index]
+        return self.v_values[int(np.argmin(self.errors))]
 
 
 def scan_E(scenario, v_lo, v_hi, n, workers=1):

@@ -448,19 +448,20 @@ class ProbeTrajectory:
         _, w = self._table.lookup(t)
         return None if w != w else w
 
-    def state_at(self, t):
-        """Position and speed at time t of a fully exogenous program, in
-        closed form.
-
-        A program with a model-coupled segment has no closed form: its path
-        depends on the density field, so it raises
-        :class:`ProbeStateError`.
-        """
+    def _require_exogenous(self, what):
+        """Raise :class:`ProbeStateError` unless the program is fully
+        exogenous: a model-coupled piece's speed follows the density field,
+        so the program alone cannot answer for ``what``."""
         if not self.is_exogenous:
             raise ProbeStateError(
-                f"model-coupled probe has no closed-form state at t={t}; "
-                "positions become available only while a simulation advances it"
+                f"model-coupled probe has no closed-form {what}: its speed "
+                "follows the density field while a simulation advances it"
             )
+
+    def state_at(self, t):
+        """Position and speed at time t of a fully exogenous program, in
+        closed form (:class:`ProbeStateError` for a model-coupled one)."""
+        self._require_exogenous(f"state at t={t}")
         table = self._table
         i, w = table.lookup(t)
         disp = table.disp[i] + (float(t) - table.ts[i]) * (table.ws[i] + w) / 2.0
@@ -478,18 +479,24 @@ class ProbeTrajectory:
 
     def min_speed(self):
         """Smallest speed a fully exogenous program takes (ramps are
-        monotone, so the knots suffice)."""
+        monotone, so the knots suffice); :class:`ProbeStateError` for a
+        model-coupled one."""
+        self._require_exogenous("minimum speed")
         return float(np.min(self._table.ws))
 
     def speed_jumps(self):
-        """Size of each switch between program pieces, in time order."""
+        """Size of each switch between the pieces of a fully exogenous
+        program, in time order; :class:`ProbeStateError` for a
+        model-coupled one."""
+        self._require_exogenous("speed jumps")
         ws = self._table.ws
         return [abs(w1 - w0) for w0, w1 in zip(ws[1::2], ws[2::2])]
 
     def profile_speeds(self):
         """Representative speeds above :data:`ZERO_DENOM_TOL` that a fully
         exogenous program takes: its knot values plus nine samples across
-        each ramp."""
+        each ramp; :class:`ProbeStateError` for a model-coupled program."""
+        self._require_exogenous("speed profile")
         t, w = self._table.ts, self._table.ws
         values = set(w)
         for t0, t1, w0, w1 in zip(t, t[1:], w, w[1:]):
@@ -558,14 +565,6 @@ class FluxModel:
         vmax = self.speed_law.v_max
         speeds = [p.max_speed(vmax) for p in self.coupled_probes]
         return max(speeds) if speeds else 0.0
-
-
-def eval_speed_law(law, rho):
-    """Evaluate a speed law at densities ``rho`` in [0, 1].
-
-    Raises :class:`DomainError` for out-of-range densities.
-    """
-    return law(_as_density(rho))
 
 
 def harmonic_speed(w, v):

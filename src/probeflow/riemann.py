@@ -4,8 +4,8 @@ For ``rho_t + f(rho)_x = 0`` with strictly concave flux and piecewise
 constant data ``(rho_l, rho_r)``, the entropy solution is self-similar in
 ``xi = x / t``: a shock travelling at the Rankine-Hugoniot speed when
 ``rho_l < rho_r``, a rarefaction fan spanning the characteristic speeds
-``f'(rho_l) > f'(rho_r)`` when ``rho_l > rho_r``, and the constant state
-otherwise.
+``f'(rho_l) < f'(rho_r)`` when ``rho_l > rho_r`` (``f'`` decreases), and
+the constant state otherwise.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ class RiemannSolution:
 
     ``kind`` is ``"constant"``, ``"shock"`` or ``"rarefaction"``.  A shock
     carries its ``speed``; a rarefaction its edge speeds
-    ``(head, tail) = (f'(rho_l), f'(rho_r))`` with ``head > tail`` replaced
-    by the sorted pair ``fan = (lower, upper)``.
+    ``fan = (f'(rho_l), f'(rho_r))``, lower first: ``rho_l > rho_r`` and
+    ``f'`` decreases, so the fan's tail ``f'(rho_l)`` is slower than its
+    head ``f'(rho_r)``.
     """
 
     law: object
@@ -95,10 +96,10 @@ def solve_riemann(law, rho_l, rho_r):
         return RiemannSolution(
             law=law, rho_l=rho_l, rho_r=rho_r, kind="shock", speed=float(speed)
         )
-    head = float(law.flux_slope(rho_l))
-    tail = float(law.flux_slope(rho_r))
+    tail = float(law.flux_slope(rho_l))
+    head = float(law.flux_slope(rho_r))
     return RiemannSolution(
-        law=law, rho_l=rho_l, rho_r=rho_r, kind="rarefaction", fan=(head, tail)
+        law=law, rho_l=rho_l, rho_r=rho_r, kind="rarefaction", fan=(tail, head)
     )
 
 

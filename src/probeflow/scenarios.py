@@ -187,9 +187,6 @@ class Scenario:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed scenario data: {exc}") from exc
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text):
         try:

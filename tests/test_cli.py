@@ -416,7 +416,7 @@ class TestInverseCommand:
     def coarse_json(self, tmp_path):
         scenario = get_scenario("calibration").with_overrides(dx=0.01, t_end=0.5)
         path = tmp_path / "coarse.json"
-        path.write_text(scenario.to_json())
+        path.write_text(json.dumps(scenario.to_dict()))
         return path
 
     def test_recovers_planted_slope(self, tmp_path, coarse_json, capsys):

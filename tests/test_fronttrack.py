@@ -23,7 +23,6 @@ from probeflow import (
     from_datum,
     ft_evolve,
     ft_riemann,
-    quantize_datum,
     sample_curve_integral,
     solve_riemann,
 )
@@ -85,7 +84,7 @@ class TestPiecewiseConstant:
 
 class TestQuantize:
     def test_rounds_to_dyadic_grid(self):
-        result = quantize_datum(PiecewiseConstant([0.0], [0.3, 0.7]), 3)
+        result = PiecewiseConstant([0.0], [0.3, 0.7]).quantize(3)
         assert result.datum.values == (0.25, 0.75)
         assert result.n == 3
         # 0.4 of variation became 0.5: preserved only up to the grid bound
@@ -98,7 +97,7 @@ class TestQuantize:
         assert result.tv_preserved
 
     def test_merges_states_that_round_together(self):
-        result = quantize_datum(PiecewiseConstant([0.0], [0.49, 0.51]), 1)
+        result = PiecewiseConstant([0.0], [0.49, 0.51]).quantize(1)
         assert result.datum.xs == ()
         assert result.datum.values == (0.5,)
 
@@ -119,7 +118,7 @@ class TestQuantize:
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(DomainError):
-            quantize_datum(PiecewiseConstant([], [0.5]), 0)
+            PiecewiseConstant([], [0.5]).quantize(0)
 
 
 # ---------------------------------------------------------------------------

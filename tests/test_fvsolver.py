@@ -34,7 +34,6 @@ from probeflow import (
     lxf_step,
     resolve_probe_speeds,
     run,
-    run_scenario,
     solve_riemann,
     trace_density,
 )
@@ -284,39 +283,25 @@ class TestRun:
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         result = run(model, grid, self._bump_datum(), 0.2, n_snapshots=5)
-        np.testing.assert_allclose(result.snapshot_times, np.linspace(0.0, 0.2, 5))
+        np.testing.assert_allclose([t for t, _ in result.snapshots], np.linspace(0.0, 0.2, 5))
         assert len(result.diagnostics) == len(result.log)
         assert result.diagnostics[-1][0] == len(result.diagnostics)
         assert result.diagnostics[-1][1] == pytest.approx(0.2)
-        assert result.field_at(0.1).shape == (grid.n_cells,)
-        with pytest.raises(DomainError):
-            result.field_at(0.123)
-
-    def test_field_at_returns_the_nearest_snapshot(self):
-        # snapshots 1e-9 apart: each lies within 1e-9 of its neighbours too
-        scenario = get_scenario("calibration").with_overrides(
-            dx=0.01, t_end=1e-8, n_snapshots=11
-        )
-        result = run_scenario(scenario)
-        for t, field in result.snapshots:
-            assert result.field_at(t) is field
-        assert result.field_at(5e-9) is result.snapshots[5][1]
-        for t in (1.2e-8, -2e-9, math.nan):
-            with pytest.raises(DomainError):
-                result.field_at(t)
+        assert all(field.shape == (grid.n_cells,) for _, field in result.snapshots)
 
     def test_mass_conserved_with_matched_boundaries(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         result = run(model, grid, self._bump_datum(), 0.1, n_snapshots=2)
-        assert result.mass_drift() <= 1e-13
+        assert np.abs(result.log[:, 3] - result.initial_mass).max() <= 1e-13
 
     def test_balance_residual_tracks_outflow(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
         datum = PiecewiseConstant([0.5], [0.1, 0.7])
         result = run(model, grid, datum, 0.3, n_snapshots=2)
-        assert result.mass_drift() > 1e-4  # mass genuinely leaves
+        # mass genuinely leaves
+        assert np.abs(result.log[:, 3] - result.initial_mass).max() > 1e-4
         assert result.mass_balance_residual() <= 1e-13
 
     def test_nan_mass_is_reported_not_hidden(self):
@@ -326,7 +311,6 @@ class TestRun:
         log = result.log.copy()
         log[0, 3] = math.nan
         poisoned = replace(result, log=log)
-        assert math.isnan(poisoned.mass_drift())
         assert math.isnan(poisoned.mass_balance_residual())
 
     def test_discrete_max_principle(self):
@@ -448,7 +432,7 @@ class TestRun:
             except DomainError:
                 t_end = np.nextafter(t_end, 1.0)
         assert t_end < 5.0 * fvsolver.TIME_TOL * (1.0 + 1e-14)
-        assert result.snapshot_times == list(np.linspace(0.0, t_end, 6))
+        assert [t for t, _ in result.snapshots] == list(np.linspace(0.0, t_end, 6))
         assert len(result.diagnostics) == 5
 
     def test_snapshots_hold_the_field_at_their_time(self, monkeypatch):
@@ -737,11 +721,6 @@ def reference_mass_balance_residual(result):
     return float(np.max(gaps))
 
 
-def reference_mass_drift(result):
-    masses = np.array([result.initial_mass] + [row[3] for row in result.log.tolist()])
-    return float(np.max(np.abs(masses - masses[0])))
-
-
 def _fleet_case():
     # two traffic-coupled probes (one braking to a stop), two exogenous
     # stop-and-go probes and an observer, on a road of dense blocks
@@ -817,13 +796,12 @@ class TestStepLog:
         model, grid, datum, t_end = case()
         result = run(model, grid, datum, t_end, n_snapshots=6)
         residual = result.mass_balance_residual()
-        drift = result.mass_drift()
         assert residual.hex() == reference_mass_balance_residual(result).hex()
-        assert drift.hex() == reference_mass_drift(result).hex()
         if case is _probe_free_case:
             # waves cross both boundaries: both rates move, mass leaves
             assert np.ptp(result.log[:, 6]) > 0.0 and np.ptp(result.log[:, 7]) > 0.0
-            assert drift > 1e-3 and 0.0 < residual <= 1e-13
+            assert np.abs(result.log[:, 3] - result.initial_mass).max() > 1e-3
+            assert 0.0 < residual <= 1e-13
 
 
 class TestStepLoopMatchesReference:

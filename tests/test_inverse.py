@@ -68,7 +68,7 @@ class TestErrorFunctional:
         records = probe_records(result, 0)
         assert records.shape[1] == 3
         assert report.value == score_records(records, law, result.t_end)
-        assert report.n_steps == records.shape[0] == len(report.times)
+        assert report.n_steps == records.shape[0]
 
     def test_true_law_fits_recorded_data(self):
         result = run_scenario(coarse_calibration())
@@ -90,7 +90,7 @@ class TestScan:
         assert scan.v_values == pytest.approx((0.8, 1.0, 1.2, 1.4, 1.6))
         assert len(scan.errors) == 5
         assert scan.best_v == pytest.approx(1.2, abs=1e-12)
-        assert scan.best_error <= 1e-12
+        assert min(scan.errors) <= 1e-12
         assert scan.samples[0] == (0.8, scan.errors[0])
 
     def test_process_pool_matches_the_serial_scan(self):

@@ -31,7 +31,6 @@ from probeflow import (
     eval_encoded_speed,
     eval_flux,
     eval_g,
-    eval_speed_law,
     harmonic_speed,
     lipschitz_constants,
     mixed_difference_constant,
@@ -125,13 +124,6 @@ class TestTabulatedLaw:
             TabulatedLaw([1.0, math.nan, 0.0])
         with pytest.raises(DomainError):
             TabulatedLaw([1.0, math.inf, 0.0])
-
-
-def test_eval_speed_law_rejects_out_of_range_density():
-    with pytest.raises(DomainError):
-        eval_speed_law(Greenshields(1.0), 1.5)
-    with pytest.raises(DomainError):
-        eval_speed_law(Greenshields(1.0), -0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +356,17 @@ class TestProbeTrajectory:
         # a running simulation resolves the state and passes it to the flux
         assert eval_encoded_speed(model, ((0.25, 0.75),), 0.25, 0.5) == 0.6
 
+    def test_exogenous_queries_refuse_a_coupled_piece(self):
+        # the coupled piece has no programmed speed: its jump into the
+        # exogenous piece, its minimum and its profile are unknown, not NaN
+        probe = ProbeTrajectory(0.6, (ModelCoupled(0.0, 0.25), ExogenousSpeed(0.25, None, 0.3)))
+        for query in (probe.speed_jumps, probe.min_speed, probe.profile_speeds):
+            with pytest.raises(ProbeStateError):
+                query()
+        # the bounds that cap the coupled piece at the law's speed still answer
+        assert probe.max_speed(1.0) == 1.0
+        assert probe.boundary_times() == [0.25]
+
     def test_coupled_program_cannot_be_mollified(self):
         with pytest.raises(DomainError):
             ProbeTrajectory(0.0, (ModelCoupled(0.0, None),), mollify_radius=0.1)
@@ -522,9 +525,14 @@ class TestSpeedTable:
         for a, b in zip(kept, emptied):
             assert a.max_speed(law.v_max) == b.max_speed(law.v_max)
             assert a.boundary_times() == b.boundary_times()
-            # a coupled program's jumps are NaN: compared as arrays
-            np.testing.assert_array_equal(a.speed_jumps(), b.speed_jumps())
-            assert a.profile_speeds() == b.profile_speeds()
+            if a.is_exogenous:
+                assert a.speed_jumps() == b.speed_jumps()
+                assert a.profile_speeds() == b.profile_speeds()
+            else:
+                for probe in (a, b):
+                    for query in (probe.speed_jumps, probe.profile_speeds):
+                        with pytest.raises(ProbeStateError):
+                            query()
         for a, b in ((kept, emptied), (kept[:1], emptied[:1])):
             ma, mb = FluxModel(speed_law=law, probes=a), FluxModel(speed_law=law, probes=b)
             assert lipschitz_constants(ma) == lipschitz_constants(mb)
@@ -741,7 +749,6 @@ class TestEncodedSpeed:
             lambda: eval_flux(model, states, x, rho),
             lambda: eval_flux(FluxModel(law), (), x, rho),
             lambda: eval_encoded_speed(model, states, x, rho),
-            lambda: eval_speed_law(law, rho),
             lambda: eval_g(law, rho, 0.5),
         ):
             with pytest.raises(DomainError, match="outside"):

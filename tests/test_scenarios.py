@@ -1,5 +1,6 @@
 """Scenario registry, validation findings, JSON round-trips, end-to-end runs."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -150,7 +151,7 @@ class TestSerialization:
     @pytest.mark.parametrize("name", scenario_names())
     def test_json_round_trip(self, name):
         scenario = get_scenario(name)
-        restored = Scenario.from_json(scenario.to_json())
+        restored = Scenario.from_json(json.dumps(scenario.to_dict()))
         assert restored.to_dict() == scenario.to_dict()
 
     def test_dict_shape(self):
@@ -163,7 +164,7 @@ class TestSerialization:
 
     def test_coupled_probe_round_trip(self):
         scenario = get_scenario("fig_int32")
-        restored = Scenario.from_json(scenario.to_json())
+        restored = Scenario.from_json(json.dumps(scenario.to_dict()))
         program = restored.probes[0].program
         assert isinstance(program[0], ModelCoupled)
         assert isinstance(program[1], ExogenousSpeed)
