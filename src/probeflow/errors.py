@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a finiteness check."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -19,3 +21,9 @@ class StabilityError(RuntimeError):
 class FrontTrackError(RuntimeError):
     """Internal inconsistency in the wave-front evolution (event bookkeeping
     or front-count growth)."""
+
+
+def require_finite(what, *values):
+    """Reject NaN and infinite parameters with :class:`DomainError`."""
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")

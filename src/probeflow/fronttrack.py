@@ -327,11 +327,11 @@ def ft_evolve(state, t_end):
 
     Collisions are located exactly (positions are linear in time), resolved
     by the Riemann problem of the cluster's outermost states, and must not
-    increase the total front count; violations raise
-    :class:`FrontTrackError`.
+    increase the total front count (else :class:`FrontTrackError`).
+    ``t_end`` may be ``inf``, as tracking ends once no fronts approach.
     """
-    if t_end < state.time:
-        raise DomainError(f"t_end={t_end} precedes the state's time {state.time}")
+    if not t_end >= state.time:
+        raise DomainError(f"t_end must be at or after the state's time {state.time}, got {t_end}")
     epochs = [state]
     collisions = []
     # collisions strictly decrease total variation by at least one grid jump

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 from array import array
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, StabilityError
+from .errors import DomainError, StabilityError, require_finite
 from .model import SLOPE_SAMPLES, check_states, eval_flux, harmonic_speed
 
 #: Default CFL safety factor.
@@ -77,9 +78,19 @@ def _rows(buffer, width):
     return _read_only(np.frombuffer(buffer).reshape(-1, width))
 
 
+def _check_domain(x_min, x_max):
+    """:class:`DomainError` unless ``x_min < x_max`` and the extent are finite."""
+    require_finite("x_min", x_min)
+    require_finite("x_max", x_max)
+    if not x_max > x_min:
+        raise DomainError(f"empty domain [{x_min}, {x_max}]")
+    if math.isinf(x_max - x_min):
+        raise DomainError(f"domain [{x_min}, {x_max}] holds no finite number of cells")
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centred grid on ``[x_min, x_max]``.
+    """Uniform cell-centred grid of ``n_cells >= 4`` cells on ``[x_min, x_max]``.
 
     The geometry (``dx``, ``edges``, ``centers``, ``ghosted_centers``) is
     computed on first use and kept; the arrays are read-only and shared by
@@ -91,20 +102,27 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 4:
-            raise DomainError(f"need at least 4 cells, got {self.n_cells}")
-        if not self.x_max > self.x_min:
-            raise DomainError(f"empty domain [{self.x_min}, {self.x_max}]")
+        _check_domain(self.x_min, self.x_max)
+        try:
+            n_cells = operator.index(self.n_cells)
+        except TypeError:
+            raise DomainError(f"n_cells must be an integer, got {self.n_cells!r}") from None
+        if n_cells < 4:
+            raise DomainError(f"need at least 4 cells, got {n_cells}")
 
     @classmethod
     def from_extent(cls, x_min, x_max, dx):
         """Grid with cell width ``dx``; the extent must be a whole number of
         cells (relative tolerance 1e-9)."""
+        _check_domain(x_min, x_max)
+        require_finite("dx", dx)
         if not dx > 0.0:
             raise DomainError(f"dx must be positive, got {dx}")
         ratio = (x_max - x_min) / dx
+        if math.isinf(ratio):
+            raise DomainError(f"[{x_min}, {x_max}] holds no finite number of cells of width {dx}")
         n = int(round(ratio))
-        if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
+        if abs(ratio - n) > 1e-9 * max(1.0, ratio):
             raise DomainError(
                 f"extent [{x_min}, {x_max}] is not a whole number of cells of "
                 f"width {dx} (ratio {ratio})"
@@ -439,42 +457,15 @@ class RunResult:
         return float(np.max(np.abs(log[:, 3] - expected[1:]), initial=0.0))
 
 
-def run(
-    model,
-    grid,
-    datum,
-    t_end,
-    n_snapshots=SNAPSHOTS_DEFAULT,
-    cfl=CFL_DEFAULT,
-    scenario=None,
-):
-    """Evolve ``datum`` under ``model`` until ``t_end``.
-
-    The run keeps its probes' positions, speeds and recorded paths itself;
-    ``model`` is left unchanged and can be shared by any number of runs.
-    Each step passes the coupled probes' ``(position, speed)`` pairs to the
-    flux as an argument.  Snapshots are taken at ``n_snapshots`` evenly
-    spaced times including 0 and ``t_end``; steps are shortened to land on
-    these and on probe program boundaries exactly, so ``n_snapshots`` may
-    not exceed ``MAX_STEPS + 1``, and the snapshot spacing
-    ``t_end / (n_snapshots - 1)`` (``t_end`` for one snapshot) must exceed
-    :data:`TIME_TOL`.  No step is longer than the law's own CFL step, so
-    a run that would need more than :data:`MAX_STEPS` steps even at that
-    step is rejected before :func:`init_field`, and so is a run whose
-    float64 arrays of one value per cell would exceed
-    :data:`MAX_FIELD_BYTES`: the ``n_snapshots`` snapshots and nine working
-    arrays (the grid's edges, centres and ghosted centres, two ghosted
-    buffers and a scratch array, and up to three temporaries of a step or
-    of :func:`init_field`).
-
-    A step evaluates the blended flux once, on the ghosted field: the
-    update (as :func:`lxf_step`) and the boundary rates (as
-    :func:`boundary_flux_rates`) both read that one evaluation, and the
-    step log's minimum and maximum come from the update's own range
-    check.  A run allocates its arrays once: two ghosted buffers take
-    turns holding the field in their interior, the update writing the
-    next field into the other one, and every snapshot is a copy.
-    """
+def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT):
+    """The snapshot times and sorted step boundaries of :func:`run`;
+    :class:`DomainError` unless finite ``t_end > 0`` and ``0 < cfl <= 1``,
+    ``n_snapshots >= 1`` spaced beyond :data:`TIME_TOL`, at most
+    :data:`MAX_STEPS` steps of the law's own CFL step (no step is longer),
+    and the snapshots and nine working float64 arrays of one value per cell
+    within :data:`MAX_FIELD_BYTES`."""
+    require_finite("t_end", t_end)
+    require_finite("cfl", cfl)
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
     if n_snapshots < 1:
@@ -507,6 +498,37 @@ def run(
     n_bytes = 8 * (n_snapshots + 9) * grid.n_cells  # the snapshots and working arrays
     if n_bytes > MAX_FIELD_BYTES:
         raise DomainError(f"{grid.n_cells} cells need {n_bytes} B of arrays > {MAX_FIELD_BYTES=}")
+    return snap_times, boundaries
+
+
+def run(
+    model,
+    grid,
+    datum,
+    t_end,
+    n_snapshots=SNAPSHOTS_DEFAULT,
+    cfl=CFL_DEFAULT,
+    scenario=None,
+):
+    """Evolve ``datum`` under ``model`` until ``t_end``.
+
+    The run keeps its probes' positions, speeds and recorded paths itself;
+    ``model`` is left unchanged and can be shared by any number of runs.
+    Each step passes the coupled probes' ``(position, speed)`` pairs to the
+    flux as an argument.  Snapshots are taken at ``n_snapshots`` evenly
+    spaced times including 0 and ``t_end``; steps are shortened to land on
+    these and on probe program boundaries exactly.  :func:`check_run`
+    checks the inputs before :func:`init_field`.
+
+    A step evaluates the blended flux once, on the ghosted field: the
+    update (as :func:`lxf_step`) and the boundary rates (as
+    :func:`boundary_flux_rates`) both read that one evaluation, and the
+    step log's minimum and maximum come from the update's own range
+    check.  A run allocates its arrays once: two ghosted buffers take
+    turns holding the field in their interior, the update writing the
+    next field into the other one, and every snapshot is a copy.
+    """
+    snap_times, boundaries = check_run(model, grid, t_end, n_snapshots, cfl)
     rho, spare = np.empty(grid.n_cells + 2), np.empty(grid.n_cells + 2)
     scratch = np.empty(grid.n_cells)
     field = rho[1:-1]

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .fronttrack import (
     PiecewiseConstant,
     from_datum,
@@ -259,6 +259,7 @@ def phi_epsilon(eps, t_end=1.0, trace_side="right"):
     """
     if trace_side not in ("right", "left"):
         raise DomainError(f"trace_side must be 'right' or 'left', got {trace_side!r}")
+    require_finite("t_end", t_end)
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
     law = EpsilonLaw(eps)
@@ -312,13 +313,12 @@ class PhiLimits:
 def phi_one_sided_limits(t_end=1.0):
     """Limits of :func:`phi_epsilon` as ``eps`` tends to 0 from either side.
 
-    Computed exactly by evaluating the limiting integrand: the trace tends
-    to ``3/8`` from below (slow shock, probe ahead) and ``1/8`` from above
-    (fast shock, probe behind), and the law tends to the linear one.
+    The trace tends to ``3/8`` from below (slow shock, probe ahead) and to
+    ``1/8`` from above (fast shock, probe behind) and the law to the linear
+    one, so the limits are the tie's values read on the right and the left.
     """
-    law = EpsilonLaw(0.0)
-    below = (float(law(PHI_RIGHT)) - PHI_PROBE_SPEED) * t_end
-    above = (float(law(PHI_LEFT)) - PHI_PROBE_SPEED) * t_end
+    below = phi_epsilon(0.0, t_end, "right").value
+    above = phi_epsilon(0.0, t_end, "left").value
     return PhiLimits(t_end=float(t_end), from_below=below, from_above=above)
 
 
@@ -391,14 +391,15 @@ class RescalingReport:
         return self.discrepancy <= self.bound
 
 
-def _rescaled_pair(v1, v2, datum, t_end, dx):
-    """Run ``datum`` under ``v1`` on the reference grid and its stretched
-    image under ``v2`` on the space-stretched grid; return the largest L1
+def _rescaled_pair(law_a, law_b, datum, t_end, dx):
+    """Run ``datum`` under ``law_a`` on the reference grid and its stretched
+    image under ``law_b`` on the space-stretched grid; return the largest L1
     discrepancy in reference coordinates over five matched snapshots.
 
-    Stretching space by ``v2/v1`` turns the ``v1`` solution into the ``v2``
-    one at equal times; the stretched grid keeps the cell count, so the two
-    runs are snapshot-for-snapshot comparable.  The stretched window is
+    Stretching space by ``v2/v1`` (the Greenshields laws' ``vmax``) turns
+    the ``v1`` solution into the ``v2`` one at equal times; the stretched
+    grid keeps the cell count, so the two runs are snapshot-for-snapshot
+    comparable.  The stretched window is
     shifted by half a cell whenever the speeds differ, so a datum jump
     never sits ambiguously on a cell edge of both grids at once; stretched
     cells are compared against the reference field by linear interpolation
@@ -407,9 +408,9 @@ def _rescaled_pair(v1, v2, datum, t_end, dx):
     xs = datum.xs
     x_lo = math.floor(min(xs, default=0.0)) - 1.0
     x_hi = math.ceil(max(xs, default=0.0)) + 2.0
-    scale = v2 / v1
+    scale = law_b.vmax / law_a.vmax
     dx_b = scale * dx
-    offset = 0.0 if v1 == v2 else dx_b / 2.0
+    offset = 0.0 if law_a == law_b else dx_b / 2.0
     grid_a = Grid.from_extent(x_lo, x_hi, dx)
     n = grid_a.n_cells
     grid_b = Grid(
@@ -417,12 +418,8 @@ def _rescaled_pair(v1, v2, datum, t_end, dx):
     )
     datum_b = PiecewiseConstant([scale * x for x in xs], datum.values)
 
-    result_a = run(
-        FluxModel(Greenshields(v1)), grid_a, datum, t_end, n_snapshots=5
-    )
-    result_b = run(
-        FluxModel(Greenshields(v2)), grid_b, datum_b, t_end, n_snapshots=5
-    )
+    result_a = run(FluxModel(law_a), grid_a, datum, t_end, n_snapshots=5)
+    result_b = run(FluxModel(law_b), grid_b, datum_b, t_end, n_snapshots=5)
     pulled = grid_b.centers / scale
     worst = 0.0
     for (ta, field_a), (tb, field_b) in zip(result_a.snapshots, result_b.snapshots):
@@ -440,15 +437,11 @@ def rescaling_check(v1, v2, datum, t_end, dx=2.5e-3, refine=True):
     ``refine`` a second pair of runs at ``dx/2`` measures how the
     discrepancy shrinks.
     """
-    for name, v in (("v1", v1), ("v2", v2)):
-        if not v > 0.0:
-            raise DomainError(f"{name} must be positive, got {v}")
-    if not t_end > 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end}")
-    discrepancy = _rescaled_pair(v1, v2, datum, t_end, dx)
+    laws = Greenshields(v1), Greenshields(v2)
+    discrepancy = _rescaled_pair(*laws, datum, t_end, dx)
     refined = None
     if refine:
-        refined = _rescaled_pair(v1, v2, datum, t_end, dx / 2.0)
+        refined = _rescaled_pair(*laws, datum, t_end, dx / 2.0)
     return RescalingReport(
         v1=float(v1),
         v2=float(v2),

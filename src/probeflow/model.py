@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ProbeStateError
+from .errors import DomainError, ProbeStateError, require_finite
 
 #: Denominators below this threshold make the harmonic blend (and the map g)
 #: return 0, the continuous extension at (probe speed, law speed) = (0, 0).
@@ -36,12 +36,6 @@ ZERO_DENOM_TOL = 1e-12
 #: CFL bound (read-only).
 SLOPE_SAMPLES = np.linspace(0.0, 1.0, 21)
 SLOPE_SAMPLES.flags.writeable = False
-
-
-def _require_finite(what, *values):
-    """Reject NaN and infinite parameters with :class:`DomainError`."""
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
 
 
 def _as_density(rho):
@@ -116,7 +110,7 @@ class Greenshields(SpeedLaw):
     vmax: float = 1.0
 
     def __post_init__(self):
-        _require_finite("vmax", self.vmax)
+        require_finite("vmax", self.vmax)
         if not self.vmax > 0:
             raise DomainError(f"vmax must be positive, got {self.vmax}")
 
@@ -149,7 +143,7 @@ class EpsilonLaw(SpeedLaw):
     eps: float
 
     def __post_init__(self):
-        _require_finite("eps", self.eps)
+        require_finite("eps", self.eps)
         if self.eps < -1.0:
             raise DomainError(f"eps must be >= -1 to keep v >= 0, got {self.eps}")
 
@@ -225,7 +219,7 @@ class CutoffProfile:
     outer: float = 0.15
 
     def __post_init__(self):
-        _require_finite("cutoff radii", self.inner, self.outer)
+        require_finite("cutoff radii", self.inner, self.outer)
         if not 0.0 < self.inner < self.outer:
             raise DomainError(
                 f"cutoff radii must satisfy 0 < inner < outer, "
@@ -265,7 +259,7 @@ class ExogenousSpeed:
     speed: float
 
     def __post_init__(self):
-        _require_finite("probe speed", self.speed)
+        require_finite("probe speed", self.speed)
         if self.speed < 0.0:
             raise DomainError(f"probe speeds must be >= 0, got {self.speed}")
         _check_interval(self.start, self.end)
@@ -284,9 +278,9 @@ class ModelCoupled:
 
 
 def _check_interval(start, end):
-    _require_finite("segment start", start)
+    require_finite("segment start", start)
     if end is not None:
-        _require_finite("segment end", end)
+        require_finite("segment end", end)
     if start < 0.0:
         raise DomainError(f"segment start must be >= 0, got {start}")
     if end is not None and end <= start:
@@ -423,7 +417,7 @@ class ProbeTrajectory:
         program = tuple(program)
         if not program:
             raise DomainError("probe program must contain at least one segment")
-        _require_finite("x0 and mollify_radius", x0, mollify_radius)
+        require_finite("x0 and mollify_radius", x0, mollify_radius)
         if mollify_radius < 0.0:
             raise DomainError("mollify_radius must be >= 0")
         self.x0 = float(x0)

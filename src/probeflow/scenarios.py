@@ -19,12 +19,11 @@ downstream reports can flag them.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError
 from .fronttrack import PiecewiseConstant
-from .fvsolver import CFL_DEFAULT, SNAPSHOTS_DEFAULT, Grid, run
+from .fvsolver import CFL_DEFAULT, SNAPSHOTS_DEFAULT, Grid, check_run, run
 from .model import (
     CutoffProfile,
     EpsilonLaw,
@@ -81,7 +80,9 @@ class Scenario:
 
     def validate(self):
         """List of :class:`Finding`; empty when clean. ``error`` findings
-        block a run, ``warning`` findings do not."""
+        block a run, ``warning`` findings do not.  The :class:`DomainError`
+        of :meth:`grid`, :meth:`flux_model` or
+        :func:`~probeflow.fvsolver.check_run` is one error each."""
         findings = []
 
         def error(msg):
@@ -90,33 +91,15 @@ class Scenario:
         def warning(msg):
             findings.append(Finding("warning", msg))
 
-        numbers = {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "dx": self.dx,
-            "t_end": self.t_end,
-            "cfl": self.cfl,
-        }
-        # reject non-finite numbers before any arithmetic on them
-        finite = {name for name, value in numbers.items() if math.isfinite(value)}
-        for name, value in numbers.items():
-            if name not in finite:
-                error(f"{name} must be finite, got {value}")
-        if "dx" in finite and not self.dx > 0.0:
-            error(f"dx must be positive, got {self.dx}")
-        elif {"x_min", "x_max", "dx"} <= finite:
-            extent = self.x_max - self.x_min
-            ratio = extent / self.dx
-            if not extent > 0.0:
-                error(f"empty domain [{self.x_min}, {self.x_max}]")
-            elif not math.isfinite(ratio):
-                error(f"domain extent {extent} holds no finite number of cells of {self.dx}")
-            elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                error(f"domain extent {extent} is not a whole number of cells of {self.dx}")
-        if "t_end" in finite and not self.t_end > 0.0:
-            error(f"t_end must be positive, got {self.t_end}")
-        if "cfl" in finite and not 0.0 < self.cfl <= 1.0:
-            error(f"cfl must lie in (0, 1], got {self.cfl}")
+        def verdict(check, *args):
+            try:
+                return check(*args)
+            except DomainError as exc:
+                error(str(exc))
+
+        grid, model = verdict(self.grid), verdict(self.flux_model)
+        if grid is not None and model is not None:
+            verdict(check_run, model, grid, self.t_end, self.n_snapshots, self.cfl)
         for x in self.datum.xs:
             if not self.x_min <= x <= self.x_max:
                 error(f"datum jump at x={x} lies outside the domain")

@@ -376,6 +376,12 @@ class TestPhiCommand:
         out = capsys.readouterr().out
         assert "limits at eps=0: from below 0.125, from above 0.375, jump 0.25" in out
 
+    @pytest.mark.parametrize("t_end", ["inf", "nan", "-1"])
+    def test_bad_horizon_exits_2(self, t_end, capsys):
+        assert main(["phi", "0.1", "--T", t_end, "--limits"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: t_end must be" in captured.err
+
     def test_no_parameters_exits_2(self, capsys):
         assert main(["phi"]) == 2
         assert "no family parameters given" in capsys.readouterr().err

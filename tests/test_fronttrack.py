@@ -275,6 +275,20 @@ class TestEvolve:
         with pytest.raises(DomainError):
             sol.state_at(2.0)
 
+    def test_nan_horizon_rejected_before_any_work(self, monkeypatch):
+        datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
+        state = from_datum(Greenshields(1.0), datum, 2)
+        monkeypatch.setattr(fronttrack, "_next_collision_time", None)  # no work done
+        with pytest.raises(DomainError, match="got nan"):
+            ft_evolve(state, float("nan"))
+
+    def test_infinite_horizon_stops_once_no_fronts_approach(self):
+        datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
+        sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), float("inf"))
+        assert sol.t_end == float("inf")
+        assert len(sol.epochs) == 2  # the one collision, then fronts that part
+        assert sol.final is sol.state_at(1e6)
+
     def test_state_at_picks_the_epoch_in_force(self):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
         sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), 1.0)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -64,6 +65,40 @@ class TestGrid:
             Grid.from_extent(0.0, 1.0, 0.5)  # only 2 cells
         with pytest.raises(DomainError):
             Grid(x_min=1.0, x_max=0.0, n_cells=8)
+
+    @pytest.mark.parametrize(
+        "build, fragment",
+        [
+            (lambda: Grid(-math.inf, math.inf, 10), "x_min must be finite, got -inf"),
+            (lambda: Grid(0.0, math.nan, 10), "x_max must be finite, got nan"),
+            (lambda: Grid(-1e308, 1e308, 10), "no finite number of cells"),
+            (lambda: Grid(0.0, 1.0, 10.5), "n_cells must be an integer, got 10.5"),
+            (lambda: Grid.from_extent(math.nan, 1.0, 0.1), "x_min must be finite, got nan"),
+            (lambda: Grid.from_extent(0.0, math.inf, 0.1), "x_max must be finite, got inf"),
+            (lambda: Grid.from_extent(-1e308, 1e308, 1e-300), "no finite number of cells"),
+            (lambda: Grid.from_extent(0.0, 1.0, 1e-320), "no finite number of cells"),
+            (lambda: Grid.from_extent(0.0, 1.0, math.inf), "dx must be finite, got inf"),
+            (lambda: Grid.from_extent(1.0, 1.0, 0.1), "empty domain"),
+        ],
+        ids=[
+            "infinite-ends",
+            "nan-end",
+            "extent-overflow",
+            "fractional-cells",
+            "extent-nan",
+            "extent-inf",
+            "extent-overflow-from-extent",
+            "ratio-overflow",
+            "dx-inf",
+            "empty-from-extent",
+        ],
+    )
+    def test_bad_inputs_are_domain_errors(self, build, fragment):
+        with pytest.raises(DomainError, match=re.escape(fragment)):
+            build()
+
+    def test_integer_like_cell_counts_accepted(self):
+        assert Grid(0.0, 1.0, np.int64(8)).dx == 0.125
 
 
 class TestInitField:
@@ -372,6 +407,35 @@ class TestRun:
         monkeypatch.setattr(fvsolver, "MAX_STEPS", 15)
         with pytest.raises(StabilityError, match="MAX_STEPS=15 steps at t="):
             run(coupled, grid, self._bump_datum(), 0.1, n_snapshots=2)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"t_end": math.inf}, "t_end must be finite, got inf"),
+            ({"t_end": math.nan}, "t_end must be finite, got nan"),
+            ({"cfl": math.inf}, "cfl must be finite, got inf"),
+            ({"cfl": math.nan}, "cfl must be finite, got nan"),
+        ],
+        ids=["t_end-inf", "t_end-nan", "cfl-inf", "cfl-nan"],
+    )
+    def test_bad_numbers_rejected_before_any_arithmetic(self, monkeypatch, kwargs, message):
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        model = FluxModel(speed_law=Greenshields(1.0))
+        monkeypatch.setattr(fvsolver, "init_field", None)  # nothing allocated
+        args = {"t_end": 0.1, "n_snapshots": 2, "cfl": CFL_DEFAULT, **kwargs}
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=re.escape(message)):
+            run(model, grid, self._bump_datum(), **args)
+
+    def test_check_run_returns_the_times_the_run_lands_on(self):
+        grid = Grid.from_extent(0.0, 1.0, 0.01)
+        program = (ExogenousSpeed(0.0, 0.05, 0.3), ExogenousSpeed(0.05, None, 0.0))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(ProbeTrajectory(0.5, program),))
+        snap_times, boundaries = fvsolver.check_run(model, grid, 0.2, n_snapshots=3)
+        assert list(snap_times) == [0.0, 0.1, 0.2]
+        assert boundaries == [0.05, 0.1, 0.2]
+        result = run(model, grid, self._bump_datum(), 0.2, n_snapshots=3)
+        assert [t for t, _ in result.snapshots] == list(snap_times)
+        assert set(boundaries) <= set(result.log[:, 1])
 
     @pytest.mark.parametrize(
         "cfl, limit", [(CFL_DEFAULT, 1), (CFL_DEFAULT, 11), (1e-300, 2_000_000)]

@@ -1,6 +1,8 @@
 """Inverse machinery: misfit scoring, calibration sweeps, the jump
 observable, curve-difference checks, rescaling, and the modulus bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,20 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi_epsilon(0.1, t_end=0.0)
 
+    @pytest.mark.parametrize(
+        "t_end, message",
+        [
+            (math.nan, "t_end must be finite, got nan"),
+            (-1.0, "t_end must be positive, got -1.0"),
+            (math.inf, "t_end must be finite, got inf"),
+        ],
+    )
+    def test_horizon_checked_alike(self, t_end, message):
+        with pytest.raises(DomainError, match=message):
+            phi_epsilon(0.1, t_end=t_end)
+        with pytest.raises(DomainError, match=message):
+            phi_one_sided_limits(t_end=t_end)
+
     def test_one_sided_limits(self):
         limits = phi_one_sided_limits()
         assert limits.from_below == 0.125
@@ -289,6 +305,21 @@ class TestRescaling:
             rescaling_check(0.0, 1.0, datum, 0.5)
         with pytest.raises(DomainError):
             rescaling_check(1.0, 2.0, datum, -0.5)
+
+    @pytest.mark.parametrize(
+        "v1, v2, t_end, message",
+        [
+            (1.0, math.inf, 0.5, "vmax must be finite, got inf"),
+            (math.nan, 1.0, 0.5, "vmax must be finite, got nan"),
+            (1.0, -2.0, 0.5, "vmax must be positive, got -2.0"),
+            (1.0, 2.0, math.inf, "t_end must be finite, got inf"),
+            (1.0, 2.0, math.nan, "t_end must be finite, got nan"),
+        ],
+    )
+    def test_speeds_and_horizon_checked_by_their_owners(self, v1, v2, t_end, message):
+        datum = PiecewiseConstant([0.0], [0.125, 0.375])
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=message):
+            rescaling_check(v1, v2, datum, t_end, dx=0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from probeflow import (
     CutoffProfile,
@@ -17,6 +20,7 @@ from probeflow import (
     Scenario,
     get_scenario,
     lipschitz_constants,
+    run,
     run_scenario,
     scenario_names,
     stability_constant_C,
@@ -142,6 +146,31 @@ class TestValidation:
         messages = [f.message for f in toy_scenario(**overrides).errors()]
         assert any(fragment in m for m in messages), messages
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"dx": 1.0},
+            {"n_snapshots": 0},
+            {"t_end": 1e-12, "n_snapshots": 1000},
+            {"dx": 1e-7},
+            {"t_end": 1e6},
+        ],
+        ids=["three-cells", "no-snapshots", "dense-snapshots", "tiny-dx", "long-horizon"],
+    )
+    def test_errors_carry_the_runs_own_message(self, overrides):
+        # validate() reports the check run_scenario makes, in its words
+        scenario = get_scenario("calibration").with_overrides(**overrides)
+        messages = [f.message for f in scenario.errors()]
+        assert len(messages) == 1
+        with pytest.raises(DomainError) as raised:
+            run(scenario.flux_model(), scenario.grid(), scenario.datum, scenario.t_end,
+                n_snapshots=scenario.n_snapshots, cfl=scenario.cfl)
+        assert messages == [str(raised.value)]
+
+    def test_bad_trace_side_is_one_error(self):
+        messages = [f.message for f in toy_scenario(trace_side="middle").errors()]
+        assert messages == ["trace_side must be 'right' or 'left', got 'middle'"]
+
     def test_oversized_cutoff_is_a_warning(self):
         findings = toy_scenario(cutoff=CutoffProfile(0.2, 0.6)).validate()
         assert any(f.level == "warning" and "cutoff" in f.message for f in findings)
@@ -242,6 +271,76 @@ class TestSerialization:
                     "probes": [{"x0": 0.5, "program": [{"from": 0, "to": None, "mode": "teleport"}]}],
                 }
             )
+
+
+#: Every number of the ``calibration`` scenario's dict, as a key path.
+_NUMBER_PATHS = (
+    ("domain", "x_min"),
+    ("domain", "x_max"),
+    ("domain", "dx"),
+    ("t_end",),
+    ("cfl",),
+    ("n_snapshots",),
+    ("law", "v_max"),
+    ("cutoff", "inner"),
+    ("cutoff", "outer"),
+    ("datum", "values", 0),
+    ("probes", 0, "x0"),
+    ("probes", 0, "mollify_radius"),
+    ("probes", 0, "program", 0, "from"),
+    ("probes", 0, "program", 0, "speed"),
+)
+
+_SPECIAL_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300)
+
+
+def _calibration_data():
+    return Scenario.from_dict(get_scenario("calibration").to_dict()).to_dict()
+
+
+def _leaf(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data, path[-1]
+
+
+@st.composite
+def _mutations(draw):
+    path = draw(st.sampled_from(_NUMBER_PATHS))
+    container, key = _leaf(_calibration_data(), path)
+    value = draw(
+        st.one_of(
+            st.sampled_from(_SPECIAL_NUMBERS),
+            st.floats(0.5, 2.0).map(lambda factor: container[key] * factor),
+        )
+    )
+    return path, value
+
+
+class TestReaderFuzz:
+    @given(_mutations())
+    @example((("n_snapshots",), 0))
+    @example((("domain", "dx"), 1.0))
+    @example((("t_end",), 1e300))
+    @example((("domain", "x_max"), 1e300))
+    def test_one_mutated_number_is_rejected_or_runs_clean(self, mutation):
+        # one number changed: the reader or validation rejects it with
+        # DomainError, or the run finishes finite, in [0, 1], mass-balanced
+        path, value = mutation
+        data = _calibration_data()
+        container, key = _leaf(data, path)
+        container[key] = value
+        try:
+            scenario = Scenario.from_dict(data)
+        except DomainError:
+            return
+        if scenario.errors():
+            return
+        result = run_scenario(scenario)
+        fields = np.array([field for _, field in result.snapshots])
+        assert np.all(np.isfinite(fields))
+        assert fields.min() >= 0.0 and fields.max() <= 1.0
+        assert result.mass_balance_residual() <= 1e-10
 
 
 class TestRunScenario:
