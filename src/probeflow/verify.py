@@ -184,6 +184,95 @@ def verify_riemann():
 
 
 # ---------------------------------------------------------------------------
+# convergence
+# ---------------------------------------------------------------------------
+
+#: One-jump Greenshields data ``(rho_l, rho_r)`` of the convergence suite:
+#: three shocks and two rarefactions, and the largest L1 error each may show
+#: on the finest of :data:`_LADDER_DX` (the errors of the first release of
+#: the suite, rounded up).
+_CONVERGENCE_DATA = {
+    (0.125, 0.375): 3.2e-3,
+    (0.2, 0.8): 4.4e-3,
+    (0.8, 0.2): 1.1e-2,
+    (0.1, 0.3): 2.8e-3,
+    (0.6, 0.9): 3.3e-3,
+}
+
+#: Cell widths of the Riemann ladder, on [-1, 1] to t = 0.5.
+_LADDER_DX = (0.02, 0.01, 0.005)
+
+#: Least observed order of the fig_int32 self-convergence ladder, per rung.
+_SELF_ORDER_MIN = 0.8
+
+
+def _riemann_ladder(law, rho_l, rho_r):
+    """L1 errors against :func:`solve_riemann` of one jump at x = 0 on
+    [-1, 1] at t = 0.5, one per :data:`_LADDER_DX`; no wave reaches a
+    boundary by then."""
+    exact = solve_riemann(law, rho_l, rho_r)
+    errors = []
+    for dx in _LADDER_DX:
+        grid = Grid.from_extent(-1.0, 1.0, dx)
+        datum = PiecewiseConstant([0.0], [rho_l, rho_r])
+        result = run(FluxModel(law), grid, datum, 0.5, n_snapshots=2)
+        errors.append(l1_distance(grid, result.final_field, exact.profile(0.5, grid.centers)))
+    return errors
+
+
+def _self_convergence(scenario, rungs):
+    """L1 distances of ``scenario`` run at ``dx / 2**k``, ``k < rungs``,
+    from its run at ``dx / 2**rungs``, whose field is averaged onto each
+    coarser grid."""
+    fields = []
+    for k in range(rungs + 1):
+        result = run_scenario(scenario.with_overrides(dx=scenario.dx / 2**k, n_snapshots=2))
+        fields.append((result.grid, result.final_field))
+    finest = fields[-1][1]
+    errors = []
+    for k, (grid, field) in enumerate(fields[:-1]):
+        averaged = finest.reshape(grid.n_cells, 2 ** (rungs - k)).mean(axis=1)
+        errors.append(l1_distance(grid, field, averaged))
+    return errors
+
+
+def verify_convergence():
+    """Accuracy of the finite-volume scheme on a grid ladder: probe-free
+    Riemann data against the exact solution, and the probe-coupled
+    ``fig_int32`` against its own finest run."""
+    checks = []
+    law = Greenshields(1.0)
+    for (rho_l, rho_r), ceiling in _CONVERGENCE_DATA.items():
+        errors = _riemann_ladder(law, rho_l, rho_r)
+        orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        checks.append(
+            _check(
+                f"Riemann ({rho_l} | {rho_r}): L1 error shrinks with dx, "
+                f"at most {ceiling:.2g} at dx={_LADDER_DX[-1]}",
+                all(order > 0.0 for order in orders) and errors[-1] <= ceiling,
+                "L1 errors "
+                + ", ".join(f"dx={dx}: {e:.6e}" for dx, e in zip(_LADDER_DX, errors))
+                + "; orders "
+                + ", ".join(f"{order:.3f}" for order in orders),
+            )
+        )
+    scenario = get_scenario("fig_int32").with_overrides(t_end=1.0)
+    errors = _self_convergence(scenario, 3)
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    checks.append(
+        _check(
+            f"fig_int32 to t=1: self-convergence order >= {_SELF_ORDER_MIN} on each rung",
+            min(orders) >= _SELF_ORDER_MIN,
+            "L1 distances from dx/8: "
+            + ", ".join(f"dx/{2**k}: {e:.6e}" for k, e in enumerate(errors))
+            + "; orders "
+            + ", ".join(f"{order:.3f}" for order in orders),
+        )
+    )
+    return SuiteResult(name="convergence", checks=tuple(checks))
+
+
+# ---------------------------------------------------------------------------
 # conservation
 # ---------------------------------------------------------------------------
 
@@ -536,6 +625,7 @@ def verify_calibration():
 SUITES = {
     "phi": (verify_phi, False),
     "riemann": (verify_riemann, False),
+    "convergence": (verify_convergence, False),
     "conservation": (verify_conservation, True),
     "lemma1": (verify_lemma1, True),
     "lipschitz-stability": (verify_lipschitz_stability, True),

@@ -20,6 +20,7 @@ def test_seed_reaches_only_seeded_suites(monkeypatch):
     assert names == [
         "phi",
         "riemann",
+        "convergence",
         "conservation",
         "lemma1",
         "lipschitz-stability",
