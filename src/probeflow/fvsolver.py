@@ -8,8 +8,9 @@ with zero-order extrapolation ghost cells and the probe-blended flux
 model-coupled probes read their speed from the density trace just ahead,
 exogenous probes follow their (possibly mollified) program in closed form.
 
-Time steps respect the CFL bound of the blended flux and are capped so the
-simulation lands exactly on probe program boundaries and snapshot times.
+Time steps respect the CFL bound of the blended flux over the densities the
+field holds and are capped so the simulation lands exactly on probe program
+boundaries and snapshot times.
 """
 
 from __future__ import annotations
@@ -47,17 +48,16 @@ BOUND_TOL = 1e-12
 #: step ending this close to a snapshot time records that snapshot.
 TIME_TOL = 1e-14
 
-#: Central-difference stencil of the CFL bound's vertex fluxes around
-#: ``SLOPE_SAMPLES``: its upper and lower densities side by side in one row,
-#: so each vertex flux is one row of a single evaluation.
+#: Half-width of the central differences the CFL bound samples slopes with.
 _SLOPE_H = 1e-7
-_SLOPE_LO = np.clip(SLOPE_SAMPLES - _SLOPE_H, 0.0, 1.0)
-_SLOPE_HI = np.clip(SLOPE_SAMPLES + _SLOPE_H, 0.0, 1.0)
-_SLOPE_SPAN = _SLOPE_HI - _SLOPE_LO
-_SLOPE_RHO = np.concatenate([_SLOPE_HI, _SLOPE_LO])[None, :]
 
-#: Laws, and ``(law, probe speed)`` pairs, whose CFL vertex slopes are
-#: kept, the least recently used dropped first: a traffic-coupled probe
+#: The CFL bound reads the field's density range snapped outward to
+#: multiples of ``1 / _RANGE_LATTICE`` (dyadic, so exact), which keeps the
+#: number of distinct ranges, and so of memoised slopes, small.
+_RANGE_LATTICE = 64
+
+#: ``(law, range)`` and ``(law, probe speed, range)`` keys whose CFL slopes
+#: are kept, the least recently used dropped first: a traffic-coupled probe
 #: takes a new speed nearly every step, so the memos need a bound.
 _VERTEX_MEMO_SIZE = 1024
 
@@ -76,6 +76,15 @@ def _rows(buffer, width):
     """A float64 ``array`` buffer as a read-only ``(n, width)`` array,
     without a copy."""
     return _read_only(np.frombuffer(buffer).reshape(-1, width))
+
+
+def _require_index(name, value):
+    """``value`` as an ``int`` (:func:`operator.index`); :class:`DomainError`
+    unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_domain(x_min, x_max):
@@ -103,10 +112,7 @@ class Grid:
 
     def __post_init__(self):
         _check_domain(self.x_min, self.x_max)
-        try:
-            n_cells = operator.index(self.n_cells)
-        except TypeError:
-            raise DomainError(f"n_cells must be an integer, got {self.n_cells!r}") from None
+        n_cells = _require_index("n_cells", self.n_cells)
         if n_cells < 4:
             raise DomainError(f"need at least 4 cells, got {n_cells}")
 
@@ -216,81 +222,143 @@ def _cell_windows(states, first, dx, reach, n):
     return windows
 
 
-def _stencil_slope(F):
-    """``max |(F_hi - F_lo) / span|`` over the rows of vertex fluxes ``F``
-    evaluated on :data:`_SLOPE_RHO`."""
-    k = _SLOPE_SPAN.size
-    return float(np.max(np.abs((F[:, :k] - F[:, k:]) / _SLOPE_SPAN)))
+def _stencil_slopes(F, span):
+    """The sampled slopes of a vertex flux over the range and over [0, 1]:
+    ``F`` holds its values on the stencil of :func:`_law_range`, whose
+    differences span ``span``."""
+    n = span.size
+    return np.max(np.abs((F[:n] - F[n:]) / span).reshape(2, -1), axis=1)
 
 
 @functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
-def _law_vertex(law):
-    """The law's speeds on the stencil, the sampled slope of its own vertex
-    flux ``rho v``, and its slope ``|f'(1)|`` at full density."""
+def _law_range(law, i, j):
+    """What the CFL bound needs of ``law`` for the lattice range
+    ``[i, j] / _RANGE_LATTICE``.
+
+    Returns the stencil densities (the upper points, then the lower, of
+    central differences around evenly spaced samples of the range followed
+    by :data:`~probeflow.model.SLOPE_SAMPLES`), the law's speeds and flux
+    ``rho v`` on them, the spans of the differences, the range points'
+    ``min(rho, 1 - rho)`` (infinite at 0 and 1), and two triples, over the
+    range and over [0, 1]: the law's slope ``|f'|``, the sampled slope of
+    its own vertex flux ``rho v``, and ``|f'(1)|`` (over the range only if
+    it reaches 1, else 0).
+    """
+    samples = np.linspace(i / _RANGE_LATTICE, j / _RANGE_LATTICE, SLOPE_SAMPLES.size)
+    points = np.concatenate([samples, SLOPE_SAMPLES])
+    upper = np.clip(points + _SLOPE_H, 0.0, 1.0)
+    lower = np.clip(points - _SLOPE_H, 0.0, 1.0)
+    rho = _read_only(np.concatenate([upper, lower]))
+    span = _read_only(upper - lower)
+    gap = np.minimum(rho, 1.0 - rho).reshape(2, 2, -1)[:, 0]
+    gap[gap <= 0.0] = np.inf  # the slopes and the end slope cover rho = 0 and 1
+    end = abs(float(law.flux_slope(1.0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _read_only(np.asarray(law(_SLOPE_RHO), dtype=float))
-        return v, _stencil_slope(_SLOPE_RHO * v), abs(float(law.flux_slope(1.0)))
+        v = _read_only(np.asarray(law(rho), dtype=float))
+        flux = _read_only(rho * v)
+        own_range, own_all = map(float, _stencil_slopes(flux, span))
+    over_range = (
+        float(np.max(np.abs(law.flux_slope(samples)))),
+        own_range,
+        end if j == _RANGE_LATTICE else 0.0,
+    )
+    over_all = (law.max_flux_slope, own_all, end)
+    return rho, v, flux, span, _read_only(gap), over_range, over_all
 
 
 @functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
-def _vertex_slope(law, w):
-    """The sampled slope of the vertex flux ``rho H(w, v)`` of a probe at
-    speed ``w``, as the blend adds it at weight 1 (possibly non-finite: an
-    overflowing blend is reported by :func:`cfl_dt`, not warned about)."""
-    v = _law_vertex(law)[0]
+def _vertex_slope(law, w, i, j):
+    """The bounds, over the lattice range ``[i, j]`` and over [0, 1], of
+    the vertex flux ``rho H(w, v)`` of a probe at speed ``w``, as the blend
+    adds it at weight 1 (possibly non-finite: an overflowing blend is
+    reported by :func:`cfl_dt`, not warned about).  Over [0, 1] that is its
+    sampled slope; over the range, the larger of its sampled slope and of
+    the shift ``|rho (H - v)| / min(rho, 1 - rho)`` that :func:`cfl_dt`
+    explains."""
+    rho, v, flux, span, gap = _law_range(law, i, j)[:5]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _stencil_slope(_SLOPE_RHO * (v + (harmonic_speed(w, v) - v)))
+        F = rho * (v + (harmonic_speed(w, v) - v))
+        over_range, over_all = _stencil_slopes(F, span)
+        shift = np.max(np.abs((F - flux).reshape(2, 2, -1)[:, 0]) / gap)
+    return float(np.maximum(over_range, shift)), float(over_all)
 
 
-def cfl_dt(model, grid, states, cfl=CFL_DEFAULT):
-    """Largest stable step: ``cfl * dx / S`` with ``S`` the sampled maximal
-    characteristic speed ``|d f / d rho|`` of the blended flux, with the
-    coupled probes' ``states`` as in :func:`~probeflow.model.eval_flux`.
+def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
+    """Largest stable step: ``cfl * dx / S`` with ``S`` a sampled bound on
+    the characteristic speed ``|d f / d rho|`` of the blended flux, with
+    the coupled probes' ``states`` as in
+    :func:`~probeflow.model.eval_flux`, over the densities the field holds.
 
-    Away from every probe the flux reduces to the speed law's, whose
-    sampled slope maximum (:attr:`~probeflow.model.SpeedLaw.max_flux_slope`)
-    is computed once per law, so a step without coupled probes does no
-    array work.  Near the probes no cell is scanned: the blended speed
-    ``(1 - sum a_i) v + sum a_i H(w_i, v)`` has weights ``a_i`` that depend
-    on ``x`` alone and sum to at most 1, so every cell's flux slope is a
-    convex combination of the slopes of the vertex fluxes ``rho v`` and
-    ``rho H(w_i, v)``, one per probe whose support reaches a cell centre.
-    Their sampled slopes, evaluated as the blend adds a probe at weight 1,
-    bound it, with the slope at ``rho = 1`` (``2 |f'(1)|`` if a counted
-    probe moves, which the samples miss for small ``w``) in closed form.
-    Where no cell has a weight of exactly 1 (overlapping supports, a probe
-    within ``outer`` of a domain end, a plateau narrower than a cell) the
-    bound is conservative: the step may be shorter than a cell scan's,
-    never longer.
+    ``rho_range`` is the field's ``(lo, hi)``.  Lax-Friedrichs is monotone
+    when ``dt / dx * |f'| <= 1`` on the values its stencil holds, so only
+    the slopes at densities in ``[lo, hi]`` bound the step.  The range is
+    snapped outward to multiples of ``1 / _RANGE_LATTICE``, and every
+    quantity below is sampled at as many evenly spaced densities across it
+    as :data:`~probeflow.model.SLOPE_SAMPLES` holds, slopes by central
+    differences.  ``S`` is the smaller of that bound and the bound of the
+    slopes over all of [0, 1], so no step is shorter than the one the whole
+    density range allows.
 
-    The law's own vertex slope and end slope are kept per law, and each
-    probe's vertex slope per ``(law, speed)`` (the
-    :data:`_VERTEX_MEMO_SIZE` most recently used of each), so a step whose
-    probe speeds were all seen before does no array work either.  The memos
-    hold only what the law and the speed determine, so they never change a
-    step.  A non-finite slope raises :class:`StabilityError` on every call.
+    Away from every probe the flux reduces to the speed law's, whose slope
+    over the range is computed once per law and range, so a step without
+    coupled probes does no array work.  Near the probes no cell is scanned:
+    the blended speed ``(1 - sum a_i) v + sum a_i H(w_i, v)`` has weights
+    ``a_i`` that depend on ``x`` alone and sum to at most 1, so every
+    cell's flux slope is a convex combination of the slopes of the vertex
+    fluxes ``rho v`` and ``rho H(w_i, v)``, one per probe whose support
+    reaches a cell centre, ghost cells included.  Their sampled slopes,
+    evaluated as the blend adds a probe at weight 1, bound it.  If the
+    snapped range reaches 1, so does the slope at ``rho = 1``, in closed
+    form: ``|f'(1)|``, or ``2 |f'(1)|`` if a counted probe moves, which the
+    samples miss for small ``w``.  Where no cell has a weight of exactly 1
+    (overlapping supports, a probe within ``outer`` of a domain end, a
+    plateau narrower than a cell) the bound is conservative: the step may
+    be shorter than a cell scan's, never longer.
+
+    Because the blend depends on ``x``, a step moves even a uniform field:
+    by at most ``dt / dx * rho * max_i |H(w_i, v) - v|`` either way, so the
+    range bound also holds each probe's ``|rho (H - v)| / min(rho, 1 - rho)``
+    over the range.  With the slopes, that keeps every update in [0, 1]
+    (``f`` vanishes at 0 and 1), as the bound over [0, 1] does by
+    monotonicity alone; :func:`run` still checks every update's range.
+
+    The law's slopes are kept per ``(law, range)`` and each probe's vertex
+    bounds per ``(law, speed, range)`` (the :data:`_VERTEX_MEMO_SIZE` most
+    recently used of each); a miss evaluates the stencils of the range and
+    of [0, 1] as one array.  The memos hold only what their keys determine,
+    so they never change a step.  A non-finite slope raises
+    :class:`StabilityError` on every call.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
+    lo, hi = rho_range
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise DomainError(f"density range must satisfy 0 <= lo <= hi <= 1, got {rho_range}")
     check_states(model, states)
     law = model.speed_law
-    S = law.max_flux_slope
+    i = math.floor(lo * _RANGE_LATTICE)
+    j = math.ceil(hi * _RANGE_LATTICE)
+    *_, over_range, over_all = _law_range(law, i, j)
+    S = min(over_range[0], over_all[0])
     if not states:
         return cfl * grid.dx / max(S, 1e-10)
-    lo = float(grid.centers[0]) - model.cutoff.outer
-    hi = float(grid.centers[-1]) + model.cutoff.outer
-    ws = [w for p, w in states if lo < p < hi]
+    # the update reads the flux on the ghost cells too
+    left = float(grid.ghosted_centers[0]) - model.cutoff.outer
+    right = float(grid.ghosted_centers[-1]) + model.cutoff.outer
+    ws = [w for p, w in states if left < p < right]
     if ws:
-        _, own, end = _law_vertex(law)
-        if any(w > 0.0 for w in ws):
-            end = 2.0 * end
-        slopes = [S, own, end] + [_vertex_slope(law, w) for w in ws]
-        S = max(slopes)
-        if not all(map(math.isfinite, slopes)):
-            # np.max keeps a NaN slope, which max() may drop in favour of S
+        doubled = 2.0 if any(w > 0.0 for w in ws) else 1.0
+        vertices = [_vertex_slope(law, w, i, j) for w in ws]
+        bounds = [
+            [law_slope, own, doubled * end, *(vertex[k] for vertex in vertices)]
+            for k, (law_slope, own, end) in enumerate((over_range, over_all))
+        ]
+        if not all(map(math.isfinite, bounds[0] + bounds[1])):
+            # np.max keeps a NaN slope, which max() may drop
             raise StabilityError(
-                f"blended-flux slope is not finite near the coupled probes: {np.max(slopes)}"
+                f"blended-flux slope is not finite near the coupled probes: {np.max(bounds)}"
             )
+        S = min(max(bounds[0]), max(bounds[1]))
     return cfl * grid.dx / max(S, 1e-10)
 
 
@@ -460,14 +528,20 @@ class RunResult:
 def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT):
     """The snapshot times and sorted step boundaries of :func:`run`;
     :class:`DomainError` unless finite ``t_end > 0`` and ``0 < cfl <= 1``,
-    ``n_snapshots >= 1`` spaced beyond :data:`TIME_TOL`, at most
-    :data:`MAX_STEPS` steps of the law's own CFL step (no step is longer),
-    and the snapshots and nine working float64 arrays of one value per cell
-    within :data:`MAX_FIELD_BYTES`."""
+    an integer ``n_snapshots >= 1`` spaced beyond :data:`TIME_TOL`, at most
+    :data:`MAX_STEPS` steps of the law's CFL step over all of [0, 1], and
+    the snapshots and nine working float64 arrays of one value per cell
+    within :data:`MAX_FIELD_BYTES`.
+
+    The step count is a budget, not a bound on the run's steps: the CFL
+    step over the field's own density range is longer (a run may take
+    fewer steps), and near a moving probe at full density shorter (the
+    step loop raises :class:`StabilityError` past :data:`MAX_STEPS`)."""
     require_finite("t_end", t_end)
     require_finite("cfl", cfl)
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
+    n_snapshots = _require_index("n_snapshots", n_snapshots)
     if n_snapshots < 1:
         raise DomainError(f"n_snapshots must be >= 1, got {n_snapshots}")
     if n_snapshots > MAX_STEPS + 1:  # each snapshot interval takes a step
@@ -488,8 +562,9 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     boundaries = sorted(boundaries)
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")
-    # no step is longer than cfl * dx / S_law, bar the at most TIME_TOL a
-    # step gains landing on a boundary; the margin covers rounding
+    # steps of cfl * dx / S_law, S_law the law's slope over all of [0, 1],
+    # each gaining at most TIME_TOL landing on a boundary; the margin
+    # covers rounding
     span = (t_end - len(boundaries) * TIME_TOL) * max(model.speed_law.max_flux_slope, 1e-10)
     if span * (1.0 - 1e-9) > MAX_STEPS * cfl * grid.dx:
         raise DomainError(
@@ -524,7 +599,7 @@ def run(
     update (as :func:`lxf_step`) and the boundary rates (as
     :func:`boundary_flux_rates`) both read that one evaluation, and the
     step log's minimum and maximum come from the update's own range
-    check.  A run allocates its arrays once: two ghosted buffers take
+    check; they are also the range the next step's :func:`cfl_dt` reads.  A run allocates its arrays once: two ghosted buffers take
     turns holding the field in their interior, the update writing the
     next field into the other one, and every snapshot is a copy.
     """
@@ -533,6 +608,7 @@ def run(
     scratch = np.empty(grid.n_cells)
     field = rho[1:-1]
     field[:] = init_field(grid, datum)
+    lo, hi = float(field.min()), float(field.max())
     coupled = [i for i, probe in enumerate(model.probes) if not probe.observer]
     positions = [probe.x0 for probe in model.probes]
     speeds, traces = resolve_probe_speeds(model, grid, 0.0, field, positions)
@@ -549,7 +625,7 @@ def run(
         if n_steps >= MAX_STEPS:
             raise StabilityError(f"exceeded {MAX_STEPS=} steps at t={t}")
         states = tuple((positions[i], speeds[i]) for i in coupled)
-        dt = cfl_dt(model, grid, states, cfl)
+        dt = cfl_dt(model, grid, states, (lo, hi), cfl)
         while b_idx < len(boundaries) and boundaries[b_idx] <= t + TIME_TOL:
             b_idx += 1
         b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end

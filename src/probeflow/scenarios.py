@@ -82,7 +82,8 @@ class Scenario:
         """List of :class:`Finding`; empty when clean. ``error`` findings
         block a run, ``warning`` findings do not.  The :class:`DomainError`
         of :meth:`grid`, :meth:`flux_model` or
-        :func:`~probeflow.fvsolver.check_run` is one error each."""
+        :func:`~probeflow.fvsolver.check_run` is one error each; without a
+        grid, the checks against the domain are skipped."""
         findings = []
 
         def error(msg):
@@ -98,7 +99,9 @@ class Scenario:
                 error(str(exc))
 
         grid, model = verdict(self.grid), verdict(self.flux_model)
-        if grid is not None and model is not None:
+        if grid is None:  # no domain to place the datum and probes in
+            return findings
+        if model is not None:
             verdict(check_run, model, grid, self.t_end, self.n_snapshots, self.cfl)
         for x in self.datum.xs:
             if not self.x_min <= x <= self.x_max:

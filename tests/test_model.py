@@ -707,7 +707,7 @@ class TestEncodedSpeed:
             for call in (
                 lambda: eval_encoded_speed(model, states, 0.0, 0.5),
                 lambda: eval_flux(model, states, 0.0, 0.5),
-                lambda: cfl_dt(model, grid, states),
+                lambda: cfl_dt(model, grid, states, (0.0, 1.0)),
             ):
                 with pytest.raises(DomainError, match="coupled probes"):
                     call()
@@ -715,7 +715,7 @@ class TestEncodedSpeed:
         assert eval_encoded_speed(model, ((0.0, 0.2),), 0.0, 0.5) == pytest.approx(
             0.2 / 0.7, abs=1e-15
         )
-        assert cfl_dt(model, grid, ((0.0, 0.2),)) > 0.0
+        assert cfl_dt(model, grid, ((0.0, 0.2),), (0.0, 1.0)) > 0.0
 
     def test_flux_is_density_times_speed(self):
         model = _single_probe_model(0.2)

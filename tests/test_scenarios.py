@@ -154,8 +154,16 @@ class TestValidation:
             {"t_end": 1e-12, "n_snapshots": 1000},
             {"dx": 1e-7},
             {"t_end": 1e6},
+            {"n_snapshots": 2.5},
         ],
-        ids=["three-cells", "no-snapshots", "dense-snapshots", "tiny-dx", "long-horizon"],
+        ids=[
+            "three-cells",
+            "no-snapshots",
+            "dense-snapshots",
+            "tiny-dx",
+            "long-horizon",
+            "fractional-snapshots",
+        ],
     )
     def test_errors_carry_the_runs_own_message(self, overrides):
         # validate() reports the check run_scenario makes, in its words
@@ -166,6 +174,20 @@ class TestValidation:
             run(scenario.flux_model(), scenario.grid(), scenario.datum, scenario.t_end,
                 n_snapshots=scenario.n_snapshots, cfl=scenario.cfl)
         assert messages == [str(raised.value)]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"x_min": math.nan}, "x_min must be finite, got nan"),
+            ({"x_max": -2.0}, "empty domain [-1.0, -2.0]"),
+        ],
+        ids=["nan-end", "empty-domain"],
+    )
+    def test_without_a_grid_only_the_grids_error(self, overrides, message):
+        # no domain to place the probe start in, or to hold the cutoff
+        scenario = get_scenario("calibration").with_overrides(**overrides)
+        assert scenario.probes
+        assert [(f.level, f.message) for f in scenario.validate()] == [("error", message)]
 
     def test_bad_trace_side_is_one_error(self):
         messages = [f.message for f in toy_scenario(trace_side="middle").errors()]
