@@ -599,9 +599,10 @@ def run(
     update (as :func:`lxf_step`) and the boundary rates (as
     :func:`boundary_flux_rates`) both read that one evaluation, and the
     step log's minimum and maximum come from the update's own range
-    check; they are also the range the next step's :func:`cfl_dt` reads.  A run allocates its arrays once: two ghosted buffers take
-    turns holding the field in their interior, the update writing the
-    next field into the other one, and every snapshot is a copy.
+    check; they are also the range the next step's :func:`cfl_dt` reads.
+    A run allocates its arrays once: two ghosted buffers take turns
+    holding the field in their interior, the update writing the next
+    field into the other one, and every snapshot is a copy.
     """
     snap_times, boundaries = check_run(model, grid, t_end, n_snapshots, cfl)
     rho, spare = np.empty(grid.n_cells + 2), np.empty(grid.n_cells + 2)

@@ -480,7 +480,9 @@ class TestRun:
         with pytest.raises(StabilityError, match="MAX_STEPS=15 steps at t="):
             run(coupled, grid, jam, 0.1, n_snapshots=2)
 
-    @pytest.mark.parametrize("n_snapshots", [2.5, np.float64(3.0), "3"], ids=["float", "np-float", "str"])
+    @pytest.mark.parametrize(
+        "n_snapshots", [2.5, np.float64(3.0), "3"], ids=["float", "np-float", "str"]
+    )
     def test_non_integer_snapshot_count_rejected(self, monkeypatch, n_snapshots):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
@@ -1606,7 +1608,8 @@ def test_warm_vertex_bound_is_the_cold_bound():
         # a copy's law is equal (a tabulated one: a new key): the same step
         assert cfl_dt(copy.deepcopy(model), grid, states, rho_range) == cold
         slack = 0.0 if rho_range == FULL else 1e-8  # as in the test above
-        assert cold <= reference_cfl_dt(model, grid, states, CFL_DEFAULT, rho_range) * (1.0 + slack)
+        reference = reference_cfl_dt(model, grid, states, CFL_DEFAULT, rho_range)
+        assert cold <= reference * (1.0 + slack)
 
 
 def test_vertex_memo_stays_within_its_bound_on_a_long_coupled_run():
