@@ -4,7 +4,7 @@
     python scripts/output_digest.py calibration fleet_7
     python scripts/output_digest.py --bundle    # the exported files instead
 
-Each case is one finite-volume run.  The cases are every built-in scenario
+Each run case is one finite-volume run.  The run cases are every built-in scenario
 (``fig_questa`` shortened to ``t_end=3``); ``fig_questa_mollified``, whose
 two probes smooth their speed jumps over ``mollify_radius=0.25`` and which
 runs to ``t_end=5.5``, across the ramp on [4.75, 5.25], so the mollified
@@ -22,6 +22,13 @@ probe path.  With ``--bundle`` the hash is taken instead
 over every file ``io.write_bundle`` writes for the run (name, size and
 bytes, in ``OutputBundle.paths`` order), so the exports can be compared
 byte for byte.
+
+The front-tracking cases ``oracle_7`` and ``oracle_31`` track the
+benchmark's seeded 50-jump dyadic datum (``perfbench/workloads.oracle_datum``)
+to ``t = 2``.  Their hash covers the bits that are exact: the epoch count,
+each epoch's states and front speeds, and each collision's pair of states.
+Epoch times and front positions carry roundoff, so they are left out.  They
+have no exported files, so ``--bundle`` skips them.
 
 Run it on two checkouts and diff the outputs: a refactor that keeps outputs
 bit-for-bit equal shows no difference.  The library is imported from the
@@ -43,7 +50,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from probeflow import scenarios  # noqa: E402
+from probeflow import Greenshields, from_datum, ft_evolve, scenarios  # noqa: E402
 from probeflow.io import write_bundle  # noqa: E402
 from probeflow.model import ProbeTrajectory  # noqa: E402
 
@@ -62,15 +69,22 @@ FLEETS = {
     "fleet_7_clipped": (7, 8, 0.1),
 }
 
+#: Front-tracking cases: name -> seed of the benchmark's oracle datum.
+ORACLES = {"oracle_7": 7, "oracle_31": 31}
 
-def _fleet_scenario(seed, n_probes, first_start):
+
+def _workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
-    scenario = module.fleet_scenario(seed, n_probes=n_probes)
+    return module
+
+
+def _fleet_scenario(seed, n_probes, first_start):
+    scenario = _workloads().fleet_scenario(seed, n_probes=n_probes)
     if first_start is None:
         return scenario
     first, *rest = scenario.probes
@@ -87,8 +101,12 @@ def _mollified_scenario(name, radius):
     return scenario.with_overrides(probes=probes)
 
 
-def case_names():
+def run_case_names():
     return scenarios.scenario_names() + list(MOLLIFIED) + list(FLEETS)
+
+
+def case_names():
+    return run_case_names() + list(ORACLES)
 
 
 def load_case(name):
@@ -115,6 +133,27 @@ def digest(result):
     return h.hexdigest()
 
 
+def track_oracle(name):
+    """Front tracking of oracle case ``name``, as the benchmark runs it."""
+    workloads = _workloads()
+    datum = workloads.oracle_datum(ORACLES[name])
+    state = from_datum(Greenshields(1.0), datum, workloads.ORACLE_N)
+    return ft_evolve(state, workloads.Oracle.T_END)
+
+
+def oracle_digest(solution):
+    """sha256 over a tracked solution's exact bits: the epoch count, each
+    epoch's states and speeds, and each collision's states."""
+    h = hashlib.sha256()
+    h.update(np.int64(len(solution.epochs)).tobytes())
+    for epoch in solution.epochs:
+        h.update(np.int64(epoch.n_fronts).tobytes())
+        h.update(epoch.vals.tobytes())
+        h.update(epoch.speeds.tobytes())
+    h.update(np.asarray([c[2:] for c in solution.collisions], dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def bundle_digest(result, scenario, overrides):
     """sha256 over every file :func:`write_bundle` writes for ``result``:
     each file's name and size, then its bytes."""
@@ -133,13 +172,17 @@ def main(argv=None):
     parser.add_argument("--bundle", action="store_true",
                         help="hash the files write_bundle writes, not the arrays")
     args = parser.parse_args(argv)
-    names = args.cases or case_names()
-    unknown = [name for name in names if name not in case_names()]
+    known = run_case_names() if args.bundle else case_names()
+    names = args.cases or known
+    unknown = [name for name in names if name not in known]
     if unknown:
-        print(f"unknown case(s) {', '.join(unknown)}; have {', '.join(case_names())}",
+        print(f"unknown case(s) {', '.join(unknown)}; have {', '.join(known)}",
               file=sys.stderr)
         return 2
     for name in names:
+        if name in ORACLES:
+            print(name, oracle_digest(track_oracle(name)), flush=True)
+            continue
         scenario, overrides = load_case(name)
         scenario = scenario.with_overrides(**overrides)
         result = scenarios.run_scenario(scenario)

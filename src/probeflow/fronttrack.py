@@ -8,13 +8,24 @@ construction, fronts travel at difference-quotient speeds, and collisions
 are resolved by re-solving the Riemann problem of the outermost states.
 The number of fronts never increases, so the evolution terminates.
 
+Tracking is an event loop: a heap holds the meeting time of each adjacent
+pair of approaching fronts, and a collision touches only its cluster and
+that cluster's neighbours.  Every front is written once to an append-only
+front log (birth, speed, states, death); the configuration at any epoch is
+rebuilt from the log when it is read, so a solution's size grows with the
+number of fronts, not with fronts times collisions.
+
 Dyadic grid values ``k * 2**-n`` are exact in binary floating point, which
 keeps all state comparisons exact.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +167,11 @@ class PiecewiseLinearFlux:
         self.n = int(n)
         self.grid = np.arange(2 ** n + 1) * 2.0 ** -n
         self.values = np.asarray(law.flux(self.grid), dtype=float)
+        # the table as Python floats for the envelope loop, and every fan
+        # built so far, keyed by its pair of state indices
+        self._grid_f = self.grid.tolist()
+        self._values_f = self.values.tolist()
+        self._fans = {}
 
     def index_of(self, rho):
         """Grid index of a density that must lie on the grid."""
@@ -164,14 +180,14 @@ class PiecewiseLinearFlux:
             raise DomainError(f"density {rho} is not a multiple of 2**-{self.n}")
         return k
 
-    def quotient(self, rho_a, rho_b):
-        """Difference quotient of the flux table between two grid states."""
-        ka, kb = self.index_of(rho_a), self.index_of(rho_b)
-        if ka == kb:
-            raise DomainError("difference quotient needs distinct states")
-        return float(
-            (self.values[kb] - self.values[ka]) / (self.grid[kb] - self.grid[ka])
-        )
+    def _fan(self, ka, kb):
+        """States and speeds of the Riemann fan from grid index ``ka`` to a
+        distinct ``kb`` (see :func:`ft_riemann`), as tuples built once per
+        pair."""
+        fan = self._fans.get((ka, kb))
+        if fan is None:
+            fan = self._fans[ka, kb] = _envelope_fan(self._grid_f, self._values_f, ka, kb)
+        return fan
 
     def speed_bound(self, rho_min, rho_max):
         """Largest segment slope of the table over all grid cells whose
@@ -215,17 +231,25 @@ def ft_riemann(flux, rho_l, rho_r):
     ka, kb = flux.index_of(rho_l), flux.index_of(rho_r)
     if ka == kb:
         return [float(rho_l)], []
+    states, speeds = flux._fan(ka, kb)
+    return list(states), list(speeds)
+
+
+def _envelope_fan(grid, values, ka, kb):
+    """The fan of :func:`ft_riemann` between grid indices ``ka != kb`` of a
+    flux table given as lists of Python floats."""
     sign = 1.0 if ka < kb else -1.0
     lo, hi = (ka, kb) if ka < kb else (kb, ka)
-    pts = [(flux.grid[k], sign * flux.values[k]) for k in range(lo, hi + 1)]
-    hull = _lower_convex_path(pts)
+    hull = _lower_convex_path(
+        [(x, sign * y) for x, y in zip(grid[lo : hi + 1], values[lo : hi + 1])]
+    )
     if sign < 0:
         hull = [(x, -y) for (x, y) in reversed(hull)]
-    states = [x for x, _ in hull]
-    speeds = [
+    states = tuple(x for x, _ in hull)
+    speeds = tuple(
         (y2 - y1) / (x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    ]
+    )
     if any(s2 <= s1 for s1, s2 in zip(speeds, speeds[1:])):
         raise FrontTrackError("envelope produced non-increasing front speeds")
     return states, speeds
@@ -292,26 +316,131 @@ def from_datum(law, datum, n):
     return FrontState(flux, 0.0, xs, vals, speeds)
 
 
-class FrontTrackSolution:
-    """The full evolution: a sequence of front configurations ("epochs"),
-    each valid from its time until the next epoch's, plus the collision
-    events in between."""
+class _FrontLog:
+    """Append-only record of every front a tracking run produced, indexed
+    by front id (ids count up in order of birth).
 
-    def __init__(self, epochs, t_end, collisions):
-        self.epochs = list(epochs)
+    Per front: position and epoch at birth, speed, the states on its left
+    and right, and the epoch at which it died (``-1`` while it lives).
+    ``after`` threads every front ever logged into one left-to-right
+    order: a fan is inserted after the last front of the cluster it
+    replaces, so the fronts alive at any epoch, taken in this order, are
+    sorted by position.
+    """
+
+    def __init__(self, state):
+        n = state.n_fronts
+        vals = state.vals.tolist()
+        self.x0 = state.xs.tolist()
+        self.speed = state.speeds.tolist()
+        self.left = vals[:-1]
+        self.right = vals[1:]
+        self.born = [0] * n
+        self.died = [-1] * n
+        self.after = list(range(1, n)) + [-1] if n else []
+        self.rho_left = vals[0]
+
+    def __len__(self):
+        return len(self.x0)
+
+    def columns(self, times, t_end):
+        """The log as float arrays in left-to-right order: birth position,
+        speed, right state, birth and death epochs, birth and death times
+        (``t_end`` for fronts still alive)."""
+        order, i = [], 0 if self.x0 else -1
+        while i >= 0:
+            order.append(i)
+            i = self.after[i]
+        n_epochs = len(times)
+        died = np.array([n_epochs if d < 0 else d for d in self.died], dtype=np.intp)
+        born = np.asarray(self.born, dtype=np.intp)
+        clock = np.append(np.asarray(times, dtype=float), float(t_end))
+        cols = {
+            "x0": np.asarray(self.x0, dtype=float),
+            "speed": np.asarray(self.speed, dtype=float),
+            "right": np.asarray(self.right, dtype=float),
+            "born": born,
+            "died": died,
+            "t_born": clock[born],
+            "t_died": clock[died],
+        }
+        return {name: col[order] for name, col in cols.items()}
+
+
+class _Epochs(Sequence):
+    """Read-only sequence of a solution's epochs.  Each epoch is built from
+    the front log when it is read; only the last one built is kept."""
+
+    def __init__(self, solution):
+        self._solution = solution
+        self._last = None
+
+    def __len__(self):
+        return len(self._solution.times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"epoch {k} out of range for {len(self)} epochs")
+        if self._last is None or self._last[0] != k:
+            self._last = (k, self._solution._build_epoch(k))
+        return self._last[1]
+
+
+class FrontTrackSolution:
+    """The full evolution, stored as a front log.
+
+    ``times`` are the epoch times: the start, then each collision time.
+    ``collisions`` lists ``(t, x, rho_l, rho_r)`` per resolved cluster,
+    left to right within a time.  ``log`` holds one record per front ever
+    tracked (see :class:`_FrontLog`), so the storage grows with the
+    number of fronts, not with fronts times collisions.  ``epochs`` is a
+    read-only sequence of :class:`FrontState`, the configuration in force
+    from each epoch time until the next, built from the log when read.
+    """
+
+    def __init__(self, flux, t_end, times, collisions, log):
+        self.flux = flux
         self.t_end = float(t_end)
-        self.collisions = list(collisions)
-        self._starts = np.array([e.time for e in self.epochs])
+        self.times = times
+        self.collisions = collisions
+        self.log = log
+        self.epochs = _Epochs(self)
+        self._cols = None
+
+    def _columns(self):
+        """The front log as arrays (:meth:`_FrontLog.columns`), built once."""
+        if self._cols is None:
+            self._cols = self.log.columns(self.times, self.t_end)
+        return self._cols
+
+    def _build_epoch(self, k):
+        cols = self._columns()
+        live = (cols["born"] <= k) & (cols["died"] > k)
+        t = self.times[k]
+        speeds = cols["speed"][live]
+        xs = cols["x0"][live] + speeds * (t - cols["t_born"][live])
+        if len(xs):
+            # positions taken from birth agree with the order up to roundoff;
+            # genuine disorder is a logic error
+            mono = np.maximum.accumulate(xs)
+            if np.max(mono - xs) > 1e-9:
+                raise FrontTrackError(f"front ordering broke down at t={t}")
+            xs = mono
+        vals = np.concatenate([[self.log.rho_left], cols["right"][live]])
+        return FrontState(self.flux, t, xs, vals, speeds)
 
     def state_at(self, t):
         """The epoch in force at time ``t``."""
-        if t < self.epochs[0].time - 1e-12 or t > self.t_end + 1e-12:
+        if t < self.times[0] - 1e-12 or t > self.t_end + 1e-12:
             raise DomainError(
-                f"t={t} outside the computed range "
-                f"[{self.epochs[0].time}, {self.t_end}]"
+                f"t={t} outside the computed range [{self.times[0]}, {self.t_end}]"
             )
-        idx = max(0, int(np.searchsorted(self._starts, t, side="right")) - 1)
-        return self.epochs[idx]
+        return self.epochs[max(0, bisect.bisect_right(self.times, t) - 1)]
 
     def sample(self, t, x):
         """Profile value at ``(t, x)``."""
@@ -325,84 +454,127 @@ class FrontTrackSolution:
 def ft_evolve(state, t_end):
     """Track all fronts from ``state.time`` to ``t_end``.
 
-    Collisions are located exactly (positions are linear in time), resolved
-    by the Riemann problem of the cluster's outermost states, and must not
-    increase the total front count (else :class:`FrontTrackError`).
-    ``t_end`` may be ``inf``, as tracking ends once no fronts approach.
+    An event loop: a heap holds the meeting time of every adjacent pair of
+    approaching fronts, and a doubly linked list their left-to-right order.
+    At each collision time every pair that has met (gap at most
+    :data:`COLLISION_TOL`) is taken off the heap, each run of met fronts is
+    grown over neighbours within the tolerance, and the run is replaced by
+    the fan of the Riemann problem of its outermost states.  Only the new
+    neighbour pairs are pushed.  The total front count must not grow at any
+    collision time (else :class:`FrontTrackError`).  ``t_end`` may be
+    ``inf``, as tracking ends once no fronts approach.
     """
     if not t_end >= state.time:
         raise DomainError(f"t_end must be at or after the state's time {state.time}, got {t_end}")
-    epochs = [state]
+    flux = state.flux
+    log = _FrontLog(state)
+    x0, speed, left, right = log.x0, log.speed, log.left, log.right
+    born, died, after = log.born, log.died, log.after
+    times = [state.time]
     collisions = []
+    n_live = len(log)
+    prev = list(range(-1, n_live - 1))
+    nxt = after[:]
+
+    def at(i, t):
+        return x0[i] + speed[i] * (t - times[born[i]])
+
+    def meeting(a, b):
+        closing = speed[a] - speed[b]
+        if closing > 0.0:
+            t_ref = times[max(born[a], born[b])]
+            heapq.heappush(heap, (t_ref + (at(b, t_ref) - at(a, t_ref)) / closing, a, b))
+
+    heap = []
+    for i in range(n_live - 1):
+        meeting(i, i + 1)
     # collisions strictly decrease total variation by at least one grid jump
     # pair; this cap is generous
-    max_events = 4 * (state.n_fronts + 2) ** 2 + 64
-    for _ in range(max_events):
-        current = epochs[-1]
-        t_hit = _next_collision_time(current)
+    max_events = 4 * (n_live + 2) ** 2 + 64
+    while heap:
+        t_hit, a, b = heap[0]
+        if died[a] >= 0 or died[b] >= 0:
+            heapq.heappop(heap)
+            continue
         if t_hit >= t_end:
-            return FrontTrackSolution(epochs, t_end, collisions)
-        next_state, events = _resolve_collisions(current, t_hit)
-        if next_state.n_fronts > current.n_fronts:
+            break
+        if t_hit < times[-1]:
+            raise FrontTrackError(f"collision at t={t_hit} precedes the epoch at {times[-1]}")
+        if len(times) > max_events:
+            raise FrontTrackError(f"collision count exceeded the cap of {max_events}")
+        # every pair that has met by t_hit, in time order, up to the first
+        # still-valid pair that has not
+        met = {}
+        while heap:
+            _, a, b = heap[0]
+            if died[a] < 0 and died[b] < 0:
+                if met and at(b, t_hit) - at(a, t_hit) > COLLISION_TOL:
+                    break
+                met[a] = b
+            heapq.heappop(heap)
+        # runs of met fronts, each grown over neighbours within the tolerance
+        clusters, taken = [], set()
+        ends = set(met.values())
+        for first in met:
+            if first in ends or first in taken:
+                continue
+            last = first
+            while last in met:
+                last = met[last]
+            while prev[first] >= 0 and at(first, t_hit) - at(prev[first], t_hit) <= COLLISION_TOL:
+                first = prev[first]
+            while nxt[last] >= 0 and at(nxt[last], t_hit) - at(last, t_hit) <= COLLISION_TOL:
+                last = nxt[last]
+            i = first
+            while True:
+                taken.add(i)
+                if i == last:
+                    break
+                i = nxt[i]
+            clusters.append((at(first, t_hit), first, last))
+        k = len(times)
+        times.append(t_hit)
+        n_before = n_live
+        for x_c, first, last in sorted(clusters):
+            rho_l, rho_r = left[first], right[last]
+            collisions.append((t_hit, x_c, rho_l, rho_r))
+            i = first
+            while True:
+                died[i] = k
+                n_live -= 1
+                if i == last:
+                    break
+                i = nxt[i]
+            ka, kb = flux.index_of(rho_l), flux.index_of(rho_r)
+            states, speeds = flux._fan(ka, kb) if ka != kb else ((), ())
+            new = list(range(len(x0), len(x0) + len(speeds)))
+            x0.extend([x_c] * len(new))
+            speed.extend(speeds)
+            left.extend(states[:-1])
+            right.extend(states[1:])
+            born.extend([k] * len(new))
+            died.extend([-1] * len(new))
+            prev.extend([-1] * len(new))
+            nxt.extend([-1] * len(new))
+            n_live += len(new)
+            if new:
+                after.extend(new[1:] + [after[last]])
+                after[last] = new[0]
+            chain = [prev[first]] + new + [nxt[last]]
+            for p, q in zip(chain, chain[1:]):
+                if p >= 0:
+                    nxt[p] = q
+                if q >= 0:
+                    prev[q] = p
+            if chain[0] >= 0 and chain[1] >= 0:
+                meeting(chain[0], chain[1])
+            if len(chain) > 2 and chain[-2] >= 0 and chain[-1] >= 0:
+                meeting(chain[-2], chain[-1])
+        if n_live > n_before:
             raise FrontTrackError(
-                f"front count grew from {current.n_fronts} to "
-                f"{next_state.n_fronts} at t={t_hit}"
+                f"front count grew from {n_before} to {n_live} at t={t_hit}"
             )
-        collisions.extend(events)
-        epochs.append(next_state)
-    raise FrontTrackError(f"collision count exceeded the cap of {max_events}")
-
-
-def _next_collision_time(state):
-    """Earliest time at which an adjacent pair of fronts meets."""
-    if state.n_fronts < 2:
-        return math.inf
-    gap = np.diff(state.xs)
-    closing = state.speeds[:-1] - state.speeds[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_c = np.where(closing > 0.0, state.time + gap / closing, math.inf)
-    return float(np.min(t_c))
-
-
-def _resolve_collisions(state, t_hit):
-    """Advance to ``t_hit`` and re-solve every cluster of coincident fronts.
-
-    A cluster is a maximal run of fronts ``i..j`` whose neighbouring
-    positions lie within :data:`COLLISION_TOL`; it is replaced by the fan of
-    the Riemann problem between ``vals[i]`` and ``vals[j + 1]``.  The fronts
-    between clusters are carried over as array slices, so the cost is
-    whole-array work plus one Riemann solve per cluster.
-    """
-    pos = state.positions(t_hit)
-    # enforce ordering against roundoff; genuine disorder is a logic error
-    mono = np.maximum.accumulate(pos)
-    if np.max(mono - pos) > 1e-9:
-        raise FrontTrackError(f"front ordering broke down at t={t_hit}")
-    pos = mono
-    clusters = []
-    for k in np.flatnonzero(np.diff(pos) <= COLLISION_TOL).tolist():
-        if clusters and clusters[-1][1] == k:
-            clusters[-1][1] = k + 1
-        else:
-            clusters.append([k, k + 1])
-    xs, vals, speeds = [], [state.vals[:1]], []
-    events = []
-    done = 0
-    for i, j in clusters:
-        x_c = pos[i]
-        rho_l = state.vals[i]
-        rho_r = state.vals[j + 1]
-        events.append((t_hit, float(x_c), float(rho_l), float(rho_r)))
-        states, fan = ft_riemann(state.flux, rho_l, rho_r)
-        xs += [pos[done:i], np.full(len(fan), x_c)]
-        vals += [state.vals[done + 1 : i + 1], states[1:]]
-        speeds += [state.speeds[done:i], fan]
-        done = j + 1
-    xs.append(pos[done:])
-    vals.append(state.vals[done + 1 :])
-    speeds.append(state.speeds[done:])
-    parts = (np.concatenate(xs), np.concatenate(vals), np.concatenate(speeds))
-    return FrontState(state.flux, t_hit, *parts), events
+    return FrontTrackSolution(flux, t_end, times, collisions, log)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +637,16 @@ def sample_curve_integral(solution, gamma1, gamma2, c, t0, t1):
 
     The integrand is piecewise constant: it can only change where an epoch
     begins, a curve has a knot, or a curve crosses a front.  The partition
-    collects all such times; each piece is evaluated at its midpoint.
+    collects all such times, reading the density range and the front
+    crossings from the solution's front log; each piece is evaluated at its
+    midpoint.
     """
     if not t1 > t0:
         raise DomainError(f"need t0 < t1, got ({t0}, {t1})")
     if not c > 0.0:
         raise DomainError(f"non-characteristic margin c must be positive, got {c}")
-    rho_lo = min(e.range()[0] for e in solution.epochs)
-    rho_hi = max(e.range()[1] for e in solution.epochs)
-    s_max = solution.epochs[0].flux.speed_bound(rho_lo, rho_hi)
+    states = solution.log.right + [solution.log.rho_left]
+    s_max = solution.flux.speed_bound(min(states), max(states))
     for label, curve in (("gamma1", gamma1), ("gamma2", gamma2)):
         slope, at = curve.min_slope(t0, t1)
         if slope < s_max + c - 1e-12:
@@ -482,9 +655,7 @@ def sample_curve_integral(solution, gamma1, gamma2, c, t0, t1):
                 f"vs front speed bound {s_max} + c={c}"
             )
     cuts = {float(t0), float(t1)}
-    for epoch in solution.epochs:
-        if t0 < epoch.time < t1:
-            cuts.add(float(epoch.time))
+    cuts.update(float(t) for t in solution.times if t0 < t < t1)
     for curve in (gamma1, gamma2):
         cuts.update(curve.knots_within(t0, t1))
         cuts.update(_front_crossings(solution, curve, t0, t1))
@@ -507,25 +678,18 @@ def sample_curve_integral(solution, gamma1, gamma2, c, t0, t1):
 
 
 def _front_crossings(solution, curve, t0, t1):
-    """Times in (t0, t1) at which the curve meets any front."""
+    """Times in (t0, t1) at which the curve meets any logged front, each
+    front checked over its own lifetime."""
+    cols = solution._columns()
+    x0, speed, t_born = cols["x0"], cols["speed"], cols["t_born"]
     out = []
-    epoch_ends = [e.time for e in solution.epochs[1:]] + [solution.t_end]
-    for epoch, e_end in zip(solution.epochs, epoch_ends):
-        lo = max(t0, epoch.time)
-        hi = min(t1, e_end)
-        if hi <= lo:
-            continue
-        for a, b, xa, xb in zip(curve.ts, curve.ts[1:], curve.xs, curve.xs[1:]):
-            sa = max(lo, a)
-            sb = min(hi, b)
-            if sb <= sa:
-                continue
-            m = (xb - xa) / (b - a)
-            for x0f, sf in zip(epoch.xs, epoch.speeds):
-                if m == sf:
-                    continue
-                # xa + m (t - a) = x0f + sf (t - epoch.time)
-                t_cross = (x0f - sf * epoch.time - xa + m * a) / (m - sf)
-                if sa < t_cross < sb:
-                    out.append(float(t_cross))
+    for a, b, xa, xb in zip(curve.ts, curve.ts[1:], curve.xs, curve.xs[1:]):
+        lo = np.maximum(max(t0, a), t_born)
+        hi = np.minimum(min(t1, b), cols["t_died"])
+        m = (xb - xa) / (b - a)
+        # xa + m (t - a) = x0 + speed (t - t_born)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_cross = (x0 - speed * t_born - xa + m * a) / (m - speed)
+        hit = (speed != m) & (lo < t_cross) & (t_cross < hi)
+        out.extend(t_cross[hit].tolist())
     return out

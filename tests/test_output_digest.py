@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from probeflow import get_scenario, run_scenario, scenario_names
+from probeflow.fronttrack import FrontState
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 
@@ -42,7 +43,10 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         "fleet_31",
         "fleet_7x40",
         "fleet_7_clipped",
+        "oracle_7",
+        "oracle_31",
     ]
+    assert script.run_case_names() == script.case_names()[:-2]
     scenario, overrides = script.load_case("fig_questa")
     assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
     # both probes ramp their speeds, and the run crosses the ramp on [4.75, 5.25]
@@ -93,6 +97,53 @@ def test_unknown_case_exits_2(capsys):
     assert _load_script().main(["no_such_case"]) == 2
     assert "unknown case" in capsys.readouterr().err
     assert _load_script().main(["--bundle", "no_such_case"]) == 2
+    # front tracking exports no files
+    assert _load_script().main(["--bundle", "oracle_7"]) == 2
+
+
+def test_oracle_digest_from_the_command_line():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "oracle_31"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    script = _load_script()
+    solution = script.track_oracle("oracle_31")
+    assert len(solution.collisions) > 1000
+    assert out == ["oracle_31", script.oracle_digest(solution)]
+
+
+class _Solution:
+    """The parts of a tracked solution that ``oracle_digest`` reads."""
+
+    def __init__(self, epochs, collisions):
+        self.epochs = epochs
+        self.collisions = collisions
+
+
+def test_oracle_digest_sees_every_exact_bit_and_no_position():
+    script = _load_script()
+    tracked = script.track_oracle("oracle_7")
+    epochs, collisions = list(tracked.epochs[:40]), tracked.collisions[:39]
+    base = script.oracle_digest(_Solution(epochs, collisions))
+    assert script.oracle_digest(_Solution(epochs[:-1], collisions)) != base
+    last = epochs[-1]
+    for name in ("vals", "speeds"):
+        nudged = FrontState(
+            last.flux, last.time, last.xs.copy(), last.vals.copy(), last.speeds.copy()
+        )
+        values = getattr(nudged, name)
+        values[-1] = np.nextafter(values[-1], 2.0)  # one ulp
+        assert script.oracle_digest(_Solution(epochs[:-1] + [nudged], collisions)) != base
+    t, x, rho_l, rho_r = collisions[-1]
+    for changed in ((t, x, rho_l, rho_r + 2.0**-8), (t, x, rho_l - 2.0**-8, rho_r)):
+        assert script.oracle_digest(_Solution(epochs, collisions[:-1] + [changed])) != base
+    # times and positions carry roundoff, so the digest leaves them out
+    moved = FrontState(last.flux, last.time + 1e-13, last.xs + 1e-13, last.vals, last.speeds)
+    shifted = collisions[:-1] + [(t + 1e-13, x + 1e-13, rho_l, rho_r)]
+    assert script.oracle_digest(_Solution(epochs[:-1] + [moved], shifted)) == base
 
 
 def test_bundle_digest_from_the_command_line():
