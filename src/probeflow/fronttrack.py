@@ -479,6 +479,12 @@ def ft_evolve(state, t_end):
     def at(i, t):
         return x0[i] + speed[i] * (t - times[born[i]])
 
+    def run(first, last):
+        while first != last:
+            yield first
+            first = nxt[first]
+        yield last
+
     def meeting(a, b):
         closing = speed[a] - speed[b]
         if closing > 0.0:
@@ -525,12 +531,7 @@ def ft_evolve(state, t_end):
                 first = prev[first]
             while nxt[last] >= 0 and at(nxt[last], t_hit) - at(last, t_hit) <= COLLISION_TOL:
                 last = nxt[last]
-            i = first
-            while True:
-                taken.add(i)
-                if i == last:
-                    break
-                i = nxt[i]
+            taken.update(run(first, last))
             clusters.append((at(first, t_hit), first, last))
         k = len(times)
         times.append(t_hit)
@@ -538,13 +539,9 @@ def ft_evolve(state, t_end):
         for x_c, first, last in sorted(clusters):
             rho_l, rho_r = left[first], right[last]
             collisions.append((t_hit, x_c, rho_l, rho_r))
-            i = first
-            while True:
+            for i in run(first, last):
                 died[i] = k
                 n_live -= 1
-                if i == last:
-                    break
-                i = nxt[i]
             ka, kb = flux.index_of(rho_l), flux.index_of(rho_r)
             states, speeds = flux._fan(ka, kb) if ka != kb else ((), ())
             new = list(range(len(x0), len(x0) + len(speeds)))
