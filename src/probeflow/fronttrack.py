@@ -226,7 +226,8 @@ def ft_riemann(flux, rho_l, rho_r):
     speed of the front joining ``states[i]`` to ``states[i + 1]``.  For
     ``rho_l < rho_r`` the solution follows the lower convex envelope of the
     flux table between the states; for ``rho_l > rho_r`` the upper concave
-    envelope (the lower envelope of the negated table).
+    envelope (the lower envelope of the negated table).  The flux builds
+    each fan once and answers repeats from a memo.
     """
     ka, kb = flux.index_of(rho_l), flux.index_of(rho_r)
     if ka == kb:
@@ -344,7 +345,7 @@ class _FrontLog:
         return len(self.x0)
 
     def columns(self, times, t_end):
-        """The log as float arrays in left-to-right order: birth position,
+        """The log as arrays in left-to-right order: birth position,
         speed, right state, birth and death epochs, birth and death times
         (``t_end`` for fronts still alive)."""
         order, i = [], 0 if self.x0 else -1
@@ -371,12 +372,22 @@ class _Epochs(Sequence):
     """Read-only sequence of a solution's epochs.  Each epoch is built from
     the front log when it is read; only the last one built is kept."""
 
-    def __init__(self, solution):
-        self._solution = solution
+    def __init__(self, flux, times, t_end, log):
+        self._flux = flux
+        self._times = times
+        self._t_end = t_end
+        self._log = log
+        self._cols = None
         self._last = None
 
+    def log_columns(self):
+        """The front log as arrays (:meth:`_FrontLog.columns`), built once."""
+        if self._cols is None:
+            self._cols = self._log.columns(self._times, self._t_end)
+        return self._cols
+
     def __len__(self):
-        return len(self._solution.times)
+        return len(self._times)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -387,8 +398,24 @@ class _Epochs(Sequence):
         if not 0 <= k < len(self):
             raise IndexError(f"epoch {k} out of range for {len(self)} epochs")
         if self._last is None or self._last[0] != k:
-            self._last = (k, self._solution._build_epoch(k))
+            self._last = (k, self._build(k))
         return self._last[1]
+
+    def _build(self, k):
+        cols = self.log_columns()
+        live = (cols["born"] <= k) & (cols["died"] > k)
+        t = self._times[k]
+        speeds = cols["speed"][live]
+        xs = cols["x0"][live] + speeds * (t - cols["t_born"][live])
+        if len(xs):
+            # positions taken from birth agree with the order up to roundoff;
+            # genuine disorder is a logic error
+            mono = np.maximum.accumulate(xs)
+            if np.max(mono - xs) > 1e-9:
+                raise FrontTrackError(f"front ordering broke down at t={t}")
+            xs = mono
+        vals = np.concatenate([[self._log.rho_left], cols["right"][live]])
+        return FrontState(self._flux, t, xs, vals, speeds)
 
 
 class FrontTrackSolution:
@@ -409,30 +436,7 @@ class FrontTrackSolution:
         self.times = times
         self.collisions = collisions
         self.log = log
-        self.epochs = _Epochs(self)
-        self._cols = None
-
-    def _columns(self):
-        """The front log as arrays (:meth:`_FrontLog.columns`), built once."""
-        if self._cols is None:
-            self._cols = self.log.columns(self.times, self.t_end)
-        return self._cols
-
-    def _build_epoch(self, k):
-        cols = self._columns()
-        live = (cols["born"] <= k) & (cols["died"] > k)
-        t = self.times[k]
-        speeds = cols["speed"][live]
-        xs = cols["x0"][live] + speeds * (t - cols["t_born"][live])
-        if len(xs):
-            # positions taken from birth agree with the order up to roundoff;
-            # genuine disorder is a logic error
-            mono = np.maximum.accumulate(xs)
-            if np.max(mono - xs) > 1e-9:
-                raise FrontTrackError(f"front ordering broke down at t={t}")
-            xs = mono
-        vals = np.concatenate([[self.log.rho_left], cols["right"][live]])
-        return FrontState(self.flux, t, xs, vals, speeds)
+        self.epochs = _Epochs(flux, times, self.t_end, log)
 
     def state_at(self, t):
         """The epoch in force at time ``t``."""
@@ -677,7 +681,7 @@ def sample_curve_integral(solution, gamma1, gamma2, c, t0, t1):
 def _front_crossings(solution, curve, t0, t1):
     """Times in (t0, t1) at which the curve meets any logged front, each
     front checked over its own lifetime."""
-    cols = solution._columns()
+    cols = solution.epochs.log_columns()
     x0, speed, t_born = cols["x0"], cols["speed"], cols["t_born"]
     out = []
     for a, b, xa, xb in zip(curve.ts, curve.ts[1:], curve.xs, curve.xs[1:]):

@@ -285,6 +285,18 @@ class TestEvolve:
         with pytest.raises(DomainError, match="got nan"):
             ft_evolve(state, float("nan"))
 
+    def test_a_collision_that_adds_fronts_is_rejected(self, monkeypatch):
+        datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
+        state = from_datum(Greenshields(1.0), datum, 2)
+        # the two shocks' merger answered by a three-front fan
+        monkeypatch.setattr(
+            PiecewiseLinearFlux,
+            "_fan",
+            lambda flux, ka, kb: ((0.0, 0.25, 0.5, 0.75), (-0.5, 0.0, 0.5)),
+        )
+        with pytest.raises(FrontTrackError, match="front count grew from 2 to 3"):
+            ft_evolve(state, 1.0)
+
     def test_infinite_horizon_stops_once_no_fronts_approach(self):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
         sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), float("inf"))
