@@ -4,7 +4,7 @@
     python scripts/output_digest.py calibration fleet_7
     python scripts/output_digest.py --bundle    # the exported files instead
 
-Each run case is one finite-volume run.  The run cases are every built-in scenario
+Each case is one finite-volume run.  The cases are every built-in scenario
 (``fig_questa`` shortened to ``t_end=3``); ``fig_questa_mollified``, whose
 two probes smooth their speed jumps over ``mollify_radius=0.25`` and which
 runs to ``t_end=5.5``, across the ramp on [4.75, 5.25], so the mollified
@@ -23,12 +23,13 @@ over every file ``io.write_bundle`` writes for the run (name, size and
 bytes, in ``OutputBundle.paths`` order), so the exports can be compared
 byte for byte.
 
-The front-tracking cases ``oracle_7`` and ``oracle_31`` track the
-benchmark's seeded 50-jump dyadic datum (``perfbench/workloads.oracle_datum``)
-to ``t = 2``.  Their hash covers the bits that are exact: the epoch count,
-each epoch's states and front speeds, and each collision's pair of states.
-Epoch times and front positions carry roundoff, so they are left out.  They
-have no exported files, so ``--bundle`` skips them.
+Two more cases, ``oracle_7`` and ``oracle_31``, are front tracking, not
+finite-volume runs: they track the benchmark's seeded 50-jump dyadic datum
+(``perfbench/workloads.oracle_datum``) to ``t = 2``.  Their hash covers the
+bits that are exact: the epoch count, each epoch's states and front speeds,
+and each collision's pair of states.  Epoch times and front positions carry
+roundoff, so they are left out.  They have no exported files, so
+``--bundle`` skips them.
 
 Run it on two checkouts and diff the outputs: a refactor that keeps outputs
 bit-for-bit equal shows no difference.  The library is imported from the

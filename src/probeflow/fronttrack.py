@@ -440,7 +440,7 @@ class FrontTrackSolution:
 
     def state_at(self, t):
         """The epoch in force at time ``t``."""
-        if t < self.times[0] - 1e-12 or t > self.t_end + 1e-12:
+        if not self.times[0] - 1e-12 <= t <= self.t_end + 1e-12:
             raise DomainError(
                 f"t={t} outside the computed range [{self.times[0]}, {self.t_end}]"
             )

@@ -277,6 +277,8 @@ class TestEvolve:
         sol = ft_evolve(state, 1.0)
         with pytest.raises(DomainError):
             sol.state_at(2.0)
+        with pytest.raises(DomainError):
+            sol.sample(float("nan"), 0.0)
 
     def test_nan_horizon_rejected_before_any_work(self, monkeypatch):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
@@ -413,10 +415,8 @@ def assert_matches_reference(state0, t_end, cluster_sizes=None):
     left out of the comparison."""
     sol = ft_evolve(state0, t_end)
     epochs, collisions = reference_evolve(state0, t_end, cluster_sizes)
-    ours_all = list(sol.epochs)
     cut = t_end - 1e-9
-    assert all(e.time >= cut for e in ours_all[len(epochs):] + epochs[len(ours_all):])
-    ours_all = [e for e in ours_all if e.time < cut]
+    ours_all = [e for e in sol.epochs if e.time < cut]
     epochs = [e for e in epochs if e.time < cut]
     collisions = [c for c in collisions if c[0] < cut]
     assert len(ours_all) == len(epochs)
@@ -444,9 +444,10 @@ class TestEventLoop:
         st.integers(min_value=1, max_value=30),
     )
     def test_matches_the_array_reference(self, seed, n, jumps):
-        # up to 30 jumps the reference's re-based positions drift far less
-        # than COLLISION_TOL; past about a hundred collisions the drift can
-        # reach it (TestExactArithmetic shows such a case)
+        # on these grids and up to 30 jumps the reference's re-based
+        # positions stay well inside COLLISION_TOL; on finer grids or with
+        # more collisions their drift can reach it and split a meeting that
+        # is simultaneous in exact arithmetic (TestExactArithmetic has one)
         datum = random_dyadic_datum(seed, n, jumps)
         assert_matches_reference(from_datum(Greenshields(1.0), datum, n), 4.0)
 
@@ -555,7 +556,10 @@ def worst_error(collisions, exact, t_end):
 class TestExactArithmetic:
     # (seed, n, jumps); on the last datum about 130 epochs of re-based
     # positions put the reference 1.5e-12 off in time, past COLLISION_TOL,
-    # and it splits an exact three-front meeting at t = 40/13 in two
+    # and it splits an exact three-front meeting at t = 40/13 in two.  Both
+    # trackers' roundoff can reach COLLISION_TOL on long runs: over 2 700
+    # seeded data the reference split such meetings in 26 and the event
+    # loop in one (seed 265, n = 7, 60 jumps, at t = 168/53)
     @pytest.mark.parametrize(
         "seed, n, jumps", [(0, 3, 30), (1, 5, 30), (2, 5, 30), (3, 3, 30), (44, 5, 60)]
     )
