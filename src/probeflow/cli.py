@@ -142,6 +142,13 @@ def _load_scenario(name_or_path):
     return get_scenario(name_or_path)
 
 
+def _print_warnings(scenario):
+    """Each warning-level validation finding, to stderr."""
+    for finding in scenario.validate():
+        if finding.level == "warning":
+            print(f"warning: {finding.message}", file=sys.stderr)
+
+
 def _cmd_run(args):
     scenario = _load_scenario(args.scenario)
     overrides = {}
@@ -157,6 +164,7 @@ def _cmd_run(args):
         overrides["trace_side"] = args.trace_side
     if overrides:
         scenario = scenario.with_overrides(**overrides)
+    _print_warnings(scenario)
     result = run_scenario(scenario)
     bundle = write_bundle(
         args.out, result, scenario, overrides=overrides, image=not args.no_image
@@ -233,6 +241,7 @@ def _cmd_inverse(args):
         raise DomainError(
             f"need v-lo < v-hi, got [{args.v_lo}, {args.v_hi}]"
         )
+    _print_warnings(scenario)
     scan = scan_E(
         scenario, args.v_lo, args.v_hi, args.intervals, workers=args.workers
     )

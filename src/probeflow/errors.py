@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and a finiteness check."""
+"""Exception types shared across the package, and finiteness and integer
+checks."""
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -27,3 +29,12 @@ def require_finite(what, *values):
     """Reject NaN and infinite parameters with :class:`DomainError`."""
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
+
+
+def require_index(what, value):
+    """``value`` as an ``int`` (:func:`operator.index`); :class:`DomainError`
+    unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

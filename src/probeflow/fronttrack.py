@@ -30,13 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FrontTrackError
+from .errors import DomainError, FrontTrackError, require_index
 
 #: Spatial tolerance under which fronts are considered to have collided.
 COLLISION_TOL = 1e-12
 
 #: Tolerance for checking that a value lies on the dyadic grid.
 _GRID_TOL = 1e-12
+
+
+def _grid_exponent(n):
+    """``n`` as an ``int``; :class:`DomainError` unless it is an integer >= 1."""
+    n = require_index("grid exponent n", n)
+    if n < 1:
+        raise DomainError(f"grid exponent n must be >= 1, got {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +119,7 @@ class PiecewiseConstant:
     def quantize(self, n):
         """Round all states to the grid ``{k * 2**-n}`` (ties to even) and
         merge any neighbouring states that become equal."""
-        if n < 1:
-            raise DomainError(f"grid exponent n must be >= 1, got {n}")
+        n = _grid_exponent(n)
         scale = 2.0 ** n
         rounded = [float(np.rint(v * scale) / scale) for v in self.values]
         xs, values = [], [rounded[0]]
@@ -161,10 +168,9 @@ class PiecewiseLinearFlux:
     """
 
     def __init__(self, law, n):
-        if n < 1:
-            raise DomainError(f"grid exponent n must be >= 1, got {n}")
+        n = _grid_exponent(n)
         self.law = law
-        self.n = int(n)
+        self.n = n
         self.grid = np.arange(2 ** n + 1) * 2.0 ** -n
         self.values = np.asarray(law.flux(self.grid), dtype=float)
         # the table as Python floats for the envelope loop, and every fan
@@ -175,15 +181,27 @@ class PiecewiseLinearFlux:
 
     def index_of(self, rho):
         """Grid index of a density that must lie on the grid."""
-        k = int(round(rho * 2 ** self.n))
-        if abs(rho - self.grid[k]) > _GRID_TOL:
-            raise DomainError(f"density {rho} is not a multiple of 2**-{self.n}")
+        scaled = rho * 2 ** self.n
+        k = int(round(scaled)) if math.isfinite(scaled) else -1
+        if not 0 <= k < len(self._grid_f) or abs(rho - self._grid_f[k]) > _GRID_TOL:
+            raise DomainError(f"density {rho} is not a multiple of 2**-{self.n} in [0, 1]")
         return k
 
-    def _fan(self, ka, kb):
-        """States and speeds of the Riemann fan from grid index ``ka`` to a
-        distinct ``kb`` (see :func:`ft_riemann`), as tuples built once per
-        pair."""
+    def fan(self, rho_l, rho_r):
+        """The Riemann fan from ``rho_l`` to ``rho_r``, both on the grid.
+
+        Returns tuples ``(states, speeds)``: ``states`` runs from ``rho_l``
+        to ``rho_r`` inclusive, and ``speeds[i]`` is the (strictly
+        increasing) speed of the front joining ``states[i]`` to
+        ``states[i + 1]``.  For ``rho_l < rho_r`` the fan follows the lower
+        convex envelope of the table between the states; for ``rho_l >
+        rho_r`` the upper concave envelope (the lower envelope of the
+        negated table).  Equal states give ``((rho_l,), ())``.  Each fan is
+        built once and repeats are answered from a memo.
+        """
+        ka, kb = self.index_of(rho_l), self.index_of(rho_r)
+        if ka == kb:
+            return (float(rho_l),), ()
         fan = self._fans.get((ka, kb))
         if fan is None:
             fan = self._fans[ka, kb] = _envelope_fan(self._grid_f, self._values_f, ka, kb)
@@ -218,27 +236,9 @@ def _lower_convex_path(points):
     return hull
 
 
-def ft_riemann(flux, rho_l, rho_r):
-    """Intermediate states and speeds of the piecewise linear Riemann problem.
-
-    Returns ``(states, speeds)``: ``states`` runs from ``rho_l`` to
-    ``rho_r`` inclusive, and ``speeds[i]`` is the (strictly increasing)
-    speed of the front joining ``states[i]`` to ``states[i + 1]``.  For
-    ``rho_l < rho_r`` the solution follows the lower convex envelope of the
-    flux table between the states; for ``rho_l > rho_r`` the upper concave
-    envelope (the lower envelope of the negated table).  The flux builds
-    each fan once and answers repeats from a memo.
-    """
-    ka, kb = flux.index_of(rho_l), flux.index_of(rho_r)
-    if ka == kb:
-        return [float(rho_l)], []
-    states, speeds = flux._fan(ka, kb)
-    return list(states), list(speeds)
-
-
 def _envelope_fan(grid, values, ka, kb):
-    """The fan of :func:`ft_riemann` between grid indices ``ka != kb`` of a
-    flux table given as lists of Python floats."""
+    """The fan of :meth:`PiecewiseLinearFlux.fan` between grid indices
+    ``ka != kb`` of a flux table given as lists of Python floats."""
     sign = 1.0 if ka < kb else -1.0
     lo, hi = (ka, kb) if ka < kb else (kb, ka)
     hull = _lower_convex_path(
@@ -309,7 +309,7 @@ def from_datum(law, datum, n):
     flux = PiecewiseLinearFlux(law, n)
     xs, vals, speeds = [], [datum.values[0]], []
     for x, rho_r in zip(datum.xs, datum.values[1:]):
-        states, fan = ft_riemann(flux, vals[-1], rho_r)
+        states, fan = flux.fan(vals[-1], rho_r)
         for state, speed in zip(states[1:], fan):
             xs.append(x)
             vals.append(state)
@@ -450,10 +450,6 @@ class FrontTrackSolution:
         """Profile value at ``(t, x)``."""
         return self.state_at(t).sample(t, x)
 
-    @property
-    def final(self):
-        return self.epochs[-1]
-
 
 def ft_evolve(state, t_end):
     """Track all fronts from ``state.time`` to ``t_end``.
@@ -546,8 +542,7 @@ def ft_evolve(state, t_end):
             for i in run(first, last):
                 died[i] = k
                 n_live -= 1
-            ka, kb = flux.index_of(rho_l), flux.index_of(rho_r)
-            states, speeds = flux._fan(ka, kb) if ka != kb else ((), ())
+            states, speeds = flux.fan(rho_l, rho_r)
             new = list(range(len(x0), len(x0) + len(speeds)))
             x0.extend([x_c] * len(new))
             speed.extend(speeds)
@@ -590,6 +585,8 @@ class Curve:
         self.xs = np.asarray(xs, dtype=float)
         if self.ts.ndim != 1 or self.ts.shape != self.xs.shape or len(self.ts) < 2:
             raise DomainError("a curve needs matching 1-d knot arrays, >= 2 knots")
+        if not (np.all(np.isfinite(self.ts)) and np.all(np.isfinite(self.xs))):
+            raise DomainError("curve knot times and positions must be finite")
         if np.any(np.diff(self.ts) <= 0.0):
             raise DomainError("curve knot times must be strictly increasing")
 

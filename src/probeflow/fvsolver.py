@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from array import array
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, StabilityError, require_finite
+from .errors import DomainError, StabilityError, require_finite, require_index
 from .model import SLOPE_SAMPLES, check_states, eval_flux, harmonic_speed
 
 #: Default CFL safety factor.
@@ -78,15 +77,6 @@ def _rows(buffer, width):
     return _read_only(np.frombuffer(buffer).reshape(-1, width))
 
 
-def _require_index(name, value):
-    """``value`` as an ``int`` (:func:`operator.index`); :class:`DomainError`
-    unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_domain(x_min, x_max):
     """:class:`DomainError` unless ``x_min < x_max`` and the extent are finite."""
     require_finite("x_min", x_min)
@@ -112,7 +102,7 @@ class Grid:
 
     def __post_init__(self):
         _check_domain(self.x_min, self.x_max)
-        n_cells = _require_index("n_cells", self.n_cells)
+        n_cells = require_index("n_cells", self.n_cells)
         if n_cells < 4:
             raise DomainError(f"need at least 4 cells, got {n_cells}")
 
@@ -488,10 +478,8 @@ class RunResult:
     ``(t, x, speed, trace)`` rows per probe, in ``model.probes`` order.
     """
 
-    scenario: str | None
     grid: Grid
     model: object
-    datum: object
     t_end: float
     cfl: float
     snapshots: list
@@ -541,7 +529,7 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     require_finite("cfl", cfl)
     if not t_end > 0.0:
         raise DomainError(f"t_end must be positive, got {t_end}")
-    n_snapshots = _require_index("n_snapshots", n_snapshots)
+    n_snapshots = require_index("n_snapshots", n_snapshots)
     if n_snapshots < 1:
         raise DomainError(f"n_snapshots must be >= 1, got {n_snapshots}")
     if n_snapshots > MAX_STEPS + 1:  # each snapshot interval takes a step
@@ -576,15 +564,7 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     return snap_times, boundaries
 
 
-def run(
-    model,
-    grid,
-    datum,
-    t_end,
-    n_snapshots=SNAPSHOTS_DEFAULT,
-    cfl=CFL_DEFAULT,
-    scenario=None,
-):
+def run(model, grid, datum, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT):
     """Evolve ``datum`` under ``model`` until ``t_end``.
 
     The run keeps its probes' positions, speeds and recorded paths itself;
@@ -655,10 +635,8 @@ def run(
             f"missed snapshot times: recorded {len(snapshots)} of {len(snap_times)}"
         )
     return RunResult(
-        scenario=scenario,
         grid=grid,
         model=model,
-        datum=datum,
         t_end=float(t_end),
         cfl=cfl,
         snapshots=snapshots,

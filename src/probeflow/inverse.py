@@ -59,15 +59,21 @@ class ErrorFunctionalReport:
 def score_records(records, law, t_end):
     """Quadrature of ``|speed - law(trace)|`` over record rows.
 
-    ``records`` is an ``(n, 3)`` array of rows ``(t, speed, trace)`` with
-    increasing times in ``[0, t_end]``; each row's residual is weighted by
-    the gap to the next row (the last by the gap to ``t_end``).
+    ``records`` is an ``(n, 3)`` array of finite rows ``(t, speed, trace)``
+    with increasing times in ``[0, t_end]`` and traces in ``[0, 1]``; each
+    row's residual is weighted by the gap to the next row (the last by the
+    gap to ``t_end``).
     """
+    require_finite("t_end", t_end)
     records = np.asarray(records, dtype=float)
     if records.ndim != 2 or records.shape[1] != 3:
         raise DomainError("records must be an (n, 3) array of (t, speed, trace)")
     if records.shape[0] == 0:
         return 0.0
+    if not np.all(np.isfinite(records)):
+        raise DomainError("record times, speeds and traces must be finite")
+    if np.any((records[:, 2] < 0.0) | (records[:, 2] > 1.0)):
+        raise DomainError("record traces must lie in [0, 1]")
     ts = records[:, 0]
     if np.any(np.diff(ts) <= 0.0):
         raise DomainError("record times must be strictly increasing")
@@ -125,10 +131,6 @@ class ScanResult:
     def samples(self):
         return list(zip(self.v_values, self.errors))
 
-    @property
-    def best_v(self):
-        return self.v_values[int(np.argmin(self.errors))]
-
 
 def scan_E(scenario, v_lo, v_hi, n, workers=1):
     """Evaluate :func:`evaluate_candidate` on ``n + 1`` evenly spaced slopes
@@ -168,7 +170,7 @@ class MinimizeResult:
 def minimize_E(samples, refine_iters=0, evaluator=None):
     """Best slope from sweep samples, optionally golden-section refined.
 
-    ``samples`` is a list of ``(v, E)`` pairs.  Exact ties go to the
+    ``samples`` is a list of finite ``(v, E)`` pairs.  Exact ties go to the
     smaller slope.  Without an ``evaluator`` (or with ``refine_iters ==
     0``) the grid minimiser is returned with the bracket formed by its
     neighbours; otherwise ``refine_iters`` golden-section steps shrink that
@@ -177,6 +179,8 @@ def minimize_E(samples, refine_iters=0, evaluator=None):
     samples = sorted((float(v), float(e)) for v, e in samples)
     if not samples:
         raise DomainError("minimize_E needs at least one sample")
+    if not all(math.isfinite(v) and math.isfinite(e) for v, e in samples):
+        raise DomainError("minimize_E needs finite (v, E) samples")
     vs = [v for v, _ in samples]
     es = [e for _, e in samples]
     # first minimum of the ascending slope grid: ties go to the smaller v

@@ -108,7 +108,6 @@ def metadata_dict(result, scenario, overrides=None):
 class OutputBundle:
     """Paths of everything one run export wrote."""
 
-    directory: str
     metadata: str
     density_csv: str
     probe_csv: str
@@ -146,7 +145,7 @@ def write_bundle(out_dir, result, scenario, overrides=None, image=True):
     text = json.dumps(metadata, indent=2, sort_keys=True) + "\n"
     files.append(("metadata", "metadata.json", text.encode()))
     paths = {key: _write(os.path.join(out_dir, name), blob) for key, name, blob in files}
-    return OutputBundle(directory=out_dir, **paths)
+    return OutputBundle(**paths)
 
 
 # ---------------------------------------------------------------------------

@@ -711,12 +711,6 @@ class AdmissibilityReport:
     def passed(self):
         return all(c.passed for c in self.conditions)
 
-    def condition(self, name):
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def __str__(self):
         lines = [f"admissibility of {self.law!r}: {'PASS' if self.passed else 'FAIL'}"]
         for c in self.conditions:

@@ -446,5 +446,4 @@ def run_scenario(scenario):
         scenario.t_end,
         n_snapshots=scenario.n_snapshots,
         cfl=scenario.cfl,
-        scenario=scenario.name,
     )

@@ -19,7 +19,6 @@ import numpy as np
 from probeflow import (
     EpsilonLaw,
     evaluate_candidate,
-    ft_riemann,
     get_scenario,
     l1_distance,
     lemma1_check,
@@ -76,7 +75,7 @@ def test_tracked_shock_speed_matches_exact_solver():
         law = EpsilonLaw(eps)
         exact = solve_riemann(law, 0.125, 0.375)
         assert exact.kind == "shock"
-        states, speeds = ft_riemann(PiecewiseLinearFlux(law, 12), 0.125, 0.375)
+        states, speeds = PiecewiseLinearFlux(law, 12).fan(0.125, 0.375)
         assert len(speeds) == 1
         assert abs(exact.speed - speeds[0]) <= 2.0 * 2.0**-12
     assert time.perf_counter() - start < 10.0

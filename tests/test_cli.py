@@ -167,6 +167,20 @@ class TestRunCommand:
         ):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_validation_warnings_go_to_stderr(self, tmp_path, capsys):
+        data = get_scenario("riemann_phi").to_dict()
+        data["probes"][0]["x0"] = data["domain"]["x_min"] + 0.1
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        args = _run_args(tmp_path / "x")
+        args[1] = str(scenario_file)
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: probe 0 starts within the cutoff support of a boundary"
+        ]
+        assert captured.out.startswith("riemann_phi: ")
+
     def test_unknown_scenario_exits_2(self, tmp_path, capsys):
         assert main(["run", "no_such_scenario", "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -471,6 +485,16 @@ class TestInverseCommand:
         assert main(args) == 2
         assert "at least one worker" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_validation_warnings_go_to_stderr(self, tmp_path, coarse_json, capsys):
+        data = json.loads(coarse_json.read_text())
+        data["probes"][0]["x0"] = data["domain"]["x_min"] + 0.1
+        coarse_json.write_text(json.dumps(data))
+        args = ["inverse", str(coarse_json), "-n", "1", "--refine", "0"]
+        assert main(args + ["--out", str(tmp_path / "inv")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: probe 0 starts within the cutoff support of a boundary"
+        ]
 
     def test_reversed_bracket_exits_2(self, capsys):
         assert main(["inverse", "--v-lo", "1.5", "--v-hi", "1.0"]) == 2

@@ -25,7 +25,6 @@ from probeflow import (
     PiecewiseLinearFlux,
     from_datum,
     ft_evolve,
-    ft_riemann,
     sample_curve_integral,
     solve_riemann,
 )
@@ -122,6 +121,10 @@ class TestQuantize:
     def test_rejects_bad_exponent(self):
         with pytest.raises(DomainError):
             PiecewiseConstant([], [0.5]).quantize(0)
+        # 2.5 would round onto the non-dyadic grid {k * 2**-2.5}
+        for n in (2.5, 3.0, math.nan, "3"):
+            with pytest.raises(DomainError, match="must be an integer"):
+                PiecewiseConstant([0.0], [0.3, 0.7]).quantize(n)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +141,19 @@ class TestPiecewiseLinearFlux:
 
     def test_fan_speeds_are_difference_quotients(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
-        assert ft_riemann(flux, 0.0, 0.25) == ([0.0, 0.25], [0.75])
-        assert ft_riemann(flux, 0.25, 0.75) == ([0.25, 0.75], [0.0])
-        assert ft_riemann(flux, 0.75, 1.0) == ([0.75, 1.0], [-0.75])
+        assert flux.fan(0.0, 0.25) == ((0.0, 0.25), (0.75,))
+        assert flux.fan(0.25, 0.75) == ((0.25, 0.75), (0.0,))
+        assert flux.fan(0.75, 1.0) == ((0.75, 1.0), (-0.75,))
 
     def test_off_grid_density_rejected(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
         with pytest.raises(DomainError):
             flux.index_of(0.3)
         with pytest.raises(DomainError):
-            ft_riemann(flux, 0.25, 0.3)
+            flux.fan(0.25, 0.3)
+        for rho in (1.25, -0.25, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                flux.index_of(rho)
 
     def test_speed_bound_covers_adjacent_cells(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
@@ -159,14 +165,17 @@ class TestPiecewiseLinearFlux:
         assert PiecewiseLinearFlux(EpsilonLaw(0.2), 4).n == 4
         with pytest.raises(DomainError):
             PiecewiseLinearFlux(Greenshields(1.0), 0)
+        assert PiecewiseLinearFlux(Greenshields(1.0), np.int64(3)).n == 3
+        # 1.5 would space the grid 2**-1.5 and run it past density 1
+        for n in (1.5, 2.0, math.nan):
+            with pytest.raises(DomainError, match="must be an integer"):
+                PiecewiseLinearFlux(Greenshields(1.0), n)
 
 
-class TestFtRiemann:
+class TestFan:
     def test_increasing_jump_with_concave_table_is_one_shock(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 3)
-        states, speeds = ft_riemann(flux, 0.125, 0.375)
-        assert states == [0.125, 0.375]
-        assert speeds == [0.5]
+        assert flux.fan(0.125, 0.375) == ((0.125, 0.375), (0.5,))
 
     def test_shock_speed_matches_exact_chord(self):
         # grid states: the table interpolates the flux exactly there, so the
@@ -174,19 +183,20 @@ class TestFtRiemann:
         law = EpsilonLaw(0.2)
         flux = PiecewiseLinearFlux(law, 12)
         exact = solve_riemann(law, 0.125, 0.375).speed
-        _, speeds = ft_riemann(flux, 0.125, 0.375)
-        assert speeds == [exact]
+        _, speeds = flux.fan(0.125, 0.375)
+        assert speeds == (exact,)
 
     def test_decreasing_jump_fans_into_grid_steps(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
-        states, speeds = ft_riemann(flux, 0.75, 0.0)
-        assert states == [0.75, 0.5, 0.25, 0.0]
-        assert speeds == [-0.25, 0.25, 0.75]
+        assert flux.fan(0.75, 0.0) == ((0.75, 0.5, 0.25, 0.0), (-0.25, 0.25, 0.75))
 
     def test_equal_states_produce_no_front(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
-        states, speeds = ft_riemann(flux, 0.5, 0.5)
-        assert states == [0.5] and speeds == []
+        assert flux.fan(0.5, 0.5) == ((0.5,), ())
+
+    def test_repeats_return_the_memoised_tuples(self):
+        flux = PiecewiseLinearFlux(Greenshields(1.0), 3)
+        assert flux.fan(0.75, 0.125) is flux.fan(0.75, 0.125)
 
     @given(
         st.integers(min_value=0, max_value=16),
@@ -195,7 +205,7 @@ class TestFtRiemann:
     )
     def test_speeds_strictly_increase(self, ka, kb, eps):
         flux = PiecewiseLinearFlux(EpsilonLaw(eps), 4)
-        states, speeds = ft_riemann(flux, ka / 16.0, kb / 16.0)
+        states, speeds = flux.fan(ka / 16.0, kb / 16.0)
         assert len(states) == len(speeds) + 1
         assert all(s2 > s1 for s1, s2 in zip(speeds, speeds[1:]))
         assert states[0] == ka / 16.0 and states[-1] == kb / 16.0
@@ -216,8 +226,8 @@ class TestEvolve:
         assert t_hit == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert x_hit == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert (rho_l, rho_r) == (0.0, 0.75)
-        assert sol.final.n_fronts == 1
-        assert sol.final.speeds[0] == 0.25
+        assert sol.epochs[-1].n_fronts == 1
+        assert sol.epochs[-1].speeds[0] == 0.25
         assert sol.sample(1.0, 5.0 / 12.0 - 1e-9) == 0.0
         assert sol.sample(1.0, 5.0 / 12.0 + 1e-9) == 0.75
 
@@ -230,7 +240,7 @@ class TestEvolve:
         for before, after in zip(sol.epochs, sol.epochs[1:]):
             assert after.tv() <= before.tv() + 1e-12
             assert after.n_fronts <= before.n_fronts
-        lo, hi = sol.final.range()
+        lo, hi = sol.epochs[-1].range()
         assert lo >= 0.0 and hi <= 1.0
 
     def test_mass_balance_in_a_window_containing_all_fronts(self):
@@ -267,7 +277,7 @@ class TestEvolve:
 
     def test_constant_datum_stays_constant(self):
         sol = ft_evolve(from_datum(Greenshields(1.0), PiecewiseConstant([], [0.5]), 2), 3.0)
-        assert sol.final.n_fronts == 0
+        assert sol.epochs[-1].n_fronts == 0
         assert sol.sample(2.0, 0.0) == 0.5
 
     def test_time_range_validated(self):
@@ -293,8 +303,8 @@ class TestEvolve:
         # the two shocks' merger answered by a three-front fan
         monkeypatch.setattr(
             PiecewiseLinearFlux,
-            "_fan",
-            lambda flux, ka, kb: ((0.0, 0.25, 0.5, 0.75), (-0.5, 0.0, 0.5)),
+            "fan",
+            lambda flux, rho_l, rho_r: ((0.0, 0.25, 0.5, 0.75), (-0.5, 0.0, 0.5)),
         )
         with pytest.raises(FrontTrackError, match="front count grew from 2 to 3"):
             ft_evolve(state, 1.0)
@@ -304,7 +314,7 @@ class TestEvolve:
         sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), float("inf"))
         assert sol.t_end == float("inf")
         assert len(sol.epochs) == 2  # the one collision, then fronts that part
-        assert sol.final is sol.state_at(1e6)
+        assert sol.epochs[-1] is sol.state_at(1e6)
 
     def test_state_at_picks_the_epoch_in_force(self):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
@@ -377,7 +387,7 @@ def reference_resolve_collisions(state, t_hit, cluster_sizes=None):
         rho_l = state.vals[i]
         rho_r = state.vals[j + 1]
         events.append((t_hit, float(x_c), float(rho_l), float(rho_r)))
-        states, fan = ft_riemann(state.flux, rho_l, rho_r)
+        states, fan = state.flux.fan(rho_l, rho_r)
         xs += [pos[done:i], np.full(len(fan), x_c)]
         vals += [state.vals[done + 1 : i + 1], states[1:]]
         speeds += [state.speeds[done:i], fan]
@@ -471,7 +481,7 @@ class TestEventLoop:
         n = len(sol.epochs)
         assert n == len(epochs) > 10
         assert sol.epochs[0].vals.tobytes() == state0.vals.tobytes()
-        assert sol.epochs[-1].time == sol.epochs[n - 1].time == sol.final.time
+        assert sol.epochs[-1].time == sol.epochs[n - 1].time
         picked = sol.epochs[2:9:3]
         assert [e.time for e in picked] == [sol.epochs[k].time for k in (2, 5, 8)]
         assert [e.n_fronts for e in sol.epochs] == [e.n_fronts for e in epochs]
@@ -489,7 +499,7 @@ class TestEventLoop:
         sol = ft_evolve(from_datum(Greenshields(1.0), datum, 2), 1.5)
         assert sol.collisions == [(1.0, 0.75, 0.0, 0.5), (1.0, 1.75, 0.5, 1.0)]
         assert len(sol.epochs) == 2
-        merged = sol.final
+        merged = sol.epochs[-1]
         assert merged.time == 1.0
         assert merged.xs.tolist() == [0.75, 1.75]
         assert merged.vals.tolist() == [0.0, 0.5, 1.0]
@@ -529,7 +539,7 @@ def exact_collisions(state0, t_end):
                 new_vals.append(vals[i + 1])
             else:
                 events.append((t, xs[i], vals[i], vals[j + 1]))
-                states, fan = ft_riemann(state0.flux, vals[i], vals[j + 1])
+                states, fan = state0.flux.fan(vals[i], vals[j + 1])
                 new_xs += [xs[i]] * len(fan)
                 new_speeds += [Fraction(s) for s in fan]
                 new_vals += states[1:]
@@ -622,6 +632,9 @@ class TestCurve:
             Curve([0.0], [0.0])
         with pytest.raises(DomainError):
             Curve([0.0, 0.0], [0.0, 1.0])
+        for ts, xs in (([0.0, math.nan], [0.0, 1.0]), ([0.0, 1.0], [0.0, math.inf])):
+            with pytest.raises(DomainError, match="must be finite"):
+                Curve(ts, xs)
         curve = Curve.linear(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             curve(1.5)

@@ -60,6 +60,18 @@ class TestScoreRecords:
             score_records(np.array([[0.5, 0.1, 0.1], [0.5, 0.1, 0.1]]), law, 1.0)
         with pytest.raises(DomainError):
             score_records(np.array([[0.0, 0.1, 0.1], [2.0, 0.1, 0.1]]), law, 1.0)
+        # a NaN time passes the ordering and range checks; a NaN or infinite
+        # speed or trace, or a trace outside [0, 1], would be scored
+        for row in ((math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, math.inf, 0.5),
+                    (0.5, 0.5, math.nan)):
+            with pytest.raises(DomainError, match="must be finite"):
+                score_records(np.array([[0.0, 0.5, 0.5], row]), law, 1.0)
+        for trace in (1.5, -0.1):
+            with pytest.raises(DomainError, match=r"in \[0, 1\]"):
+                score_records(np.array([[0.0, 0.5, 0.5], [0.5, 0.5, trace]]), law, 1.0)
+        for t_end in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="t_end must be finite"):
+                score_records(np.empty((0, 3)), law, t_end)
 
 
 class TestErrorFunctional:
@@ -91,7 +103,7 @@ class TestScan:
         scan = scan_E(coarse_calibration(), 0.8, 1.6, 4, workers=1)
         assert scan.v_values == pytest.approx((0.8, 1.0, 1.2, 1.4, 1.6))
         assert len(scan.errors) == 5
-        assert scan.best_v == pytest.approx(1.2, abs=1e-12)
+        assert minimize_E(scan.samples).v_best == pytest.approx(1.2, abs=1e-12)
         assert min(scan.errors) <= 1e-12
         assert scan.samples[0] == (0.8, scan.errors[0])
 
@@ -154,6 +166,20 @@ class TestMinimize:
     def test_empty_samples_rejected(self):
         with pytest.raises(DomainError):
             minimize_E([])
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [(1.0, math.nan), (2.0, 1.0)],
+            [(math.nan, 1.0), (2.0, 2.0)],
+            [(1.0, math.inf), (2.0, 1.0)],
+            [(-math.inf, 1.0), (2.0, 2.0)],
+        ],
+        ids=["nan_error", "nan_slope", "inf_error", "inf_slope"],
+    )
+    def test_non_finite_samples_rejected(self, samples):
+        with pytest.raises(DomainError, match="finite"):
+            minimize_E(samples)
 
 
 class TestEvaluateCandidate:

@@ -366,9 +366,8 @@ class TestReaderFuzz:
 
 
 class TestRunScenario:
-    def test_runs_and_tags_result(self):
+    def test_runs_to_the_scenario_horizon(self):
         result = run_scenario(toy_scenario().with_overrides(t_end=0.05, n_snapshots=3))
-        assert result.scenario == "toy"
         assert len(result.snapshots) == 3
         assert result.t_end == 0.05
 
