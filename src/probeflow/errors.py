@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and finiteness and integer
-checks."""
+"""Exception types shared across the package, and finiteness, NaN and
+integer checks."""
 
 import math
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -29,6 +31,15 @@ def require_finite(what, *values):
     """Reject NaN and infinite parameters with :class:`DomainError`."""
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
+
+
+def require_not_nan(what, values):
+    """``values`` as a float array; :class:`DomainError` if any is NaN.
+    Infinities pass.  One reduction: a NaN makes the minimum NaN."""
+    values = np.asarray(values, dtype=float)
+    if math.isnan(values.min(initial=math.inf)):
+        raise DomainError(f"{what} must not be NaN")
+    return values
 
 
 def require_index(what, value):

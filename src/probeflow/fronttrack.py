@@ -22,6 +22,7 @@ keeps all state comparisons exact.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 import operator
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FrontTrackError, require_index
+from .errors import DomainError, FrontTrackError, require_index, require_not_nan
 
 #: Spatial tolerance under which fronts are considered to have collided.
 COLLISION_TOL = 1e-12
@@ -164,26 +165,27 @@ class PiecewiseLinearFlux:
 
     ``values[k] = flux(k * 2**-n)``.  Front speeds are difference quotients
     of this table, so two fronts with the same state pair always have
-    bitwise equal speeds.
+    bitwise equal speeds.  The table and what is derived from it are built
+    once per ``(law, n)`` and shared (:func:`_flux_table`); the fans are
+    memoised per flux.
     """
 
     def __init__(self, law, n):
         n = _grid_exponent(n)
         self.law = law
         self.n = n
-        self.grid = np.arange(2 ** n + 1) * 2.0 ** -n
-        self.values = np.asarray(law.flux(self.grid), dtype=float)
-        # the table as Python floats for the envelope loop, and every fan
-        # built so far, keyed by its pair of state indices
-        self._grid_f = self.grid.tolist()
-        self._values_f = self.values.tolist()
+        self._table = _flux_table(law, n)
+        self.grid = self._table.grid
+        self.values = self._table.values
+        # every fan built so far, keyed by its pair of state indices
         self._fans = {}
 
     def index_of(self, rho):
         """Grid index of a density that must lie on the grid."""
+        grid = self._table.grid_f
         scaled = rho * 2 ** self.n
         k = int(round(scaled)) if math.isfinite(scaled) else -1
-        if not 0 <= k < len(self._grid_f) or abs(rho - self._grid_f[k]) > _GRID_TOL:
+        if not 0 <= k < len(grid) or abs(rho - grid[k]) > _GRID_TOL:
             raise DomainError(f"density {rho} is not a multiple of 2**-{self.n} in [0, 1]")
         return k
 
@@ -204,7 +206,7 @@ class PiecewiseLinearFlux:
             return (float(rho_l),), ()
         fan = self._fans.get((ka, kb))
         if fan is None:
-            fan = self._fans[ka, kb] = _envelope_fan(self._grid_f, self._values_f, ka, kb)
+            fan = self._fans[ka, kb] = self._table.fan(ka, kb)
         return fan
 
     def speed_bound(self, rho_min, rho_max):
@@ -214,10 +216,96 @@ class PiecewiseLinearFlux:
         Every front arising from data with states in that range travels no
         faster than this.
         """
-        slopes = np.diff(self.values) * (2.0 ** self.n)
+        if not (math.isfinite(rho_min) and math.isfinite(rho_max) and rho_min <= rho_max):
+            raise DomainError(f"need finite rho_min <= rho_max, got ({rho_min}, {rho_max})")
+        slopes = self._table.slopes
         k_lo = max(0, int(math.floor(rho_min * 2 ** self.n + _GRID_TOL)) - 1)
         k_hi = min(len(slopes), int(math.ceil(rho_max * 2 ** self.n - _GRID_TOL)) + 1)
         return float(np.max(slopes[k_lo:k_hi]))
+
+
+#: Flux tables kept for reuse, the least recently used dropped first.  A
+#: table holds about 100 bytes per grid point (0.4 MB at ``n = 12``).
+_TABLE_MEMO_SIZE = 8
+
+
+def _flux_table(law, n):
+    """The :class:`_FluxTable` of ``(law, n)``, shared while it stays in a
+    small memo; an unhashable law gets a table of its own."""
+    try:
+        hash(law)
+    except TypeError:
+        return _FluxTable(law, n)
+    return _shared_flux_table(law, n)
+
+
+@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
+def _shared_flux_table(law, n):
+    return _FluxTable(law, n)
+
+
+class _FluxTable:
+    """The flux table of ``law`` on the ``2**-n`` grid and the envelope
+    data derived from it, all read-only.
+
+    ``grid_f`` and ``values_f`` are the table as tuples of Python floats.
+    ``slopes[k]`` is the difference quotient of the points ``k, k + 1``
+    taken left to right, ``back[k]`` the same taken right to left (they
+    differ only in the sign of a zero).  ``up[k]`` (``down[k]``) counts the
+    points ``1 .. k`` at which the table turns strictly left (right), by
+    the turn test of :func:`_lower_convex_path`.
+    """
+
+    def __init__(self, law, n):
+        grid = np.arange(2 ** n + 1) * 2.0 ** -n
+        values = np.asarray(law.flux(grid), dtype=float)
+        with np.errstate(invalid="ignore", over="ignore"):
+            slopes = (values[1:] - values[:-1]) / (grid[1:] - grid[:-1])
+            back = (values[:-1] - values[1:]) / (grid[:-1] - grid[1:])
+            # hull[-2], hull[-1] and p of the envelope loop at the table
+            # points k - 1, k and k + 1
+            turn = (grid[1:-1] - grid[:-2]) * (values[2:] - values[:-2]) - (
+                values[1:-1] - values[:-2]
+            ) * (grid[2:] - grid[:-2])
+        up = np.concatenate([[0], np.cumsum(turn > 0.0)])
+        down = np.concatenate([[0], np.cumsum(turn < 0.0)])
+        for a in (grid, values, slopes, back, up, down):
+            a.setflags(write=False)
+        self.grid, self.values, self.slopes, self.back = grid, values, slopes, back
+        self.up, self.down = up, down
+        self.grid_f = tuple(grid.tolist())
+        self.values_f = tuple(values.tolist())
+
+    def fan(self, ka, kb):
+        """The fan of :meth:`PiecewiseLinearFlux.fan` between grid indices
+        ``ka != kb``, bit for bit what :func:`_envelope_fan` builds.
+
+        When every interior point turns strictly the envelope's way, the
+        loop keeps them all, so the fan is the table itself; when every
+        turn measured from the first point is non-positive, the loop pops
+        each point as it goes, so the fan is the chord.  Negating the table
+        negates each turn exactly, so one turn count serves either
+        direction.  Anything else runs the loop.
+        """
+        rising = ka < kb
+        lo, hi = (ka, kb) if rising else (kb, ka)
+        turns = self.up if rising else self.down
+        if turns[hi - 1] - turns[lo] == hi - lo - 1:
+            states = self.grid_f[lo : hi + 1]
+            if rising:
+                speeds = tuple(self.slopes[lo:hi].tolist())
+            else:
+                states, speeds = states[::-1], tuple(self.back[lo:hi][::-1].tolist())
+            _check_increasing(speeds)
+            return states, speeds
+        xs = self.grid[lo : hi + 1]
+        ys = self.values[lo : hi + 1] if rising else -self.values[lo : hi + 1]
+        dx, dy = xs - xs[0], ys - ys[0]
+        # a NaN turn makes the maximum NaN, and the loop keeps that point
+        if (dx[1:-1] * dy[2:] - dy[1:-1] * dx[2:]).max() <= 0.0:
+            grid, values = self.grid_f, self.values_f
+            return (grid[ka], grid[kb]), ((values[kb] - values[ka]) / (grid[kb] - grid[ka]),)
+        return _envelope_fan(self.grid_f, self.values_f, ka, kb)
 
 
 def _lower_convex_path(points):
@@ -238,7 +326,8 @@ def _lower_convex_path(points):
 
 def _envelope_fan(grid, values, ka, kb):
     """The fan of :meth:`PiecewiseLinearFlux.fan` between grid indices
-    ``ka != kb`` of a flux table given as lists of Python floats."""
+    ``ka != kb`` of a flux table given as sequences of Python floats, built
+    by the monotone-chain loop."""
     sign = 1.0 if ka < kb else -1.0
     lo, hi = (ka, kb) if ka < kb else (kb, ka)
     hull = _lower_convex_path(
@@ -251,9 +340,13 @@ def _envelope_fan(grid, values, ka, kb):
         (y2 - y1) / (x2 - x1)
         for (x1, y1), (x2, y2) in zip(hull, hull[1:])
     )
+    _check_increasing(speeds)
+    return states, speeds
+
+
+def _check_increasing(speeds):
     if any(s2 <= s1 for s1, s2 in zip(speeds, speeds[1:])):
         raise FrontTrackError("envelope produced non-increasing front speeds")
-    return states, speeds
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +378,14 @@ class FrontState:
         return self.xs + self.speeds * (t - self.time)
 
     def sample(self, t, x):
-        """Profile value at ``(t, x)``, right-continuous in ``x``."""
+        """Profile value at ``(t, x)``, right-continuous in ``x``; ``x =
+        -inf`` and ``inf`` give the far states, a NaN ``t`` or ``x`` is a
+        :class:`DomainError`."""
+        if t != t:
+            raise DomainError("time t must not be NaN")
+        x = require_not_nan("position x", x)
         pos = self.positions(t)
-        idx = np.searchsorted(pos, np.asarray(x, dtype=float), side="right")
+        idx = np.searchsorted(pos, x, side="right")
         out = self.vals[idx]
         if out.ndim == 0:
             return float(out)
@@ -596,8 +694,9 @@ class Curve:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.ts[0] - 1e-12) or np.any(t > self.ts[-1] + 1e-12):
-            raise DomainError("curve evaluated outside its knot range")
+        # written negated so that a NaN extremum fails it
+        if t.size and not (t.min() >= self.ts[0] - 1e-12 and t.max() <= self.ts[-1] + 1e-12):
+            raise DomainError("curve evaluated outside its knot range or at NaN")
         out = np.interp(t, self.ts, self.xs)
         if out.ndim == 0:
             return float(out)
@@ -606,6 +705,8 @@ class Curve:
     def min_slope(self, t0, t1):
         """Smallest slope among spans overlapping ``(t0, t1)``; also returns
         the start time of the span attaining it."""
+        if not t0 <= t1:
+            raise DomainError(f"need t0 <= t1, got ({t0}, {t1})")
         best = math.inf
         best_t = None
         for a, b, xa, xb in zip(self.ts, self.ts[1:], self.xs, self.xs[1:]):

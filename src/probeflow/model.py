@@ -102,6 +102,13 @@ class SpeedLaw(ABC):
         the law alone, computed once per law."""
         return float(np.max(np.abs(self.flux_slope(SLOPE_SAMPLES))))
 
+    @cached_property
+    def failed_conditions(self):
+        """Names of the :func:`check_admissible` conditions this law fails,
+        empty for an admissible law; scanned once per law."""
+        report = check_admissible(self)
+        return tuple(c.name for c in report.conditions if not c.passed)
+
 
 @dataclass(frozen=True)
 class Greenshields(SpeedLaw):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .model import check_admissible
+from .errors import DomainError, require_not_nan
 
 #: Bisection tolerance (in density) when inverting f' inside a fan.
 _INVERT_TOL = 1e-12
@@ -43,9 +42,10 @@ class RiemannSolution:
         """Evaluate the solution at similarity coordinates ``xi = x/t``.
 
         Along a shock the right state is reported (the solution is taken
-        right-continuous in ``xi``).  Accepts scalars or arrays.
+        right-continuous in ``xi``).  Accepts scalars or arrays; ``-inf``
+        and ``inf`` give the far states and a NaN is a :class:`DomainError`.
         """
-        xi = np.asarray(xi, dtype=float)
+        xi = require_not_nan("similarity coordinate xi", xi)
         if self.kind == "constant":
             out = np.full(xi.shape, self.rho_l)
         elif self.kind == "shock":
@@ -79,10 +79,8 @@ def solve_riemann(law, rho_l, rho_r):
     The law must pass :func:`probeflow.model.check_admissible`; otherwise
     :class:`DomainError` is raised.  States must lie in [0, 1].
     """
-    report = check_admissible(law)
-    if not report.passed:
-        failing = ", ".join(c.name for c in report.conditions if not c.passed)
-        raise DomainError(f"speed law not admissible ({failing})")
+    if law.failed_conditions:
+        raise DomainError(f"speed law not admissible ({', '.join(law.failed_conditions)})")
     rho_l = float(rho_l)
     rho_r = float(rho_r)
     for name, r in (("rho_l", rho_l), ("rho_r", rho_r)):

@@ -23,6 +23,7 @@ from probeflow import (
     Greenshields,
     PiecewiseConstant,
     PiecewiseLinearFlux,
+    TabulatedLaw,
     from_datum,
     ft_evolve,
     sample_curve_integral,
@@ -30,6 +31,13 @@ from probeflow import (
 )
 from probeflow import fronttrack
 from probeflow.fronttrack import COLLISION_TOL, FrontState
+
+
+#: A table whose speed is not monotone: its flux turns both ways.
+NON_CONCAVE = TabulatedLaw([1.0, 0.2, 0.9, 0.1, 0.5, 0.0])
+
+#: A tabulated law steeper between its knots than at the slope samples.
+STEEP_TABLE = TabulatedLaw([0.513, 1.523, 1.425, 1.101, 1.252, 0.883, 0.486, 0.442])
 
 
 def window_mass(state, t, a, b):
@@ -161,6 +169,40 @@ class TestPiecewiseLinearFlux:
         # the bound widens by one cell on each side of the density range
         assert flux.speed_bound(0.5, 0.75) == 0.25
 
+    def test_speed_bound_rejects_nan_and_reversed_bounds(self):
+        flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.75, 0.25), (-math.inf, 1.0)):
+            with pytest.raises(DomainError):
+                flux.speed_bound(lo, hi)
+
+    def test_speed_bound_reads_the_tables_difference_quotients(self):
+        for law in (Greenshields(1.7), EpsilonLaw(0.1), NON_CONCAVE):
+            flux = PiecewiseLinearFlux(law, 5)
+            slopes = np.diff(flux.values) * 2.0**5
+            for k in range(33):
+                for j in range(k, 33):
+                    lo, hi = max(0, k - 1), min(32, j + 1)
+                    assert flux.speed_bound(k / 32, j / 32) == np.max(slopes[lo:hi])
+
+    def test_table_is_shared_per_law_and_exponent(self):
+        a = PiecewiseLinearFlux(Greenshields(1.0), 5)
+        a.fan(0.25, 0.75)
+        b = PiecewiseLinearFlux(Greenshields(1.0), 5)
+        assert b.values is a.values and b.grid is a.grid
+        # fans stay with the flux that built them
+        assert b._fans == {} and a._fans
+        assert PiecewiseLinearFlux(Greenshields(1.0), 4).values is not a.values
+        with pytest.raises(ValueError):
+            a.values[0] = 1.0
+
+    def test_unhashable_law_gets_its_own_table(self, plain_law):
+        a, b = PiecewiseLinearFlux(plain_law, 3), PiecewiseLinearFlux(plain_law, 3)
+        assert a.values is not b.values
+        np.testing.assert_array_equal(a.values, PiecewiseLinearFlux(Greenshields(1.0), 3).values)
+        states, speeds = a.fan(0.75, 0.25)
+        assert states == (0.75, 0.625, 0.5, 0.375, 0.25)
+        assert speeds == (-0.375, -0.125, 0.125, 0.375)
+
     def test_grid_exponent_is_kept_and_must_be_positive(self):
         assert PiecewiseLinearFlux(EpsilonLaw(0.2), 4).n == 4
         with pytest.raises(DomainError):
@@ -209,6 +251,94 @@ class TestFan:
         assert len(states) == len(speeds) + 1
         assert all(s2 > s1 for s1, s2 in zip(speeds, speeds[1:]))
         assert states[0] == ka / 16.0 and states[-1] == kb / 16.0
+
+
+def reference_fan(grid, values, ka, kb):
+    """The Riemann fan between grid indices ``ka`` and ``kb`` by the
+    monotone-chain loop over every table point between them: the lower
+    convex envelope for ``ka < kb``, the upper concave one (the lower
+    envelope of the negated table) for ``ka > kb``."""
+    if ka == kb:
+        return (grid[ka],), ()
+    sign = 1.0 if ka < kb else -1.0
+    lo, hi = sorted((ka, kb))
+    hull = []
+    for p in [(x, sign * y) for x, y in zip(grid[lo : hi + 1], values[lo : hi + 1])]:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    if sign < 0:
+        hull = [(x, -y) for (x, y) in reversed(hull)]
+    speeds = tuple((y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    if any(s2 <= s1 for s1, s2 in zip(speeds, speeds[1:])):
+        raise FrontTrackError("envelope produced non-increasing front speeds")
+    return tuple(x for x, _ in hull), speeds
+
+
+def outcome(build, *args):
+    """``repr`` of what ``build(*args)`` returns, so that signed zeros
+    count, or the type of the error it raises."""
+    try:
+        return repr(build(*args))
+    except Exception as exc:  # the error type is compared
+        return type(exc)
+
+
+def assert_fans_match_reference(law, n):
+    flux = PiecewiseLinearFlux(law, n)
+    grid, values = flux.grid.tolist(), flux.values.tolist()
+    for ka, rho_l in enumerate(grid):
+        for kb, rho_r in enumerate(grid):
+            assert outcome(flux.fan, rho_l, rho_r) == outcome(
+                reference_fan, grid, values, ka, kb
+            ), (law, n, ka, kb)
+
+
+class TestFanMatchesReference:
+    """The table's fans are bit for bit those of the monotone-chain loop,
+    whichever of the table slices, the chord or the loop builds them."""
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Greenshields(1.0),
+            Greenshields(1.7),
+            EpsilonLaw(-1.0 / 3.0),
+            EpsilonLaw(0.1),
+            EpsilonLaw(1.0 / 3.0),
+            STEEP_TABLE,
+            NON_CONCAVE,
+        ],
+        ids=repr,
+    )
+    def test_every_ordered_pair(self, law, monkeypatch):
+        loop, loops = fronttrack._envelope_fan, []
+
+        def counted(*args):
+            loops.append(args[2:])
+            return loop(*args)
+
+        monkeypatch.setattr(fronttrack, "_envelope_fan", counted)
+        for n in range(1, 7):
+            assert_fans_match_reference(law, n)
+        # concave tables never need the loop; a table that turns both ways
+        # does, and the comparison above covers that path too
+        assert bool(loops) == (law is NON_CONCAVE or law is STEEP_TABLE)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 8).map(lambda k: k / 4.0), st.floats(0.0, 2.0)),
+            min_size=2,
+            max_size=9,
+        ),
+        st.integers(1, 4),
+    )
+    def test_random_tables(self, speeds, n):
+        assert_fans_match_reference(TabulatedLaw(speeds), n)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +419,22 @@ class TestEvolve:
             sol.state_at(2.0)
         with pytest.raises(DomainError):
             sol.sample(float("nan"), 0.0)
+
+    def test_nan_position_rejected_by_the_solution_sampler(self):
+        # NaN sorts last, so a search alone would answer the right state
+        state = from_datum(Greenshields(1.0), PiecewiseConstant([0.0], [0.25, 0.75]), 3)
+        sol = ft_evolve(state, 1.0)
+        for x in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(DomainError, match="NaN"):
+                sol.sample(0.5, x)
+        assert sol.sample(0.5, -math.inf) == 0.25 and sol.sample(0.5, math.inf) == 0.75
+
+    def test_nan_coordinate_rejected_by_the_state_sampler(self):
+        state = from_datum(Greenshields(1.0), PiecewiseConstant([0.0], [0.25, 0.75]), 3)
+        for t, x in ((0.5, math.nan), (math.nan, 0.0), (0.5, np.array([math.nan, 0.0]))):
+            with pytest.raises(DomainError, match="NaN"):
+                state.sample(t, x)
+        np.testing.assert_array_equal(state.sample(0.5, [-math.inf, math.inf]), [0.25, 0.75])
 
     def test_nan_horizon_rejected_before_any_work(self, monkeypatch):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
@@ -640,6 +786,15 @@ class TestCurve:
             curve(1.5)
         with pytest.raises(DomainError):
             curve.min_slope(2.0, 3.0)
+
+    def test_nan_time_rejected(self):
+        curve = Curve.linear(0.0, 1.0, 0.0, 1.0)
+        for t in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError):
+                curve(t)
+        with pytest.raises(DomainError):
+            curve.min_slope(math.nan, 1.0)
+        assert curve(np.array([])).shape == (0,)
 
 
 class TestSampleCurveIntegral:

@@ -5,7 +5,6 @@ property-style checks draw their inputs with hypothesis.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from probeflow import (
     PiecewiseConstant,
     ProbeStateError,
     ProbeTrajectory,
-    SpeedLaw,
     TabulatedLaw,
     cfl_dt,
     check_admissible,
@@ -790,24 +788,10 @@ class TestFluxModel:
         empty = FluxModel(speed_law=Greenshields(1.0))
         assert empty.max_probe_speed() == 0.0
 
-    def test_unhashable_law_rejected(self):
+    def test_unhashable_law_rejected(self, plain_law):
         # the CFL bound keeps slopes per law, so a law must be hashable
-        @dataclass
-        class PlainLaw(SpeedLaw):  # eq=True without frozen sets __hash__ = None
-            vmax: float = 1.0
-
-            def __call__(self, rho):
-                return self.vmax * (1.0 - np.asarray(rho, dtype=float))
-
-            @property
-            def v_max(self):
-                return self.vmax
-
-            def lipschitz(self):
-                return self.vmax
-
         with pytest.raises(DomainError, match="not hashable"):
-            FluxModel(speed_law=PlainLaw())
+            FluxModel(speed_law=plain_law)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The quadratic-family shock between the states 1/8 and 3/8 has the closed
 form speed 1/2 + 19*eps/64, used here as a frozen reference.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from probeflow import (
     sample_solution,
     solve_riemann,
 )
+from probeflow import model
 
 eps_values = st.floats(min_value=-1.0 / 3.0, max_value=1.0 / 3.0, allow_nan=False)
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -131,6 +134,15 @@ class TestSampling:
         # at t = 0 the profile is the raw jump at the origin
         np.testing.assert_array_equal(sol.profile(0.0, x), [0.125, 0.375, 0.375])
 
+    @pytest.mark.parametrize("rho_l,rho_r", [(0.25, 0.75), (0.75, 0.25), (0.5, 0.5)])
+    def test_nan_coordinate_rejected(self, rho_l, rho_r):
+        # NaN compares false with every edge, which would read as the right state
+        sol = solve_riemann(Greenshields(1.0), rho_l, rho_r)
+        for xi in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(DomainError, match="NaN"):
+                sol.sample(xi)
+        np.testing.assert_array_equal(sol.sample([-math.inf, math.inf]), [rho_l, rho_r])
+
     def test_module_level_sampler_delegates(self):
         sol = solve_riemann(Greenshields(1.0), 0.125, 0.375)
         xi = np.linspace(-1.0, 1.0, 11)
@@ -147,3 +159,31 @@ class TestValidation:
     def test_out_of_range_states_rejected(self, rho_l, rho_r):
         with pytest.raises(DomainError):
             solve_riemann(Greenshields(1.0), rho_l, rho_r)
+
+
+
+class TestAdmissibilityVerdictPerLaw:
+    def test_one_scan_serves_every_solve(self, monkeypatch):
+        scans = []
+
+        def counted(law):
+            scans.append(law)
+            return check_admissible(law)
+
+        check_admissible = model.check_admissible
+        monkeypatch.setattr(model, "check_admissible", counted)
+        law = EpsilonLaw(0.2)
+        for k in range(50):
+            solve_riemann(law, k / 50.0, 1.0 - k / 50.0)
+        assert scans == [law]
+
+    def test_inadmissible_law_rejected_on_every_call(self):
+        law = EpsilonLaw(0.5)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="family_parameter_range"):
+                solve_riemann(law, 0.125, 0.375)
+
+    def test_unhashable_law_solves(self, plain_law):
+        for _ in range(2):
+            sol = solve_riemann(plain_law, 0.125, 0.375)
+            assert (sol.kind, sol.speed) == ("shock", 0.5)
