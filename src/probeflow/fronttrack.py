@@ -36,7 +36,8 @@ from .errors import DomainError, FrontTrackError, require_index, require_not_nan
 #: Spatial tolerance under which fronts are considered to have collided.
 COLLISION_TOL = 1e-12
 
-#: Tolerance for checking that a value lies on the dyadic grid.
+#: Tolerance with which :meth:`PiecewiseLinearFlux.speed_bound` snaps a
+#: density range to grid cells.
 _GRID_TOL = 1e-12
 
 
@@ -161,102 +162,25 @@ class QuantizeResult:
 # ---------------------------------------------------------------------------
 
 class PiecewiseLinearFlux:
-    """Piecewise linear interpolation of a flux on the dyadic density grid.
+    """Piecewise linear interpolation of a flux on the dyadic density grid,
+    with the envelope data derived from it; nothing changes after
+    construction, and :func:`from_datum` shares one flux per ``(law, n)``.
 
-    ``values[k] = flux(k * 2**-n)``.  Front speeds are difference quotients
-    of this table, so two fronts with the same state pair always have
-    bitwise equal speeds.  The table and what is derived from it are built
-    once per ``(law, n)`` and shared (:func:`_flux_table`); the fans are
-    memoised per flux.
+    ``grid[k] = k * 2**-n`` and ``values[k] = flux(grid[k])``; ``grid_f``
+    and ``values_f`` are the same as tuples of Python floats.  ``slopes[k]``
+    is the difference quotient of the points ``k, k + 1`` taken left to
+    right, ``back[k]`` the same taken right to left (they differ only in
+    the sign of a zero).  ``up[k]`` (``down[k]``) counts the points ``1 ..
+    k`` at which the table turns strictly left (right), by the turn test of
+    :func:`_envelope_fan`.  Front speeds are difference quotients of the
+    table, so two fronts with the same state pair always have bitwise equal
+    speeds.
     """
 
     def __init__(self, law, n):
         n = _grid_exponent(n)
         self.law = law
         self.n = n
-        self._table = _flux_table(law, n)
-        self.grid = self._table.grid
-        self.values = self._table.values
-        # every fan built so far, keyed by its pair of state indices
-        self._fans = {}
-
-    def index_of(self, rho):
-        """Grid index of a density that must lie on the grid."""
-        grid = self._table.grid_f
-        scaled = rho * 2 ** self.n
-        k = int(round(scaled)) if math.isfinite(scaled) else -1
-        if not 0 <= k < len(grid) or abs(rho - grid[k]) > _GRID_TOL:
-            raise DomainError(f"density {rho} is not a multiple of 2**-{self.n} in [0, 1]")
-        return k
-
-    def fan(self, rho_l, rho_r):
-        """The Riemann fan from ``rho_l`` to ``rho_r``, both on the grid.
-
-        Returns tuples ``(states, speeds)``: ``states`` runs from ``rho_l``
-        to ``rho_r`` inclusive, and ``speeds[i]`` is the (strictly
-        increasing) speed of the front joining ``states[i]`` to
-        ``states[i + 1]``.  For ``rho_l < rho_r`` the fan follows the lower
-        convex envelope of the table between the states; for ``rho_l >
-        rho_r`` the upper concave envelope (the lower envelope of the
-        negated table).  Equal states give ``((rho_l,), ())``.  Each fan is
-        built once and repeats are answered from a memo.
-        """
-        ka, kb = self.index_of(rho_l), self.index_of(rho_r)
-        if ka == kb:
-            return (float(rho_l),), ()
-        fan = self._fans.get((ka, kb))
-        if fan is None:
-            fan = self._fans[ka, kb] = self._table.fan(ka, kb)
-        return fan
-
-    def speed_bound(self, rho_min, rho_max):
-        """Largest segment slope of the table over all grid cells whose
-        closed density interval meets ``[rho_min, rho_max]``.
-
-        Every front arising from data with states in that range travels no
-        faster than this.
-        """
-        if not (math.isfinite(rho_min) and math.isfinite(rho_max) and rho_min <= rho_max):
-            raise DomainError(f"need finite rho_min <= rho_max, got ({rho_min}, {rho_max})")
-        slopes = self._table.slopes
-        k_lo = max(0, int(math.floor(rho_min * 2 ** self.n + _GRID_TOL)) - 1)
-        k_hi = min(len(slopes), int(math.ceil(rho_max * 2 ** self.n - _GRID_TOL)) + 1)
-        return float(np.max(slopes[k_lo:k_hi]))
-
-
-#: Flux tables kept for reuse, the least recently used dropped first.  A
-#: table holds about 100 bytes per grid point (0.4 MB at ``n = 12``).
-_TABLE_MEMO_SIZE = 8
-
-
-def _flux_table(law, n):
-    """The :class:`_FluxTable` of ``(law, n)``, shared while it stays in a
-    small memo; an unhashable law gets a table of its own."""
-    try:
-        hash(law)
-    except TypeError:
-        return _FluxTable(law, n)
-    return _shared_flux_table(law, n)
-
-
-@functools.lru_cache(maxsize=_TABLE_MEMO_SIZE)
-def _shared_flux_table(law, n):
-    return _FluxTable(law, n)
-
-
-class _FluxTable:
-    """The flux table of ``law`` on the ``2**-n`` grid and the envelope
-    data derived from it, all read-only.
-
-    ``grid_f`` and ``values_f`` are the table as tuples of Python floats.
-    ``slopes[k]`` is the difference quotient of the points ``k, k + 1``
-    taken left to right, ``back[k]`` the same taken right to left (they
-    differ only in the sign of a zero).  ``up[k]`` (``down[k]``) counts the
-    points ``1 .. k`` at which the table turns strictly left (right), by
-    the turn test of :func:`_lower_convex_path`.
-    """
-
-    def __init__(self, law, n):
         grid = np.arange(2 ** n + 1) * 2.0 ** -n
         values = np.asarray(law.flux(grid), dtype=float)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -276,17 +200,37 @@ class _FluxTable:
         self.grid_f = tuple(grid.tolist())
         self.values_f = tuple(values.tolist())
 
-    def fan(self, ka, kb):
-        """The fan of :meth:`PiecewiseLinearFlux.fan` between grid indices
-        ``ka != kb``, bit for bit what :func:`_envelope_fan` builds.
+    def index_of(self, rho):
+        """Grid index of a density that must lie on the grid: scaling by
+        ``2**n`` is exact, so ``rho * 2**n`` must be an integer in ``[0,
+        2**n]``."""
+        scaled = rho * 2 ** self.n
+        if not 0 <= scaled <= 2 ** self.n or scaled != math.floor(scaled):
+            raise DomainError(f"density {rho} is not a multiple of 2**-{self.n} in [0, 1]")
+        return int(scaled)
 
-        When every interior point turns strictly the envelope's way, the
-        loop keeps them all, so the fan is the table itself; when every
-        turn measured from the first point is non-positive, the loop pops
-        each point as it goes, so the fan is the chord.  Negating the table
+    def fan(self, rho_l, rho_r):
+        """The Riemann fan from ``rho_l`` to ``rho_r``, both on the grid.
+
+        Returns tuples ``(states, speeds)``: ``states`` runs from ``rho_l``
+        to ``rho_r`` inclusive, and ``speeds[i]`` is the (strictly
+        increasing) speed of the front joining ``states[i]`` to
+        ``states[i + 1]``.  For ``rho_l < rho_r`` the fan follows the lower
+        convex envelope of the table between the states; for ``rho_l >
+        rho_r`` the upper concave envelope (the lower envelope of the
+        negated table).  Equal states give ``((rho_l,), ())``.
+
+        The result is bit for bit what :func:`_envelope_fan` builds.  When
+        every interior point turns strictly the envelope's way, the loop
+        keeps them all, so the fan is the table itself; when every turn
+        measured from the first point is non-positive, the loop pops each
+        point as it goes, so the fan is the chord.  Negating the table
         negates each turn exactly, so one turn count serves either
         direction.  Anything else runs the loop.
         """
+        ka, kb = self.index_of(rho_l), self.index_of(rho_r)
+        if ka == kb:
+            return (float(rho_l),), ()
         rising = ka < kb
         lo, hi = (ka, kb) if rising else (kb, ka)
         turns = self.up if rising else self.down
@@ -307,32 +251,55 @@ class _FluxTable:
             return (grid[ka], grid[kb]), ((values[kb] - values[ka]) / (grid[kb] - grid[ka]),)
         return _envelope_fan(self.grid_f, self.values_f, ka, kb)
 
+    def speed_bound(self, rho_min, rho_max):
+        """Largest segment slope of the table over all grid cells whose
+        closed density interval meets ``[rho_min, rho_max]``.
 
-def _lower_convex_path(points):
-    """Lower convex envelope of ``(rho, F)`` points with increasing rho,
-    keeping first and last; collinear interior points are dropped."""
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            cross = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+        Every front arising from data with states in that range travels no
+        faster than this.
+        """
+        if not (math.isfinite(rho_min) and math.isfinite(rho_max) and rho_min <= rho_max):
+            raise DomainError(f"need finite rho_min <= rho_max, got ({rho_min}, {rho_max})")
+        slopes = self.slopes
+        k_lo = max(0, int(math.floor(rho_min * 2 ** self.n + _GRID_TOL)) - 1)
+        k_hi = min(len(slopes), int(math.ceil(rho_max * 2 ** self.n - _GRID_TOL)) + 1)
+        return float(np.max(slopes[k_lo:k_hi]))
+
+
+#: Fluxes kept for reuse, the least recently used dropped first.  A flux
+#: holds about 100 bytes per grid point (0.4 MB at ``n = 12``).
+_FLUX_MEMO_SIZE = 8
+
+_memo_flux = functools.lru_cache(maxsize=_FLUX_MEMO_SIZE)(PiecewiseLinearFlux)
+
+
+def _shared_flux(law, n):
+    """The :class:`PiecewiseLinearFlux` of ``(law, n)``, shared while it
+    stays in a small memo; an unhashable law gets a flux of its own."""
+    try:
+        hash(law)
+    except TypeError:
+        return PiecewiseLinearFlux(law, n)
+    return _memo_flux(law, n)
 
 
 def _envelope_fan(grid, values, ka, kb):
     """The fan of :meth:`PiecewiseLinearFlux.fan` between grid indices
     ``ka != kb`` of a flux table given as sequences of Python floats, built
-    by the monotone-chain loop."""
+    by the monotone-chain loop: the lower convex envelope of the (for
+    ``ka > kb`` negated) table points between them, keeping the first and
+    last and dropping collinear interior points."""
     sign = 1.0 if ka < kb else -1.0
     lo, hi = (ka, kb) if ka < kb else (kb, ka)
-    hull = _lower_convex_path(
-        [(x, sign * y) for x, y in zip(grid[lo : hi + 1], values[lo : hi + 1])]
-    )
+    hull = []
+    for p in zip(grid[lo : hi + 1], [sign * y for y in values[lo : hi + 1]]):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
     if sign < 0:
         hull = [(x, -y) for (x, y) in reversed(hull)]
     states = tuple(x for x, _ in hull)
@@ -374,19 +341,23 @@ class FrontState:
         return len(self.xs)
 
     def positions(self, t):
-        """Front positions at time ``t >= self.time`` (straight lines)."""
+        """Front positions at time ``t >= self.time`` (straight lines); an
+        earlier or NaN ``t`` is a :class:`DomainError`."""
+        if not t >= self.time:
+            raise DomainError(f"time t={t} must not be NaN or before the state's {self.time}")
         return self.xs + self.speeds * (t - self.time)
 
     def sample(self, t, x):
-        """Profile value at ``(t, x)``, right-continuous in ``x``; ``x =
-        -inf`` and ``inf`` give the far states, a NaN ``t`` or ``x`` is a
+        """Profile value at ``(t, x)`` for ``t >= self.time``,
+        right-continuous in ``x``; ``x = -inf`` and ``inf`` give the far
+        states, a NaN ``t`` or ``x`` or an earlier ``t`` is a
         :class:`DomainError`."""
-        if t != t:
-            raise DomainError("time t must not be NaN")
+        return self._lookup(self.positions(t), x)
+
+    def _lookup(self, pos, x):
+        """The state at ``x`` among fronts at positions ``pos``."""
         x = require_not_nan("position x", x)
-        pos = self.positions(t)
-        idx = np.searchsorted(pos, x, side="right")
-        out = self.vals[idx]
+        out = self.vals[np.searchsorted(pos, x, side="right")]
         if out.ndim == 0:
             return float(out)
         return out
@@ -404,7 +375,7 @@ class FrontState:
 def from_datum(law, datum, n):
     """Initial front configuration for a profile with states on the
     ``2**-n`` grid: each jump is fanned into its envelope fronts."""
-    flux = PiecewiseLinearFlux(law, n)
+    flux = _shared_flux(law, n)
     xs, vals, speeds = [], [datum.values[0]], []
     for x, rho_r in zip(datum.xs, datum.values[1:]):
         states, fan = flux.fan(vals[-1], rho_r)
@@ -545,8 +516,10 @@ class FrontTrackSolution:
         return self.epochs[max(0, bisect.bisect_right(self.times, t) - 1)]
 
     def sample(self, t, x):
-        """Profile value at ``(t, x)``."""
-        return self.state_at(t).sample(t, x)
+        """Profile value at ``(t, x)``; like :meth:`state_at`, it accepts
+        ``t`` up to 1e-12 before the first epoch and extrapolates there."""
+        state = self.state_at(t)
+        return state._lookup(state.xs + state.speeds * (t - state.time), x)
 
 
 def ft_evolve(state, t_end):
@@ -570,6 +543,8 @@ def ft_evolve(state, t_end):
     born, died, after = log.born, log.died, log.after
     times = [state.time]
     collisions = []
+    # the fans of this run, by pair of outer states: clusters repeat pairs
+    fans = {}
     n_live = len(log)
     prev = list(range(-1, n_live - 1))
     nxt = after[:]
@@ -640,7 +615,10 @@ def ft_evolve(state, t_end):
             for i in run(first, last):
                 died[i] = k
                 n_live -= 1
-            states, speeds = flux.fan(rho_l, rho_r)
+            fan = fans.get((rho_l, rho_r))
+            if fan is None:
+                fan = fans[rho_l, rho_r] = flux.fan(rho_l, rho_r)
+            states, speeds = fan
             new = list(range(len(x0), len(x0) + len(speeds)))
             x0.extend([x_c] * len(new))
             speed.extend(speeds)
@@ -703,10 +681,10 @@ class Curve:
         return out
 
     def min_slope(self, t0, t1):
-        """Smallest slope among spans overlapping ``(t0, t1)``; also returns
-        the start time of the span attaining it."""
-        if not t0 <= t1:
-            raise DomainError(f"need t0 <= t1, got ({t0}, {t1})")
+        """Smallest slope among spans overlapping ``(t0, t1)``, ``t0 < t1``;
+        also returns the start time of the span attaining it."""
+        if not t0 < t1:
+            raise DomainError(f"need t0 < t1, got ({t0}, {t1})")
         best = math.inf
         best_t = None
         for a, b, xa, xb in zip(self.ts, self.ts[1:], self.xs, self.xs[1:]):
@@ -718,7 +696,7 @@ class Curve:
                 best_t = max(a, t0)
         if best_t is None:
             raise DomainError(f"curve has no span inside ({t0}, {t1})")
-        return best, best_t
+        return float(best), float(best_t)
 
     def knots_within(self, t0, t1):
         return [float(t) for t in self.ts if t0 < t < t1]

@@ -1,7 +1,11 @@
 """Shared pytest configuration: deterministic, CI-friendly hypothesis
-settings, and an unhashable speed law."""
+settings, an unhashable speed law, and a loader for the benchmark's
+modules."""
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,3 +44,20 @@ class PlainLaw(SpeedLaw):  # eq=True without frozen sets __hash__ = None
 def plain_law():
     """A :class:`SpeedLaw` that cannot be hashed."""
     return PlainLaw()
+
+
+@pytest.fixture
+def load_perfbench(monkeypatch):
+    """Load ``perfbench/<name>.py`` from its path, read only: no bytecode
+    cache is written next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+        return module
+
+    return load

@@ -159,9 +159,14 @@ class TestPiecewiseLinearFlux:
             flux.index_of(0.3)
         with pytest.raises(DomainError):
             flux.fan(0.25, 0.3)
-        for rho in (1.25, -0.25, math.nan, math.inf):
+        # the last four lie within 1e-12 of the grid: rho * 2**n is no integer
+        near = (0.25 + 1e-13, 0.25 - 1e-13, math.nextafter(1.0, 0.0), 5e-324)
+        for rho in (1.25, -0.25, math.nan, math.inf) + near:
             with pytest.raises(DomainError):
                 flux.index_of(rho)
+        for rho_r in (0.25, 0.5):
+            with pytest.raises(DomainError):
+                flux.fan(near[0], rho_r)
 
     def test_speed_bound_covers_adjacent_cells(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
@@ -184,20 +189,25 @@ class TestPiecewiseLinearFlux:
                     lo, hi = max(0, k - 1), min(32, j + 1)
                     assert flux.speed_bound(k / 32, j / 32) == np.max(slopes[lo:hi])
 
-    def test_table_is_shared_per_law_and_exponent(self):
-        a = PiecewiseLinearFlux(Greenshields(1.0), 5)
-        a.fan(0.25, 0.75)
-        b = PiecewiseLinearFlux(Greenshields(1.0), 5)
-        assert b.values is a.values and b.grid is a.grid
-        # fans stay with the flux that built them
-        assert b._fans == {} and a._fans
-        assert PiecewiseLinearFlux(Greenshields(1.0), 4).values is not a.values
-        with pytest.raises(ValueError):
-            a.values[0] = 1.0
+    def test_flux_is_shared_per_law_and_exponent_and_never_changes(self):
+        datum = random_dyadic_datum(1, 5, 30)
+        state = from_datum(Greenshields(1.0), datum, 5)
+        flux = state.flux
+        assert from_datum(Greenshields(1.0), PiecewiseConstant([], [0.5]), 5).flux is flux
+        assert from_datum(Greenshields(1.0), datum, 6).flux is not flux
+        # a direct construction builds a flux of its own
+        assert PiecewiseLinearFlux(Greenshields(1.0), 5) is not flux
+        arrays = [v for v in vars(flux).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 6 and not any(a.flags.writeable for a in arrays)
+        before = dict(vars(flux))
+        assert len(ft_evolve(state, 4.0).collisions) > 10
+        assert vars(flux).keys() == before.keys()
+        assert all(vars(flux)[name] is value for name, value in before.items())
 
     def test_unhashable_law_gets_its_own_table(self, plain_law):
-        a, b = PiecewiseLinearFlux(plain_law, 3), PiecewiseLinearFlux(plain_law, 3)
-        assert a.values is not b.values
+        datum = PiecewiseConstant([0.0], [0.75, 0.25])
+        a, b = from_datum(plain_law, datum, 3).flux, from_datum(plain_law, datum, 3).flux
+        assert a is not b and a.values is not b.values
         np.testing.assert_array_equal(a.values, PiecewiseLinearFlux(Greenshields(1.0), 3).values)
         states, speeds = a.fan(0.75, 0.25)
         assert states == (0.75, 0.625, 0.5, 0.375, 0.25)
@@ -235,10 +245,6 @@ class TestFan:
     def test_equal_states_produce_no_front(self):
         flux = PiecewiseLinearFlux(Greenshields(1.0), 2)
         assert flux.fan(0.5, 0.5) == ((0.5,), ())
-
-    def test_repeats_return_the_memoised_tuples(self):
-        flux = PiecewiseLinearFlux(Greenshields(1.0), 3)
-        assert flux.fan(0.75, 0.125) is flux.fan(0.75, 0.125)
 
     @given(
         st.integers(min_value=0, max_value=16),
@@ -419,6 +425,21 @@ class TestEvolve:
             sol.state_at(2.0)
         with pytest.raises(DomainError):
             sol.sample(float("nan"), 0.0)
+
+    def test_state_refuses_times_before_its_own(self):
+        # the shock 1/8 | 3/8 at speed 1/2 would be extrapolated backwards
+        state = from_datum(Greenshields(1.0), PiecewiseConstant([0.0], [0.125, 0.375]), 3)
+        with pytest.raises(DomainError, match="before the state's"):
+            state.sample(-1.0, -0.4)
+        with pytest.raises(DomainError, match="before the state's"):
+            state.positions(-1.0)
+        assert state.sample(0.0, -0.4) == 0.125
+        assert state.positions(2.0).tolist() == [1.0]
+        # the solution keeps state_at's margin of 1e-12 before its start
+        sol = ft_evolve(state, 1.0)
+        assert sol.sample(-1e-13, -1e-12) == 0.125 and sol.sample(-1e-13, 0.0) == 0.375
+        with pytest.raises(DomainError):
+            sol.sample(-1e-11, 0.0)
 
     def test_nan_position_rejected_by_the_solution_sampler(self):
         # NaN sorts last, so a search alone would answer the right state
@@ -638,6 +659,25 @@ class TestEventLoop:
         with pytest.raises(TypeError):
             sol.epochs[0] = epochs[0]
 
+    def test_a_run_builds_each_fan_once(self, monkeypatch, load_perfbench):
+        # the benchmark's seeded 50-jump datum on the 2**-8 grid
+        datum = load_perfbench("workloads").oracle_datum(7)
+        state = from_datum(Greenshields(1.0), datum, 8)
+        fan, calls = PiecewiseLinearFlux.fan, []
+
+        def counted(flux, rho_l, rho_r):
+            calls.append((rho_l, rho_r))
+            return fan(flux, rho_l, rho_r)
+
+        monkeypatch.setattr(PiecewiseLinearFlux, "fan", counted)
+        sol = ft_evolve(state, 2.0)
+        pairs = [c[2:] for c in sol.collisions]
+        assert len(pairs) > len(set(pairs))  # the datum repeats pairs
+        assert sorted(calls) == sorted(set(pairs))
+        # the fans do not outlive the run: a second run builds its own
+        ft_evolve(state, 2.0)
+        assert Counter(calls) == {pair: 2 for pair in set(pairs)}
+
     def test_two_pairs_meeting_at_once_give_two_fans(self):
         # shocks 0|1/4|1/2 and 1/2|3/4|1 close at speed 1/2 from gaps of
         # 1/2: both pairs meet at t = 1, at x = 3/4 and x = 7/4
@@ -770,6 +810,7 @@ class TestCurve:
         slope, at = curve.min_slope(0.0, 2.0)
         assert slope == pytest.approx(0.2)
         assert at == 1.0
+        assert type(slope) is float and type(at) is float
         slope, _ = curve.min_slope(0.0, 0.5)
         assert slope == pytest.approx(1.0)
 
@@ -786,6 +827,9 @@ class TestCurve:
             curve(1.5)
         with pytest.raises(DomainError):
             curve.min_slope(2.0, 3.0)
+        # the open interval (1/2, 1/2) holds no span
+        with pytest.raises(DomainError, match="need t0 < t1"):
+            curve.min_slope(0.5, 0.5)
 
     def test_nan_time_rejected(self):
         curve = Curve.linear(0.0, 1.0, 0.0, 1.0)

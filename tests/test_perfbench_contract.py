@@ -9,31 +9,16 @@ incorrect outputs; here it fails a test instead.  Both files are loaded
 from their paths, read only: no bytecode cache is written next to them.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(monkeypatch, name):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
-def workloads(monkeypatch):
-    return _load(monkeypatch, "workloads")
+def workloads(load_perfbench):
+    return load_perfbench("workloads")
 
 
-def test_every_traced_name_resolves(monkeypatch):
-    tracing = _load(monkeypatch, "tracing")
+def test_every_traced_name_resolves(load_perfbench):
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()  # looks up every PATCHES attribute
     assert tracer.collect() == ({}, 0.0, {})
 

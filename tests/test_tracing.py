@@ -5,23 +5,11 @@ a refactor that renames or drops one of them would break ``--trace 1``.
 The module is loaded from its file, read only.
 """
 
-import importlib.util
-from pathlib import Path
-
 from probeflow import get_scenario, scenarios
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_patch_resolves_and_records_spans():
-    tracing = _load_tracing()
+def test_every_patch_resolves_and_records_spans(load_perfbench):
+    tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()  # looks up every PATCHES attribute
     originals = [getattr(module, attr) for module, attr, _, _ in tracing.PATCHES]
     scenario = get_scenario("calibration").with_overrides(dx=0.01, t_end=0.05)
