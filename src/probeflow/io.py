@@ -3,9 +3,13 @@ metadata, plus readers that parse every emitted file back.
 
 All floats are rendered with ``%.17g`` (round-trip exact for binary64), all
 text files use ``\\n`` newlines, and rows follow a fixed order, so repeated
-exports of the same result are byte-identical.  The CSV writers format each
-value once and render a whole snapshot or table with one ``%`` over a row
-template.
+exports of the same result are byte-identical.  Each file has one chunk
+generator: ``density.csv`` and ``density.pgm`` render one snapshot per
+chunk, ``probe.csv`` and ``diagnostics.csv`` a fixed block of rows, each
+CSV chunk with one ``%`` over a row template, every value formatted once.
+:func:`write_bundle` writes each chunk as it is rendered, so its memory
+depends on one snapshot, not on the whole bundle; the ``*_text`` and
+:func:`pgm_bytes` renderers join the same chunks.
 
 The readers parse each CSV body in one numpy pass and return arrays: each
 snapshot's cells, each probe's rows, and the diagnostics as tuples.  A file
@@ -29,36 +33,89 @@ import numpy as np
 from .errors import DomainError
 
 
-def density_csv_text(result):
-    """``t,x,rho`` rows: snapshots in time order, cells left to right.
+#: Rows of ``probe.csv`` and ``diagnostics.csv`` rendered per chunk.
+_BLOCK_ROWS = 1024
 
-    The cell centres are formatted once per call and each snapshot's ``t``
-    once; a snapshot is then one ``%`` over its row template
-    (``"{t},{x},%.17g\\n"`` per cell) with its field."""
+
+def _density_csv_chunks(result):
+    """The chunks of ``density.csv``: the header, then one per snapshot.
+
+    The cell centres are formatted once and each snapshot's ``t`` once; a
+    snapshot is then one ``%`` over its row template (``"{t},{x},%.17g\\n"``
+    per cell) with its field."""
     xs = ["%.17g" % x for x in result.grid.centers.tolist()]
-    cells = [""] + [f",{x},%.17g\n" for x in xs]
-    chunks = ["t,x,rho\n"]
     for t, field in result.snapshots:
-        template = ("%.17g" % t).join(cells)
-        chunks.append(template % tuple(field.tolist()))
-    return "".join(chunks)
+        if len(field) != len(xs):
+            raise DomainError(f"snapshot at t={t} has {len(field)} cells, the grid {len(xs)}")
+    cells = [""] + [f",{x},%.17g\n" for x in xs]
+    snapshots = (
+        ("%.17g" % t).join(cells) % tuple(field.tolist()) for t, field in result.snapshots
+    )
+    return chain(["t,x,rho\n"], snapshots)
+
+
+def _blocks(row, table):
+    """``table``, an ``(n, k)`` array, in blocks of :data:`_BLOCK_ROWS` rows,
+    each block one ``%`` over ``row`` repeated."""
+    full = row * _BLOCK_ROWS
+    for a in range(0, len(table), _BLOCK_ROWS):
+        block = table[a : a + _BLOCK_ROWS]
+        template = full if len(block) == _BLOCK_ROWS else row * len(block)
+        yield template % tuple(block.ravel().tolist())
+
+
+def _probe_csv_chunks(result):
+    """The chunks of ``probe.csv``: the header, then each probe's rows in
+    blocks."""
+    paths = result.probe_paths
+    for pid, path in enumerate(paths):
+        if np.shape(path)[1:] != (4,):
+            raise DomainError(f"probe {pid} path must have 4 columns, got shape {np.shape(path)}")
+    rows = (_blocks(f"%.17g,{pid},%.17g,%.17g,%.17g\n", path) for pid, path in enumerate(paths))
+    return chain(["t,probe_id,x,speed,trace_rho\n"], chain.from_iterable(rows))
+
+
+def _diagnostics_csv_chunks(result):
+    """The chunks of ``diagnostics.csv``: the header, then the rows in
+    blocks."""
+    rows = result.diagnostics
+    if not np.isfinite(rows[:, 0]).all():
+        raise DomainError("diagnostics step numbers must be finite")
+    row = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    return chain(["step,t,dt,mass,min,max\n"], _blocks(row, rows))
+
+
+def _pgm_chunks(result):
+    """The chunks of ``density.pgm``: the header, then one image row per
+    snapshot."""
+    fields = [field for _, field in result.snapshots]
+    if not fields:
+        raise DomainError("result holds no snapshots")
+    width = len(fields[0])
+    if any(len(field) != width for field in fields):
+        raise DomainError("snapshots differ in cell count")
+
+    def gray(field):
+        row = np.rint(255.0 * (1.0 - np.asarray(field)))
+        return np.clip(row, 0, 255).astype(np.uint8).tobytes()
+
+    header = f"P5\n{width} {len(fields)}\n255\n".encode("ascii")
+    return chain([header], map(gray, fields))
+
+
+def density_csv_text(result):
+    """``t,x,rho`` rows: snapshots in time order, cells left to right."""
+    return "".join(_density_csv_chunks(result))
 
 
 def probe_csv_text(result):
     """``t,probe_id,x,speed,trace_rho`` rows: probe-major, then time."""
-    paths = result.probe_paths
-    template = "".join(
-        f"%.17g,{pid},%.17g,%.17g,%.17g\n" * len(path) for pid, path in enumerate(paths)
-    )
-    values = chain.from_iterable(path.ravel().tolist() for path in paths)
-    return "t,probe_id,x,speed,trace_rho\n" + template % tuple(values)
+    return "".join(_probe_csv_chunks(result))
 
 
 def diagnostics_csv_text(result):
     """``step,t,dt,mass,min,max`` rows, one per recorded step."""
-    rows = result.diagnostics
-    template = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)
-    return "step,t,dt,mass,min,max\n" + template % tuple(rows.ravel().tolist())
+    return "".join(_diagnostics_csv_chunks(result))
 
 
 def pgm_bytes(result):
@@ -68,15 +125,7 @@ def pgm_bytes(result):
     leftmost first.  Gray value is ``round(255 * (1 - rho))``: free road
     white, full density black.
     """
-    fields = [field for _, field in result.snapshots]
-    if not fields:
-        raise DomainError("result holds no snapshots")
-    width = len(fields[0])
-    height = len(fields)
-    gray = np.rint(255.0 * (1.0 - np.asarray(fields)))
-    gray = np.clip(gray, 0, 255).astype(np.uint8)
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + gray.tobytes()
+    return b"".join(_pgm_chunks(result))
 
 
 def metadata_dict(result, scenario, overrides=None):
@@ -122,29 +171,33 @@ class OutputBundle:
         return out
 
 
-def _write(path, blob):
+def _write(path, chunks):
     with open(path, "wb") as handle:
-        handle.write(blob)
+        handle.writelines(chunks)
     return path
 
 
 def write_bundle(out_dir, result, scenario, overrides=None, image=True):
     """Export a run: ``density.csv``, ``probe.csv``, ``diagnostics.csv``,
     (default) the ``density.pgm`` heatmap, and last ``metadata.json``,
-    whose ``outputs`` names the others."""
-    os.makedirs(out_dir, exist_ok=True)
+    whose ``outputs`` names the others.
+
+    Every check runs before the first file is opened, so a result that
+    cannot be exported raises :class:`DomainError` and writes nothing; each
+    file is then written chunk by chunk as it is rendered."""
     files = [
-        ("density_csv", "density.csv", density_csv_text(result).encode()),
-        ("probe_csv", "probe.csv", probe_csv_text(result).encode()),
-        ("diagnostics_csv", "diagnostics.csv", diagnostics_csv_text(result).encode()),
+        ("density_csv", "density.csv", map(str.encode, _density_csv_chunks(result))),
+        ("probe_csv", "probe.csv", map(str.encode, _probe_csv_chunks(result))),
+        ("diagnostics_csv", "diagnostics.csv", map(str.encode, _diagnostics_csv_chunks(result))),
     ]
     if image:
-        files.append(("heatmap", "density.pgm", pgm_bytes(result)))
+        files.append(("heatmap", "density.pgm", _pgm_chunks(result)))
     metadata = metadata_dict(result, scenario, overrides)
     metadata["outputs"] = {key: name for key, name, _ in files}
     text = json.dumps(metadata, indent=2, sort_keys=True) + "\n"
-    files.append(("metadata", "metadata.json", text.encode()))
-    paths = {key: _write(os.path.join(out_dir, name), blob) for key, name, blob in files}
+    files.append(("metadata", "metadata.json", [text.encode()]))
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {key: _write(os.path.join(out_dir, name), chunks) for key, name, chunks in files}
     return OutputBundle(**paths)
 
 

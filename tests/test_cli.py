@@ -6,12 +6,17 @@ pytest temporaries and are parsed back with the package's own readers.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probeflow import cli, fvsolver
 from probeflow.cli import main
@@ -344,6 +349,75 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "time tolerance" in err
         assert not (tmp_path / "x").exists()
+
+
+def _number_paths(data, path=()):
+    """The key path of every number in a scenario dict."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        is_number = isinstance(data, (int, float)) and not isinstance(data, bool)
+        return [path] if is_number else []
+    return [p for key, value in items for p in _number_paths(value, path + (key,))]
+
+
+def _fuzz_base(name):
+    """A built-in scenario's dict, its horizon capped at 0.3 and five
+    snapshots, so that each exported run is cheap."""
+    data = get_scenario(name).to_dict()
+    data["t_end"] = min(data["t_end"], 0.3)
+    data["n_snapshots"] = 5
+    return data
+
+
+#: Half the mutations set a special value, half scale the number.
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300)),
+    st.sampled_from(("half", "twice")),
+)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """``calibration`` or ``fig_int32`` with two or three numbers set to a
+    special value, or to half or twice their own."""
+    data = _fuzz_base(draw(st.sampled_from(("calibration", "fig_int32"))))
+    paths = draw(st.lists(st.sampled_from(_number_paths(data)), min_size=2, max_size=3, unique=True))
+    for path in paths:
+        container = data
+        for key in path[:-1]:
+            container = container[key]
+        old, value = container[path[-1]], draw(_FUZZ_VALUES)
+        container[path[-1]] = {"half": old / 2, "twice": old * 2}.get(value, value)
+    return data
+
+
+class TestRunFuzz:
+    @settings(max_examples=150)
+    @given(_mutated_scenarios())
+    def test_mutated_scenarios_exit_cleanly_and_export_finite_numbers(
+        self, tmp_path_factory, data
+    ):
+        # rejected with exit 2, a numerical failure with exit 3, or a run
+        # whose export is finite and whose stderr holds only warnings
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["run", str(scenario_file), "--out", str(tmp_path / "out")])
+        assert code in (0, 2, 3), err.getvalue()
+        if code != 0:
+            return
+        assert [str(w.message) for w in caught] == []
+        assert all(line.startswith("warning: ") for line in err.getvalue().splitlines())
+        for name in ("density.csv", "probe.csv", "diagnostics.csv"):
+            text = (tmp_path / "out" / name).read_text()
+            assert "nan" not in text and "inf" not in text, name
 
 
 class TestPhiCommand:

@@ -464,17 +464,37 @@ class TestEvolve:
         with pytest.raises(DomainError, match="got nan"):
             ft_evolve(state, float("nan"))
 
-    def test_a_collision_that_adds_fronts_is_rejected(self, monkeypatch):
+    def test_a_fan_that_raises_total_variation_is_rejected(self, monkeypatch):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])
         state = from_datum(Greenshields(1.0), datum, 2)
-        # the two shocks' merger answered by a three-front fan
+        # the two shocks' merger (variation 3/4) answered by a fan that
+        # overshoots and comes back (variation 7/4)
         monkeypatch.setattr(
             PiecewiseLinearFlux,
             "fan",
-            lambda flux, rho_l, rho_r: ((0.0, 0.25, 0.5, 0.75), (-0.5, 0.0, 0.5)),
+            lambda flux, rho_l, rho_r: ((0.0, 0.75, 0.25, 0.75), (-0.5, 0.0, 0.5)),
         )
-        with pytest.raises(FrontTrackError, match="front count grew from 2 to 3"):
+        with pytest.raises(FrontTrackError, match="raises total variation from 0.75 to 1.75"):
             ft_evolve(state, 1.0)
+
+    def test_a_collision_may_add_fronts_under_a_non_convex_table(self):
+        # the fronts 33/256 -> 37/256 -> 36/256 meet, and the Riemann
+        # problem 33/256 -> 36/256 of the steep table has three fronts
+        datum = PiecewiseConstant([0.0, 0.01], [33 / 256, 37 / 256, 36 / 256])
+        sol = ft_evolve(from_datum(STEEP_TABLE, datum, 8), 1.0)
+        assert [e.n_fronts for e in sol.epochs] == [2, 3]
+        assert sol.epochs[-1].vals.tolist() == [33 / 256, 34 / 256, 35 / 256, 36 / 256]
+
+    def test_a_non_convex_table_tracks_the_oracle_datum_without_raising_variation(
+        self, load_perfbench
+    ):
+        datum = load_perfbench("workloads").oracle_datum(7)
+        sol = ft_evolve(from_datum(STEEP_TABLE, datum, 8), 2.0)
+        counts = [e.n_fronts for e in sol.epochs]
+        assert any(b > a for a, b in zip(counts, counts[1:]))  # fronts were added
+        tv = [np.abs(np.diff(e.vals)).sum() for e in sol.epochs]
+        assert len(tv) > 800
+        assert all(b <= a for a, b in zip(tv, tv[1:]))
 
     def test_infinite_horizon_stops_once_no_fronts_approach(self):
         datum = PiecewiseConstant([0.0, 0.5], [0.0, 0.5, 0.75])

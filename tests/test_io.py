@@ -1,9 +1,11 @@
 """The bundle's CSV writers and readers: byte-identical to the row-by-row
-formatters they replace, bitwise round trips, and malformed files rejected
-with ``DomainError``."""
+formatters they replace, bitwise round trips, malformed files rejected
+with ``DomainError``, and an export whose memory does not grow with the
+bundle."""
 
+import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,14 +14,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from probeflow import DomainError, get_scenario, run_scenario, scenario_names
+from probeflow import io
 from probeflow.io import (
     diagnostics_csv_text,
     density_csv_text,
+    pgm_bytes,
     probe_csv_text,
     read_density_csv,
     read_diagnostics_csv,
     read_pgm,
     read_probe_csv,
+    write_bundle,
 )
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,82 @@ def test_one_cell_and_empty_tables():
     assert diagnostics_csv_text(one) == "step,t,dt,mass,min,max\n1,0.5,0.5,0.25,0.25,0.25\n"
     empty = Tables(np.array([0.5]), [], (np.empty((0, 4)),), np.empty((0, 8)))
     _assert_same_text(empty)
+
+
+# ---------------------------------------------------------------------------
+# write_bundle: streamed, every check before the first file
+# ---------------------------------------------------------------------------
+
+def _long_calibration(t_end):
+    """``calibration`` with two snapshots, so its step rows outweigh its
+    density rows."""
+    scenario = get_scenario("calibration").with_overrides(t_end=t_end, n_snapshots=2)
+    return run_scenario(scenario), scenario
+
+
+def _export_peak(out_dir, result, scenario):
+    """Traced peak bytes of one :func:`write_bundle` call; ``result`` was
+    built before tracing starts."""
+    tracemalloc.start()
+    try:
+        write_bundle(out_dir, result, scenario)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_files_are_the_renderers_bytes_across_blocks(tmp_path):
+    result, scenario = _long_calibration(5.0)
+    assert len(result.log) > io._BLOCK_ROWS  # more than one block of rows
+    _assert_same_text(result)
+    bundle = write_bundle(tmp_path, result, scenario)
+    assert (tmp_path / "density.csv").read_text() == density_csv_text(result)
+    assert (tmp_path / "probe.csv").read_text() == probe_csv_text(result)
+    assert (tmp_path / "diagnostics.csv").read_text() == diagnostics_csv_text(result)
+    assert (tmp_path / "density.pgm").read_bytes() == pgm_bytes(result)
+    assert bundle.heatmap == str(tmp_path / "density.pgm")
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ({"snapshots": []}, "no snapshots"),
+        ({"log": np.full((3, 8), np.nan)}, "step numbers must be finite"),
+        ({"probe_paths": (np.zeros((3, 3)),)}, "4 columns"),
+    ],
+)
+def test_an_unexportable_result_writes_nothing(tmp_path, damage, message):
+    scenario = get_scenario("calibration").with_overrides(t_end=0.05)
+    result = replace(run_scenario(scenario), **damage)
+    with pytest.raises(DomainError, match=message):
+        write_bundle(tmp_path, result, scenario)
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(DomainError, match=message):
+        write_bundle(tmp_path / "bundle", result, scenario)
+    assert list(tmp_path.iterdir()) == []  # not even the directory
+
+
+def test_pgm_of_snapshots_of_unequal_width_is_a_domain_error():
+    ragged = Tables(np.array([0.5]), [(0.0, np.array([0.25])), (0.5, np.array([0.75, 1.0]))],
+                    (), np.empty((0, 8)))
+    with pytest.raises(DomainError, match="differ in cell count"):
+        pgm_bytes(ragged)
+
+
+def test_exporting_fig_int32_holds_about_one_snapshot(tmp_path):
+    scenario = get_scenario("fig_int32")
+    result = run_scenario(scenario)
+    # 0.72 MB of snapshots, a 5.2 MB bundle; rendered whole it peaked at 9.4 MB
+    assert _export_peak(tmp_path, result, scenario) < 1.5e6
+
+
+def test_export_memory_does_not_grow_with_the_step_count(tmp_path):
+    (short, scenario), (long, long_scenario) = _long_calibration(5.0), _long_calibration(10.0)
+    assert len(long.log) > 1.9 * len(short.log)
+    short_peak = _export_peak(tmp_path / "short", short, scenario)
+    long_peak = _export_peak(tmp_path / "long", long, long_scenario)
+    # rendered whole, twice the rows made 1.8 times the peak
+    assert long_peak < 1.25 * short_peak
 
 
 # ---------------------------------------------------------------------------
