@@ -14,7 +14,10 @@ and ``fleet_31`` (``perfbench/workloads.fleet_scenario``), plus
 than the 0.3-wide cutoff support, so neighbouring supports overlap; and
 ``fleet_7_clipped``: seed 7 with its first, traffic-coupled probe started
 at ``x = 0.1``, within the cutoff's ``outer = 0.15`` of ``x_min = 0``, so
-its blend window is clipped at the domain's left end.
+its blend window is clipped at the domain's left end.  Two coupled cases
+run under a law that is not Greenshields: ``fig_int32_eps``, ``fig_int32``
+under ``EpsilonLaw(0.3)``, and ``fig_int3_tabulated``, ``fig_int3`` under
+a concave ``TabulatedLaw`` that ends at 0.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
 rows (the log's ``step, t, dt, rate_in, rate_out`` columns) and every
@@ -51,7 +54,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from probeflow import Greenshields, from_datum, ft_evolve, scenarios  # noqa: E402
+from probeflow import (  # noqa: E402
+    EpsilonLaw,
+    Greenshields,
+    TabulatedLaw,
+    from_datum,
+    ft_evolve,
+    scenarios,
+)
 from probeflow.io import write_bundle  # noqa: E402
 from probeflow.model import ProbeTrajectory  # noqa: E402
 
@@ -68,6 +78,12 @@ FLEETS = {
     "fleet_31": (31, 8, None),
     "fleet_7x40": (7, 40, None),
     "fleet_7_clipped": (7, 8, 0.1),
+}
+
+#: Cases under another speed law: name -> (built-in scenario, law).
+LAWS = {
+    "fig_int32_eps": ("fig_int32", EpsilonLaw(0.3)),
+    "fig_int3_tabulated": ("fig_int3", TabulatedLaw([1.0, 0.9375, 0.8125, 0.5625, 0.0])),
 }
 
 #: Front-tracking cases: name -> seed of the benchmark's oracle datum.
@@ -103,7 +119,7 @@ def _mollified_scenario(name, radius):
 
 
 def run_case_names():
-    return scenarios.scenario_names() + list(MOLLIFIED) + list(FLEETS)
+    return scenarios.scenario_names() + list(MOLLIFIED) + list(FLEETS) + list(LAWS)
 
 
 def case_names():
@@ -117,6 +133,9 @@ def load_case(name):
         return _mollified_scenario(base, radius), {"t_end": t_end}
     if name in FLEETS:
         return _fleet_scenario(*FLEETS[name]), {}
+    if name in LAWS:
+        base, law = LAWS[name]
+        return scenarios.get_scenario(base).with_overrides(law=law), {}
     return scenarios.get_scenario(name), OVERRIDES.get(name, {})
 
 

@@ -23,8 +23,8 @@ class StabilityError(RuntimeError):
 
 
 class FrontTrackError(RuntimeError):
-    """Internal inconsistency in the wave-front evolution (event bookkeeping
-    or front-count growth)."""
+    """Internal inconsistency in the wave-front evolution (event bookkeeping,
+    a rise in total variation, or a run past its collision cap)."""
 
 
 def require_finite(what, *values):

@@ -6,7 +6,8 @@ grid then evolve exactly as a finite set of travelling discontinuities
 ("fronts").  Each local Riemann problem is solved by a convex-envelope
 construction, fronts travel at difference-quotient speeds, and collisions
 are resolved by re-solving the Riemann problem of the outermost states.
-The number of fronts never increases, so the evolution terminates.
+No collision raises the total variation, which each collision checks; a
+cap on the number of collisions ends a run that would not stop.
 
 Tracking is an event loop: a heap holds the meeting time of each adjacent
 pair of approaching fronts, and a collision touches only its cluster and

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StabilityError, require_finite, require_index
-from .model import SLOPE_SAMPLES, check_states, eval_flux, harmonic_speed
+from .model import check_states, eval_flux
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -46,9 +46,6 @@ BOUND_TOL = 1e-12
 #: would end this close to the next boundary lands on it instead, and a
 #: step ending this close to a snapshot time records that snapshot.
 TIME_TOL = 1e-14
-
-#: Half-width of the central differences the CFL bound samples slopes with.
-_SLOPE_H = 1e-7
 
 #: The CFL bound reads the field's density range snapped outward to
 #: multiples of ``1 / _RANGE_LATTICE`` (dyadic, so exact), which keeps the
@@ -186,7 +183,10 @@ def l1_distance(grid, field_a, field_b):
 
 def trace_density(grid, field, x, side="right"):
     """Density read at a probe position: the first cell centred at or ahead
-    of ``x`` (``side='right'``), or the last at or behind it (``'left'``)."""
+    of ``x`` (``side='right'``), or the last at or behind it (``'left'``);
+    :class:`DomainError` for a NaN ``x``."""
+    if x != x:
+        raise DomainError("probe position must not be NaN")
     centers = grid.centers
     if side == "right":
         j = min(int(centers.searchsorted(x, "left")), grid.n_cells - 1)
@@ -212,111 +212,120 @@ def _cell_windows(states, first, dx, reach, n):
     return windows
 
 
-def _stencil_slopes(F, span):
-    """The sampled slopes of a vertex flux over the range and over [0, 1]:
-    ``F`` holds its values on the stencil of :func:`_law_range`, whose
-    differences span ``span``."""
-    n = span.size
-    return np.max(np.abs((F[:n] - F[n:]) / span).reshape(2, -1), axis=1)
+def _cubic_roots(c, k, b, s, e):
+    """The roots in ``[s, e]`` of ``c**2 r**3 - 3 c k r - b k``, by
+    bisection on either side of its turning point ``r**2 = k / c``: no
+    coefficient is divided by ``c``, so none overflows."""
+
+    def cubic(r):
+        cr = c * r
+        return cr * cr * r - 3.0 * k * cr - b * k
+
+    turn = min(max(math.sqrt(k / c), s), e) if k / c > 0.0 else e
+    roots = []
+    for left, right in ((s, turn), (turn, e)):
+        negative = cubic(left) < 0.0
+        if negative == (cubic(right) < 0.0):
+            continue
+        for _ in range(60):
+            mid = 0.5 * (left + right)
+            left, right = (mid, right) if (cubic(mid) < 0.0) == negative else (left, mid)
+        roots.append(left)
+    return roots
+
+
+def _peak_slope(law, lo, hi, w=None):
+    """``max |d (rho V) / d rho|`` over ``[lo, hi]`` from the law's
+    :attr:`~probeflow.model.SpeedLaw.pieces`, and ``|V - v|`` at ``lo``
+    and at ``hi``: ``V`` is the law's speed ``v``, or for a probe at speed
+    ``w >= 0`` the blend ``H = 2 w v / (w + v)`` in closed form.
+
+    On a piece ``v = a + b rho + c rho**2``.  The law's ``f'`` peaks at an
+    end or at its vertex ``-b / (3 c)``.  The probe's
+    ``g' = H + rho v' dH/dv``, with ``dH/dv = 2 (w / (w + v))**2``, peaks
+    at an end or at a root of ``g''``, whose sign is that of
+    ``-(c**2 rho**3 - 3 c (w + a) rho - b (w + a))``: no root on a linear
+    piece.  Each piece's ends use its own coefficients, so a knot is read
+    from both sides.
+    """
+    slopes, moved = [], []
+    for start, end, (a, b, c) in law.pieces:
+        s, e = max(start, lo), min(end, hi)
+        if s > e:
+            continue
+        if c == 0.0 or w == 0.0:  # H(0, v) = 0 at every density
+            inner = []
+        elif w is None:
+            inner = [-b / (3.0 * c)]
+        else:
+            inner = _cubic_roots(c, w + a, b, s, e)
+        for r in (s, *inner, e):
+            r = min(max(r, s), e)
+            v = a + r * (b + c * r)
+            ratio = w / (w + v) if w else 0.0
+            H, dH = (v, 1.0) if w is None else (2.0 * v * ratio, 2.0 * ratio * ratio)
+            slopes.append(abs(H + r * (b + 2.0 * c * r) * dH))
+            moved.append(abs(H - v))
+    return float(np.max(slopes)), moved[0], moved[-1]  # np.max keeps a NaN
 
 
 @functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
-def _law_range(law, i, j):
-    """What the CFL bound needs of ``law`` for the lattice range
-    ``[i, j] / _RANGE_LATTICE``.
-
-    Returns the stencil densities (the upper points, then the lower, of
-    central differences around evenly spaced samples of the range followed
-    by :data:`~probeflow.model.SLOPE_SAMPLES`), the law's speeds and flux
-    ``rho v`` on them, the spans of the differences, the range points'
-    ``min(rho, 1 - rho)`` (infinite at 0 and 1), and two triples, over the
-    range and over [0, 1]: the law's slope ``|f'|``, the sampled slope of
-    its own vertex flux ``rho v``, and ``|f'(1)|`` (over the range only if
-    it reaches 1, else 0).
-    """
-    samples = np.linspace(i / _RANGE_LATTICE, j / _RANGE_LATTICE, SLOPE_SAMPLES.size)
-    points = np.concatenate([samples, SLOPE_SAMPLES])
-    upper = np.clip(points + _SLOPE_H, 0.0, 1.0)
-    lower = np.clip(points - _SLOPE_H, 0.0, 1.0)
-    rho = _read_only(np.concatenate([upper, lower]))
-    span = _read_only(upper - lower)
-    gap = np.minimum(rho, 1.0 - rho).reshape(2, 2, -1)[:, 0]
-    gap[gap <= 0.0] = np.inf  # the slopes and the end slope cover rho = 0 and 1
-    end = abs(float(law.flux_slope(1.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _read_only(np.asarray(law(rho), dtype=float))
-        flux = _read_only(rho * v)
-        own_range, own_all = map(float, _stencil_slopes(flux, span))
-    over_range = (
-        float(np.max(np.abs(law.flux_slope(samples)))),
-        own_range,
-        end if j == _RANGE_LATTICE else 0.0,
-    )
-    over_all = (law.max_flux_slope, own_all, end)
-    return rho, v, flux, span, _read_only(gap), over_range, over_all
+def _law_slope(law, i, j):
+    """``max |f'|`` of ``law`` over the lattice range ``[i, j] / _RANGE_LATTICE``
+    and over [0, 1]."""
+    over_range = _peak_slope(law, i / _RANGE_LATTICE, j / _RANGE_LATTICE)[0]
+    return over_range, _peak_slope(law, 0.0, 1.0)[0]
 
 
 @functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
 def _vertex_slope(law, w, i, j):
-    """The bounds, over the lattice range ``[i, j]`` and over [0, 1], of
-    the vertex flux ``rho H(w, v)`` of a probe at speed ``w``, as the blend
-    adds it at weight 1 (possibly non-finite: an overflowing blend is
-    reported by :func:`cfl_dt`, not warned about).  Over [0, 1] that is its
-    sampled slope; over the range, the larger of its sampled slope and of
-    the shift ``|rho (H - v)| / min(rho, 1 - rho)`` that :func:`cfl_dt`
-    explains."""
-    rho, v, flux, span, gap = _law_range(law, i, j)[:5]
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = rho * (v + (harmonic_speed(w, v) - v))
-        over_range, over_all = _stencil_slopes(F, span)
-        shift = np.max(np.abs((F - flux).reshape(2, 2, -1)[:, 0]) / gap)
-    return float(np.maximum(over_range, shift)), float(over_all)
+    """A probe's bounds at speed ``w`` over the lattice range and over
+    [0, 1]: the larger of its vertex flux's slope and of the shift that
+    :func:`cfl_dt` explains, then the slope alone.  NaN for a NaN or
+    negative ``w``, or where the blend's ``2 w v`` overflows."""
+    if not (w >= 0.0 and math.isfinite(2.0 * w * law.v_max)):
+        return math.nan, math.nan
+    lo, hi = i / _RANGE_LATTICE, j / _RANGE_LATTICE
+    slope, moved_lo, moved_hi = _peak_slope(law, lo, hi, w)
+    shift_lo = moved_lo if lo > 0.0 else 0.0
+    shift_hi = hi * moved_hi / (1.0 - hi) if hi < 1.0 else 0.0
+    return float(np.max([slope, shift_lo, shift_hi])), _peak_slope(law, 0.0, 1.0, w)[0]
 
 
 def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
-    """Largest stable step: ``cfl * dx / S`` with ``S`` a sampled bound on
-    the characteristic speed ``|d f / d rho|`` of the blended flux, with
-    the coupled probes' ``states`` as in
-    :func:`~probeflow.model.eval_flux`, over the densities the field holds.
+    """Largest stable step: ``cfl * dx / S`` with ``S`` a bound on the
+    characteristic speed ``|d f / d rho|`` of the blended flux, with the
+    coupled probes' ``states`` as in :func:`~probeflow.model.eval_flux`,
+    over the densities the field holds.
 
     ``rho_range`` is the field's ``(lo, hi)``.  Lax-Friedrichs is monotone
     when ``dt / dx * |f'| <= 1`` on the values its stencil holds, so only
-    the slopes at densities in ``[lo, hi]`` bound the step.  The range is
-    snapped outward to multiples of ``1 / _RANGE_LATTICE``, and every
-    quantity below is sampled at as many evenly spaced densities across it
-    as :data:`~probeflow.model.SLOPE_SAMPLES` holds, slopes by central
-    differences.  ``S`` is the smaller of that bound and the bound of the
-    slopes over all of [0, 1], so no step is shorter than the one the whole
-    density range allows.
+    slopes at densities in ``[lo, hi]``, snapped outward to multiples of
+    ``1 / _RANGE_LATTICE``, bound the step; each is its exact maximum
+    there, from the law's :attr:`~probeflow.model.SpeedLaw.pieces`.  ``S``
+    is the smaller of that bound and the bound over all of [0, 1].
 
-    Away from every probe the flux reduces to the speed law's, whose slope
-    over the range is computed once per law and range, so a step without
-    coupled probes does no array work.  Near the probes no cell is scanned:
-    the blended speed ``(1 - sum a_i) v + sum a_i H(w_i, v)`` has weights
-    ``a_i`` that depend on ``x`` alone and sum to at most 1, so every
-    cell's flux slope is a convex combination of the slopes of the vertex
-    fluxes ``rho v`` and ``rho H(w_i, v)``, one per probe whose support
-    reaches a cell centre, ghost cells included.  Their sampled slopes,
-    evaluated as the blend adds a probe at weight 1, bound it.  If the
-    snapped range reaches 1, so does the slope at ``rho = 1``, in closed
-    form: ``|f'(1)|``, or ``2 |f'(1)|`` if a counted probe moves, which the
-    samples miss for small ``w``.  Where no cell has a weight of exactly 1
-    (overlapping supports, a probe within ``outer`` of a domain end, a
-    plateau narrower than a cell) the bound is conservative: the step may
-    be shorter than a cell scan's, never longer.
+    No cell is scanned: the blended speed ``(1 - sum a_i) v + sum a_i
+    H(w_i, v)`` has weights ``a_i`` that depend on ``x`` alone and sum to
+    at most 1, so every cell's flux slope is a convex combination of the
+    slopes of the vertex fluxes ``rho v`` and ``rho H(w_i, v)``, one per
+    probe whose support reaches a cell centre, ghost cells included.
+    Where no cell has a weight of exactly 1 the step may be shorter than a
+    cell scan's, never longer.
 
-    Because the blend depends on ``x``, a step moves even a uniform field:
-    by at most ``dt / dx * rho * max_i |H(w_i, v) - v|`` either way, so the
-    range bound also holds each probe's ``|rho (H - v)| / min(rho, 1 - rho)``
-    over the range.  With the slopes, that keeps every update in [0, 1]
-    (``f`` vanishes at 0 and 1), as the bound over [0, 1] does by
-    monotonicity alone; :func:`run` still checks every update's range.
+    Because the blend depends on ``x``, a step moves even a uniform field,
+    by at most ``dt / dx * rho * max_i |H(w_i, v) - v|`` either way.  Under
+    the slope bound the update is monotone, so it lies between the updates
+    of the uniform fields at the snapped ends ``lo`` and ``hi``; the range
+    bound therefore also holds each probe's ``|H - v|`` at ``lo`` and
+    ``hi |H - v| / (1 - hi)`` at ``hi``, with no term at 0 or 1, where
+    ``f`` vanishes.  That keeps every update in [0, 1], as the bound over
+    [0, 1] does by monotonicity alone; :func:`run` still checks it.
 
-    The law's slopes are kept per ``(law, range)`` and each probe's vertex
-    bounds per ``(law, speed, range)`` (the :data:`_VERTEX_MEMO_SIZE` most
-    recently used of each); a miss evaluates the stencils of the range and
-    of [0, 1] as one array.  The memos hold only what their keys determine,
-    so they never change a step.  A non-finite slope raises
+    The law's slopes are kept per ``(law, range)`` and each probe's bound
+    per ``(law, speed, range)``, the :data:`_VERTEX_MEMO_SIZE` most
+    recently used of each.  A coupled probe at a NaN position is a
+    :class:`DomainError`; a non-finite slope raises
     :class:`StabilityError` on every call.
     """
     if not 0.0 < cfl <= 1.0:
@@ -328,28 +337,23 @@ def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
     law = model.speed_law
     i = math.floor(lo * _RANGE_LATTICE)
     j = math.ceil(hi * _RANGE_LATTICE)
-    *_, over_range, over_all = _law_range(law, i, j)
-    S = min(over_range[0], over_all[0])
-    if not states:
-        return cfl * grid.dx / max(S, 1e-10)
-    # the update reads the flux on the ghost cells too
-    left = float(grid.ghosted_centers[0]) - model.cutoff.outer
-    right = float(grid.ghosted_centers[-1]) + model.cutoff.outer
-    ws = [w for p, w in states if left < p < right]
-    if ws:
-        doubled = 2.0 if any(w > 0.0 for w in ws) else 1.0
-        vertices = [_vertex_slope(law, w, i, j) for w in ws]
-        bounds = [
-            [law_slope, own, doubled * end, *(vertex[k] for vertex in vertices)]
-            for k, (law_slope, own, end) in enumerate((over_range, over_all))
-        ]
-        if not all(map(math.isfinite, bounds[0] + bounds[1])):
-            # np.max keeps a NaN slope, which max() may drop
+    over_range, over_all = _law_slope(law, i, j)
+    if states:
+        # the update reads the flux on the ghost cells too
+        left = float(grid.ghosted_centers[0]) - model.cutoff.outer
+        right = float(grid.ghosted_centers[-1]) + model.cutoff.outer
+        slopes = [(over_range, over_all)]
+        for p, w in states:
+            if p != p:
+                raise DomainError("probe position must not be NaN")
+            if left < p < right:
+                slopes.append(_vertex_slope(law, w, i, j))
+        if not all(math.isfinite(s) for pair in slopes for s in pair):
             raise StabilityError(
-                f"blended-flux slope is not finite near the coupled probes: {np.max(bounds)}"
+                f"blended-flux slope is not finite near the coupled probes: {np.max(slopes)}"
             )
-        S = min(max(bounds[0]), max(bounds[1]))
-    return cfl * grid.dx / max(S, 1e-10)
+        over_range, over_all = map(max, zip(*slopes))
+    return cfl * grid.dx / max(min(over_range, over_all), 1e-10)
 
 
 def _ghost_buffer(field):
@@ -553,7 +557,8 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     # steps of cfl * dx / S_law, S_law the law's slope over all of [0, 1],
     # each gaining at most TIME_TOL landing on a boundary; the margin
     # covers rounding
-    span = (t_end - len(boundaries) * TIME_TOL) * max(model.speed_law.max_flux_slope, 1e-10)
+    law_slope = _law_slope(model.speed_law, 0, _RANGE_LATTICE)[1]
+    span = (t_end - len(boundaries) * TIME_TOL) * max(law_slope, 1e-10)
     if span * (1.0 - 1e-9) > MAX_STEPS * cfl * grid.dx:
         raise DomainError(
             f"t_end={t_end} at cfl={cfl} and dx={grid.dx} needs more than {MAX_STEPS=} steps"

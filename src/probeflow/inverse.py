@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_index
 from .fronttrack import (
     PiecewiseConstant,
     from_datum,
@@ -141,11 +141,13 @@ def scan_E(scenario, v_lo, v_hi, n, workers=1):
     """
     if not 0.0 < v_lo < v_hi:
         raise DomainError(f"need 0 < v_lo < v_hi, got ({v_lo}, {v_hi})")
+    n = require_index("n", n)
+    workers = require_index("workers", workers)
     if n < 1:
         raise DomainError(f"scan needs at least one subinterval, got n={n}")
     if workers < 1:
         raise DomainError(f"scan needs at least one worker, got workers={workers}")
-    v_values = [float(v) for v in np.linspace(v_lo, v_hi, int(n) + 1)]
+    v_values = [float(v) for v in np.linspace(v_lo, v_hi, n + 1)]
     if workers > 1 and len(v_values) >= 4:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             errors = list(pool.map(evaluate_candidate, repeat(scenario), v_values))
@@ -176,6 +178,9 @@ def minimize_E(samples, refine_iters=0, evaluator=None):
     neighbours; otherwise ``refine_iters`` golden-section steps shrink that
     bracket, calling ``evaluator(v)`` for each new point.
     """
+    refine_iters = require_index("refine_iters", refine_iters)
+    if refine_iters < 0:
+        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
     samples = sorted((float(v), float(e)) for v, e in samples)
     if not samples:
         raise DomainError("minimize_E needs at least one sample")

@@ -32,11 +32,6 @@ from .errors import DomainError, ProbeStateError, require_finite
 #: return 0, the continuous extension at (probe speed, law speed) = (0, 0).
 ZERO_DENOM_TOL = 1e-12
 
-#: Densities at which the characteristic speed ``|f'|`` is sampled for the
-#: CFL bound (read-only).
-SLOPE_SAMPLES = np.linspace(0.0, 1.0, 21)
-SLOPE_SAMPLES.flags.writeable = False
-
 
 def _as_density(rho):
     """Coerce to float array; reject values outside [0, 1] and NaN."""
@@ -61,7 +56,8 @@ class SpeedLaw(ABC):
     ``law(rho)`` accepts scalars or arrays.
     ``v_max`` is the maximal speed, ``lipschitz`` a Lipschitz constant of
     ``v`` and ``flux_lipschitz`` one of the flux ``rho -> rho*v(rho)``,
-    both on ``[0, 1]``.
+    both on ``[0, 1]``.  ``pieces``, which the CFL bound reads, gives ``v``
+    in closed form.
     """
 
     @abstractmethod
@@ -72,6 +68,12 @@ class SpeedLaw(ABC):
     @abstractmethod
     def v_max(self):
         """Maximal speed over ``[0, 1]``."""
+
+    @property
+    @abstractmethod
+    def pieces(self):
+        """``(start, end, (a, b, c))`` per piece, in order, tiling [0, 1]:
+        ``v(rho) = a + b rho + c rho**2`` on ``[start, end]``."""
 
     @abstractmethod
     def lipschitz(self):
@@ -95,12 +97,6 @@ class SpeedLaw(ABC):
         r = np.linspace(0.0, 1.0, 4097)
         f = self.flux(r)
         return float(np.max(np.abs(np.diff(f))) / (r[1] - r[0]))
-
-    @cached_property
-    def max_flux_slope(self):
-        """``max |flux_slope|`` over :data:`SLOPE_SAMPLES`: the CFL speed of
-        the law alone, computed once per law."""
-        return float(np.max(np.abs(self.flux_slope(SLOPE_SAMPLES))))
 
     @cached_property
     def failed_conditions(self):
@@ -130,6 +126,10 @@ class Greenshields(SpeedLaw):
 
     def lipschitz(self):
         return self.vmax
+
+    @property
+    def pieces(self):
+        return ((0.0, 1.0, (self.vmax, -self.vmax, 0.0)),)
 
     def flux_slope(self, rho):
         return self.vmax * (1.0 - 2.0 * np.asarray(rho, dtype=float))
@@ -169,6 +169,10 @@ class EpsilonLaw(SpeedLaw):
         # v' = eps - 2*eps*rho - 1 is linear; extrema at the endpoints.
         return 1.0 + abs(self.eps)
 
+    @property
+    def pieces(self):
+        return ((0.0, 1.0, (1.0, self.eps - 1.0, -self.eps)),)
+
     def flux_slope(self, rho):
         rho = np.asarray(rho, dtype=float)
         return 1.0 + 2.0 * (self.eps - 1.0) * rho - 3.0 * self.eps * rho * rho
@@ -204,6 +208,16 @@ class TabulatedLaw(SpeedLaw):
     def lipschitz(self):
         dr = self._grid[1] - self._grid[0]
         return float(np.max(np.abs(np.diff(self._values))) / dr)
+
+    @property
+    def pieces(self):
+        """One linear piece per pair of neighbouring knots."""
+        rho, v = self._grid.tolist(), self._values.tolist()
+        pieces = []
+        for r0, r1, v0, v1 in zip(rho, rho[1:], v, v[1:]):
+            b = (v1 - v0) / (r1 - r0)
+            pieces.append((r0, r1, (v0 - b * r0, b, 0.0)))
+        return tuple(pieces)
 
     def __repr__(self):
         return f"TabulatedLaw(n={self._values.size}, v_max={self.v_max})"
@@ -340,14 +354,17 @@ class _SpeedTable:
         self._last = (math.nan, 0, math.nan)  # no time equals NaN
 
     def lookup(self, t):
-        """:func:`_knot_lookup` on this table's knots.  The last answer is
-        kept, so the state and the speed a run step asks for at one time
-        cost one search.  It is one tuple, replaced whole, so runs sharing
-        the table in threads read a consistent answer."""
+        """:func:`_knot_lookup` on this table's knots (:class:`DomainError`
+        for a NaN ``t``).  The last answer is kept, so the state and the
+        speed a run step asks for at one time cost one search.  It is one
+        tuple, replaced whole, so runs sharing the table in threads read a
+        consistent answer."""
         last = self._last
         if last[0] == t:
             return last[1], last[2]
         t = float(t)
+        if t != t:
+            raise DomainError("time must not be NaN")
         i, w = _knot_lookup(self.ts, self.ws, t)
         self._last = (t, i, w)
         return i, w
@@ -445,7 +462,7 @@ class ProbeTrajectory:
 
     def speed_at(self, t):
         """Programmed (possibly mollified) speed at time t, or ``None`` where
-        the program is model-coupled."""
+        the program is model-coupled; :class:`DomainError` for a NaN t."""
         _, w = self._table.lookup(t)
         return None if w != w else w
 
@@ -461,7 +478,8 @@ class ProbeTrajectory:
 
     def state_at(self, t):
         """Position and speed at time t of a fully exogenous program, in
-        closed form (:class:`ProbeStateError` for a model-coupled one)."""
+        closed form (:class:`ProbeStateError` for a model-coupled one,
+        :class:`DomainError` for a NaN t)."""
         self._require_exogenous(f"state at t={t}")
         table = self._table
         i, w = table.lookup(t)

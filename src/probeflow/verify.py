@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FrontTrackError
+from .errors import DomainError, FrontTrackError, require_index
 from .fronttrack import Curve, PiecewiseConstant, from_datum, ft_evolve
 from .fvsolver import BOUND_TOL, Grid, l1_distance, run
 from .inverse import (
@@ -636,8 +636,8 @@ SUITES = {
 
 def run_suite(name, seed=None):
     """Run one named suite; ``seed`` overrides its fuzz seed when it has
-    one.  A negative ``seed`` is a :class:`DomainError`, for every suite."""
-    if seed is not None and not seed >= 0:
+    one.  A seed that is not an integer >= 0 is a :class:`DomainError`."""
+    if seed is not None and require_index("seed", seed) < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
     try:
         func, takes_seed = SUITES[name]

@@ -39,6 +39,10 @@ class PlainLaw(SpeedLaw):  # eq=True without frozen sets __hash__ = None
     def lipschitz(self):
         return self.vmax
 
+    @property
+    def pieces(self):
+        return ((0.0, 1.0, (self.vmax, -self.vmax, 0.0)),)
+
 
 @pytest.fixture
 def plain_law():

@@ -126,6 +126,13 @@ class TestScan:
             with pytest.raises(DomainError, match="at least one worker"):
                 scan_E(scenario, 0.5, 1.0, 4, workers=workers)
 
+    @pytest.mark.parametrize("kwargs", [{"n": 2.5}, {"workers": 2.5}], ids=["n", "workers"])
+    def test_non_integer_counts_rejected(self, kwargs):
+        # n=2.5 would scan 2 intervals, workers=2.5 end in a TypeError
+        args = {"n": 4, "workers": 1, **kwargs}
+        with pytest.raises(DomainError, match="must be an integer, got 2.5"):
+            scan_E(coarse_calibration(), 0.5, 1.0, args["n"], workers=args["workers"])
+
 
 class TestMinimize:
     def test_grid_minimum_and_bracket(self):
@@ -166,6 +173,16 @@ class TestMinimize:
     def test_empty_samples_rejected(self):
         with pytest.raises(DomainError):
             minimize_E([])
+
+    @pytest.mark.parametrize(
+        "refine_iters, message",
+        [(2.5, "must be an integer, got 2.5"), (-3, "refine_iters must be >= 0, got -3")],
+        ids=["fraction", "negative"],
+    )
+    def test_refine_iters_must_be_a_count(self, refine_iters, message):
+        samples = [(1.0, 2.0), (2.0, 1.0), (3.0, 2.0)]
+        with pytest.raises(DomainError, match=message):
+            minimize_E(samples, refine_iters=refine_iters, evaluator=lambda v: (v - 2.1) ** 2)
 
     @pytest.mark.parametrize(
         "samples",

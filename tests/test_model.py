@@ -374,6 +374,16 @@ class TestProbeTrajectory:
         assert probe.speed_at(0.5) is None
         assert probe.speed_at(1.0) == 0.0  # the gap after the segment
 
+    def test_nan_time_rejected(self):
+        # a NaN time read no knot: speed_at answered None, as on a coupled
+        # piece, and state_at a NaN state that probe_states passed on
+        probe = ProbeTrajectory(0.0, (ExogenousSpeed(0.0, 1.0, 0.5),))
+        model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
+        queries = (probe.speed_at, probe.state_at, model.probe_states)
+        for query in queries:
+            with pytest.raises(DomainError, match="time must not be NaN"):
+                query(math.nan)
+
     def test_clone_resets_runtime_and_can_demote(self):
         probe = ProbeTrajectory(0.0, (ExogenousSpeed(0.0, None, 0.5),))
         fresh = probe.clone(observer=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from probeflow import get_scenario, run_scenario, scenario_names
+from probeflow import EpsilonLaw, get_scenario, run_scenario, scenario_names
 from probeflow.fronttrack import FrontState
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
@@ -43,6 +43,8 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         "fleet_31",
         "fleet_7x40",
         "fleet_7_clipped",
+        "fig_int32_eps",
+        "fig_int3_tabulated",
         "oracle_7",
         "oracle_31",
     ]
@@ -74,6 +76,18 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
     assert 0.0 < first.x0 - scenario.x_min < scenario.cutoff.outer
     assert first.program == seeded.probes[0].program and not first.is_exogenous
     assert [(p.x0, p.program) for p in rest] == [(p.x0, p.program) for p in seeded.probes[1:]]
+    # two coupled runs under laws that are not Greenshields, one a table
+    for name, base in (("fig_int32_eps", "fig_int32"), ("fig_int3_tabulated", "fig_int3")):
+        scenario, overrides = script.load_case(name)
+        plain = get_scenario(base)
+        assert scenario.name == base and overrides == {}
+        assert scenario.law != plain.law
+        assert [(p.x0, p.program) for p in scenario.probes] == [
+            (p.x0, p.program) for p in plain.probes
+        ]
+        assert not scenario.flux_model().speed_law.failed_conditions
+    assert script.load_case("fig_int32_eps")[0].law == EpsilonLaw(0.3)
+    assert script.load_case("fig_int3_tabulated")[0].law.values[-1] == 0.0
 
 
 def test_digest_sees_every_output():

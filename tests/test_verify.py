@@ -53,3 +53,11 @@ def test_negative_seed_rejected_before_any_suite_runs(monkeypatch):
     assert calls == []
     verify.run_all(seed=0)
     assert calls == [{"seed": 0}] * len(verify.SUITES)
+
+
+def test_fractional_seed_rejected_before_any_suite_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "SUITES", {"lemma1": (lambda **kw: calls.append(kw), True)})
+    with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
+        verify.run_suite("lemma1", seed=1.5)
+    assert calls == []
