@@ -34,6 +34,14 @@ and each collision's pair of states.  Epoch times and front positions carry
 roundoff, so they are left out.  They have no exported files, so
 ``--bundle`` skips them.
 
+The case ``riemann_7`` solves Riemann problems exactly: every jump of the
+seed-7 oracle datum under ``Greenshields(1.0)``, then the jumps of
+``RIEMANN_JUMPS`` under ``EpsilonLaw(0.2)`` and under
+``fig_int3_tabulated``'s table, whose fans start and end at its knots and
+cross the slope gaps of its kinks.  Its hash covers each solution's kind,
+shock speed or fan edges, and its samples at the benchmark's similarity
+coordinates (``perfbench/workloads.Oracle.XI``).  ``--bundle`` skips it too.
+
 Run it on two checkouts and diff the outputs: a refactor that keeps outputs
 bit-for-bit equal shows no difference.  The library is imported from the
 ``src/`` directory next to this script, and ``perfbench/workloads.py`` is
@@ -61,6 +69,7 @@ from probeflow import (  # noqa: E402
     from_datum,
     ft_evolve,
     scenarios,
+    solve_riemann,
 )
 from probeflow.io import write_bundle  # noqa: E402
 from probeflow.model import ProbeTrajectory  # noqa: E402
@@ -88,6 +97,15 @@ LAWS = {
 
 #: Front-tracking cases: name -> seed of the benchmark's oracle datum.
 ORACLES = {"oracle_7": 7, "oracle_31": 31}
+
+#: Exact Riemann cases: name -> seed of the benchmark's oracle datum.
+RIEMANNS = {"riemann_7": 7}
+
+#: Jumps a Riemann case also solves under each of :data:`RIEMANN_LAWS`.
+RIEMANN_JUMPS = ((1.0, 0.0), (0.75, 0.25), (0.625, 0.125), (0.25, 0.75))
+
+#: The laws other than Greenshields' of a Riemann case.
+RIEMANN_LAWS = (EpsilonLaw(0.2), LAWS["fig_int3_tabulated"][1])
 
 
 def _workloads():
@@ -123,7 +141,7 @@ def run_case_names():
 
 
 def case_names():
-    return run_case_names() + list(ORACLES)
+    return run_case_names() + list(ORACLES) + list(RIEMANNS)
 
 
 def load_case(name):
@@ -174,6 +192,28 @@ def oracle_digest(solution):
     return h.hexdigest()
 
 
+def solve_riemanns(name):
+    """The Riemann solutions of case ``name``: every jump of its oracle
+    datum under Greenshields' law, then :data:`RIEMANN_JUMPS` under each of
+    :data:`RIEMANN_LAWS`."""
+    values = _workloads().oracle_datum(RIEMANNS[name]).values
+    problems = [(Greenshields(1.0), *jump) for jump in zip(values, values[1:])]
+    problems += [(law, *jump) for law in RIEMANN_LAWS for jump in RIEMANN_JUMPS]
+    return [solve_riemann(*problem) for problem in problems]
+
+
+def riemann_digest(solutions, xi):
+    """sha256 over each solution's kind, shock speed and fan edges (NaN
+    where it has none), and its samples at ``xi``."""
+    h = hashlib.sha256()
+    for solution in solutions:
+        h.update(solution.kind.encode())
+        edges = [solution.speed, *(solution.fan or (None, None))]
+        h.update(np.array(edges, dtype=float).tobytes())
+        h.update(solution.sample(xi).tobytes())
+    return h.hexdigest()
+
+
 def bundle_digest(result, scenario, overrides):
     """sha256 over every file :func:`write_bundle` writes for ``result``:
     each file's name and size, then its bytes."""
@@ -202,6 +242,9 @@ def main(argv=None):
     for name in names:
         if name in ORACLES:
             print(name, oracle_digest(track_oracle(name)), flush=True)
+            continue
+        if name in RIEMANNS:
+            print(name, riemann_digest(solve_riemanns(name), _workloads().Oracle.XI), flush=True)
             continue
         scenario, overrides = load_case(name)
         scenario = scenario.with_overrides(**overrides)

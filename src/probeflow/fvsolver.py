@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StabilityError, require_finite, require_index
-from .model import check_states, eval_flux
+from .model import _peak_slope, check_states, eval_flux
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -210,63 +210,6 @@ def _cell_windows(states, first, dx, reach, n):
         stop = math.floor(max(hi, -2.0)) + 2 if hi < n else n
         windows.append(slice(start, stop))
     return windows
-
-
-def _cubic_roots(c, k, b, s, e):
-    """The roots in ``[s, e]`` of ``c**2 r**3 - 3 c k r - b k``, by
-    bisection on either side of its turning point ``r**2 = k / c``: no
-    coefficient is divided by ``c``, so none overflows."""
-
-    def cubic(r):
-        cr = c * r
-        return cr * cr * r - 3.0 * k * cr - b * k
-
-    turn = min(max(math.sqrt(k / c), s), e) if k / c > 0.0 else e
-    roots = []
-    for left, right in ((s, turn), (turn, e)):
-        negative = cubic(left) < 0.0
-        if negative == (cubic(right) < 0.0):
-            continue
-        for _ in range(60):
-            mid = 0.5 * (left + right)
-            left, right = (mid, right) if (cubic(mid) < 0.0) == negative else (left, mid)
-        roots.append(left)
-    return roots
-
-
-def _peak_slope(law, lo, hi, w=None):
-    """``max |d (rho V) / d rho|`` over ``[lo, hi]`` from the law's
-    :attr:`~probeflow.model.SpeedLaw.pieces`, and ``|V - v|`` at ``lo``
-    and at ``hi``: ``V`` is the law's speed ``v``, or for a probe at speed
-    ``w >= 0`` the blend ``H = 2 w v / (w + v)`` in closed form.
-
-    On a piece ``v = a + b rho + c rho**2``.  The law's ``f'`` peaks at an
-    end or at its vertex ``-b / (3 c)``.  The probe's
-    ``g' = H + rho v' dH/dv``, with ``dH/dv = 2 (w / (w + v))**2``, peaks
-    at an end or at a root of ``g''``, whose sign is that of
-    ``-(c**2 rho**3 - 3 c (w + a) rho - b (w + a))``: no root on a linear
-    piece.  Each piece's ends use its own coefficients, so a knot is read
-    from both sides.
-    """
-    slopes, moved = [], []
-    for start, end, (a, b, c) in law.pieces:
-        s, e = max(start, lo), min(end, hi)
-        if s > e:
-            continue
-        if c == 0.0 or w == 0.0:  # H(0, v) = 0 at every density
-            inner = []
-        elif w is None:
-            inner = [-b / (3.0 * c)]
-        else:
-            inner = _cubic_roots(c, w + a, b, s, e)
-        for r in (s, *inner, e):
-            r = min(max(r, s), e)
-            v = a + r * (b + c * r)
-            ratio = w / (w + v) if w else 0.0
-            H, dH = (v, 1.0) if w is None else (2.0 * v * ratio, 2.0 * ratio * ratio)
-            slopes.append(abs(H + r * (b + 2.0 * c * r) * dH))
-            moved.append(abs(H - v))
-    return float(np.max(slopes)), moved[0], moved[-1]  # np.max keeps a NaN
 
 
 @functools.lru_cache(maxsize=_VERTEX_MEMO_SIZE)
@@ -523,7 +466,8 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     an integer ``n_snapshots >= 1`` spaced beyond :data:`TIME_TOL`, at most
     :data:`MAX_STEPS` steps of the law's CFL step over all of [0, 1], and
     the snapshots and nine working float64 arrays of one value per cell
-    within :data:`MAX_FIELD_BYTES`.
+    within :data:`MAX_FIELD_BYTES`, and a speed law whose ``v(1)`` is
+    exactly 0.
 
     The step count is a budget, not a bound on the run's steps: the CFL
     step over the field's own density range is longer (a run may take
@@ -566,6 +510,10 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     n_bytes = 8 * (n_snapshots + 9) * grid.n_cells  # the snapshots and working arrays
     if n_bytes > MAX_FIELD_BYTES:
         raise DomainError(f"{grid.n_cells} cells need {n_bytes} B of arrays > {MAX_FIELD_BYTES=}")
+    # a full cell's flux must vanish, or the update pushes its neighbour past 1
+    v_full = float(model.speed_law(1.0))
+    if v_full != 0.0:
+        raise DomainError(f"speed law must vanish at full density, got v(1) = {v_full}")
     return snap_times, boundaries
 
 

@@ -53,11 +53,9 @@ class SpeedLaw(ABC):
 
     Implementations are immutable, hashable (the CFL bound keeps slopes
     per law; :class:`FluxModel` rejects an unhashable law) and vectorised:
-    ``law(rho)`` accepts scalars or arrays.
-    ``v_max`` is the maximal speed, ``lipschitz`` a Lipschitz constant of
-    ``v`` and ``flux_lipschitz`` one of the flux ``rho -> rho*v(rho)``,
-    both on ``[0, 1]``.  ``pieces``, which the CFL bound reads, gives ``v``
-    in closed form.
+    ``law(rho)`` accepts scalars or arrays.  A law provides ``__call__``,
+    ``v_max``, its maximal speed, and ``pieces``, ``v`` in closed form;
+    every derivative, bound and inverse is read from ``pieces``.
     """
 
     @abstractmethod
@@ -75,28 +73,25 @@ class SpeedLaw(ABC):
         """``(start, end, (a, b, c))`` per piece, in order, tiling [0, 1]:
         ``v(rho) = a + b rho + c rho**2`` on ``[start, end]``."""
 
-    @abstractmethod
-    def lipschitz(self):
-        """Lipschitz constant of ``rho -> v(rho)`` on ``[0, 1]``."""
-
     def flux(self, rho):
         """The flux ``rho * v(rho)``."""
         rho = np.asarray(rho, dtype=float)
         return rho * self(rho)
 
     def flux_slope(self, rho):
-        """Derivative of the flux; central finite differences by default."""
-        rho = np.asarray(rho, dtype=float)
-        h = 1e-7
-        lo = np.clip(rho - h, 0.0, 1.0)
-        hi = np.clip(rho + h, 0.0, 1.0)
-        return (self.flux(hi) - self.flux(lo)) / (hi - lo)
+        """Derivative of the flux, ``a + 2 b rho + 3 c rho**2`` on the
+        piece that starts at ``rho`` or holds it (the last piece at 1)."""
+        return _flux_slope(self, rho, "right")
+
+    def lipschitz(self):
+        """Lipschitz constant of ``v`` on ``[0, 1]``: ``|v'| = |b + 2 c
+        rho|`` is largest at an end of a piece."""
+        return max(abs(b + 2.0 * c * r) for s, e, (_, b, c) in self.pieces for r in (s, e))
 
     def flux_lipschitz(self):
-        """Sampled Lipschitz constant of the flux (sup of secant slopes)."""
-        r = np.linspace(0.0, 1.0, 4097)
-        f = self.flux(r)
-        return float(np.max(np.abs(np.diff(f))) / (r[1] - r[0]))
+        """Lipschitz constant of the flux ``rho -> rho*v(rho)`` on
+        ``[0, 1]``, its exact maximal slope."""
+        return _peak_slope(self, 0.0, 1.0)[0]
 
     @cached_property
     def failed_conditions(self):
@@ -124,18 +119,9 @@ class Greenshields(SpeedLaw):
     def v_max(self):
         return self.vmax
 
-    def lipschitz(self):
-        return self.vmax
-
     @property
     def pieces(self):
         return ((0.0, 1.0, (self.vmax, -self.vmax, 0.0)),)
-
-    def flux_slope(self, rho):
-        return self.vmax * (1.0 - 2.0 * np.asarray(rho, dtype=float))
-
-    def flux_lipschitz(self):
-        return self.vmax
 
 
 @dataclass(frozen=True)
@@ -165,22 +151,15 @@ class EpsilonLaw(SpeedLaw):
         # interior maximum at rho = (eps - 1) / (2 eps)
         return (1.0 + self.eps) ** 2 / (4.0 * self.eps)
 
-    def lipschitz(self):
-        # v' = eps - 2*eps*rho - 1 is linear; extrema at the endpoints.
-        return 1.0 + abs(self.eps)
-
     @property
     def pieces(self):
         return ((0.0, 1.0, (1.0, self.eps - 1.0, -self.eps)),)
 
-    def flux_slope(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return 1.0 + 2.0 * (self.eps - 1.0) * rho - 3.0 * self.eps * rho * rho
-
 
 class TabulatedLaw(SpeedLaw):
     """Speed law given by samples on a uniform density grid over [0, 1],
-    evaluated by linear interpolation."""
+    evaluated by linear interpolation: one linear piece per pair of
+    neighbouring knots."""
 
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
@@ -193,6 +172,11 @@ class TabulatedLaw(SpeedLaw):
         self._values = values
         self._values.setflags(write=False)
         self._grid = np.linspace(0.0, 1.0, values.size)
+        rho, v = self._grid.tolist(), values.tolist()
+        slopes = [(v1 - v0) / (r1 - r0) for r0, r1, v0, v1 in zip(rho, rho[1:], v, v[1:])]
+        self._pieces = tuple(
+            (r0, r1, (v0 - b * r0, b, 0.0)) for r0, r1, v0, b in zip(rho, rho[1:], v, slopes)
+        )
 
     @property
     def values(self):
@@ -205,22 +189,86 @@ class TabulatedLaw(SpeedLaw):
     def v_max(self):
         return float(np.max(self._values))
 
-    def lipschitz(self):
-        dr = self._grid[1] - self._grid[0]
-        return float(np.max(np.abs(np.diff(self._values))) / dr)
-
     @property
     def pieces(self):
-        """One linear piece per pair of neighbouring knots."""
-        rho, v = self._grid.tolist(), self._values.tolist()
-        pieces = []
-        for r0, r1, v0, v1 in zip(rho, rho[1:], v, v[1:]):
-            b = (v1 - v0) / (r1 - r0)
-            pieces.append((r0, r1, (v0 - b * r0, b, 0.0)))
-        return tuple(pieces)
+        return self._pieces
 
     def __repr__(self):
         return f"TabulatedLaw(n={self._values.size}, v_max={self.v_max})"
+
+
+# ---------------------------------------------------------------------------
+# Calculus of a law's pieces
+# ---------------------------------------------------------------------------
+
+def _flux_slope(law, rho, side):
+    """``f'(rho)`` from ``law.pieces``, vectorised.  At a knot, ``side``
+    picks the piece as :func:`numpy.searchsorted` does among the piece
+    starts: ``"right"`` the piece that starts there, ``"left"`` the one
+    that ends there (the first piece at 0 and the last at 1 either way)."""
+    rho = np.asarray(rho, dtype=float)
+    pieces = law.pieces
+    starts = np.array([start for start, _, _ in pieces])
+    i = np.clip(np.searchsorted(starts, rho, side) - 1, 0, len(pieces) - 1)
+    a, b, c = np.array([coefs for _, _, coefs in pieces]).T[:, i]
+    return a + 2.0 * b * rho + 3.0 * c * rho * rho
+
+
+def _cubic_roots(c, k, b, s, e):
+    """The roots in ``[s, e]`` of ``c**2 r**3 - 3 c k r - b k``, by
+    bisection on either side of its turning point ``r**2 = k / c``: no
+    coefficient is divided by ``c``, so none overflows."""
+
+    def cubic(r):
+        cr = c * r
+        return cr * cr * r - 3.0 * k * cr - b * k
+
+    turn = min(max(math.sqrt(k / c), s), e) if k / c > 0.0 else e
+    roots = []
+    for left, right in ((s, turn), (turn, e)):
+        negative = cubic(left) < 0.0
+        if negative == (cubic(right) < 0.0):
+            continue
+        for _ in range(60):
+            mid = 0.5 * (left + right)
+            left, right = (mid, right) if (cubic(mid) < 0.0) == negative else (left, mid)
+        roots.append(left)
+    return roots
+
+
+def _peak_slope(law, lo, hi, w=None):
+    """``max |d (rho V) / d rho|`` over ``[lo, hi]`` from the law's
+    :attr:`~SpeedLaw.pieces`, and ``|V - v|`` at ``lo`` and at ``hi``:
+    ``V`` is the law's speed ``v``, or for a probe at speed ``w >= 0`` the
+    blend ``H = 2 w v / (w + v)`` in closed form.
+
+    On a piece ``v = a + b rho + c rho**2``.  The law's ``f'`` peaks at an
+    end or at its vertex ``-b / (3 c)``.  The probe's
+    ``g' = H + rho v' dH/dv``, with ``dH/dv = 2 (w / (w + v))**2``, peaks
+    at an end or at a root of ``g''``, whose sign is that of
+    ``-(c**2 rho**3 - 3 c (w + a) rho - b (w + a))``: no root on a linear
+    piece.  Each piece's ends use its own coefficients, so a knot is read
+    from both sides.
+    """
+    slopes, moved = [], []
+    for start, end, (a, b, c) in law.pieces:
+        s, e = max(start, lo), min(end, hi)
+        if s > e:
+            continue
+        if c == 0.0 or w == 0.0:  # H(0, v) = 0 at every density
+            inner = []
+        elif w is None:
+            inner = [-b / (3.0 * c)]
+        else:
+            inner = _cubic_roots(c, w + a, b, s, e)
+        for r in (s, *inner, e):
+            r = min(max(r, s), e)
+            v = a + r * (b + c * r)
+            ratio = w / (w + v) if w else 0.0
+            H, dH = (v, 1.0) if w is None else (2.0 * v * ratio, 2.0 * ratio * ratio)
+            slopes.append(abs(H + r * (b + 2.0 * c * r) * dH))
+            moved.append(abs(H - v))
+    return float(np.max(slopes)), moved[0], moved[-1]  # np.max keeps a NaN
 
 
 # ---------------------------------------------------------------------------

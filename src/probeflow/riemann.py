@@ -4,8 +4,8 @@ For ``rho_t + f(rho)_x = 0`` with strictly concave flux and piecewise
 constant data ``(rho_l, rho_r)``, the entropy solution is self-similar in
 ``xi = x / t``: a shock travelling at the Rankine-Hugoniot speed when
 ``rho_l < rho_r``, a rarefaction fan spanning the characteristic speeds
-``f'(rho_l) < f'(rho_r)`` when ``rho_l > rho_r`` (``f'`` decreases), and
-the constant state otherwise.
+``f'(rho_l-) < f'(rho_r+)`` when ``rho_l > rho_r`` (``f'`` decreases), and
+the constant state otherwise, each read in closed form from the law's pieces.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_not_nan
-
-#: Bisection tolerance (in density) when inverting f' inside a fan.
-_INVERT_TOL = 1e-12
+from .model import _flux_slope
 
 
 @dataclass(frozen=True)
@@ -26,9 +24,10 @@ class RiemannSolution:
 
     ``kind`` is ``"constant"``, ``"shock"`` or ``"rarefaction"``.  A shock
     carries its ``speed``; a rarefaction its edge speeds
-    ``fan = (f'(rho_l), f'(rho_r))``, lower first: ``rho_l > rho_r`` and
-    ``f'`` decreases, so the fan's tail ``f'(rho_l)`` is slower than its
-    head ``f'(rho_r)``.
+    ``fan = (f'(rho_l-), f'(rho_r+))``, lower first: the one-sided slopes
+    from inside ``[rho_r, rho_l]``, which differ from the other side's at
+    a knot where ``f'`` jumps.  ``rho_l > rho_r`` and ``f'`` decreases, so
+    the fan's tail ``f'(rho_l-)`` is slower than its head ``f'(rho_r+)``.
     """
 
     law: object
@@ -59,7 +58,7 @@ class RiemannSolution:
             out[right] = self.rho_r
             inside = ~(left | right)
             if np.any(inside):
-                out[inside] = _invert_slope(self.law, xi[inside], self.rho_r, self.rho_l)
+                out[inside] = _invert_slope(self.law, xi[inside])
         if out.ndim == 0:
             return float(out)
         return out
@@ -94,8 +93,8 @@ def solve_riemann(law, rho_l, rho_r):
         return RiemannSolution(
             law=law, rho_l=rho_l, rho_r=rho_r, kind="shock", speed=float(speed)
         )
-    tail = float(law.flux_slope(rho_l))
-    head = float(law.flux_slope(rho_r))
+    tail = float(_flux_slope(law, rho_l, "left"))
+    head = float(_flux_slope(law, rho_r, "right"))
     return RiemannSolution(
         law=law, rho_l=rho_l, rho_r=rho_r, kind="rarefaction", fan=(tail, head)
     )
@@ -107,20 +106,23 @@ def sample_solution(solution, xi):
     return solution.sample(xi)
 
 
-def _invert_slope(law, xi, lo, hi):
-    """Solve ``f'(rho) = xi`` for ``rho`` in [lo, hi] by bisection.
+def _invert_slope(law, xi):
+    """The density whose flux slope is ``xi``, from the law's pieces.
 
-    ``f'`` is strictly decreasing (concave flux), so on each bracket the
-    root is unique; ``lo < hi`` in density means slopes ``f'(lo) > f'(hi)``.
+    ``f'`` decreases, so ``xi`` falls on the first piece whose slope at its
+    end reaches down to it; above the slope at the piece's start it lies
+    in the gap of the kink there, and the knot is the density.  On a piece
+    ``f' = a + 2 b rho + 3 c rho**2``, so a linear piece gives
+    ``(xi - a) / 2b`` and a quadratic one the stable root where ``f'' < 0``.
     """
-    xi = np.asarray(xi, dtype=float)
-    a = np.full(xi.shape, lo)
-    b = np.full(xi.shape, hi)
-    # invariant: f'(a) >= xi >= f'(b)
-    while np.max(b - a) > _INVERT_TOL:
-        mid = 0.5 * (a + b)
-        slope = law.flux_slope(mid)
-        take_left = slope >= xi
-        a = np.where(take_left, mid, a)
-        b = np.where(take_left, b, mid)
-    return 0.5 * (a + b)
+    start, end, coefs = (np.array(column) for column in zip(*law.pieces))
+    i = np.minimum(np.searchsorted(-_flux_slope(law, end, "left"), -xi), len(start) - 1)
+    a, b, c = coefs[i].T
+    d = a - xi
+    # np.where keeps one value of each pair; the other may divide by 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        half_root = np.sqrt(np.maximum(b * b - 3.0 * c * d, 0.0))
+        quadratic = np.where(b < 0.0, d / (half_root - b), -(b + half_root) / (3.0 * c))
+        root = np.where(c == 0.0, (xi - a) / (2.0 * b), quadratic)
+    start, end = start[i], end[i]
+    return np.where(xi > _flux_slope(law, start, "right"), start, np.clip(root, start, end))

@@ -36,9 +36,6 @@ class PlainLaw(SpeedLaw):  # eq=True without frozen sets __hash__ = None
     def v_max(self):
         return self.vmax
 
-    def lipschitz(self):
-        return self.vmax
-
     @property
     def pieces(self):
         return ((0.0, 1.0, (self.vmax, -self.vmax, 0.0)),)

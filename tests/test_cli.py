@@ -249,6 +249,22 @@ class TestRunCommand:
         assert err.startswith("error:") and "malformed scenario data" in err
         assert not (tmp_path / "x").exists()
 
+    def test_speed_left_at_full_density_exits_2(self, tmp_path, capsys):
+        # a full road under v = 1 - rho / 2 next to a probe at speed 0.2:
+        # rejected before the run, not as a CFL violation at its first step
+        data = get_scenario("riemann_phi").to_dict()
+        data["law"] = {"kind": "tabulated", "values": [1.0, 0.5]}
+        data["datum"] = {"xs": [], "values": [1.0]}
+        data["probes"][0].update(x0=0.5, observer=False)
+        data["probes"][0]["program"][0]["speed"] = 0.2
+        scenario_file = tmp_path / "scenario.json"
+        scenario_file.write_text(json.dumps(data))
+        assert main(["run", str(scenario_file), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "speed law must vanish at full density, got v(1) = 0.5" in err
+        assert "CFL violation" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_non_finite_flux_slope_exits_3(self, tmp_path, capsys):
         # 2 w v overflows in the harmonic mean near the coupled probe: the
         # CFL bound must say so, not let the update fail as a CFL violation

@@ -80,13 +80,6 @@ class TestEpsilonLaw:
         law = EpsilonLaw(1.0 / 3.0)
         assert law(1.0 / 8.0) == pytest.approx(175.0 / 192.0, abs=1e-15)
 
-    def test_flux_slope_matches_finite_differences(self):
-        law = EpsilonLaw(0.2)
-        rho = np.linspace(0.01, 0.99, 23)
-        h = 1e-6
-        fd = (law.flux(rho + h) - law.flux(rho - h)) / (2.0 * h)
-        assert np.max(np.abs(law.flux_slope(rho) - fd)) < 1e-8
-
     def test_lipschitz_value(self):
         assert EpsilonLaw(-0.25).lipschitz() == 1.25
 
@@ -113,6 +106,11 @@ class TestTabulatedLaw:
         assert law.v_max == 1.0
         assert law.lipschitz() == pytest.approx(1.0)
 
+    def test_pieces_are_built_once(self):
+        law = TabulatedLaw([1.0, 0.9375, 0.8125, 0.5625, 0.0])
+        assert law.pieces is law.pieces
+        assert law.pieces[1] == (0.25, 0.5, (1.0625, -0.5, 0.0))
+
     def test_rejects_bad_tables(self):
         with pytest.raises(DomainError):
             TabulatedLaw([1.0])
@@ -122,6 +120,47 @@ class TestTabulatedLaw:
             TabulatedLaw([1.0, math.nan, 0.0])
         with pytest.raises(DomainError):
             TabulatedLaw([1.0, math.inf, 0.0])
+
+
+class TestDerivedCalculus:
+    """``flux_slope``, ``lipschitz`` and ``flux_lipschitz`` are read from
+    a law's pieces, once for every law."""
+
+    @pytest.mark.parametrize(
+        "law",
+        [Greenshields(1.3), EpsilonLaw(0.2), TabulatedLaw([1.0, 0.9375, 0.8125, 0.5625, 0.0])],
+        ids=["greenshields", "epsilon", "table"],
+    )
+    def test_flux_slope_matches_finite_differences(self, law):
+        rho = np.linspace(0.01, 0.99, 22)  # off the table's knots at k/4
+        h = 1e-6
+        fd = (law.flux(rho + h) - law.flux(rho - h)) / (2.0 * h)
+        assert np.max(np.abs(law.flux_slope(rho) - fd)) < 1e-8
+
+    def test_closed_form_slopes_keep_their_bits(self):
+        rho = np.linspace(0.0, 1.0, 1001)
+        assert Greenshields(1.0).flux_slope(rho).tobytes() == (1.0 * (1.0 - 2.0 * rho)).tobytes()
+        for eps in (-1.0 / 3.0, -0.25, 0.0, 0.2, 0.3, 1.0 / 3.0):
+            old = 1.0 + 2.0 * (eps - 1.0) * rho - 3.0 * eps * rho * rho
+            assert EpsilonLaw(eps).flux_slope(rho).tobytes() == old.tobytes(), eps
+
+    def test_a_knot_is_read_from_the_piece_that_starts_there(self):
+        law = TabulatedLaw([1.0, 0.8, 0.5, 0.0])
+        # f' = 1 - 1.2 rho below the knot 1/3 and 1.1 - 1.8 rho above it
+        assert law.flux_slope(1.0 / 3.0) == pytest.approx(0.5, abs=1e-15)
+        assert law.flux_slope(0.0) == 1.0
+        assert law.flux_slope(1.0) == pytest.approx(-1.5, abs=1e-15)
+
+    def test_bounds_are_exact(self):
+        assert Greenshields(1.3).lipschitz() == Greenshields(1.3).flux_lipschitz() == 1.3
+        # v' = -1 - eps (1 - 2 rho) and f' = 1 - 2 (1 - eps) rho - 3 eps rho**2
+        assert EpsilonLaw(0.2).lipschitz() == pytest.approx(1.2, abs=1e-15)
+        assert EpsilonLaw(0.2).flux_lipschitz() == pytest.approx(1.2, abs=1e-15)
+        assert EpsilonLaw(-0.25).flux_lipschitz() == 1.0
+        # the steep table's flux is steepest at its first knot, between samples
+        steep = TabulatedLaw([0.513, 1.523, 1.425, 1.101, 1.252, 0.883, 0.486, 0.442])
+        assert steep.flux_lipschitz() == pytest.approx(2.533, abs=1e-12)
+        assert steep.lipschitz() == pytest.approx(7.07, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         "fig_int3_tabulated",
         "oracle_7",
         "oracle_31",
+        "riemann_7",
     ]
-    assert script.run_case_names() == script.case_names()[:-2]
+    assert script.run_case_names() == script.case_names()[:-3]
     scenario, overrides = script.load_case("fig_questa")
     assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
     # both probes ramp their speeds, and the run crosses the ramp on [4.75, 5.25]
@@ -111,8 +112,9 @@ def test_unknown_case_exits_2(capsys):
     assert _load_script().main(["no_such_case"]) == 2
     assert "unknown case" in capsys.readouterr().err
     assert _load_script().main(["--bundle", "no_such_case"]) == 2
-    # front tracking exports no files
+    # front tracking and Riemann solutions export no files
     assert _load_script().main(["--bundle", "oracle_7"]) == 2
+    assert _load_script().main(["--bundle", "riemann_7"]) == 2
 
 
 def test_oracle_digest_from_the_command_line():
@@ -127,6 +129,42 @@ def test_oracle_digest_from_the_command_line():
     solution = script.track_oracle("oracle_31")
     assert len(solution.collisions) > 1000
     assert out == ["oracle_31", script.oracle_digest(solution)]
+
+
+def test_riemann_digest_from_the_command_line():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "riemann_7"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    script = _load_script()
+    solutions = script.solve_riemanns("riemann_7")
+    assert out == ["riemann_7", script.riemann_digest(solutions, script._workloads().Oracle.XI)]
+    # every jump of the 51-state datum, then four jumps under each other law
+    assert len(solutions) == 50 + 4 * 2
+    assert {s.kind for s in solutions[:50]} == {"shock", "rarefaction"}
+    assert [s.law for s in solutions[50:]] == [law for law in script.RIEMANN_LAWS for _ in range(4)]
+
+
+def test_riemann_digest_sees_every_edge_and_sample():
+    script = _load_script()
+    solutions = script.solve_riemanns("riemann_7")[-4:]  # under the table
+    xi = np.linspace(-1.1, 1.1, 41)
+    base = script.riemann_digest(solutions, xi)
+    fan, shock = solutions[1], solutions[3]
+    assert (fan.kind, shock.kind) == ("rarefaction", "shock")
+    lo, hi = fan.fan
+    changed = [
+        replace(fan, fan=(np.nextafter(lo, -2.0), hi)),
+        replace(fan, fan=(lo, np.nextafter(hi, 2.0))),
+        replace(fan, rho_r=np.nextafter(fan.rho_r, 1.0)),  # moves the samples only
+    ]
+    for solution in changed:
+        assert script.riemann_digest([solutions[0], solution, *solutions[2:]], xi) != base
+    nudged = replace(shock, speed=np.nextafter(shock.speed, 2.0))
+    assert script.riemann_digest([*solutions[:3], nudged], xi) != base
 
 
 class _Solution:

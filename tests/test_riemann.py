@@ -5,6 +5,7 @@ form speed 1/2 + 19*eps/64, used here as a frozen reference.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from probeflow import (
     DomainError,
     EpsilonLaw,
     Greenshields,
+    TabulatedLaw,
     sample_solution,
     solve_riemann,
 )
 from probeflow import model
+from probeflow.riemann import _invert_slope
 
 eps_values = st.floats(min_value=-1.0 / 3.0, max_value=1.0 / 3.0, allow_nan=False)
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -104,6 +107,50 @@ class TestRarefaction:
         assert lo == pytest.approx(float(law.flux_slope(rho_l)))
         assert hi == pytest.approx(float(law.flux_slope(rho_r)))
         assert lo < hi
+
+
+class TestPiecewiseFans:
+    """Fans under laws with knots, where ``f'`` jumps."""
+
+    def test_tabulated_fan_edges_are_exact(self):
+        # f' = 1 - 2 rho on both pieces, -1 at full density and 1 at 0
+        assert solve_riemann(TabulatedLaw([1, 0.5, 0]), 1, 0).fan == (-1.0, 1.0)
+
+    def test_fan_edges_are_the_slopes_inside_the_jump(self):
+        # f' = 1.0625 - rho on [1/4, 1/2] and 1.3125 - 2 rho on [1/2, 3/4];
+        # outside [1/4, 3/4] the slopes are 0.875 at 1/4 and -1.125 at 3/4
+        law = TabulatedLaw([1.0, 0.9375, 0.8125, 0.5625, 0.0])
+        assert solve_riemann(law, 0.75, 0.25).fan == (-0.1875, 0.8125)
+
+    def test_a_knot_fills_its_slope_gap(self):
+        # f' = 1 - 1.2 rho below the knot 1/3 and 1.1 - 1.8 rho above it,
+        # so it drops from 0.6 to 0.5 there; at 2/3 it drops from -0.1 to -0.5
+        law = TabulatedLaw([1.0, 0.8, 0.5, 0.0])
+        knots = np.linspace(0.0, 1.0, 4)
+        sol = solve_riemann(law, 1.0, 0.0)
+        assert np.all(sol.sample(np.linspace(0.5, 0.6, 11)[1:-1]) == knots[1])
+        assert np.all(sol.sample(np.linspace(-0.5, -0.1, 11)[1:-1]) == knots[2])
+        # each piece between the gaps inverts its own slope
+        assert sol.sample(0.8) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert sol.sample(0.2) == pytest.approx(0.5, abs=1e-15)
+        assert sol.sample(-1.0) == pytest.approx(5.0 / 6.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Greenshields(1.0),
+            EpsilonLaw(0.2),
+            EpsilonLaw(-1.0 / 3.0),
+            # a quadratic piece with b >= 0: f' = 1 + rho - 4.5 rho**2 on [0.2, 1]
+            SimpleNamespace(pieces=((0.2, 1.0, (1.0, 0.5, -1.5)),)),
+        ],
+        ids=["linear", "quadratic", "quadratic-steep", "quadratic-rising-speed"],
+    )
+    def test_closed_form_inverse_solves_for_the_slope(self, law):
+        (start, end, (a, b, c)), *_ = law.pieces
+        rho = np.linspace(start, end, 101)
+        xi = a + 2.0 * b * rho + 3.0 * c * rho * rho
+        np.testing.assert_allclose(_invert_slope(law, xi), rho, rtol=0.0, atol=1e-14)
 
 
 class TestConstant:

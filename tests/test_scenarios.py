@@ -18,6 +18,7 @@ from probeflow import (
     PiecewiseConstant,
     ProbeTrajectory,
     Scenario,
+    TabulatedLaw,
     get_scenario,
     lipschitz_constants,
     run,
@@ -188,6 +189,20 @@ class TestValidation:
         scenario = get_scenario("calibration").with_overrides(**overrides)
         assert scenario.probes
         assert [(f.level, f.message) for f in scenario.validate()] == [("error", message)]
+
+    def test_speed_left_at_full_density_is_the_runs_error(self):
+        # under v = 1 - rho / 2 a full road still flows: next to a probe at
+        # speed 0.2 the first update left [0, 1], a StabilityError mid-run
+        scenario = toy_scenario(
+            law=TabulatedLaw([1.0, 0.5]),
+            datum=PiecewiseConstant([], [1.0]),
+            probes=(ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 0.2),)),),
+        )
+        message = "speed law must vanish at full density, got v(1) = 0.5"
+        assert [(f.level, f.message) for f in scenario.validate()] == [("error", message)]
+        with pytest.raises(DomainError) as raised:
+            run(scenario.flux_model(), scenario.grid(), scenario.datum, scenario.t_end)
+        assert str(raised.value) == message
 
     def test_bad_trace_side_is_one_error(self):
         messages = [f.message for f in toy_scenario(trace_side="middle").errors()]
