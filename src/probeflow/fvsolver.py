@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, StabilityError, require_finite, require_index
-from .model import _peak_slope, check_states, eval_flux
+from .model import _max_keeping_nan, _peak_slope, check_states, eval_flux
 
 #: Default CFL safety factor.
 CFL_DEFAULT = 0.9
@@ -232,7 +232,7 @@ def _vertex_slope(law, w, i, j):
     slope, moved_lo, moved_hi = _peak_slope(law, lo, hi, w)
     shift_lo = moved_lo if lo > 0.0 else 0.0
     shift_hi = hi * moved_hi / (1.0 - hi) if hi < 1.0 else 0.0
-    return float(np.max([slope, shift_lo, shift_hi])), _peak_slope(law, 0.0, 1.0, w)[0]
+    return _max_keeping_nan((slope, shift_lo, shift_hi)), _peak_slope(law, 0.0, 1.0, w)[0]
 
 
 def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
@@ -267,7 +267,11 @@ def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
 
     The law's slopes are kept per ``(law, range)`` and each probe's bound
     per ``(law, speed, range)``, the :data:`_VERTEX_MEMO_SIZE` most
-    recently used of each.  A coupled probe at a NaN position is a
+    recently used of each.  A traffic-coupled probe takes a new speed
+    nearly every step, so its bound is mostly a miss; a miss is Python
+    float arithmetic on the law's pieces, with no array built.  Its
+    maxima keep a NaN wherever it stands among their arguments, as
+    :func:`numpy.max` does.  A coupled probe at a NaN position is a
     :class:`DomainError`; a non-finite slope raises
     :class:`StabilityError` on every call.
     """
@@ -334,16 +338,16 @@ def _lxf_update(grid, rho, F, dt, t, out, scratch):
     Returns ``out`` holding the new field, and its minimum and maximum.
     Raises :class:`StabilityError` (naming ``t`` unless it is ``None``) if
     the update leaves ``[0, 1]`` beyond tolerance or holds a NaN; values
-    within tolerance are clamped.
+    within tolerance are clamped.  The caller ignores overflow and invalid
+    operations (``np.errstate``): the range check catches them.
     """
     lam = dt / grid.dx
     # new = 0.5 * (rho[:-2] + rho[2:]) - (0.5 * lam) * (F[2:] - F[:-2])
-    with np.errstate(over="ignore", invalid="ignore"):  # the range check below catches it
-        new = np.add(rho[:-2], rho[2:], out=out)
-        new *= 0.5
-        np.subtract(F[2:], F[:-2], out=scratch)
-        scratch *= 0.5 * lam
-        new -= scratch
+    new = np.add(rho[:-2], rho[2:], out=out)
+    new *= 0.5
+    np.subtract(F[2:], F[:-2], out=scratch)
+    scratch *= 0.5 * lam
+    new -= scratch
     lo = float(new.min())
     hi = float(new.max())
     if not (lo >= -BOUND_TOL and hi <= 1.0 + BOUND_TOL):
@@ -369,7 +373,9 @@ def lxf_step(model, grid, states, field, dt):
     """
     rho = _ghost_buffer(field)
     F = _ghosted_flux(model, grid, states, rho)
-    return _lxf_update(grid, rho, F, dt, None, np.empty(grid.n_cells), np.empty(grid.n_cells))[0]
+    n = grid.n_cells
+    with np.errstate(over="ignore", invalid="ignore"):  # the range check catches it
+        return _lxf_update(grid, rho, F, dt, None, np.empty(n), np.empty(n))[0]
 
 
 def boundary_flux_rates(model, grid, states, field):
@@ -535,7 +541,11 @@ def run(model, grid, datum, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAUL
     check; they are also the range the next step's :func:`cfl_dt` reads.
     A run allocates its arrays once: two ghosted buffers take turns
     holding the field in their interior, the update writing the next
-    field into the other one, and every snapshot is a copy.
+    field into the other one, and every snapshot is a copy.  The step
+    loop ignores floating-point overflow and invalid operations under
+    one ``np.errstate``, entered once per run: a NaN or infinity they
+    make reaches the update, whose range check raises
+    :class:`StabilityError`.
     """
     snap_times, boundaries = check_run(model, grid, t_end, n_snapshots, cfl)
     rho, spare = np.empty(grid.n_cells + 2), np.empty(grid.n_cells + 2)
@@ -555,34 +565,35 @@ def run(model, grid, datum, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAUL
     t = 0.0
     snap_idx = 1
     b_idx = 0  # boundaries[b_idx] is the first boundary beyond t + TIME_TOL
-    while t < t_end - TIME_TOL:
-        if n_steps >= MAX_STEPS:
-            raise StabilityError(f"exceeded {MAX_STEPS=} steps at t={t}")
-        states = tuple((positions[i], speeds[i]) for i in coupled)
-        dt = cfl_dt(model, grid, states, (lo, hi), cfl)
-        while b_idx < len(boundaries) and boundaries[b_idx] <= t + TIME_TOL:
-            b_idx += 1
-        b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
-        if dt >= b_next - t - TIME_TOL:
-            dt = b_next - t
-            t_new = b_next
-        else:
-            t_new = t + dt
-        F = _ghosted_flux(model, grid, states, rho)
-        rate_in, rate_out = _edge_rates(F)
-        field, lo, hi = _lxf_update(grid, rho, F, dt, t, spare[1:-1], scratch)
-        rho, spare = spare, rho
-        for path, p, w, trace in zip(paths, positions, speeds, traces):
-            path.frombytes(_PATH_ROW(t, p, w, trace))
-        positions = advance_probes(model, positions, speeds, dt, t_new)
-        t = t_new
-        speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
-        mass = float(field.sum()) * grid.dx
-        n_steps += 1
-        log.frombytes(_LOG_ROW(n_steps, t, dt, mass, lo, hi, rate_in, rate_out))
-        if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= TIME_TOL:
-            snapshots.append((float(snap_times[snap_idx]), field.copy()))
-            snap_idx += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - TIME_TOL:
+            if n_steps >= MAX_STEPS:
+                raise StabilityError(f"exceeded {MAX_STEPS=} steps at t={t}")
+            states = tuple((positions[i], speeds[i]) for i in coupled)
+            dt = cfl_dt(model, grid, states, (lo, hi), cfl)
+            while b_idx < len(boundaries) and boundaries[b_idx] <= t + TIME_TOL:
+                b_idx += 1
+            b_next = boundaries[b_idx] if b_idx < len(boundaries) else t_end
+            if dt >= b_next - t - TIME_TOL:
+                dt = b_next - t
+                t_new = b_next
+            else:
+                t_new = t + dt
+            F = _ghosted_flux(model, grid, states, rho)
+            rate_in, rate_out = _edge_rates(F)
+            field, lo, hi = _lxf_update(grid, rho, F, dt, t, spare[1:-1], scratch)
+            rho, spare = spare, rho
+            for path, p, w, trace in zip(paths, positions, speeds, traces):
+                path.frombytes(_PATH_ROW(t, p, w, trace))
+            positions = advance_probes(model, positions, speeds, dt, t_new)
+            t = t_new
+            speeds, traces = resolve_probe_speeds(model, grid, t, field, positions)
+            mass = float(field.sum()) * grid.dx
+            n_steps += 1
+            log.frombytes(_LOG_ROW(n_steps, t, dt, mass, lo, hi, rate_in, rate_out))
+            if snap_idx < len(snap_times) and abs(t - snap_times[snap_idx]) <= TIME_TOL:
+                snapshots.append((float(snap_times[snap_idx]), field.copy()))
+                snap_idx += 1
     if len(snapshots) != len(snap_times):
         raise StabilityError(
             f"missed snapshot times: recorded {len(snapshots)} of {len(snap_times)}"

@@ -85,7 +85,10 @@ class SpeedLaw(ABC):
 
     def lipschitz(self):
         """Lipschitz constant of ``v`` on ``[0, 1]``: ``|v'| = |b + 2 c
-        rho|`` is largest at an end of a piece."""
+        rho|`` is largest at an end of a piece.  It is read from the
+        piece coefficients as rounded to float64, so it may differ from
+        the closed form in the last place: ``EpsilonLaw(0.3)`` gives
+        ``|(0.3 - 1.0) + 2 (-0.3)| = 1.2999999999999998``, not 1.3."""
         return max(abs(b + 2.0 * c * r) for s, e, (_, b, c) in self.pieces for r in (s, e))
 
     def flux_lipschitz(self):
@@ -268,7 +271,16 @@ def _peak_slope(law, lo, hi, w=None):
             H, dH = (v, 1.0) if w is None else (2.0 * v * ratio, 2.0 * ratio * ratio)
             slopes.append(abs(H + r * (b + 2.0 * c * r) * dH))
             moved.append(abs(H - v))
-    return float(np.max(slopes)), moved[0], moved[-1]  # np.max keeps a NaN
+    return _max_keeping_nan(slopes), moved[0], moved[-1]
+
+
+def _max_keeping_nan(values):
+    """The largest of a few floats, or NaN if any of them is NaN, as
+    :func:`numpy.max` gives it without building an array.  Python's
+    ``max`` alone keeps or drops a NaN depending on where it stands."""
+    if any(value != value for value in values):
+        return math.nan
+    return float(max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +309,8 @@ class CutoffProfile:
 
     def __call__(self, xi):
         a = np.abs(np.asarray(xi, dtype=float))
-        s = np.clip((a - self.inner) / (self.outer - self.inner), 0.0, 1.0)
+        # np.clip's bits, NaN included, without its Python dispatch
+        s = np.minimum(np.maximum((a - self.inner) / (self.outer - self.inner), 0.0), 1.0)
         return 1.0 - s * s * (3.0 - 2.0 * s)
 
     def derivative(self, xi):
@@ -675,18 +688,33 @@ def _stacked_weights(model, states, x, windows):
     ``|x - p_i| < outer``: ``chi`` is exactly 0 elsewhere, so a skipped
     point only loses a ``+0`` and ``total`` is bit-for-bit the one summed
     over the whole of ``x``.
+
+    ``total`` is ``None`` when the windows are given, contiguous and
+    disjoint (one ending where the next starts counts as disjoint) and no
+    position is NaN: every point then holds at most one weight, so its
+    sum is ``0.0 + chi == chi`` and no sum needs computing.  ``None``
+    windows, overlapping ones and a NaN position (whose window covers
+    every point) get ``total``.
     """
+    disjoint = windows is not None
     if windows is None:
         windows = (slice(None),) * len(states)
     elif len(windows) != len(states):
         raise DomainError(f"{len(windows)} windows for {len(states)} probe states")
     rows = [range(x.size)[win] for win in windows]
+    if disjoint:
+        spans = sorted((r.start, r.stop) for r in rows if r)
+        disjoint = (
+            all(r.step == 1 for r in rows)
+            and all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
+            and not any(p != p for p, _ in states)
+        )
     idx = np.concatenate([np.arange(r.start, r.stop, r.step) for r in rows] or [np.arange(0)])
     counts = [len(r) for r in rows]
     positions = np.repeat(np.array([p for p, _ in states], dtype=float), counts)
     chi = model.cutoff(x[idx] - positions)
     # bincount adds in the order of idx: probe order at every point
-    total = np.bincount(idx, weights=chi, minlength=x.size)
+    total = None if disjoint else np.bincount(idx, weights=chi, minlength=x.size)
     return idx, counts, chi, total
 
 
@@ -717,6 +745,12 @@ def _blended_speed(model, states, x, rho, windows=None):
     concatenated windows, and one unbuffered ``np.add.at``, which adds in
     index order, so each point receives its probes' terms in probe order,
     as a loop over the probes would add them.
+
+    Disjoint windows (``total`` is ``None``) skip the normaliser and the
+    ``np.add.at``, bit for bit: a point's one weight is its own sum and
+    at most 1, so ``chi / max(chi, 1.0) == chi`` exactly, and on indices
+    that are all distinct ``out[idx] += term`` is the same one add per
+    point.
     """
     check_states(model, states)
     x = np.asarray(x, dtype=float)
@@ -736,8 +770,11 @@ def _blended_speed(model, states, x, rho, windows=None):
         idx, counts, chi, total = _stacked_weights(model, states, x, windows)
         vw = v[idx]
         speeds = np.repeat(np.array([pdot for _, pdot in states], dtype=float), counts)
-        term = (chi / np.maximum(total[idx], 1.0)) * (harmonic_speed(speeds, vw) - vw)
-        np.add.at(out, idx, term)
+        moved = harmonic_speed(speeds, vw) - vw
+        if total is None:
+            out[idx] += chi * moved
+        else:
+            np.add.at(out, idx, (chi / np.maximum(total[idx], 1.0)) * moved)
     return out
 
 
@@ -832,7 +869,8 @@ def check_admissible(law):
 
     Checks, each reported with its worst violation magnitude:
 
-    * ``v(1) = 0``;
+    * ``v(1) = 0`` exactly, as :func:`~probeflow.fvsolver.check_run`
+      requires;
     * ``v`` non-increasing on a sampled grid (tolerance 1e-12);
     * ``0 <= v <= v_max``;
     * strict concavity of the flux ``rho*v(rho)`` on the closed interval,
@@ -848,7 +886,7 @@ def check_admissible(law):
     conditions = []
 
     viol = abs(float(v[-1]))
-    conditions.append(ConditionCheck("speed_vanishes_at_full_density", viol <= 1e-12, viol))
+    conditions.append(ConditionCheck("speed_vanishes_at_full_density", viol == 0.0, viol))
 
     increase = float(np.max(np.diff(v), initial=-np.inf))
     viol = max(0.0, increase)

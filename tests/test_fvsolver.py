@@ -1,10 +1,12 @@
 """Finite-volume machinery: grids, cell averages, CFL steps, full runs."""
 
+import collections
 import copy
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from probeflow import (
     ModelCoupled,
     PiecewiseConstant,
     ProbeTrajectory,
+    SpeedLaw,
     StabilityError,
     TabulatedLaw,
     advance_probes,
@@ -359,6 +362,25 @@ class TestLxfStep:
         with np.errstate(all="ignore"), pytest.raises(StabilityError, match="update left"):
             lxf_step(model, grid, ((0.5, 8e307),), field, 0.5 * grid.dx)
 
+    @pytest.mark.parametrize("dx", [0.125, 0.0625])
+    def test_the_update_warns_of_nothing_its_range_check_catches(self, dx):
+        # the datum above: the blend's overflow still warns, from the
+        # model; the update's own inf - inf (on the finer grid, where two
+        # cells two apart carry an infinite flux) does not, and the error
+        # state is left as it was found
+        grid = Grid.from_extent(0.0, 1.0, dx)
+        probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+        model = FluxModel(speed_law=Greenshields(2.0), probes=(probe,))
+        field = np.full(grid.n_cells, 0.3)
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StabilityError, match="update left"):
+                lxf_step(model, grid, ((0.5, 8e307),), field, 0.5 * grid.dx)
+        assert np.geterr() == before
+        assert [w.filename for w in caught if w.category is RuntimeWarning]
+        assert not [w for w in caught if w.filename == fvsolver.__file__]
+
     def test_mass_change_matches_boundary_rates(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
         model = FluxModel(speed_law=Greenshields(1.0))
@@ -412,6 +434,27 @@ class TestRun:
     @staticmethod
     def _bump_datum():
         return PiecewiseConstant.from_blocks(0.2, [(0.4, 0.6, 0.6)])
+
+    @pytest.mark.parametrize("dx", [0.125, 0.0625])
+    def test_an_overflowing_blend_raises_without_a_warning(self, dx, monkeypatch):
+        # the datum of TestLxfStep.test_nan_from_the_update_raises, its
+        # probe programmed to the overflowing speed
+        grid = Grid.from_extent(0.0, 1.0, dx)
+        probe = ProbeTrajectory(0.5, (ExogenousSpeed(0.0, None, 8e307),))
+        model = FluxModel(speed_law=Greenshields(2.0), probes=(probe,))
+        datum = PiecewiseConstant([], [0.3])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the CFL bound sees the overflow first
+            with pytest.raises(StabilityError, match="slope is not finite"):
+                run(model, grid, datum, 1.0)
+            assert np.geterr() == before
+            # past the bound, the blend overflows and the update holds NaN
+            monkeypatch.setattr(fvsolver, "cfl_dt", lambda *args: 0.5 * grid.dx)
+            with pytest.raises(StabilityError, match="update left"):
+                run(model, grid, datum, 1.0)
+        assert np.geterr() == before
 
     def test_snapshot_cadence_and_diagnostics(self):
         grid = Grid.from_extent(0.0, 1.0, 0.01)
@@ -1025,12 +1068,11 @@ class TestStepLog:
             assert 0.0 < residual <= 1e-13
 
 
+STEP_LOOP_CASES = [_probe_free_case, _calibration_case, _fleet_case, _interior_range_case]
+
+
 class TestStepLoopMatchesReference:
-    @pytest.mark.parametrize(
-        "case",
-        [_probe_free_case, _calibration_case, _fleet_case, _interior_range_case],
-        ids=lambda c: c.__name__,
-    )
+    @pytest.mark.parametrize("case", STEP_LOOP_CASES, ids=lambda c: c.__name__)
     def test_run_is_bitwise_equal_to_the_reference(self, case):
         model, grid, datum, t_end = case()
         result = run(model, grid, datum, t_end, n_snapshots=6)
@@ -1060,6 +1102,32 @@ class TestStepLoopMatchesReference:
         )
         new = lxf_step(model, grid, states, field, dt)
         assert new.tobytes() == reference_lxf_step(model, grid, states, field, dt).tobytes()
+
+    @pytest.mark.parametrize("case", STEP_LOOP_CASES, ids=lambda c: c.__name__)
+    def test_every_step_calls_each_traced_seam_once(self, case, monkeypatch):
+        # the benchmark's spans wrap these module attributes: a step that
+        # routed round one of them would leave its time untraced
+        calls = collections.Counter()
+
+        def counted(name, func):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return counting
+
+        for name in ("cfl_dt", "eval_flux", "resolve_probe_speeds", "advance_probes"):
+            monkeypatch.setattr(fvsolver, name, counted(name, getattr(fvsolver, name)))
+        model, grid, datum, t_end = case()
+        steps = len(run(model, grid, datum, t_end, n_snapshots=6).log)
+        assert steps > 10
+        # the probes' speeds are resolved once more, before the first step
+        assert calls == {
+            "cfl_dt": steps,
+            "eval_flux": steps,
+            "advance_probes": steps,
+            "resolve_probe_speeds": steps + 1,
+        }
 
     def test_one_flux_evaluation_per_step_with_coupled_probes(self, monkeypatch):
         # the CFL bound evaluates no flux: the step's one evaluation is the
@@ -1636,6 +1704,92 @@ def test_one_cutoff_and_one_blend_per_flux_evaluation(n_probes, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Disjoint windows
+# ---------------------------------------------------------------------------
+#
+# Where no two windows share a point, ``_blended_speed`` adds each weighted
+# term straight in and skips the normaliser: bit for bit the normalised
+# ``np.add.at`` below, which is what every other set of windows takes.
+
+
+def _normalised_blend(model, states, x, rho, windows):
+    """The blend with the per-point normaliser and one ``np.add.at``."""
+    idx, counts, chi, _ = _stacked_weights(model, states, x, windows)
+    total = np.bincount(idx, weights=chi, minlength=x.size)
+    v = model.speed_law(rho)
+    vw = v[idx]
+    speeds = np.repeat(np.array([w for _, w in states], dtype=float), counts)
+    out = v + 0.0
+    np.add.at(out, idx, (chi / np.maximum(total[idx], 1.0)) * (harmonic_speed(speeds, vw) - vw))
+    return out
+
+
+@st.composite
+def _disjoint_blends(draw):
+    """1-8 probes on disjoint windows in a shuffled order: some adjacent
+    (one stopping where the next starts), some empty, the first clipped
+    at the left end, the last at the right; probe speeds of 0, of the
+    law's speed at a window point, or anything up to 2."""
+    n = draw(st.integers(1, 8))
+    stop = draw(st.integers(0, 3))
+    spans = []
+    for _ in range(n):
+        start = stop + draw(st.integers(0, 4))
+        stop = start + draw(st.integers(0, 12))
+        spans.append((start, stop))
+    m = max(stop + draw(st.integers(-3, 4)), 4)
+    x = np.linspace(-0.1, 0.02 * m, m)
+    rho = np.array(
+        draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=m, max_size=m))
+    )
+    law = draw(st.sampled_from([Greenshields(1.0), EpsilonLaw(0.25)]))
+    states = []
+    for start, stop in spans:
+        inside = range(m)[start:stop]
+        centre = x[inside[len(inside) // 2]] if inside else draw(st.floats(-1.0, 1.0))
+        p = centre + draw(st.floats(-0.2, 0.2))
+        at_law_speed = float(law(rho[draw(st.sampled_from(inside))])) if inside else 0.5
+        w = draw(st.sampled_from([0.0, at_law_speed]) | st.floats(0.0, 2.0))
+        states.append((p, w))
+    order = draw(st.permutations(range(n)))
+    windows = [slice(*spans[i]) for i in order]
+    states = tuple(states[i] for i in order)
+    probes = tuple(ProbeTrajectory(p, (ExogenousSpeed(0.0, None, w),)) for p, w in states)
+    model = FluxModel(law, cutoff=CutoffProfile(0.05, 0.15), probes=probes)
+    return model, states, x, rho, windows
+
+
+@given(_disjoint_blends())
+def test_disjoint_windows_blend_as_the_normalised_sum(blend):
+    model, states, x, rho, windows = blend
+    assert _stacked_weights(model, states, x, windows)[3] is None
+    got = model_module._blended_speed(model, states, x, rho, windows)
+    assert got.tobytes() == _normalised_blend(model, states, x, rho, windows).tobytes()
+
+
+@pytest.mark.parametrize(
+    "states, windows",
+    [
+        (((0.3, 0.2), (0.4, 0.5)), [slice(20, 41), slice(40, 60)]),  # one shared point
+        (((0.3, 0.2), (0.4, 0.5)), [slice(20, 60), slice(30, 40)]),  # one inside another
+        (((0.3, 0.2), (0.4, 0.5)), None),
+        (((0.3, 0.2),), None),
+        (((math.nan, 0.2),), [slice(0, 100)]),
+        (((0.3, 0.2), (math.nan, 0.5)), [slice(20, 40), slice(0, 100)]),
+        (((0.3, 0.2), (0.6, 0.5)), [slice(20, 40, 2), slice(50, 70)]),  # not contiguous
+    ],
+    ids=["shared_point", "nested", "none", "one_probe_none", "nan", "nan_among_two", "strided"],
+)
+def test_other_windows_take_the_normalised_sum(states, windows):
+    cutoff, grid = CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01)
+    model = _stacked_model(cutoff, states)
+    x, rho = grid.centers, _blend_field(grid)
+    assert _stacked_weights(model, states, x, windows)[3] is not None
+    got = model_module._blended_speed(model, states, x, rho, windows)
+    assert got.tobytes() == _normalised_blend(model, states, x, rho, windows).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # The memoised vertex slopes
 # ---------------------------------------------------------------------------
 
@@ -1722,3 +1876,73 @@ def test_non_finite_blended_slope_raises_on_every_call():
         with pytest.raises(StabilityError, match="not finite"):
             cfl_dt(model, grid, ((0.5, 1e200),), FULL)
     assert fvsolver._vertex_slope.cache_info().hits >= 2
+
+
+# ---------------------------------------------------------------------------
+# A NaN slope, wherever it stands
+# ---------------------------------------------------------------------------
+#
+# Python's ``max`` keeps a NaN only in first place; the slope bounds must
+# keep it in any place, as ``np.max`` does.
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_max_keeping_nan_wherever_it_stands(k):
+    values = [0.5, 2.0, 1.0, 0.25]
+    values[k] = math.nan
+    assert math.isnan(model_module._max_keeping_nan(values))
+    assert model_module._max_keeping_nan(values[:k] + values[k + 1 :]) == max(
+        values[:k] + values[k + 1 :]
+    )
+
+
+@dataclass(frozen=True)
+class _PiecesLaw(SpeedLaw):
+    """A law given by its pieces alone."""
+
+    table: tuple
+
+    def __call__(self, rho):
+        raise AssertionError("the slope bounds read the pieces only")
+
+    @property
+    def v_max(self):
+        return 1.0
+
+    @property
+    def pieces(self):
+        return self.table
+
+
+@pytest.mark.parametrize("k", range(3))
+@pytest.mark.parametrize("w", [None, 0.0, 0.5])
+def test_peak_slope_keeps_a_nan_piece_wherever_it_stands(k, w):
+    # three pieces of v = 1 - rho, the k-th with a NaN coefficient: its two
+    # ends give the k-th pair of the slopes taken the maximum of
+    table = [(i / 3.0, (i + 1) / 3.0, (1.0, -1.0, 0.0)) for i in range(3)]
+    table[k] = (table[k][0], table[k][1], (math.nan, -1.0, 0.0))
+    assert math.isnan(model_module._peak_slope(_PiecesLaw(tuple(table)), 0.0, 1.0, w)[0])
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_vertex_slope_keeps_a_nan_wherever_it_stands(k, monkeypatch):
+    # NaN in the probe's slope, in its shift at lo or in its shift at hi:
+    # Python's max over (1, 2, 9) would drop the last two
+    bounds = [1.0, 2.0, 3.0]
+    bounds[k] = math.nan
+
+    def peak_slope(law, lo, hi, w=None):
+        return (1.0, 1.0, 1.0) if w is None or (lo, hi) == (0.0, 1.0) else tuple(bounds)
+
+    grid = Grid.from_extent(0.0, 1.0, 0.01)
+    probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+    model = FluxModel(speed_law=Greenshields(1.0), probes=(probe,))
+    _forget_vertex_slopes()
+    monkeypatch.setattr(fvsolver, "_peak_slope", peak_slope)
+    try:
+        assert math.isnan(fvsolver._vertex_slope(model.speed_law, 0.5, 16, 48)[0])
+        message = "blended-flux slope is not finite near the coupled probes: nan"
+        with pytest.raises(StabilityError, match=message):
+            cfl_dt(model, grid, ((0.5, 0.5),), (0.25, 0.75))
+    finally:
+        _forget_vertex_slopes()

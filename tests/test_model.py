@@ -36,6 +36,7 @@ from probeflow import (
     stability_constant_C,
 )
 from probeflow import model as model_module
+from probeflow.fvsolver import check_run
 from probeflow.model import _knot_lookup, _SpeedTable
 
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -82,6 +83,11 @@ class TestEpsilonLaw:
 
     def test_lipschitz_value(self):
         assert EpsilonLaw(-0.25).lipschitz() == 1.25
+
+    def test_lipschitz_is_read_from_the_rounded_coefficients(self):
+        # |v'(1)| = |(eps - 1) - 2 eps| is 1.3 in closed form, but the
+        # piece coefficients and their sum round
+        assert EpsilonLaw(0.3).lipschitz() == 1.2999999999999998
 
     def test_rejects_eps_below_minus_one(self):
         with pytest.raises(DomainError):
@@ -966,6 +972,17 @@ class TestAdmissibility:
     def test_nonvanishing_terminal_speed_fails(self):
         report = check_admissible(TabulatedLaw([1.0, 0.6, 0.2]))
         assert not condition(report, "speed_vanishes_at_full_density").passed
+
+    def test_speed_just_above_zero_at_full_density_fails_as_a_run_does(self):
+        # one verdict on v(1): the scan and the run's input check both ask
+        # for exactly 0
+        law = TabulatedLaw([1.0, 0.5, 1e-13])
+        check = condition(check_admissible(law), "speed_vanishes_at_full_density")
+        assert not check.passed
+        assert check.worst_violation == 1e-13
+        assert "speed_vanishes_at_full_density" in law.failed_conditions
+        with pytest.raises(DomainError, match="must vanish at full density"):
+            check_run(FluxModel(law), Grid.from_extent(0.0, 1.0, 0.1), 1.0)
 
     def test_increasing_speed_fails(self):
         report = check_admissible(TabulatedLaw([1.0, 0.2, 0.5, 0.0]))
