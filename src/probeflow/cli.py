@@ -23,13 +23,8 @@ import sys
 
 from . import verify
 from .errors import DomainError, FrontTrackError, ProbeStateError, StabilityError
-from .inverse import (
-    evaluate_candidate,
-    minimize_E,
-    phi_epsilon,
-    phi_one_sided_limits,
-    scan_E,
-)
+from .estimates import phi_epsilon, phi_one_sided_limits
+from .inverse import evaluate_candidate, minimize_E, scan_E
 from .io import write_bundle
 from .scenarios import Scenario, get_scenario, run_scenario, scenario_names
 

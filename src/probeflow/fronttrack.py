@@ -17,7 +17,8 @@ rebuilt from the log when it is read, so a solution's size grows with the
 number of fronts, not with fronts times collisions.
 
 Dyadic grid values ``k * 2**-n`` are exact in binary floating point, which
-keeps all state comparisons exact.
+keeps all state comparisons exact.  Exact line integrals along space-time
+curves through a tracked solution are in :mod:`probeflow.estimates`.
 """
 
 from __future__ import annotations
@@ -653,126 +654,3 @@ def ft_evolve(state, t_end):
             if len(chain) > 2 and chain[-2] >= 0 and chain[-1] >= 0:
                 meeting(chain[-2], chain[-1])
     return FrontTrackSolution(flux, t_end, times, collisions, log)
-
-
-# ---------------------------------------------------------------------------
-# Curves and exact line integrals
-# ---------------------------------------------------------------------------
-
-class Curve:
-    """Piecewise linear space-time path ``t -> x``."""
-
-    def __init__(self, ts, xs):
-        self.ts = np.asarray(ts, dtype=float)
-        self.xs = np.asarray(xs, dtype=float)
-        if self.ts.ndim != 1 or self.ts.shape != self.xs.shape or len(self.ts) < 2:
-            raise DomainError("a curve needs matching 1-d knot arrays, >= 2 knots")
-        if not (np.all(np.isfinite(self.ts)) and np.all(np.isfinite(self.xs))):
-            raise DomainError("curve knot times and positions must be finite")
-        if np.any(np.diff(self.ts) <= 0.0):
-            raise DomainError("curve knot times must be strictly increasing")
-
-    @classmethod
-    def linear(cls, t0, t1, x0, slope):
-        return cls([t0, t1], [x0, x0 + slope * (t1 - t0)])
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        # written negated so that a NaN extremum fails it
-        if t.size and not (t.min() >= self.ts[0] - 1e-12 and t.max() <= self.ts[-1] + 1e-12):
-            raise DomainError("curve evaluated outside its knot range or at NaN")
-        out = np.interp(t, self.ts, self.xs)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    def min_slope(self, t0, t1):
-        """Smallest slope among spans overlapping ``(t0, t1)``, ``t0 < t1``;
-        also returns the start time of the span attaining it."""
-        if not t0 < t1:
-            raise DomainError(f"need t0 < t1, got ({t0}, {t1})")
-        best = math.inf
-        best_t = None
-        for a, b, xa, xb in zip(self.ts, self.ts[1:], self.xs, self.xs[1:]):
-            if b <= t0 or a >= t1:
-                continue
-            slope = (xb - xa) / (b - a)
-            if slope < best:
-                best = slope
-                best_t = max(a, t0)
-        if best_t is None:
-            raise DomainError(f"curve has no span inside ({t0}, {t1})")
-        return float(best), float(best_t)
-
-    def knots_within(self, t0, t1):
-        return [float(t) for t in self.ts if t0 < t < t1]
-
-
-def sample_curve_integral(solution, gamma1, gamma2, c, t0, t1):
-    """Exact ``integral over [t0, t1] of |rho(t, gamma1) - rho(t, gamma2)| dt``
-    along two ``c``-non-characteristic curves, with its a-priori bound.
-
-    Both curves must outrun every front by margin ``c``: each curve span's
-    slope has to exceed the flux table's largest segment slope over the
-    solution's density range by at least ``c`` (:class:`FrontTrackError`
-    otherwise).  Under that condition the integral is at most
-    ``TV * max|gamma1 - gamma2| / c``, which is returned alongside it.
-
-    The integrand is piecewise constant: it can only change where an epoch
-    begins, a curve has a knot, or a curve crosses a front.  The partition
-    collects all such times, reading the density range and the front
-    crossings from the solution's front log; each piece is evaluated at its
-    midpoint.
-    """
-    if not t1 > t0:
-        raise DomainError(f"need t0 < t1, got ({t0}, {t1})")
-    if not c > 0.0:
-        raise DomainError(f"non-characteristic margin c must be positive, got {c}")
-    states = solution.log.right + [solution.log.rho_left]
-    s_max = solution.flux.speed_bound(min(states), max(states))
-    for label, curve in (("gamma1", gamma1), ("gamma2", gamma2)):
-        slope, at = curve.min_slope(t0, t1)
-        if slope < s_max + c - 1e-12:
-            raise FrontTrackError(
-                f"{label} is not c-non-characteristic: slope {slope} at t={at} "
-                f"vs front speed bound {s_max} + c={c}"
-            )
-    cuts = {float(t0), float(t1)}
-    cuts.update(float(t) for t in solution.times if t0 < t < t1)
-    for curve in (gamma1, gamma2):
-        cuts.update(curve.knots_within(t0, t1))
-        cuts.update(_front_crossings(solution, curve, t0, t1))
-    times = sorted(cuts)
-    total = 0.0
-    for a, b in zip(times, times[1:]):
-        if b - a <= 1e-14:
-            continue
-        tm = 0.5 * (a + b)
-        diff = abs(solution.sample(tm, gamma1(tm)) - solution.sample(tm, gamma2(tm)))
-        total += diff * (b - a)
-    knots = sorted(
-        {float(t0), float(t1)}
-        | {float(t) for t in gamma1.ts if t0 <= t <= t1}
-        | {float(t) for t in gamma2.ts if t0 <= t <= t1}
-    )
-    sep = max(abs(gamma1(t) - gamma2(t)) for t in knots)
-    bound = solution.epochs[0].tv() * sep / c
-    return total, bound
-
-
-def _front_crossings(solution, curve, t0, t1):
-    """Times in (t0, t1) at which the curve meets any logged front, each
-    front checked over its own lifetime."""
-    cols = solution.epochs.log_columns()
-    x0, speed, t_born = cols["x0"], cols["speed"], cols["t_born"]
-    out = []
-    for a, b, xa, xb in zip(curve.ts, curve.ts[1:], curve.xs, curve.xs[1:]):
-        lo = np.maximum(max(t0, a), t_born)
-        hi = np.minimum(min(t1, b), cols["t_died"])
-        m = (xb - xa) / (b - a)
-        # xa + m (t - a) = x0 + speed (t - t_born)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_cross = (x0 - speed * t_born - xa + m * a) / (m - speed)
-        hit = (speed != m) & (lo < t_cross) & (t_cross < hi)
-        out.extend(t_cross[hit].tolist())
-    return out

@@ -285,6 +285,11 @@ def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
     i = math.floor(lo * _RANGE_LATTICE)
     j = math.ceil(hi * _RANGE_LATTICE)
     over_range, over_all = _law_slope(law, i, j)
+    if not (math.isfinite(over_range) and math.isfinite(over_all)):
+        raise StabilityError(
+            f"flux slope of speed law {law!r} is not finite: {over_range} over "
+            f"the field's range, {over_all} over [0, 1]"
+        )
     if states:
         # the update reads the flux on the ghost cells too
         left = float(grid.ghosted_centers[0]) - model.cutoff.outer
@@ -472,8 +477,8 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     an integer ``n_snapshots >= 1`` spaced beyond :data:`TIME_TOL`, at most
     :data:`MAX_STEPS` steps of the law's CFL step over all of [0, 1], and
     the snapshots and nine working float64 arrays of one value per cell
-    within :data:`MAX_FIELD_BYTES`, and a speed law whose ``v(1)`` is
-    exactly 0.
+    within :data:`MAX_FIELD_BYTES`, and a speed law with a finite flux
+    slope over [0, 1] and a ``v(1)`` of exactly 0.
 
     The step count is a budget, not a bound on the run's steps: the CFL
     step over the field's own density range is longer (a run may take
@@ -508,6 +513,10 @@ def check_run(model, grid, t_end, n_snapshots=SNAPSHOTS_DEFAULT, cfl=CFL_DEFAULT
     # each gaining at most TIME_TOL landing on a boundary; the margin
     # covers rounding
     law_slope = _law_slope(model.speed_law, 0, _RANGE_LATTICE)[1]
+    if not math.isfinite(law_slope):
+        raise DomainError(
+            f"speed law {model.speed_law!r} has a non-finite flux slope over [0, 1]: {law_slope}"
+        )
     span = (t_end - len(boundaries) * TIME_TOL) * max(law_slope, 1e-10)
     if span * (1.0 - 1e-9) > MAX_STEPS * cfl * grid.dx:
         raise DomainError(

@@ -9,11 +9,9 @@ measured and the modelled speed, interpolated by ``chi`` back to ``v(rho)``
 away from the probe.  The conservation-law flux is
 ``f(t, x, rho) = rho * V(t, x, rho)`` with ``V`` the blended speed field.
 
-This module also provides the analytic moduli attached to that flux: the
-Lipschitz constants of the blended speed, the mixed-difference bound of the
-auxiliary map ``g(rho, q) = q*rho*v(rho) / (q + v(rho))``, and the growth
-rate ``C`` entering the L1 stability estimate
-``||rho1(t) - rho2(t)||_L1 <= exp(C*t) * ||rho1(0) - rho2(0)||_L1``.
+The analytic moduli attached to that flux (Lipschitz constants, the
+mixed-difference bound of the auxiliary map :func:`eval_g` and the L1
+stability rate ``C``) are in :mod:`probeflow.estimates`.
 """
 
 from __future__ import annotations
@@ -923,189 +921,3 @@ def check_admissible(law):
         conditions.append(ConditionCheck("family_parameter_range", viol == 0.0, viol))
 
     return AdmissibilityReport(law=law, conditions=tuple(conditions))
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz moduli and the stability rate C
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LipschitzConstants:
-    """Moduli of the blended speed field.
-
-    ``M``: maximal value of the blend ``2*w*v/(w+v)`` over programmed probe
-    speeds and law speeds.  ``Lx`` bounds ``|d V / d x|``, ``Lrho`` bounds
-    ``|d V / d rho|``.  ``Lxrho_sampled`` is a finite-difference estimate of
-    the Lipschitz constant of ``rho -> dV/dx``, reported next to two
-    reference bounds it can be compared against.
-    """
-
-    M: float
-    Lx: float
-    Lrho: float
-    Lxrho_sampled: float
-    Lxrho_reference: float
-    Lxrho_direct: float
-
-
-def lipschitz_constants(model):
-    """Compute the moduli of the blended speed field of ``model``."""
-    law = model.speed_law
-    vmax = law.v_max
-    lip_v = law.lipschitz()
-    lip_chi = model.cutoff.lipschitz()
-    P = model.max_probe_speed()
-    # the blend is monotone in both arguments: maximum at the corner (P, vmax)
-    M = 0.0 if P == 0.0 else 2.0 * P * vmax / (P + vmax)
-    has_probes = bool(model.coupled_probes)
-    Lx = (M + vmax) * lip_chi if has_probes else 0.0
-    Lrho = 2.0 * lip_v
-    return LipschitzConstants(
-        M=M,
-        Lx=Lx,
-        Lrho=Lrho,
-        Lxrho_sampled=_sampled_xrho_lipschitz(model),
-        Lxrho_reference=(1.0 + lip_chi) * lip_v,
-        Lxrho_direct=3.0 * lip_chi * lip_v,
-    )
-
-
-def _sampled_xrho_lipschitz(model):
-    """Finite-difference estimate of Lip of ``rho -> dV/dx``.
-
-    ``dV/dx = chi'(x - p) * (blend(pdot, v) - v)`` depends on (t, x) only
-    through the offset ``xi = x - p(t)`` and the probe speed, so the sup is
-    taken over a (xi, speed, rho) grid; the speeds are 0 and every
-    program's knot speeds (the law's maximal speed stands in for
-    model-coupled pieces).
-    """
-    if not model.coupled_probes:
-        return 0.0
-    law = model.speed_law
-    speeds = {0.0}
-    for probe in model.coupled_probes:
-        speeds.update(probe._capped_speeds(law.v_max))
-    xi = np.linspace(-model.cutoff.outer, model.cutoff.outer, 201)
-    slope = model.cutoff.derivative(xi)[:, None]
-    rho = np.linspace(0.0, 1.0, 201)
-    v = law(rho)[None, :]
-    worst = 0.0
-    drho = rho[1] - rho[0]
-    for w in sorted(speeds):
-        dvdx = slope * (harmonic_speed(w, v) - v)
-        worst = max(worst, float(np.max(np.abs(np.diff(dvdx, axis=1))) / drho))
-    return worst
-
-
-def mixed_difference_constant(law, P):
-    """Sampled bound on the mixed second derivative of ``g``.
-
-    Returns the sup over a 241 x 241 ``(rho, q)`` grid of
-    ``|d^2 g / (d rho d q)|`` estimated by nested central differences of
-    :func:`eval_g`; this constant ``B`` satisfies (up to sampling)
-    ``|g(r1,q1) - g(r1,q2) - g(r2,q1) + g(r2,q2)| <= B |r1-r2| |q1-q2|``.
-    """
-    if P <= 0.0:
-        return 0.0
-    n, h = 241, 1e-5
-    k = min(h, P / 4.0)
-    rho = np.linspace(h, 1.0 - h, n)[:, None]
-    q = np.linspace(k, P - k, n)[None, :]
-    mixed = (
-        eval_g(law, rho + h, q + k)
-        - eval_g(law, rho + h, q - k)
-        - eval_g(law, rho - h, q + k)
-        + eval_g(law, rho - h, q - k)
-    ) / (4.0 * h * k)
-    return float(np.max(np.abs(mixed)))
-
-
-@dataclass(frozen=True)
-class StabilityConstant:
-    """The L1-stability growth rate, with its ingredients.
-
-    ``value`` is ``+inf`` when the probe program does not admit a finite
-    rate (a model-coupled segment, or unmollified speed jumps).
-    """
-
-    value: float
-    per_probe: tuple
-    reason: str = ""
-
-    @property
-    def unbounded(self):
-        return math.isinf(self.value)
-
-    def __str__(self):
-        if self.unbounded:
-            return f"StabilityConstant(unbounded: {self.reason})"
-        return f"StabilityConstant({self.value:.6g})"
-
-
-def stability_constant_C(model):
-    """Growth rate ``C`` of the L1 stability estimate for ``model``.
-
-    Per probe, ``C_i = Lip(chi) * (1 + P) * (P * L_hm + Lip(rho*v))
-    + Lip(g) * Lip(pdot)`` where ``P`` is the probe's maximal speed,
-    ``L_hm`` the sampled Lipschitz constant of
-    ``rho -> rho*v(rho)/(w + v(rho))`` over the speeds ``w`` the (possibly
-    mollified) program takes, ``Lip(g)`` the mixed-difference constant, and
-    ``Lip(pdot)`` the slope bound of the mollified speed profile.  The total
-    is the sum over probes; no probes give ``C = 0``.
-    """
-    law = model.speed_law
-    probes = model.coupled_probes
-    if not probes:
-        return StabilityConstant(value=0.0, per_probe=())
-    lip_chi = model.cutoff.lipschitz()
-    lip_flux = law.flux_lipschitz()
-    parts = []
-    total = 0.0
-    for i, probe in enumerate(probes):
-        if not probe.is_exogenous:
-            return StabilityConstant(
-                value=math.inf,
-                per_probe=(),
-                reason=f"probe {i} has a model-coupled segment; its speed "
-                "inherits jumps from the density trace",
-            )
-        jumps = [j for j in probe.speed_jumps() if j > 0.0]
-        if jumps and probe.mollify_radius == 0.0:
-            return StabilityConstant(
-                value=math.inf,
-                per_probe=(),
-                reason=f"probe {i} has unmollified speed jumps "
-                "(piecewise-constant program)",
-            )
-        lip_pdot = max(jumps) / (2.0 * probe.mollify_radius) if jumps else 0.0
-        P = probe.max_speed(law.v_max)
-        L_hm = _sampled_harmonic_lipschitz(law, probe.profile_speeds())
-        lip_g = mixed_difference_constant(law, P)
-        contribution = lip_chi * (1.0 + P) * (P * L_hm + lip_flux) + lip_g * lip_pdot
-        parts.append(
-            {
-                "P": P,
-                "L_hm": L_hm,
-                "lip_flux": lip_flux,
-                "lip_g": lip_g,
-                "lip_pdot": lip_pdot,
-                "value": contribution,
-            }
-        )
-        total += contribution
-    return StabilityConstant(value=total, per_probe=tuple(parts))
-
-
-def _sampled_harmonic_lipschitz(law, speeds):
-    """Sampled sup over probe speeds ``w`` of the Lipschitz constant of
-    ``rho -> rho * v(rho) / (w + v(rho))``."""
-    if not speeds:
-        return 0.0
-    rho = np.linspace(0.0, 1.0, 2001)
-    v = law(rho)
-    drho = rho[1] - rho[0]
-    worst = 0.0
-    for w in speeds:
-        m = rho * v / (w + v)
-        worst = max(worst, float(np.max(np.abs(np.diff(m))) / drho))
-    return worst

@@ -14,25 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FrontTrackError, require_index
-from .fronttrack import Curve, PiecewiseConstant, from_datum, ft_evolve
-from .fvsolver import BOUND_TOL, Grid, l1_distance, run
-from .inverse import (
-    evaluate_candidate,
+from .estimates import (
+    Curve,
     lemma1_check,
-    minimize_E,
     modulus_bound,
     phi_epsilon,
     phi_one_sided_limits,
     rescaling_check,
-    scan_E,
-)
-from .model import (
-    ExogenousSpeed,
-    FluxModel,
-    Greenshields,
-    ProbeTrajectory,
     stability_constant_C,
 )
+from .fronttrack import PiecewiseConstant, from_datum, ft_evolve
+from .fvsolver import BOUND_TOL, Grid, l1_distance, run
+from .inverse import evaluate_candidate, minimize_E, scan_E
+from .model import ExogenousSpeed, FluxModel, Greenshields, ProbeTrajectory
 from .riemann import solve_riemann
 from .scenarios import get_scenario, run_scenario, scenario_names
 

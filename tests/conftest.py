@@ -1,8 +1,9 @@
 """Shared pytest configuration: deterministic, CI-friendly hypothesis
-settings, an unhashable speed law, and a loader for the benchmark's
-modules."""
+settings, an unhashable speed law, a speed law with a NaN flux slope, and a
+loader for the benchmark's modules."""
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,30 @@ class PlainLaw(SpeedLaw):  # eq=True without frozen sets __hash__ = None
 def plain_law():
     """A :class:`SpeedLaw` that cannot be hashed."""
     return PlainLaw()
+
+
+@dataclass(frozen=True)
+class NaNSlopeLaw(SpeedLaw):
+    """``v = 1 - rho`` whose second piece has a NaN coefficient: a user
+    subclass that no library law, whose coefficients are validated finite,
+    can be."""
+
+    def __call__(self, rho):
+        return 1.0 - np.asarray(rho, dtype=float)
+
+    @property
+    def v_max(self):
+        return 1.0
+
+    @property
+    def pieces(self):
+        return ((0.0, 0.5, (1.0, -1.0, 0.0)), (0.5, 1.0, (math.nan, -1.0, 0.0)))
+
+
+@pytest.fixture
+def nan_slope_law():
+    """A :class:`SpeedLaw` whose pieces give a NaN flux slope on [0.5, 1]."""
+    return NaNSlopeLaw()
 
 
 @pytest.fixture

@@ -265,6 +265,18 @@ class TestRunCommand:
         assert "CFL violation" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_nan_law_slope_exits_2(self, tmp_path, capsys, monkeypatch, nan_slope_law):
+        # no JSON law has a NaN coefficient: the scenario comes from a user
+        # subclass, rejected by validation rather than failing at dt = nan
+        scenario = get_scenario("riemann_phi").with_overrides(law=nan_slope_law)
+        monkeypatch.setattr(cli, "get_scenario", lambda name: scenario)
+        assert main(["run", "riemann_phi", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario invalid: speed law NaNSlopeLaw() has a non-finite flux "
+            "slope over [0, 1]: nan"
+        ]
+        assert not (tmp_path / "x").exists()
+
     def test_non_finite_flux_slope_exits_3(self, tmp_path, capsys):
         # 2 w v overflows in the harmonic mean near the coupled probe: the
         # CFL bound must say so, not let the update fail as a CFL violation

@@ -1946,3 +1946,24 @@ def test_vertex_slope_keeps_a_nan_wherever_it_stands(k, monkeypatch):
             cfl_dt(model, grid, ((0.5, 0.5),), (0.25, 0.75))
     finally:
         _forget_vertex_slopes()
+
+
+@pytest.mark.parametrize("rho_range", [FULL, (0.0, 0.25)], ids=["nan_piece_in_range", "outside"])
+def test_nan_law_slope_raises_without_coupled_probes(nan_slope_law, rho_range):
+    # the law's own slope over [0, 1] is NaN: no dt = nan, even where the
+    # field's range misses the NaN piece
+    grid = Grid.from_extent(0.0, 1.0, 0.01)
+    model = FluxModel(speed_law=nan_slope_law)
+    with pytest.raises(StabilityError, match=r"flux slope of speed law NaNSlopeLaw\(\) is not"):
+        cfl_dt(model, grid, (), rho_range)
+
+
+def test_nan_law_slope_is_the_runs_input_error(nan_slope_law):
+    # rejected before the first step, not as a CFL violation with dt = nan
+    grid = Grid.from_extent(0.0, 1.0, 0.01)
+    model = FluxModel(speed_law=nan_slope_law)
+    message = r"speed law NaNSlopeLaw\(\) has a non-finite flux slope over \[0, 1\]: nan"
+    with pytest.raises(DomainError, match=message):
+        fvsolver.check_run(model, grid, 1.0)
+    with pytest.raises(DomainError, match=message):
+        run(model, grid, PiecewiseConstant([0.5], [0.2, 0.6]), 1.0)

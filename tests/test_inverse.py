@@ -26,7 +26,7 @@ from probeflow import (
     scan_E,
     score_records,
 )
-from probeflow.inverse import PHI_LEFT, PHI_RIGHT
+from probeflow.estimates import PHI_LEFT, PHI_RIGHT
 
 
 def coarse_calibration(**overrides):

@@ -35,7 +35,7 @@ from probeflow import (
     run,
     stability_constant_C,
 )
-from probeflow import model as model_module
+from probeflow import estimates
 from probeflow.fvsolver import check_run
 from probeflow.model import _knot_lookup, _SpeedTable
 
@@ -536,7 +536,7 @@ class TestSpeedTable:
             sampled.append(w)
             return v
 
-        monkeypatch.setattr(model_module, "harmonic_speed", recording_blend)
+        monkeypatch.setattr(estimates, "harmonic_speed", recording_blend)
         law = Greenshields(1.2)
         rng = np.random.default_rng(20261019)
         n_compared = n_refused = 0
@@ -554,7 +554,7 @@ class TestSpeedTable:
                 assert probe.max_speed(vmax).hex() == reference_max_speed(probe, vmax).hex()
             model = FluxModel(speed_law=law, probes=(probe,))
             sampled.clear()
-            model_module._sampled_xrho_lipschitz(model)
+            estimates._sampled_xrho_lipschitz(model)
             assert sampled == reference_lipschitz_speeds(model)
             n_compared += 1
         assert n_compared > 30 and (n_refused > 30 if coupled and tau > 0.0 else n_refused == 0)

@@ -204,6 +204,12 @@ class TestValidation:
             run(scenario.flux_model(), scenario.grid(), scenario.datum, scenario.t_end)
         assert str(raised.value) == message
 
+    def test_nan_law_slope_is_one_error(self, nan_slope_law):
+        # a NaN flux slope would give dt = nan at the first step
+        message = "speed law NaNSlopeLaw() has a non-finite flux slope over [0, 1]: nan"
+        findings = toy_scenario(law=nan_slope_law).validate()
+        assert [(f.level, f.message) for f in findings] == [("error", message)]
+
     def test_bad_trace_side_is_one_error(self):
         messages = [f.message for f in toy_scenario(trace_side="middle").errors()]
         assert messages == ["trace_side must be 'right' or 'left', got 'middle'"]
