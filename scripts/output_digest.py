@@ -24,7 +24,10 @@ rows (the log's ``step, t, dt, rate_in, rate_out`` columns) and every
 probe path.  With ``--bundle`` the hash is taken instead
 over every file ``io.write_bundle`` writes for the run (name, size and
 bytes, in ``OutputBundle.paths`` order), so the exports can be compared
-byte for byte.
+byte for byte, and a second line ``<case>:read <sha256>`` hashes what
+``io.read_density_csv``, ``io.read_probe_csv``, ``io.read_diagnostics_csv``
+and ``io.read_pgm`` return for those files, so the read path can be
+compared array for array.
 
 Two more cases, ``oracle_7`` and ``oracle_31``, are front tracking, not
 finite-volume runs: they track the benchmark's seeded 50-jump dyadic datum
@@ -71,6 +74,7 @@ from probeflow import (  # noqa: E402
     scenarios,
     solve_riemann,
 )
+from probeflow import io  # noqa: E402
 from probeflow.io import write_bundle  # noqa: E402
 from probeflow.model import ProbeTrajectory  # noqa: E402
 
@@ -214,16 +218,38 @@ def riemann_digest(solutions, xi):
     return h.hexdigest()
 
 
-def bundle_digest(result, scenario, overrides):
-    """sha256 over every file :func:`write_bundle` writes for ``result``:
-    each file's name and size, then its bytes."""
+def read_digest(bundle):
+    """sha256 over what the readers return for ``bundle``'s files: each
+    snapshot's time, cell count, centres and densities; each probe's id,
+    row count and rows; the diagnostics rows (``step`` as a float); and the
+    heatmap's shape and pixels."""
+    h = hashlib.sha256()
+    for t, xs, rhos in io.read_density_csv(bundle.density_csv):
+        h.update(np.array([t, len(xs)], dtype=float).tobytes())
+        h.update(xs.tobytes())
+        h.update(rhos.tobytes())
+    for pid, path in io.read_probe_csv(bundle.probe_csv).items():
+        h.update(np.array([pid, len(path)], dtype=float).tobytes())
+        h.update(path.tobytes())
+    h.update(np.array(io.read_diagnostics_csv(bundle.diagnostics_csv), dtype=float).tobytes())
+    image = io.read_pgm(bundle.heatmap)
+    h.update(np.array(image.shape, dtype=float).tobytes())
+    h.update(image.tobytes())
+    return h.hexdigest()
+
+
+def bundle_digests(result, scenario, overrides):
+    """Two sha256 of the bundle :func:`write_bundle` writes for ``result``:
+    one over every file (each file's name and size, then its bytes), and
+    :func:`read_digest` of the same files."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as out_dir:
-        for path in write_bundle(out_dir, result, scenario, overrides).paths:
+        bundle = write_bundle(out_dir, result, scenario, overrides)
+        for path in bundle.paths:
             blob = Path(path).read_bytes()
             h.update(f"{Path(path).name} {len(blob)}\n".encode())
             h.update(blob)
-    return h.hexdigest()
+        return h.hexdigest(), read_digest(bundle)
 
 
 def main(argv=None):
@@ -249,8 +275,12 @@ def main(argv=None):
         scenario, overrides = load_case(name)
         scenario = scenario.with_overrides(**overrides)
         result = scenarios.run_scenario(scenario)
-        fingerprint = bundle_digest(result, scenario, overrides) if args.bundle else digest(result)
-        print(name, fingerprint, flush=True)
+        if not args.bundle:
+            print(name, digest(result), flush=True)
+            continue
+        files, read = bundle_digests(result, scenario, overrides)
+        print(name, files, flush=True)
+        print(f"{name}:read", read, flush=True)
     return 0
 
 

@@ -11,13 +11,20 @@ CSV chunk with one ``%`` over a row template, every value formatted once.
 depends on one snapshot, not on the whole bundle; the ``*_text`` and
 :func:`pgm_bytes` renderers join the same chunks.
 
-The readers parse each CSV body in one numpy pass and return arrays: each
-snapshot's cells, each probe's rows, and the diagnostics as tuples.  A file
-that does not have the exact header, a row that is not the header's number
-of numbers (``#`` lines included), a non-integral ``step`` or ``probe_id``,
-and a PGM whose dimensions or pixel count do not match are each a
-:class:`DomainError` naming the file.  A header-only CSV reads back as an
-empty table.
+The CSV readers share one block parser: it checks the header, then parses
+the open file in blocks of at most :data:`_READ_ROWS` rows, one
+``numpy.loadtxt`` call each.  They return arrays: each snapshot's cells
+(one run of equal ``t``, joined across block edges, in arrays of its own),
+each probe's rows, and the diagnostics as tuples.  So a reader holds its
+result, one block, and the pieces of the run it is joining; a probe's run
+is its whole path, so ``read_probe_csv`` can hold its result twice.  A file
+that does not have the exact header (or is empty), a row that is not the
+header's number of numbers (``#`` lines and undecodable bytes included), a
+non-integral ``step`` or ``probe_id``, a PGM whose dimensions or pixel count
+do not match, and ``metadata.json`` that is not UTF-8 JSON are each a
+:class:`DomainError` naming the file; a CSV error names the row as well,
+counted from 1 at the first data row (blank lines are skipped, not
+counted).  A header-only CSV reads back as an empty table.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -35,6 +42,11 @@ from .errors import DomainError
 
 #: Rows of ``probe.csv`` and ``diagnostics.csv`` rendered per chunk.
 _BLOCK_ROWS = 1024
+
+#: Data rows each CSV reader parses per block.  Reading at the same speed,
+#: 4 096 rows left the ``queue`` benchmark's peak RSS about 0.7 MB below
+#: 1 024 rows, and 8 192 no lower.
+_READ_ROWS = 4096
 
 
 def _density_csv_chunks(result):
@@ -205,80 +217,128 @@ def write_bundle(out_dir, result, scenario, overrides=None, image=True):
 # Readers (every emitted file parses back)
 # ---------------------------------------------------------------------------
 
-def _read_table(path, header):
-    """The body of a CSV file written by this package as an ``(n, k)``
-    float64 array, ``k = len(header)``, parsed in one pass.  The first line
+def _malformed(path, k, before):
+    """The :class:`DomainError` for the first data row after the first
+    ``before`` that is not ``k`` numbers, found by parsing the rows one at a
+    time: a file's error path only, so every message names one row counted
+    from 1 at the file's first data row, whatever block it lies in."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        handle.readline()
+        rows = (line.rstrip("\n") for line in handle if line != "\n")
+        for row, text in enumerate(islice(rows, before, None), before + 1):
+            fields = len(text.split(","))
+            if fields != k:
+                return DomainError(f"{path}: data row {row} has {fields} fields, expected {k}")
+            try:
+                text.encode("utf-8")  # an undecodable byte reads as a lone surrogate
+                np.loadtxt([text], delimiter=",", comments=None)
+            except ValueError:
+                return DomainError(f"{path}: data row {row} is not {k} numbers: {text!r}")
+    return DomainError(f"{path}: malformed data after data row {before}")
+
+
+def _read_blocks(path, header):
+    """The body of a CSV file written by this package, parsed from the open
+    file in blocks of at most :data:`_READ_ROWS` rows: yields ``(before,
+    block)``, ``block`` an ``(m, k)`` float64 array, ``k = len(header)``,
+    and ``before`` the number of data rows read before it.  The first line
     must be ``header`` exactly; blank lines are skipped; any other row that
-    is not ``k`` numbers (a ``#`` line included) is a :class:`DomainError`
-    naming the file."""
-    with open(path) as handle:
+    is not ``k`` numbers (a ``#`` line or an undecodable byte included) is a
+    :class:`DomainError` naming the file and the row."""
+    k = len(header)
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         first = handle.readline()
         if not first:
             raise DomainError(f"{path}: empty file")
         names = first.rstrip("\n").split(",")
         if names != header:
             raise DomainError(f"{path}: expected header {header}, got {names}")
-        with warnings.catch_warnings():
-            # a header-only file is an empty table, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise DomainError(f"{path}: malformed row: {exc}") from None
-    if table.size == 0:
-        return np.empty((0, len(header)))
-    if table.shape[1] != len(header):
-        raise DomainError(
-            f"{path}: rows have {table.shape[1]} fields, expected {len(header)}"
-        )
-    return table
+        before = 0
+        while True:
+            with warnings.catch_warnings():
+                # a blank line, or no row left, is not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                try:
+                    block = np.loadtxt(
+                        handle, delimiter=",", comments=None, ndmin=2, max_rows=_READ_ROWS
+                    )
+                except ValueError:
+                    raise _malformed(path, k, before) from None
+            if len(block) == 0:
+                return
+            if block.shape[1] != k:
+                raise _malformed(path, k, before)
+            yield before, block
+            if len(block) < _READ_ROWS:
+                return
+            before += len(block)
 
 
-def _integral(path, table, column, name):
-    """Column ``column`` of ``table``, which must hold whole numbers: the
-    float parse would otherwise truncate ``1.5`` without a word."""
-    values = table[:, column]
-    bad = ~np.isfinite(values) | (values != np.trunc(values))
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise DomainError(
-            f"{path}: {name} must be an integer, got {float(values[row])} in data row {row + 1}"
-        )
-    return values
+def _integral(path, blocks, column, name):
+    """``blocks``, whose column ``column`` must hold whole numbers: the float
+    parse would otherwise truncate ``1.5`` without a word."""
+    for before, block in blocks:
+        values = block[:, column]
+        bad = ~np.isfinite(values) | (values != np.trunc(values))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise DomainError(
+                f"{path}: {name} must be an integer, got {float(values[row])} "
+                f"in data row {before + row + 1}"
+            )
+        yield before, block
+
+
+def _runs(blocks, column, columns):
+    """The runs of rows with equal ``column`` in ``blocks``, each joined
+    across block edges: yields ``(key, parts)``, ``key`` the run's first
+    value in ``column`` and ``parts`` the run's ``columns``, one piece per
+    block (a view for a slice of columns, else a copy)."""
+    key, parts = None, []
+    for _, block in blocks:
+        keys = block[:, column]
+        cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(block)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if not parts or keys[a] != key:  # only a block's first piece may go on a run
+                if parts:
+                    yield key, parts
+                key, parts = keys[a], []
+            parts.append(block[a:b, columns])
+    if parts:
+        yield key, parts
 
 
 def read_density_csv(path):
     """Snapshots back from ``density.csv``: a list of ``(t, xs, rhos)``, one
-    per run of rows with equal ``t``."""
-    ts, xs, rhos = _read_table(path, ["t", "x", "rho"]).T
-    bounds = [0, *(np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist(), len(ts)]
-    return [
-        (float(ts[a]), xs[a:b].copy(), rhos[a:b].copy())
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a  # only a header-only file has an empty run
-    ]
+    per run of rows with equal ``t``, each array its own."""
+    snapshots = []
+    for t, parts in _runs(_read_blocks(path, ["t", "x", "rho"]), 0, slice(1, 3)):
+        xs, rhos = (np.concatenate([part[:, c] for part in parts]) for c in (0, 1))
+        snapshots.append((float(t), xs, rhos))
+    return snapshots
 
 
 def read_probe_csv(path):
     """Probe paths back from ``probe.csv``: ``{probe_id: (n, 4) array}`` of
     ``(t, x, speed, trace_rho)`` rows, ids in order of first appearance and
     each id's rows in file order."""
-    table = _read_table(path, ["t", "probe_id", "x", "speed", "trace_rho"])
-    pids = _integral(path, table, 1, "probe_id")
-    ids, first, inverse, counts = np.unique(
-        pids, return_index=True, return_inverse=True, return_counts=True
-    )
-    rows = table[:, [0, 2, 3, 4]][np.argsort(inverse, kind="stable")]
-    groups = np.split(rows, np.cumsum(counts)[:-1])
-    return {int(ids[g]): groups[g] for g in np.argsort(first, kind="stable")}
+    blocks = _read_blocks(path, ["t", "probe_id", "x", "speed", "trace_rho"])
+    paths = {}
+    for pid, parts in _runs(_integral(path, blocks, 1, "probe_id"), 1, [0, 2, 3, 4]):
+        paths.setdefault(int(pid), []).extend(parts)
+    return {pid: np.concatenate(parts) for pid, parts in paths.items()}
 
 
 def read_diagnostics_csv(path):
     """Diagnostics rows back from ``diagnostics.csv``: ``(step, t, dt, mass,
     min, max)`` tuples, ``step`` an int."""
-    table = _read_table(path, ["step", "t", "dt", "mass", "min", "max"])
-    _integral(path, table, 0, "step")
-    return [(int(step), *rest) for step, *rest in table.tolist()]
+    blocks = _read_blocks(path, ["step", "t", "dt", "mass", "min", "max"])
+    return [
+        (int(step), *rest)
+        for _, block in _integral(path, blocks, 0, "step")
+        for step, *rest in block.tolist()
+    ]
 
 
 def read_pgm(path):
@@ -306,8 +366,8 @@ def read_pgm(path):
 
 def read_metadata(path):
     """Metadata back from ``metadata.json``."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DomainError(f"{path}: invalid JSON: {exc}") from exc

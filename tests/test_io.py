@@ -1,7 +1,8 @@
 """The bundle's CSV writers and readers: byte-identical to the row-by-row
-formatters they replace, bitwise round trips, malformed files rejected
-with ``DomainError``, and an export whose memory does not grow with the
-bundle."""
+formatters they replace, readers bitwise equal to the one-pass parse they
+replace at every block edge, bitwise round trips, malformed files rejected
+with ``DomainError`` naming the row, and an export and a read-back whose
+memory does not grow with the bundle."""
 
 import tracemalloc
 import warnings
@@ -22,6 +23,7 @@ from probeflow.io import (
     probe_csv_text,
     read_density_csv,
     read_diagnostics_csv,
+    read_metadata,
     read_pgm,
     read_probe_csv,
     write_bundle,
@@ -68,6 +70,74 @@ WRITERS = [
     (probe_csv_text, oracle_probe_csv_text),
     (diagnostics_csv_text, oracle_diagnostics_csv_text),
 ]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-pass readers, frozen as they were before the block parser
+# replaced them: each body parsed whole by one np.loadtxt call.
+# ---------------------------------------------------------------------------
+
+def _one_pass_table(path, k):
+    with open(path) as handle:
+        handle.readline()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+    return table if table.size else np.empty((0, k))
+
+
+def oracle_read_density_csv(path):
+    ts, xs, rhos = _one_pass_table(path, 3).T
+    bounds = [0, *(np.flatnonzero(ts[1:] != ts[:-1]) + 1).tolist(), len(ts)]
+    return [
+        (float(ts[a]), xs[a:b].copy(), rhos[a:b].copy())
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if b > a
+    ]
+
+
+def oracle_read_probe_csv(path):
+    table = _one_pass_table(path, 5)
+    ids, first, inverse, counts = np.unique(
+        table[:, 1], return_index=True, return_inverse=True, return_counts=True
+    )
+    rows = table[:, [0, 2, 3, 4]][np.argsort(inverse, kind="stable")]
+    groups = np.split(rows, np.cumsum(counts)[:-1])
+    return {int(ids[g]): groups[g] for g in np.argsort(first, kind="stable")}
+
+
+def oracle_read_diagnostics_csv(path):
+    return [(int(step), *rest) for step, *rest in _one_pass_table(path, 6).tolist()]
+
+
+#: File name -> the reader and its one-pass oracle.
+READERS = {
+    "density.csv": (read_density_csv, oracle_read_density_csv),
+    "probe.csv": (read_probe_csv, oracle_read_probe_csv),
+    "diagnostics.csv": (read_diagnostics_csv, oracle_read_diagnostics_csv),
+}
+
+
+def _same_bits(got, want):
+    """``got`` is ``want`` bit for bit: the same types, keys in the same
+    order, the same shapes, and every float's bits, signed zeros included."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and got.shape == want.shape and got.tobytes() == want.tobytes())
+    if isinstance(want, dict):
+        return (type(got) is dict and list(got) == list(want)
+                and all(_same_bits(got[key], want[key]) for key in want))
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(map(_same_bits, got, want)))
+    if type(want) is float:
+        return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    return type(got) is type(want) and got == want
+
+
+def _assert_reads_as_one_pass(path):
+    reader, oracle = READERS[path.name]
+    assert _same_bits(reader(path), oracle(path)), path.name
 
 
 @dataclass
@@ -213,17 +283,68 @@ def test_export_memory_does_not_grow_with_the_step_count(tmp_path):
     assert long_peak < 1.25 * short_peak
 
 
+def _read_extra(reader, path):
+    """Traced bytes of one reader call: its peak above the bytes its result
+    keeps, and those kept bytes."""
+    tracemalloc.start()
+    try:
+        value = reader(path)  # noqa: F841 -- kept alive while the memory is read
+        kept, peak = tracemalloc.get_traced_memory()
+        return peak - kept, kept
+    finally:
+        tracemalloc.stop()
+
+
+def _csv_readers(bundle):
+    return [
+        (read_density_csv, bundle.density_csv),
+        (read_probe_csv, bundle.probe_csv),
+        (read_diagnostics_csv, bundle.diagnostics_csv),
+    ]
+
+
+def test_reading_fig_int32_holds_about_one_block(tmp_path):
+    scenario = get_scenario("fig_int32")
+    bundle = write_bundle(tmp_path, run_scenario(scenario), scenario)
+    # density.csv is 4.78 MB and keeps 1.45 MB; parsed whole it peaked 2.16 MB above that
+    for reader, path in _csv_readers(bundle):
+        assert _read_extra(reader, path)[0] < 0.5e6, reader.__name__
+
+
+def test_read_memory_does_not_grow_with_the_row_count(tmp_path, monkeypatch):
+    (short, scenario), (long, long_scenario) = _long_calibration(5.0), _long_calibration(10.0)
+    short_bundle = write_bundle(tmp_path / "short", short, scenario)
+    long_bundle = write_bundle(tmp_path / "long", long, long_scenario)
+    monkeypatch.setattr(io, "_READ_ROWS", 256)  # both files span several blocks
+    assert len(long.log) > 1.9 * len(short.log) > 2 * io._READ_ROWS
+    for (reader, short_path), (_, long_path) in zip(_csv_readers(short_bundle),
+                                                    _csv_readers(long_bundle)):
+        short_extra, _ = _read_extra(reader, short_path)
+        long_extra, long_kept = _read_extra(reader, long_path)
+        # a probe's rows are joined when its path ends, so read_probe_csv may
+        # hold its result once more; parsed whole, twice the probe and
+        # diagnostics rows made twice the extra
+        allowance = long_kept if reader is read_probe_csv else 0
+        assert long_extra < 1.25 * short_extra + allowance, reader.__name__
+
+
 # ---------------------------------------------------------------------------
 # Readers
 # ---------------------------------------------------------------------------
 
-def test_header_only_files_read_back_empty_without_warnings(tmp_path):
+def test_header_only_files_read_back_empty_without_warnings(tmp_path, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert read_density_csv(_write(tmp_path, "d.csv", "t,x,rho\n")) == []
         assert read_probe_csv(_write(tmp_path, "p.csv", "t,probe_id,x,speed,trace_rho\n")) == {}
         assert read_diagnostics_csv(_write(tmp_path, "g.csv", "step,t,dt,mass,min,max\n")) == []
         assert read_density_csv(_write(tmp_path, "b.csv", "t,x,rho\n\n\n")) == []
+        # blank lines inside the body and at a block edge, and a body of
+        # whole blocks, are not warnings either
+        monkeypatch.setattr(io, "_READ_ROWS", 2)
+        text = "t,x,rho\n0,0.5,0.25\n\n0,1.5,0.5\n\n1,0.5,0\n1,1.5,1\n"
+        assert len(read_density_csv(_write(tmp_path, "e.csv", text))) == 2
+        assert len(read_density_csv(_write(tmp_path, "f.csv", "t,x,rho\n0,0.5,0\n0,1.5,0\n"))) == 1
     assert [str(w.message) for w in caught] == []
 
 
@@ -278,10 +399,19 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
     st.lists(finite, min_size=2, max_size=8),
     st.lists(finite, min_size=0, max_size=6),
     st.integers(1, 3),
+    st.integers(1, 5),
 )
-@example(EDGE_FLOATS, EDGE_FLOATS, 1)
-def test_finite_floats_round_trip_bitwise(tmp_path_factory, values, path_values, n_snap):
-    tmp_path = tmp_path_factory.mktemp("round_trip")
+@example(EDGE_FLOATS, EDGE_FLOATS, 1, 1)
+@example(EDGE_FLOATS, EDGE_FLOATS, 3, 4)
+def test_finite_floats_round_trip_bitwise(
+    tmp_path_factory, values, path_values, n_snap, rows_per_block
+):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_READ_ROWS", rows_per_block)
+        _round_trip(tmp_path_factory.mktemp("round_trip"), values, path_values, n_snap)
+
+
+def _round_trip(tmp_path, values, path_values, n_snap):
     n = len(values)
     fields = [np.roll(values, k) for k in range(n_snap)]
     times = [float(k) * values[0] for k in range(n_snap)]  # equal times merge
@@ -316,6 +446,70 @@ def test_finite_floats_round_trip_bitwise(tmp_path_factory, values, path_values,
     )
     assert [row[0] for row in diagnostics] == list(range(1, n + 1))
     assert _bitwise([row[1:] for row in diagnostics], log[:, 1:6])
+    for name in READERS:
+        _assert_reads_as_one_pass(tmp_path / name)
+
+
+# ---------------------------------------------------------------------------
+# Block edges: the readers parse a few rows at a time and still return the
+# one-pass parse bit for bit
+# ---------------------------------------------------------------------------
+
+#: Rows whose runs straddle block edges for every block size the tests use:
+#: a snapshot split across blocks, equal t (``-0`` and ``0`` included) on
+#: either side of an edge, runs that end at an edge, probe ids that come back.
+EDGE_ROWS = {
+    "density.csv": [
+        "t,x,rho", "-0,0.5,0.25", "0,1.5,-0", "0,2.5,0.5", "0,3.5,1", "1,0.5,0",
+        "1,1.5,5e-324", "2,0.5,1", "2,1.5,-0", "2,2.5,0.125", "3,0.5,1",
+    ],
+    "probe.csv": [
+        "t,probe_id,x,speed,trace_rho", "0,2,1,0.5,0.1", "1,2,1.5,0.5,0.3", "2,2,2,0,-0",
+        "0,0,5,0.25,0.2", "1,-0,5.25,0.25,0.4", "3,2,2,0,0.5", "2,0,5.5,0,1",
+    ],
+    "diagnostics.csv": [
+        "step,t,dt,mass,min,max", "1,0.5,0.5,0.25,0,1", "2,1,0.5,0.25,-0,1e-300",
+        "3,1.5,0.5,0.25,-0,1", "4,2,0.5,0.25,0,1", "5,2.5,0.5,0.25,0,1",
+    ],
+}
+
+#: The same rows laid out as each reader must take them.
+LAYOUTS = {
+    "lf": lambda lines: "\n".join(lines) + "\n",
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "no final newline": lambda lines: "\n".join(lines),
+    "blank lines at every edge": lambda lines: "\n\n".join(lines) + "\n\n",
+    "header only": lambda lines: lines[0] + "\n",
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("rows_per_block", [1, 2, 3, 4, io._READ_ROWS])
+def test_block_edges_read_back_as_the_one_pass_parse(
+    tmp_path, monkeypatch, layout, rows_per_block
+):
+    monkeypatch.setattr(io, "_READ_ROWS", rows_per_block)
+    for name, lines in EDGE_ROWS.items():
+        path = tmp_path / name
+        path.write_bytes(LAYOUTS[layout](lines).encode())
+        _assert_reads_as_one_pass(path)
+    snapshots = read_density_csv(tmp_path / "density.csv")
+    if layout != "header only":
+        assert [t for t, _, _ in snapshots] == [-0.0, 1.0, 2.0, 3.0]
+        assert np.signbit(snapshots[0][0]) and len(snapshots[0][1]) == 4
+        assert list(read_probe_csv(tmp_path / "probe.csv")) == [2, 0]
+        assert all(xs.flags.owndata and rhos.flags.owndata for _, xs, rhos in snapshots)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_builtin_bundles_read_back_as_the_one_pass_parse_across_blocks(
+    tmp_path, monkeypatch, name
+):
+    scenario = get_scenario(name).with_overrides(t_end=0.1)
+    write_bundle(tmp_path, run_scenario(scenario), scenario)
+    monkeypatch.setattr(io, "_READ_ROWS", 7)  # every snapshot spans blocks
+    for file_name in READERS:
+        _assert_reads_as_one_pass(tmp_path / file_name)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +523,7 @@ MALFORMED = [
     (read_density_csv, DENSITY + "abc,0.5,0.25\n"),
     (read_density_csv, DENSITY + "0,0.5\n"),
     (read_density_csv, DENSITY + "0,0.5,0.25,1\n"),
+    (read_density_csv, "t,x,rho\n0,0.5\n0,1.5\n"),  # every row short
     (read_density_csv, DENSITY + "# comment\n"),
     (read_density_csv, "# comment\n" + DENSITY),
     (read_density_csv, "t,x\n0,0.5\n"),
@@ -345,14 +540,51 @@ MALFORMED = [
     (read_diagnostics_csv, DIAGNOSTICS + "2.5,1,0.5,0.25,0,1\n"),
     (read_diagnostics_csv, DIAGNOSTICS + "# 2,1,0.5,0.25,0,1\n"),
     (read_diagnostics_csv, "step,t,dt,mass,min\n1,0.5,0.5,0.25,0\n"),
+    # undecodable bytes, in a row and in the header
+    (read_density_csv, b"t,x,rho\n0,0.5,\xff\n"),
+    (read_density_csv, b"\xff,x,rho\n"),
+    (read_probe_csv, PROBE.encode() + b"1,0,1,0.5,\xff\n"),
+    (read_diagnostics_csv, DIAGNOSTICS.encode() + b"2,1,0.5,0.25,0,\xff\n"),
+    (read_metadata, b"\xff\xfe{}"),
 ]
 
 
 @pytest.mark.parametrize("reader, text", MALFORMED)
 def test_malformed_csv_is_a_domain_error_naming_the_file(tmp_path, reader, text):
-    path = _write(tmp_path, "bad.csv", text)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(DomainError, match="bad.csv"):
         reader(path)
+
+
+#: (reader, header, a good row, rows that are each wrong in another way)
+ROW_FAULTS = [
+    (read_density_csv, "t,x,rho", "0,0.5,0.25",
+     ["abc,0.5,0.25", "0,0.5", "0,0.5,0.25,1", "# comment", "0,0.5,\udcff"]),
+    (read_probe_csv, "t,probe_id,x,speed,trace_rho", "0,0,1,0.5,0.1",
+     ["0,abc,1,0.5,0.1", "0,0,1", "#0,0,1,0.5,0.1", "0,1.5,1,0.5,0.1", "0,nan,1,0.5,0.1"]),
+    (read_diagnostics_csv, "step,t,dt,mass,min,max", "1,0.5,0.5,0.25,0,1",
+     ["2,abc,0.5,0.25,0,1", "2,1,0.5", "# 2,1,0.5,0.25,0,1", "2.5,1,0.5,0.25,0,1"]),
+]
+
+
+@pytest.mark.parametrize("bad_row", [1, 3, 5, 11])
+@pytest.mark.parametrize("rows_per_block", [4, io._READ_ROWS])
+@pytest.mark.parametrize("reader, header, good, faults", ROW_FAULTS)
+def test_reader_errors_name_the_data_row_counted_from_the_first(
+    tmp_path, monkeypatch, reader, header, good, faults, rows_per_block, bad_row
+):
+    # with 4-row blocks, row 5 opens the second block and row 11 lies in the third
+    monkeypatch.setattr(io, "_READ_ROWS", rows_per_block)
+    path = tmp_path / "bad.csv"
+    for fault in faults:
+        rows = [good] * 12
+        rows[bad_row - 1] = fault
+        # blank lines are not data rows
+        text = header + "\n\n" + "\n".join(rows[:6]) + "\n\n" + "\n".join(rows[6:]) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))  # \udcff: the byte 0xff
+        with pytest.raises(DomainError, match=rf"bad\.csv: .*data row {bad_row}\b"):
+            reader(path)
 
 
 def test_well_formed_fixtures_read(tmp_path):
@@ -385,3 +617,10 @@ def test_pgm_pixels_may_hold_newline_bytes(tmp_path):
     path = tmp_path / "ok.pgm"
     path.write_bytes(b"P5\n3 1\n255\n\n\x00\n")
     assert read_pgm(path).tolist() == [[10, 0, 10]]
+
+
+def test_a_block_of_short_rows_names_its_first_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(io, "_READ_ROWS", 2)  # the short rows are the whole second block
+    path = _write(tmp_path, "bad.csv", "t,x,rho\n0,0.5,0.25\n0,1.5,0.5\n1,0.5\n1,1.5\n")
+    with pytest.raises(DomainError, match=r"bad\.csv: data row 3 has 2 fields, expected 3"):
+        read_density_csv(path)

@@ -206,22 +206,22 @@ def test_bundle_digest_from_the_command_line():
         check=True,
         timeout=120,
     ).stdout.split()
-    assert len(out) == 2 and out[0] == "calibration"
+    assert len(out) == 4 and out[0] == "calibration" and out[2] == "calibration:read"
     scenario = get_scenario("calibration")
     script = _load_script()
-    digest = script.bundle_digest(run_scenario(scenario), scenario, {})
-    assert out[1] == digest and len(digest) == 64
-    assert digest != script.digest(run_scenario(scenario))
+    files, read = script.bundle_digests(run_scenario(scenario), scenario, {})
+    assert [out[1], out[3]] == [files, read] and len(files) == len(read) == 64
+    assert files != script.digest(run_scenario(scenario))
 
 
 def test_bundle_digest_sees_every_file(monkeypatch):
     script = _load_script()
     scenario = get_scenario("calibration").with_overrides(t_end=0.05)
     result = run_scenario(scenario)
-    base = script.bundle_digest(result, scenario, {"t_end": 0.05})
-    assert script.bundle_digest(result, scenario, {"t_end": 0.05}) == base
+    base = script.bundle_digests(result, scenario, {"t_end": 0.05})[0]
+    assert script.bundle_digests(result, scenario, {"t_end": 0.05})[0] == base
     # metadata.json records the overrides
-    assert script.bundle_digest(result, scenario, {}) != base
+    assert script.bundle_digests(result, scenario, {})[0] != base
     write_bundle = script.write_bundle
     for index in range(5):  # metadata, the three tables, the heatmap
 
@@ -233,4 +233,23 @@ def test_bundle_digest_sees_every_file(monkeypatch):
             return bundle
 
         monkeypatch.setattr(script, "write_bundle", flip_last_bit)
-        assert script.bundle_digest(result, scenario, {"t_end": 0.05}) != base, index
+        assert script.bundle_digests(result, scenario, {"t_end": 0.05})[0] != base, index
+
+
+def test_read_digest_sees_every_reader(monkeypatch):
+    script = _load_script()
+    scenario = get_scenario("fig_int3").with_overrides(t_end=0.05)
+    result = run_scenario(scenario)
+    base = script.bundle_digests(result, scenario, {})[1]
+    assert script.bundle_digests(result, scenario, {})[1] == base
+    nudges = {
+        "read_density_csv": lambda snaps: snaps[:-1] + [(*snaps[-1][:2], -snaps[-1][2])],
+        "read_probe_csv": lambda paths: {pid: path[::-1] for pid, path in paths.items()},
+        "read_diagnostics_csv": lambda rows: rows[:-1],
+        "read_pgm": lambda image: image.T,  # same pixels, other shape
+    }
+    for name, nudge in nudges.items():
+        reader = getattr(script.io, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(script.io, name, lambda p, reader=reader, nudge=nudge: nudge(reader(p)))
+            assert script.bundle_digests(result, scenario, {})[1] != base, name
