@@ -57,7 +57,6 @@ from .model import (
     check_admissible,
     eval_encoded_speed,
     eval_flux,
-    eval_g,
     harmonic_speed,
 )
 from .riemann import RiemannSolution, sample_solution, solve_riemann

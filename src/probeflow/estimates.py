@@ -8,7 +8,7 @@ an exact oracle; :mod:`probeflow.verify`, the CLI and the tests read them.
   L1 stability estimate
   ``||rho1(t) - rho2(t)||_L1 <= exp(C*t) * ||rho1(0) - rho2(0)||_L1``;
   :func:`mixed_difference_constant` bounds the mixed difference of the
-  auxiliary map ``g(rho, q) = q*rho*v(rho) / (q + v(rho))``.
+  auxiliary map :func:`eval_g`, ``g(rho, q) = q*rho*v(rho) / (q + v(rho))``.
 * :func:`phi_epsilon` computes the travel-time-style observable of a probe
   crossing a single density jump, whose one-sided limits in the family
   parameter quantify an identifiability gap.
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DomainError, FrontTrackError, require_finite
 from .fronttrack import PiecewiseConstant, from_datum, ft_evolve
 from .fvsolver import Grid, run
-from .model import EpsilonLaw, FluxModel, Greenshields, eval_g, harmonic_speed
+from .model import ZERO_DENOM_TOL, EpsilonLaw, FluxModel, Greenshields, _as_density, harmonic_speed
 from .riemann import solve_riemann
 
 
@@ -106,6 +106,20 @@ def _sampled_xrho_lipschitz(model):
         dvdx = slope * (harmonic_speed(w, v) - v)
         worst = max(worst, float(np.max(np.abs(np.diff(dvdx, axis=1))) / drho))
     return worst
+
+
+def eval_g(law, rho, q):
+    """The auxiliary map ``g(rho, q) = q * rho * v(rho) / (q + v(rho))``,
+    extended by 0 where the denominator vanishes."""
+    rho = _as_density(rho)
+    q = np.asarray(q, dtype=float)
+    v = law(rho)
+    denom = q + v
+    safe = np.where(denom < ZERO_DENOM_TOL, 1.0, denom)
+    out = np.where(denom < ZERO_DENOM_TOL, 0.0, q * rho * v / safe)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def mixed_difference_constant(law, P):

@@ -10,8 +10,8 @@ away from the probe.  The conservation-law flux is
 ``f(t, x, rho) = rho * V(t, x, rho)`` with ``V`` the blended speed field.
 
 The analytic moduli attached to that flux (Lipschitz constants, the
-mixed-difference bound of the auxiliary map :func:`eval_g` and the L1
-stability rate ``C``) are in :mod:`probeflow.estimates`.
+auxiliary map ``g`` and its mixed-difference bound, and the L1 stability
+rate ``C``) are in :mod:`probeflow.estimates`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -97,7 +97,7 @@ class SpeedLaw(ABC):
     @cached_property
     def failed_conditions(self):
         """Names of the :func:`check_admissible` conditions this law fails,
-        empty for an admissible law; scanned once per law."""
+        empty for an admissible law; decided once per law."""
         report = check_admissible(self)
         return tuple(c.name for c in report.conditions if not c.passed)
 
@@ -149,8 +149,9 @@ class EpsilonLaw(SpeedLaw):
     def v_max(self):
         if self.eps <= 1.0:
             return 1.0
-        # interior maximum at rho = (eps - 1) / (2 eps)
-        return (1.0 + self.eps) ** 2 / (4.0 * self.eps)
+        # the larger of the law's own values at 0 and at its interior
+        # maximum, so that rounding leaves neither above v_max
+        return max(1.0, float(self((self.eps - 1.0) / (2.0 * self.eps))))
 
     @property
     def pieces(self):
@@ -215,16 +216,25 @@ def _flux_slope(law, rho, side):
     return a + 2.0 * b * rho + 3.0 * c * rho * rho
 
 
+def _blend_cubic(c, k, b, r):
+    """``c**2 r**3 - 3 c k r - b k``: with ``k = w + a``, the sign of ``-g''``
+    for a probe at speed ``w`` on a piece ``v = a + b r + c r**2``."""
+    cr = c * r
+    return cr * cr * r - 3.0 * k * cr - b * k
+
+
+def _cubic_turn(c, k, s, e):
+    """The turning point ``r**2 = k / c`` of :func:`_blend_cubic`, clipped
+    to ``[s, e]``; ``e`` when it has none."""
+    return min(max(math.sqrt(k / c), s), e) if k / c > 0.0 else e
+
+
 def _cubic_roots(c, k, b, s, e):
-    """The roots in ``[s, e]`` of ``c**2 r**3 - 3 c k r - b k``, by
-    bisection on either side of its turning point ``r**2 = k / c``: no
-    coefficient is divided by ``c``, so none overflows."""
-
-    def cubic(r):
-        cr = c * r
-        return cr * cr * r - 3.0 * k * cr - b * k
-
-    turn = min(max(math.sqrt(k / c), s), e) if k / c > 0.0 else e
+    """The roots in ``[s, e]`` of :func:`_blend_cubic`, by bisection on
+    either side of its turning point: no coefficient is divided by ``c``,
+    so none overflows."""
+    cubic = partial(_blend_cubic, c, k, b)
+    turn = _cubic_turn(c, k, s, e)
     roots = []
     for left, right in ((s, turn), (turn, e)):
         negative = cubic(left) < 0.0
@@ -785,20 +795,6 @@ def eval_flux(model, states, x, rho, windows=None):
     return rho * _blended_speed(model, states, x, rho, windows)
 
 
-def eval_g(law, rho, q):
-    """The auxiliary map ``g(rho, q) = q * rho * v(rho) / (q + v(rho))``,
-    extended by 0 where the denominator vanishes."""
-    rho = _as_density(rho)
-    q = np.asarray(q, dtype=float)
-    v = law(rho)
-    denom = q + v
-    safe = np.where(denom < ZERO_DENOM_TOL, 1.0, denom)
-    out = np.where(denom < ZERO_DENOM_TOL, 0.0, q * rho * v / safe)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Admissibility
 # ---------------------------------------------------------------------------
@@ -829,95 +825,77 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def _second_differences(values, h):
-    """Normalised interior second differences (approximate f'')."""
-    return (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (h * h)
-
-
-def _boundary_curvature(f, at_zero, h=1e-4):
-    """Second derivative of ``f`` at an endpoint of [0, 1], one-sided.
-
-    Uses Richardson extrapolation ``2 D(h/2) - D(h)`` of the one-sided
-    second difference, which cancels the O(h) skew of the one-sided stencil
-    (exact for cubic f, up to rounding).
-    """
-    def one_sided(hh):
-        if at_zero:
-            pts = f(np.array([0.0, hh, 2.0 * hh]))
-        else:
-            pts = f(np.array([1.0, 1.0 - hh, 1.0 - 2.0 * hh]))
-        return (pts[2] - 2.0 * pts[1] + pts[0]) / (hh * hh)
-
-    return 2.0 * one_sided(h / 2.0) - one_sided(h)
-
-
-#: Relative strictness floor for the flux-concavity scan: the estimated f''
-#: must stay below -STRICT_CONCAVITY_REL * max|f''|.  This resolves genuine
-#: curvature degeneracy (f'' -> 0 somewhere on the closed interval) while
-#: sitting far above finite-difference noise (~1e-7).
-STRICT_CONCAVITY_REL = 1e-4
-
 #: Declared validity range of the quadratic family parameter.
 EPSILON_ADMISSIBLE = (-1.0 / 3.0, 1.0 / 3.0)
 
 
 def check_admissible(law):
-    """Scan a speed law on 201 evenly spaced densities for the
-    admissibility conditions.
+    """Decide each admissibility condition exactly from ``law.pieces``,
+    ``v = a + b rho + c rho**2`` on each piece.  ``worst_violation`` is the
+    amount by which a condition fails (0 when it holds, or fails only at
+    equality); a NaN fails every test it enters, as in :func:`_as_density`.
 
-    Checks, each reported with its worst violation magnitude:
+    Values of ``v`` are read from ``law(rho)``, as
+    :func:`~probeflow.fvsolver.check_run` reads ``v(1)``, at 0, the knots,
+    the vertices ``-b / (2 c)`` inside pieces and 1: the coefficients are
+    rounded (for ``EpsilonLaw(-0.3)``, ``(a + b) + c`` reads -5.6e-17 at 1).
+    They give the derivatives, tested at both ends of every piece:
 
-    * ``v(1) = 0`` exactly, as :func:`~probeflow.fvsolver.check_run`
-      requires;
-    * ``v`` non-increasing on a sampled grid (tolerance 1e-12);
-    * ``0 <= v <= v_max``;
-    * strict concavity of the flux ``rho*v(rho)`` on the closed interval,
-      via interior second differences plus extrapolated one-sided second
-      derivatives at both endpoints;
-    * strict concavity (interior samples) of the blended flux
-      ``rho -> w*rho*v/(w+v)`` for ``w`` in ``{0.1, 0.5, 1, 2} * v_max``;
-    * for :class:`EpsilonLaw`, the declared parameter range [-1/3, 1/3].
+    * ``speed_vanishes_at_full_density``: ``v(1) == 0`` exactly;
+    * ``speed_monotone_nonincreasing``: ``v' = b + 2 c rho <= 0``, and no
+      value read exceeds the one before it;
+    * ``speed_within_range``: ``0 <= v <= v_max`` at every value read;
+    * ``flux_strictly_concave``: ``f'' = 2 (b + 3 c rho) < 0``, and ``f'``
+      does not rise across a knot: ``rho (v'(rho+) - v'(rho-)) <= 0``;
+    * ``blend_strictly_concave``: ``g_w = w rho v / (w + v)`` is strictly
+      concave for every ``w > 0``.  With ``k = b + 3 c rho`` and ``h =
+      c**2 rho**3 - a k``, ``g_w'' = -2 w**2 (h - w k) / (w + v)**3`` is
+      linear in ``w``, so negative for every ``w > 0`` exactly where
+      ``h >= 0 >= k`` and ``h > k``: where ``h >= 0`` once the flux
+      condition holds.  ``h`` is convex on ``rho >= 0``, so a piece's ends
+      and its turning point ``rho**2 = a / c`` decide it.  At a knot
+      ``g_w'`` jumps by ``(w / (w + v))**2`` times ``f'``'s jump, so the
+      knot test is the flux's.  The violation is the largest of ``-h``,
+      ``f''`` (the limit ``w -> inf``) and the rise of ``f'``;
+    * ``family_parameter_range`` (:class:`EpsilonLaw` only): ``eps`` in
+      :data:`EPSILON_ADMISSIBLE`.
+
+    So ``EpsilonLaw(eps)`` is monotone for ``eps <= 1``, its flux strictly
+    concave for ``-1/2 < eps < 1`` and its blend for ``-1/2 <= eps < 1``;
+    it vanishes at 1 and stays within range for every ``eps``.
     """
-    grid = np.linspace(0.0, 1.0, 201)
-    h = grid[1] - grid[0]
-    v = law(grid)
-    conditions = []
-
-    viol = abs(float(v[-1]))
-    conditions.append(ConditionCheck("speed_vanishes_at_full_density", viol == 0.0, viol))
-
-    increase = float(np.max(np.diff(v), initial=-np.inf))
-    viol = max(0.0, increase)
-    conditions.append(ConditionCheck("speed_monotone_nonincreasing", viol <= 1e-12, viol))
-
-    viol = max(0.0, float(np.max(-v)), float(np.max(v - law.v_max)))
-    conditions.append(ConditionCheck("speed_within_range", viol <= 1e-12, viol))
-
-    flux = grid * v
-    curv = list(_second_differences(flux, h))
-    curv.append(_boundary_curvature(law.flux, at_zero=True))
-    curv.append(_boundary_curvature(law.flux, at_zero=False))
-    curv = np.asarray(curv)
-    scale = float(np.max(np.abs(curv)))
-    threshold = -STRICT_CONCAVITY_REL * scale
-    worst = float(np.max(curv))
-    passed = scale > 0.0 and worst <= threshold
-    conditions.append(
-        ConditionCheck("flux_strictly_concave", passed, max(0.0, worst - threshold))
-    )
-
-    worst_blend = -math.inf
-    for w in (0.1, 0.5, 1.0, 2.0):
-        g = eval_g(law, grid, w * law.v_max)
-        worst_blend = max(worst_blend, float(np.max(_second_differences(g, h))))
-    passed = worst_blend <= -1e-12
-    conditions.append(
-        ConditionCheck("blend_strictly_concave", passed, max(0.0, worst_blend + 1e-12))
-    )
-
+    pieces = law.pieces
+    points = [pieces[0][0]]  # where v is read: 0, then in order to 1
+    slopes, curvatures, blends = [], [], []
+    for start, end, (a, b, c) in pieces:
+        vertex = -b / (2.0 * c) if c else math.nan
+        points += [vertex, end] if start < vertex < end else [end]
+        slopes += [b + 2.0 * c * start, b + 2.0 * c * end]
+        curvatures += [2.0 * (b + 3.0 * c * start), 2.0 * (b + 3.0 * c * end)]
+        turn = _cubic_turn(c, a, start, end) if c else end
+        blends += [(_blend_cubic(c, a, b, r), b + 3.0 * c * r) for r in (start, turn, end)]
+    knots = [end for _, end, _ in pieces[:-1]]
+    kinks = [r * (right - left) for r, left, right in zip(knots, slopes[1::2], slopes[2::2])]
+    v = [float(value) for value in law(np.array(points))]
+    rises = [v1 - v0 for v0, v1 in zip(v, v[1:])]
+    v_full, v_max = float(law(1.0)), law.v_max
+    within = all(0.0 <= x <= v_max for x in v)
+    concave_knots = all(x <= 0.0 for x in kinks)
+    flux = all(x < 0.0 for x in curvatures) and concave_knots
+    blend = all(h >= 0.0 >= k and h > k for h, k in blends) and concave_knots
+    checks = [
+        ("speed_vanishes_at_full_density", v_full == 0.0, [abs(v_full)]),
+        ("speed_monotone_nonincreasing", all(x <= 0.0 for x in slopes + rises), slopes + rises),
+        ("speed_within_range", within, [-x for x in v] + [x - v_max for x in v]),
+        ("flux_strictly_concave", flux, curvatures + kinks),
+        ("blend_strictly_concave", blend, [-h for h, _ in blends] + curvatures + kinks),
+    ]
     if isinstance(law, EpsilonLaw):
         lo, hi = EPSILON_ADMISSIBLE
         viol = max(0.0, lo - law.eps, law.eps - hi)
-        conditions.append(ConditionCheck("family_parameter_range", viol == 0.0, viol))
-
-    return AdmissibilityReport(law=law, conditions=tuple(conditions))
+        checks.append(("family_parameter_range", viol == 0.0, [viol]))
+    conditions = tuple(
+        ConditionCheck(name, passed, _max_keeping_nan([0.0, *amounts]))
+        for name, passed, amounts in checks
+    )
+    return AdmissibilityReport(law=law, conditions=conditions)

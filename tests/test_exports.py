@@ -51,6 +51,7 @@ ESTIMATES = [
     "PhiReport",
     "RescalingReport",
     "StabilityConstant",
+    "eval_g",
     "lemma1_check",
     "lipschitz_constants",
     "mixed_difference_constant",

@@ -5,10 +5,11 @@ property-style checks draw their inputs with hypothesis.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from probeflow import (
@@ -33,11 +34,12 @@ from probeflow import (
     lipschitz_constants,
     mixed_difference_constant,
     run,
+    solve_riemann,
     stability_constant_C,
 )
 from probeflow import estimates
 from probeflow.fvsolver import check_run
-from probeflow.model import _knot_lookup, _SpeedTable
+from probeflow.model import EPSILON_ADMISSIBLE, _knot_lookup, _SpeedTable
 
 densities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 speeds = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -945,12 +947,70 @@ class TestStabilityConstant:
 
 
 # ---------------------------------------------------------------------------
-# Admissibility scan
+# Admissibility
 # ---------------------------------------------------------------------------
 
 def condition(report, name):
     """The named check of an admissibility report."""
     return next(c for c in report.conditions if c.name == name)
+
+
+def table_failures(values):
+    """The conditions a :class:`TabulatedLaw` of ``values`` fails, decided
+    in exact rational arithmetic from the signs of its slopes and of its
+    second differences.  Its values are non-negative and its ``v_max`` is
+    their maximum, so it is always within range.  On a linear piece the
+    blend's ``h = -a b`` is positive wherever ``b < 0`` (the intercept ``a``
+    is then positive), so the blend fails exactly where the flux does."""
+    v = [Fraction(x) for x in values]
+    h = Fraction(1, len(v) - 1)
+    slopes = [(v1 - v0) / h for v0, v1 in zip(v, v[1:])]
+    bends = [s1 - s0 for s0, s1 in zip(slopes, slopes[1:])]
+    failed = []
+    if v[-1] != 0:
+        failed.append("speed_vanishes_at_full_density")
+    if any(s > 0 for s in slopes):
+        failed.append("speed_monotone_nonincreasing")
+    if not (all(s < 0 for s in slopes) and all(d <= 0 for d in bends)):
+        failed += ["flux_strictly_concave", "blend_strictly_concave"]
+    return tuple(failed)
+
+
+def epsilon_failures(eps):
+    """The conditions ``EpsilonLaw(eps)`` fails, in the closed form that
+    :func:`check_admissible` states."""
+    lo, hi = EPSILON_ADMISSIBLE
+    failed = []
+    if eps > 1.0:
+        failed.append("speed_monotone_nonincreasing")
+    if not -0.5 < eps < 1.0:
+        failed.append("flux_strictly_concave")
+    if not -0.5 <= eps < 1.0:
+        failed.append("blend_strictly_concave")
+    if not lo <= eps <= hi:
+        failed.append("family_parameter_range")
+    return tuple(failed)
+
+
+#: Tables of ``k / 8`` on 2, 3, 5 or 9 knots, whose slopes and intercepts
+#: are all exact in float64: any values, or a concave decreasing table
+#: built from non-decreasing drops that ends at 0.
+dyadic_tables = st.one_of(
+    st.sampled_from([2, 3, 5, 9]).flatmap(
+        lambda n: st.lists(st.integers(0, 16), min_size=n, max_size=n)
+    ),
+    st.sampled_from([1, 2, 4, 8]).flatmap(
+        lambda n: st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    ).map(lambda drops: [sum(sorted(drops)[i:]) for i in range(len(drops) + 1)]),
+).map(lambda ks: [k / 8.0 for k in ks])
+
+#: Around each boundary of the closed form: the value and its neighbours.
+EPSILON_EDGES = [
+    x
+    for edge in (-1.0, -0.5, -1.0 / 3.0, 1.0 / 3.0, 1.0, 2.0)
+    for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+    if -1.0 <= x <= 2.0
+]
 
 
 class TestAdmissibility:
@@ -991,3 +1051,58 @@ class TestAdmissibility:
     def test_report_str(self):
         report = check_admissible(Greenshields(1.0))
         assert "PASS" in str(report)
+
+    @settings(max_examples=400)
+    @given(dyadic_tables)
+    @example([0.0, 0.0])
+    @example([1.0, 0.5, 0.0])
+    @example([2.0, 1.875, 1.625, 1.25, 0.0])
+    @example([1.0, 0.375, 0.0])
+    def test_tables_match_the_exact_reference(self, values):
+        law = TabulatedLaw(values)
+        expected = table_failures(values)
+        assert law.failed_conditions == expected
+        assert check_admissible(law).passed == (not expected)
+
+    def test_epsilon_family_matches_the_closed_form(self):
+        # every 0.001 on [-1, 2], and each edge of the closed form with its
+        # two neighbouring floats
+        for eps in [k / 1000.0 for k in range(-1000, 2001)] + EPSILON_EDGES:
+            assert EpsilonLaw(eps).failed_conditions == epsilon_failures(eps), eps
+
+    def test_nan_coefficient_fails_and_has_no_riemann_solution(self, nan_slope_law):
+        # the second piece's NaN intercept enters the blend's test
+        assert not condition(check_admissible(nan_slope_law), "blend_strictly_concave").passed
+        assert nan_slope_law.failed_conditions
+        with pytest.raises(DomainError, match="not admissible"):
+            solve_riemann(nan_slope_law, 0.75, 0.0)
+
+    def test_convex_kink_fails(self):
+        # f'(1/2-) = -0.00735 < f'(1/2+) = 0: a fan from 0.75 to 0.25
+        # would cross a convex kink
+        law = TabulatedLaw([1.131540015072459, 0.5620939947453619, 0.0])
+        report = check_admissible(law)
+        assert not condition(report, "flux_strictly_concave").passed
+        assert not condition(report, "blend_strictly_concave").passed
+        with pytest.raises(DomainError, match="not admissible"):
+            solve_riemann(law, 0.75, 0.25)
+
+    def test_worst_violation_is_the_rise_of_the_flux_slope(self):
+        # slopes -5/4 then -3/4: f' rises by (1/2)(1/2) at the knot
+        report = check_admissible(TabulatedLaw([1.0, 0.375, 0.0]))
+        assert condition(report, "flux_strictly_concave").worst_violation == 0.25
+        assert condition(report, "blend_strictly_concave").worst_violation == 0.25
+
+    def test_shallow_strictly_concave_piece_passes(self):
+        # f'' = 2 (-2e-6) < 0 on the first piece, however small beside the
+        # second piece's
+        report = check_admissible(TabulatedLaw([1.0, 0.999999, 0.0]))
+        assert report.passed
+        assert all(c.worst_violation == 0.0 for c in report.conditions)
+
+    def test_flux_fails_at_equality_while_the_blend_holds(self):
+        # EpsilonLaw(-1/2): f''(1) = 0, yet g_w''(1) = -2 w**2 h(1) / w**3 < 0
+        report = check_admissible(EpsilonLaw(-0.5))
+        flux = condition(report, "flux_strictly_concave")
+        assert not flux.passed and flux.worst_violation == 0.0
+        assert condition(report, "blend_strictly_concave").passed
