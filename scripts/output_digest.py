@@ -17,7 +17,10 @@ at ``x = 0.1``, within the cutoff's ``outer = 0.15`` of ``x_min = 0``, so
 its blend window is clipped at the domain's left end.  Two coupled cases
 run under a law that is not Greenshields: ``fig_int32_eps``, ``fig_int32``
 under ``EpsilonLaw(0.3)``, and ``fig_int3_tabulated``, ``fig_int3`` under
-a concave ``TabulatedLaw`` that ends at 0.
+a concave ``TabulatedLaw`` that ends at 0.  ``fig_int32_clipped`` is
+``fig_int32`` with its one, traffic-coupled probe started at ``x = -0.49``,
+within the cutoff's ``outer = 0.03`` of ``x_min = -0.5``, so that probe's
+one blend window is clipped at the domain's left end.
 For each it prints ``<case> <sha256>``, the hash taken over the bytes of
 every snapshot (time and field), the diagnostics rows, the boundary-flux
 rows (the log's ``step, t, dt, rate_in, rate_out`` columns) and every
@@ -99,6 +102,10 @@ LAWS = {
     "fig_int3_tabulated": ("fig_int3", TabulatedLaw([1.0, 0.9375, 0.8125, 0.5625, 0.0])),
 }
 
+#: Cases whose first probe starts elsewhere: name -> (built-in scenario,
+#: start of its first probe).
+STARTS = {"fig_int32_clipped": ("fig_int32", -0.49)}
+
 #: Front-tracking cases: name -> seed of the benchmark's oracle datum.
 ORACLES = {"oracle_7": 7, "oracle_31": 31}
 
@@ -122,13 +129,17 @@ def _workloads():
     return module
 
 
+def _first_probe_at(scenario, start):
+    first, *rest = scenario.probes
+    moved = ProbeTrajectory(start, first.program, first.mollify_radius, first.observer)
+    return scenario.with_overrides(probes=(moved, *rest))
+
+
 def _fleet_scenario(seed, n_probes, first_start):
     scenario = _workloads().fleet_scenario(seed, n_probes=n_probes)
     if first_start is None:
         return scenario
-    first, *rest = scenario.probes
-    moved = ProbeTrajectory(first_start, first.program, first.mollify_radius, first.observer)
-    return scenario.with_overrides(probes=(moved, *rest))
+    return _first_probe_at(scenario, first_start)
 
 
 def _mollified_scenario(name, radius):
@@ -141,7 +152,9 @@ def _mollified_scenario(name, radius):
 
 
 def run_case_names():
-    return scenarios.scenario_names() + list(MOLLIFIED) + list(FLEETS) + list(LAWS)
+    return (
+        scenarios.scenario_names() + list(MOLLIFIED) + list(FLEETS) + list(LAWS) + list(STARTS)
+    )
 
 
 def case_names():
@@ -158,6 +171,9 @@ def load_case(name):
     if name in LAWS:
         base, law = LAWS[name]
         return scenarios.get_scenario(base).with_overrides(law=law), {}
+    if name in STARTS:
+        base, start = STARTS[name]
+        return _first_probe_at(scenarios.get_scenario(base), start), {}
     return scenarios.get_scenario(name), OVERRIDES.get(name, {})
 
 

@@ -224,9 +224,9 @@ def _law_slope(law, i, j):
 def _vertex_slope(law, w, i, j):
     """A probe's bounds at speed ``w`` over the lattice range and over
     [0, 1]: the larger of its vertex flux's slope and of the shift that
-    :func:`cfl_dt` explains, then the slope alone.  NaN for a NaN or
-    negative ``w``, or where the blend's ``2 w v`` overflows."""
-    if not (w >= 0.0 and math.isfinite(2.0 * w * law.v_max)):
+    :func:`cfl_dt` explains, then the slope alone.  NaN where the blend's
+    ``2 w v`` overflows; :func:`cfl_dt` passes only finite ``w >= 0``."""
+    if not math.isfinite(2.0 * w * law.v_max):
         return math.nan, math.nan
     lo, hi = i / _RANGE_LATTICE, j / _RANGE_LATTICE
     slope, moved_lo, moved_hi = _peak_slope(law, lo, hi, w)
@@ -271,9 +271,9 @@ def cfl_dt(model, grid, states, rho_range, cfl=CFL_DEFAULT):
     nearly every step, so its bound is mostly a miss; a miss is Python
     float arithmetic on the law's pieces, with no array built.  Its
     maxima keep a NaN wherever it stands among their arguments, as
-    :func:`numpy.max` does.  A coupled probe at a NaN position is a
-    :class:`DomainError`; a non-finite slope raises
-    :class:`StabilityError` on every call.
+    :func:`numpy.max` does.  A coupled probe at a NaN position, or with a
+    negative, NaN or infinite speed, is a :class:`DomainError`; a
+    non-finite slope raises :class:`StabilityError` on every call.
     """
     if not 0.0 < cfl <= 1.0:
         raise DomainError(f"cfl must lie in (0, 1], got {cfl}")

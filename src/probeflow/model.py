@@ -665,11 +665,14 @@ def harmonic_speed(w, v):
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     denom = w + v
-    # one masked division; where it is skipped the result stays 0.  A NaN
-    # denominator fails ``denom < tol``, so it is divided by and stays NaN.
-    out = np.divide(
-        2.0 * w * v, denom, out=np.zeros(np.shape(denom)), where=~(denom < ZERO_DENOM_TOL)
-    )
+    small = denom < ZERO_DENOM_TOL
+    out = np.asarray((w + w) * v)  # w + w is 2 w to the bit
+    if np.count_nonzero(small):
+        # a masked division; where it is skipped the result stays 0.  A NaN
+        # denominator fails ``denom < tol``, so it is divided by and stays NaN.
+        out = np.divide(out, denom, out=np.zeros(np.shape(denom)), where=~small)
+    else:
+        out /= denom
     # exact fixed point: agreement between the two speeds is preserved bitwise
     np.copyto(out, v, where=w == v)
     if out.ndim == 0:
@@ -678,14 +681,20 @@ def harmonic_speed(w, v):
 
 
 def check_states(model, states):
-    """Reject ``states`` unless it holds one entry per coupled probe."""
+    """Reject ``states`` unless it holds one entry per coupled probe, each
+    with a finite speed of at least 0.  Positions are not checked here."""
     if len(states) != len(model.coupled_probes):
         raise DomainError(f"{len(states)} states for {len(model.coupled_probes)} coupled probes")
+    for _, w in states:
+        # written negated so that a NaN speed fails it
+        if not 0.0 <= w < math.inf:
+            raise DomainError(f"probe speed must be finite and >= 0, got {w}")
 
 
 def _stacked_weights(model, states, x, windows):
     """Every coupled probe's cutoff weight over its window of 1-d ``x``, all
-    probes in one pass.
+    probes in one pass: the stacked layout :func:`_blended_speed` takes for
+    two or more probes.
 
     ``windows`` holds one slice of ``x`` per probe, or is ``None`` for the
     whole of ``x``.  Returns ``idx``, the indices into ``x`` of every
@@ -707,8 +716,6 @@ def _stacked_weights(model, states, x, windows):
     disjoint = windows is not None
     if windows is None:
         windows = (slice(None),) * len(states)
-    elif len(windows) != len(states):
-        raise DomainError(f"{len(windows)} windows for {len(states)} probe states")
     rows = [range(x.size)[win] for win in windows]
     if disjoint:
         spans = sorted((r.start, r.stop) for r in rows if r)
@@ -730,9 +737,10 @@ def eval_encoded_speed(model, states, x, rho):
     """The blended speed field ``V(x, rho)``.
 
     ``states`` holds the ``(position p_i, speed pdot_i)`` of every coupled
-    probe, in :attr:`FluxModel.coupled_probes` order (:class:`DomainError`
-    otherwise): :meth:`FluxModel.probe_states` for programmed probes, or
-    what a running simulation resolves.  Each probe contributes a weight
+    probe, in :attr:`FluxModel.coupled_probes` order, each speed finite and
+    at least 0 (:class:`DomainError` otherwise):
+    :meth:`FluxModel.probe_states` for programmed probes, or what a running
+    simulation resolves.  Each probe contributes a weight
     ``w_i = chi(x - p_i)``.  With ``W = sum(w_i) <= 1`` the speed is
     ``(1 - W) * v(rho) + sum_i w_i * harmonic_speed(pdot_i, v(rho))``; for
     ``W > 1`` the weights are first normalised by ``W`` (the blend stays a
@@ -748,17 +756,23 @@ def _blended_speed(model, states, x, rho, windows=None):
     one shape are broadcast together, blended as one flat C-ordered row and
     reshaped back; ``windows`` need the 1-d form (:class:`DomainError`).
 
-    Every probe's window is blended in one stacked pass, whatever the
-    number of probes: one cutoff evaluation and one harmonic blend over the
-    concatenated windows, and one unbuffered ``np.add.at``, which adds in
-    index order, so each point receives its probes' terms in probe order,
-    as a loop over the probes would add them.
+    Whatever the number of probes, an evaluation makes one cutoff call and
+    one harmonic blend.  One probe, the common case, is blended on its
+    window's own slice of ``x``, ``v`` and ``out`` (the whole of them
+    without windows), with its position and speed as floats: no index is
+    built, nothing gathered or scattered.  Its weight is its own sum and
+    at most 1, so ``chi / max(chi, 1.0) == chi`` exactly and ``chi`` is
+    applied as it is; at a NaN position the normaliser would only divide
+    the weight's NaN by the same NaN.
 
-    Disjoint windows (``total`` is ``None``) skip the normaliser and the
-    ``np.add.at``, bit for bit: a point's one weight is its own sum and
-    at most 1, so ``chi / max(chi, 1.0) == chi`` exactly, and on indices
-    that are all distinct ``out[idx] += term`` is the same one add per
-    point.
+    Two or more probes are blended in one stacked pass: one cutoff
+    evaluation and one harmonic blend over the concatenated windows, and
+    one unbuffered ``np.add.at``, which adds in index order, so each point
+    receives its probes' terms in probe order, as a loop over the probes
+    would add them.  Disjoint windows (``total`` is ``None``) skip the
+    normaliser and the ``np.add.at``, bit for bit: a point's one weight is
+    its own sum, and on indices that are all distinct ``out[idx] += term``
+    is the same one add per point.
     """
     check_states(model, states)
     x = np.asarray(x, dtype=float)
@@ -767,6 +781,8 @@ def _blended_speed(model, states, x, rho, windows=None):
             raise DomainError(f"windows need 1-d x and rho of one shape: {x.shape}, {rho.shape}")
         x, rho = np.broadcast_arrays(x, rho)
         return _blended_speed(model, states, x.ravel(), rho.ravel()).reshape(x.shape)[()]
+    if windows is not None and len(windows) != len(states):
+        raise DomainError(f"{len(windows)} windows for {len(states)} probe states")
     v = model.speed_law(rho)
     # accumulate as v + sum w_i (H_i - v): algebraically the convex
     # combination, but exact (not just close) wherever every H_i equals v.
@@ -774,7 +790,14 @@ def _blended_speed(model, states, x, rho, windows=None):
     # a signed zero, which leaves every bit of out (never -0) unchanged.
     # Adding 0.0 turns a -0 of v into +0, as adding the zeros would.
     out = v + 0.0
-    if states:
+    if len(states) == 1:
+        ((p, pdot),) = states
+        win = slice(None) if windows is None else windows[0]
+        vw = v[win]
+        moved = harmonic_speed(float(pdot), vw) - vw
+        view = out[win]
+        view += model.cutoff(x[win] - float(p)) * moved
+    elif states:
         idx, counts, chi, total = _stacked_weights(model, states, x, windows)
         vw = v[idx]
         speeds = np.repeat(np.array([pdot for _, pdot in states], dtype=float), counts)

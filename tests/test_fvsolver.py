@@ -1564,10 +1564,11 @@ class TestBlendWindowsValidated:
 # The stacked blend against the per-probe reference
 # ---------------------------------------------------------------------------
 #
-# ``_blended_speed`` blends every probe's window in one pass: the windows'
-# indices concatenated in probe order, one cutoff evaluation, a bincount
-# normaliser and one ``np.add.at``.  ``reference_blended_speed`` above loops
-# over the probes on the whole array; the two must agree byte for byte.
+# ``_blended_speed`` blends two or more probes' windows in one pass: the
+# windows' indices concatenated in probe order, one cutoff evaluation, a
+# bincount normaliser and one ``np.add.at``; one probe, on its window's own
+# slice.  ``reference_blended_speed`` above loops over the probes on the
+# whole array; the two must agree byte for byte.
 
 
 def _one_probe():
@@ -1603,6 +1604,36 @@ def _forty_probes():
     return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), states
 
 
+# One-probe cases: the window's own slice of x, v and out, cut short at
+# either end, empty, everywhere NaN, and at speeds that leave v unmoved.
+
+
+def _one_probe_clipped_at_the_left_end():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.04, 0.3),)
+
+
+def _one_probe_clipped_at_the_right_end():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.97, 0.6),)
+
+
+def _nan_position_alone():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((math.nan, 0.4),)
+
+
+def _empty_window_alone():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((25.0, 0.4),)
+
+
+def _one_stopped_probe():
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.5, 0.0),)
+
+
+def _one_probe_at_the_law_speed():
+    # v(0) = 1 under EpsilonLaw(0.25), and every seventh cell of
+    # _blend_field is empty: there the blend is the exact fixed point
+    return CutoffProfile(0.05, 0.15), Grid.from_extent(0.0, 1.0, 0.01), ((0.5, 1.0),)
+
+
 def _stacked_model(cutoff, states):
     # the blend reads positions from the states; a program needs a finite start
     return _probe_model(cutoff, [(p if math.isfinite(p) else 0.0, w) for p, w in states])
@@ -1616,6 +1647,12 @@ STACKED_CASES = [
     _empty_window,
     _one_probe,
     _forty_probes,
+    _one_probe_clipped_at_the_left_end,
+    _one_probe_clipped_at_the_right_end,
+    _nan_position_alone,
+    _empty_window_alone,
+    _one_stopped_probe,
+    _one_probe_at_the_law_speed,
 ]
 
 
@@ -1804,10 +1841,16 @@ def _no_bound(*args):
 
 
 # a NaN position is no probe the vertex bound counts, and no bound the scan
-# can take a maximum with, so that case has no reference step
+# can take a maximum with, so those cases have no reference step; nor has
+# a lone probe that reaches no cell, where the scan keeps the law's
+# one-sided differences, about 1e-7 off its exact slope at full density
 @pytest.mark.parametrize(
     "case",
-    [c for c in dict.fromkeys(BLEND_CASES + STACKED_CASES) if c is not _nan_position],
+    [
+        c
+        for c in dict.fromkeys(BLEND_CASES + STACKED_CASES)
+        if c not in (_nan_position, _nan_position_alone, _empty_window_alone)
+    ],
     ids=lambda c: c.__name__.strip("_"),
 )
 @pytest.mark.parametrize("rho_range", [FULL, (0.3, 0.7)])

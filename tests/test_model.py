@@ -772,6 +772,32 @@ class TestEncodedSpeed:
         )
         assert cfl_dt(model, grid, ((0.0, 0.2),), (0.0, 1.0)) > 0.0
 
+    @pytest.mark.parametrize("speed", [-0.3, -math.inf, math.nan, math.inf])
+    def test_probe_speed_must_be_finite_and_not_negative(self, speed):
+        # a negative speed blended a flux of -0.75 at the probe, a NaN one
+        # gave NaN everywhere, and cfl_dt read a negative one as a
+        # numerical failure (StabilityError) rather than bad input
+        probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+        model = FluxModel(Greenshields(1.0), probes=(probe,))
+        grid = Grid.from_extent(0.0, 1.0, 0.1)
+        x, rho = np.linspace(0.0, 1.0, 11), np.full(11, 0.5)
+        states = ((0.5, speed),)
+        for call in (
+            lambda: eval_encoded_speed(model, states, x, rho),
+            lambda: eval_flux(model, states, x, rho),
+            lambda: eval_flux(model, states, x, rho, [slice(2, 9)]),
+            lambda: cfl_dt(model, grid, states, (0.0, 1.0)),
+        ):
+            with pytest.raises(DomainError, match="probe speed must be finite and >= 0"):
+                call()
+
+    def test_a_stopped_probe_may_read_either_signed_zero(self):
+        probe = ProbeTrajectory(0.5, (ModelCoupled(0.0, None),))
+        model = FluxModel(Greenshields(1.0), probes=(probe,))
+        x, rho = np.linspace(0.0, 1.0, 11), np.full(11, 0.5)
+        for speed in (0.0, -0.0):
+            assert eval_flux(model, ((0.5, speed),), x, rho)[5] == 0.0
+
     def test_flux_is_density_times_speed(self):
         model = _single_probe_model(0.2)
         x = np.linspace(-0.3, 0.3, 13)

@@ -45,6 +45,7 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         "fleet_7_clipped",
         "fig_int32_eps",
         "fig_int3_tabulated",
+        "fig_int32_clipped",
         "oracle_7",
         "oracle_31",
         "riemann_7",
@@ -88,6 +89,13 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         ]
         assert not scenario.flux_model().speed_law.failed_conditions
     assert script.load_case("fig_int32_eps")[0].law == EpsilonLaw(0.3)
+    # fig_int32's one probe starts within outer of x_min, so its one blend
+    # window is clipped at the left end
+    scenario, overrides = script.load_case("fig_int32_clipped")
+    (probe,), (plain,) = scenario.probes, get_scenario("fig_int32").probes
+    assert scenario.name == "fig_int32" and overrides == {}
+    assert 0.0 < probe.x0 - scenario.x_min < scenario.cutoff.outer
+    assert probe.program == plain.program and not probe.observer
     assert script.load_case("fig_int3_tabulated")[0].law.values[-1] == 0.0
 
 
