@@ -9,6 +9,10 @@ an exact oracle; :mod:`probeflow.verify`, the CLI and the tests read them.
   ``||rho1(t) - rho2(t)||_L1 <= exp(C*t) * ||rho1(0) - rho2(0)||_L1``;
   :func:`mixed_difference_constant` bounds the mixed difference of the
   auxiliary map :func:`eval_g`, ``g(rho, q) = q*rho*v(rho) / (q + v(rho))``.
+  Each modulus is a closed form in constants the law, the cutoff and the
+  probe programs expose (``Lip(v)``, ``Lip(chi)``, the least and largest
+  programmed speeds); its derivation, which needs ``v >= 0`` on [0, 1] as
+  every library law has, is in its docstring.  Nothing is sampled.
 * :func:`phi_epsilon` computes the travel-time-style observable of a probe
   crossing a single density jump, whose one-sided limits in the family
   parameter quantify an identifiability gap.
@@ -32,7 +36,7 @@ import numpy as np
 from .errors import DomainError, FrontTrackError, require_finite
 from .fronttrack import PiecewiseConstant, from_datum, ft_evolve
 from .fvsolver import Grid, run
-from .model import ZERO_DENOM_TOL, EpsilonLaw, FluxModel, Greenshields, _as_density, harmonic_speed
+from .model import ZERO_DENOM_TOL, EpsilonLaw, FluxModel, Greenshields, _as_density
 from .riemann import solve_riemann
 
 
@@ -42,25 +46,31 @@ from .riemann import solve_riemann
 
 @dataclass(frozen=True)
 class LipschitzConstants:
-    """Moduli of the blended speed field.
+    """Moduli of the blended speed field ``V = v + chi(x - p) (H(w, v) - v)``
+    with ``H(w, v) = 2*w*v/(w+v)``.
 
-    ``M``: maximal value of the blend ``2*w*v/(w+v)`` over programmed probe
-    speeds and law speeds.  ``Lx`` bounds ``|d V / d x|``, ``Lrho`` bounds
-    ``|d V / d rho|``.  ``Lxrho_sampled`` is a finite-difference estimate of
-    the Lipschitz constant of ``rho -> dV/dx``, reported next to two
-    reference bounds it can be compared against.
+    ``M``: maximal value of the blend over programmed probe speeds and law
+    speeds.  ``Lx`` bounds ``|d V / d x|``, ``Lrho`` bounds
+    ``|d V / d rho|`` and ``Lxrho`` is the Lipschitz constant of
+    ``rho -> dV/dx``.
     """
 
     M: float
     Lx: float
     Lrho: float
-    Lxrho_sampled: float
-    Lxrho_reference: float
-    Lxrho_direct: float
+    Lxrho: float
 
 
 def lipschitz_constants(model):
-    """Compute the moduli of the blended speed field of ``model``."""
+    """Compute the moduli of the blended speed field of ``model``.
+
+    ``dV/dx = chi'(x - p) (H(w, v) - v)``, so ``rho -> dV/dx`` has the
+    derivative ``chi'(x - p) (dH/dv - 1) v'(rho)``.  For ``w, v >= 0``,
+    ``dH/dv = 2 (w / (w + v))**2`` lies in ``[0, 2]``, so
+    ``|dH/dv - 1| <= 1``, with equality at ``w = 0``; the three factors
+    peak independently, hence ``Lxrho = Lip(chi) * Lip(v)`` with probes
+    coupled, whatever speeds their programs take, and 0 without.
+    """
     law = model.speed_law
     vmax = law.v_max
     lip_v = law.lipschitz()
@@ -70,42 +80,8 @@ def lipschitz_constants(model):
     M = 0.0 if P == 0.0 else 2.0 * P * vmax / (P + vmax)
     has_probes = bool(model.coupled_probes)
     Lx = (M + vmax) * lip_chi if has_probes else 0.0
-    Lrho = 2.0 * lip_v
-    return LipschitzConstants(
-        M=M,
-        Lx=Lx,
-        Lrho=Lrho,
-        Lxrho_sampled=_sampled_xrho_lipschitz(model),
-        Lxrho_reference=(1.0 + lip_chi) * lip_v,
-        Lxrho_direct=3.0 * lip_chi * lip_v,
-    )
-
-
-def _sampled_xrho_lipschitz(model):
-    """Finite-difference estimate of Lip of ``rho -> dV/dx``.
-
-    ``dV/dx = chi'(x - p) * (blend(pdot, v) - v)`` depends on (t, x) only
-    through the offset ``xi = x - p(t)`` and the probe speed, so the sup is
-    taken over a (xi, speed, rho) grid; the speeds are 0 and every
-    program's knot speeds (the law's maximal speed stands in for
-    model-coupled pieces).
-    """
-    if not model.coupled_probes:
-        return 0.0
-    law = model.speed_law
-    speeds = {0.0}
-    for probe in model.coupled_probes:
-        speeds.update(probe._capped_speeds(law.v_max))
-    xi = np.linspace(-model.cutoff.outer, model.cutoff.outer, 201)
-    slope = model.cutoff.derivative(xi)[:, None]
-    rho = np.linspace(0.0, 1.0, 201)
-    v = law(rho)[None, :]
-    worst = 0.0
-    drho = rho[1] - rho[0]
-    for w in sorted(speeds):
-        dvdx = slope * (harmonic_speed(w, v) - v)
-        worst = max(worst, float(np.max(np.abs(np.diff(dvdx, axis=1))) / drho))
-    return worst
+    Lxrho = lip_chi * lip_v if has_probes else 0.0
+    return LipschitzConstants(M=M, Lx=Lx, Lrho=2.0 * lip_v, Lxrho=Lxrho)
 
 
 def eval_g(law, rho, q):
@@ -122,27 +98,22 @@ def eval_g(law, rho, q):
     return out
 
 
-def mixed_difference_constant(law, P):
-    """Sampled bound on the mixed second derivative of ``g``.
+def mixed_difference_constant(law, q_lo):
+    """Bound ``B`` on ``|d^2 g / (d rho d q)|`` over ``rho`` in [0, 1] and
+    ``q >= q_lo``, so that ``|g(r1,q1) - g(r1,q2) - g(r2,q1) + g(r2,q2)|
+    <= B |r1-r2| |q1-q2|`` for any ``q1, q2 >= q_lo``.
 
-    Returns the sup over a 241 x 241 ``(rho, q)`` grid of
-    ``|d^2 g / (d rho d q)|`` estimated by nested central differences of
-    :func:`eval_g`; this constant ``B`` satisfies (up to sampling)
-    ``|g(r1,q1) - g(r1,q2) - g(r2,q1) + g(r2,q2)| <= B |r1-r2| |q1-q2|``.
+    ``d^2 g / (d rho d q) = (v / (q + v))**2 + 2 rho v' v q / (q + v)**3``.
+    The first term lies in [0, 1] for ``v >= 0``; ``(q + v)**2 >= 4 q v``
+    gives ``v q / (q + v)**3 <= 1 / (4 (q + v)) <= 1 / (4 q)``, and
+    ``rho |v'| <= Lip(v)``, so ``B = 1 + Lip(v) / (2 q_lo)``.  On a
+    piecewise law ``g`` is continuous and piecewise smooth in ``rho``, so
+    the bound holds across knots.  It is ``inf`` at ``q_lo <= 0``: under
+    Greenshields the derivative is ``1/2 - 1/(4 q)`` along ``1 - rho = q``.
     """
-    if P <= 0.0:
-        return 0.0
-    n, h = 241, 1e-5
-    k = min(h, P / 4.0)
-    rho = np.linspace(h, 1.0 - h, n)[:, None]
-    q = np.linspace(k, P - k, n)[None, :]
-    mixed = (
-        eval_g(law, rho + h, q + k)
-        - eval_g(law, rho + h, q - k)
-        - eval_g(law, rho - h, q + k)
-        + eval_g(law, rho - h, q - k)
-    ) / (4.0 * h * k)
-    return float(np.max(np.abs(mixed)))
+    if q_lo <= 0.0:
+        return math.inf
+    return 1.0 + law.lipschitz() / (2.0 * q_lo)
 
 
 @dataclass(frozen=True)
@@ -150,7 +121,8 @@ class StabilityConstant:
     """The L1-stability growth rate, with its ingredients.
 
     ``value`` is ``+inf`` when the probe program does not admit a finite
-    rate (a model-coupled segment, or unmollified speed jumps).
+    rate (a model-coupled segment, unmollified speed jumps, or a moving
+    probe that reaches speed 0).
     """
 
     value: float
@@ -171,18 +143,27 @@ def stability_constant_C(model):
     """Growth rate ``C`` of the L1 stability estimate for ``model``.
 
     Per probe, ``C_i = Lip(chi) * (1 + P) * (P * L_hm + Lip(rho*v))
-    + Lip(g) * Lip(pdot)`` where ``P`` is the probe's maximal speed,
-    ``L_hm`` the sampled Lipschitz constant of
-    ``rho -> rho*v(rho)/(w + v(rho))`` over the speeds ``w`` the (possibly
-    mollified) program takes, ``Lip(g)`` the mixed-difference constant, and
-    ``Lip(pdot)`` the slope bound of the mollified speed profile.  The total
-    is the sum over probes; no probes give ``C = 0``.
+    + Lip(g) * Lip(pdot)``, read from constants of the law, the cutoff and
+    the program; the total is the sum over probes, and no probes give
+    ``C = 0``.  ``P`` and ``q_lo`` are the probe's largest and smallest
+    speeds (its program's knots: ramps are monotone), ``Lip(pdot)`` the
+    slope of its mollified ramps and ``Lip(g)`` is
+    :func:`mixed_difference_constant` at ``q_lo``.  ``L_hm`` bounds the
+    slope of ``m_w(rho) = rho v / (w + v)`` for every ``w`` in
+    ``[q_lo, P]``: ``m_w' = v / (w + v) + rho v' w / (w + v)**2``, whose
+    first term lies in [0, 1] for ``v >= 0`` and whose second is at most
+    ``Lip(v) / w``, so ``L_hm = 1 + Lip(v) / q_lo``.
+
+    A probe that never moves (``P == 0``) adds ``Lip(chi) * Lip(rho*v)``.
+    A moving probe whose program reaches speed 0 has no finite ``L_hm``
+    nor ``Lip(g)``, and ``C`` is ``inf`` with a reason naming it.
     """
     law = model.speed_law
     probes = model.coupled_probes
     if not probes:
         return StabilityConstant(value=0.0, per_probe=())
     lip_chi = model.cutoff.lipschitz()
+    lip_v = law.lipschitz()
     lip_flux = law.flux_lipschitz()
     parts = []
     total = 0.0
@@ -204,12 +185,24 @@ def stability_constant_C(model):
             )
         lip_pdot = max(jumps) / (2.0 * probe.mollify_radius) if jumps else 0.0
         P = probe.max_speed(law.v_max)
-        L_hm = _sampled_harmonic_lipschitz(law, probe.profile_speeds())
-        lip_g = mixed_difference_constant(law, P)
+        q_lo = probe.min_speed()
+        if P == 0.0:
+            L_hm = lip_g = 0.0
+        elif q_lo == 0.0:
+            return StabilityConstant(
+                value=math.inf,
+                per_probe=(),
+                reason=f"probe {i} reaches speed 0 and moves up to speed {P}: "
+                "rho*v/(w+v) and g have no finite modulus at w = 0",
+            )
+        else:
+            L_hm = 1.0 + lip_v / q_lo
+            lip_g = mixed_difference_constant(law, q_lo)
         contribution = lip_chi * (1.0 + P) * (P * L_hm + lip_flux) + lip_g * lip_pdot
         parts.append(
             {
                 "P": P,
+                "q_lo": q_lo,
                 "L_hm": L_hm,
                 "lip_flux": lip_flux,
                 "lip_g": lip_g,
@@ -219,21 +212,6 @@ def stability_constant_C(model):
         )
         total += contribution
     return StabilityConstant(value=total, per_probe=tuple(parts))
-
-
-def _sampled_harmonic_lipschitz(law, speeds):
-    """Sampled sup over probe speeds ``w`` of the Lipschitz constant of
-    ``rho -> rho * v(rho) / (w + v(rho))``."""
-    if not speeds:
-        return 0.0
-    rho = np.linspace(0.0, 1.0, 2001)
-    v = law(rho)
-    drho = rho[1] - rho[0]
-    worst = 0.0
-    for w in speeds:
-        m = rho * v / (w + v)
-        worst = max(worst, float(np.max(np.abs(np.diff(m))) / drho))
-    return worst
 
 
 # ---------------------------------------------------------------------------

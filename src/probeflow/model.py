@@ -321,16 +321,6 @@ class CutoffProfile:
         s = np.minimum(np.maximum((a - self.inner) / (self.outer - self.inner), 0.0), 1.0)
         return 1.0 - s * s * (3.0 - 2.0 * s)
 
-    def derivative(self, xi):
-        """d chi / d xi, closed form."""
-        xi = np.asarray(xi, dtype=float)
-        a = np.abs(xi)
-        width = self.outer - self.inner
-        s = (a - self.inner) / width
-        inside = (s > 0.0) & (s < 1.0)
-        slope = np.where(inside, -6.0 * s * (1.0 - s) / width, 0.0)
-        return slope * np.sign(xi)
-
     def lipschitz(self):
         """Lipschitz constant of chi: the skirt's maximal slope 1.5/(outer-inner)."""
         return 1.5 / (self.outer - self.inner)
@@ -555,15 +545,11 @@ class ProbeTrajectory:
         disp = table.disp[i] + (float(t) - table.ts[i]) * (table.ws[i] + w) / 2.0
         return self.x0 + disp, w
 
-    def _capped_speeds(self, law_vmax):
-        """The table's knot speeds, ``law_vmax`` standing in for the NaN of
-        a model-coupled piece."""
-        return [law_vmax if w != w else w for w in self._table.ws]
-
     def max_speed(self, law_vmax):
         """Upper bound for the probe's speed over its whole program (ramps
-        are monotone, so the knots suffice)."""
-        return max(0.0, *self._capped_speeds(law_vmax))
+        are monotone, so the knots suffice), ``law_vmax`` standing in for
+        the NaN knots of a model-coupled piece."""
+        return max(0.0, *(law_vmax if w != w else w for w in self._table.ws))
 
     def min_speed(self):
         """Smallest speed a fully exogenous program takes (ramps are
@@ -579,18 +565,6 @@ class ProbeTrajectory:
         self._require_exogenous("speed jumps")
         ws = self._table.ws
         return [abs(w1 - w0) for w0, w1 in zip(ws[1::2], ws[2::2])]
-
-    def profile_speeds(self):
-        """Representative speeds above :data:`ZERO_DENOM_TOL` that a fully
-        exogenous program takes: its knot values plus nine samples across
-        each ramp; :class:`ProbeStateError` for a model-coupled program."""
-        self._require_exogenous("speed profile")
-        t, w = self._table.ts, self._table.ws
-        values = set(w)
-        for t0, t1, w0, w1 in zip(t, t[1:], w, w[1:]):
-            if t0 != t1 and w0 != w1:
-                values.update(float(v) for v in np.linspace(w0, w1, 9))
-        return sorted(v for v in values if v > ZERO_DENOM_TOL)
 
     def boundary_times(self):
         """Times where the program's speed law changes (segment edges and

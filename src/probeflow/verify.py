@@ -474,11 +474,16 @@ def verify_lipschitz_stability(seed=20240819):
     checks = []
     model, grid = stability_setup()
     rate = stability_constant_C(model)
+    moduli = "".join(
+        f"; probe {i}: "
+        + ", ".join(f"{k}={part[k]:.4g}" for k in ("P", "q_lo", "L_hm", "lip_g", "lip_pdot"))
+        for i, part in enumerate(rate.per_probe)
+    )
     checks.append(
         _check(
             "the smoothed probe program has a finite growth rate",
             not rate.unbounded and rate.value > 0.0,
-            f"C={rate.value:.4g}",
+            f"C={rate.value:.4g}{moduli}",
         )
     )
     jumpy = FluxModel(

@@ -805,21 +805,26 @@ def reference_snap(rho_range):
 
 
 def reference_scan(model, grid, states, a, b, shift):
-    """The largest ``|df/drho|`` a cell scan finds by central differences
-    at 21 densities evenly spaced over ``[a, b]``, each difference kept
-    inside ``[a, b]`` (unless ``a == b``): the law's slope, the blended
-    flux's on every cell near a probe, ghost cells included, and, if ``b``
-    is 1 and the law vanishes there, the closed-form slope at full density.
+    """The largest ``|df/drho|`` a cell scan finds at densities in
+    ``[a, b]``: the law's slope, the blended flux's on every cell near a
+    probe, ghost cells included, and, if ``b`` is 1 and the law vanishes
+    there, the closed-form slope at full density.  Over ``a < b`` the
+    slopes are central differences at 21 evenly spaced densities, each kept
+    inside ``[a, b]``; at ``a == b`` they are the exact slopes at that one
+    density, ``law.flux_slope`` and, per probe, ``g' = H + rho v' dH/dv``.
     With ``shift``, also how far the blend moves a uniform field on the
     cells near a probe: ``|f(x, a) - a v(a)| / a`` unless ``a`` is 0, and
     ``|f(x, b) - b v(b)| / (1 - b)`` unless ``b`` is 1."""
     law = model.speed_law
-    rho = np.linspace(a, b, 21)
-    h = 1e-7
-    ends = (a, b) if a < b else (0.0, 1.0)
-    lo = np.clip(rho - h, *ends)
-    hi = np.clip(rho + h, *ends)
-    S = float(np.max(np.abs((law.flux(hi) - law.flux(lo)) / (hi - lo))))
+    if a == b:
+        v, df = float(law(a)), float(law.flux_slope(a))
+        S = abs(df)
+    else:
+        rho = np.linspace(a, b, 21)
+        h = 1e-7
+        lo = np.clip(rho - h, a, b)
+        hi = np.clip(rho + h, a, b)
+        S = float(np.max(np.abs((law.flux(hi) - law.flux(lo)) / (hi - lo))))
     if not states:
         return S
     centers = _reference_ghosted_centers(grid)  # the update reads the ghosts' flux
@@ -830,9 +835,20 @@ def reference_scan(model, grid, states, a, b, shift):
     x = centers[near]
     if x.size:
         xc = x[:, None]
-        F_hi = reference_flux(model, states, xc, hi[None, :])
-        F_lo = reference_flux(model, states, xc, lo[None, :])
-        slopes = (F_hi - F_lo) / (hi - lo)[None, :]
+        if a == b:
+            # the blend's weights chi_i / max(sum chi, 1) mix the vertex
+            # fluxes' slopes; rho v' is f' - v
+            chi = [model.cutoff(x - p) for p, _ in states]
+            scale = np.maximum(sum(chi), 1.0)
+            slopes = np.full(x.shape, df)
+            for c, (_, w) in zip(chi, states):
+                ratio = w / (w + v) if w else 0.0
+                g = 2.0 * v * ratio + (df - v) * 2.0 * ratio * ratio
+                slopes = slopes + (c / scale) * (g - df)
+        else:
+            F_hi = reference_flux(model, states, xc, hi[None, :])
+            F_lo = reference_flux(model, states, xc, lo[None, :])
+            slopes = (F_hi - F_lo) / (hi - lo)[None, :]
         S = max(S, float(np.max(np.abs(slopes))))
         if shift:
             for end, gap in ((a, a), (b, 1.0 - b)):

@@ -37,7 +37,6 @@ from probeflow import (
     solve_riemann,
     stability_constant_C,
 )
-from probeflow import estimates
 from probeflow.fvsolver import check_run
 from probeflow.model import EPSILON_ADMISSIBLE, _knot_lookup, _SpeedTable
 
@@ -280,19 +279,15 @@ class TestCutoffProfile:
         assert chi(0.1) == pytest.approx(0.5, abs=1e-15)
         assert chi(-0.1) == pytest.approx(0.5, abs=1e-15)
 
-    def test_derivative_matches_finite_differences(self):
-        chi = CutoffProfile(inner=0.05, outer=0.15)
-        xi = np.linspace(-0.2, 0.2, 81)
-        h = 1e-7
-        fd = (chi(xi + h) - chi(xi - h)) / (2.0 * h)
-        # centred differences are only O(h) accurate at the skirt kinks
-        assert np.max(np.abs(chi.derivative(xi) - fd)) < 1e-4
-
     def test_lipschitz_is_peak_skirt_slope(self):
         chi = CutoffProfile(inner=0.05, outer=0.15)
         assert chi.lipschitz() == pytest.approx(15.0)
+        # every difference quotient stays below it, and the steepest, at
+        # the skirt's midpoints, reaches it
         xi = np.linspace(-0.2, 0.2, 4001)
-        assert np.max(np.abs(chi.derivative(xi))) <= chi.lipschitz() + 1e-12
+        quotients = np.abs(np.diff(chi(xi))) / (xi[1] - xi[0])
+        assert np.max(quotients) <= chi.lipschitz() * (1.0 + 1e-9)
+        assert np.max(quotients) >= chi.lipschitz() * (1.0 - 1e-5)
 
     def test_rejects_degenerate_radii(self):
         with pytest.raises(DomainError):
@@ -403,9 +398,9 @@ class TestProbeTrajectory:
 
     def test_exogenous_queries_refuse_a_coupled_piece(self):
         # the coupled piece has no programmed speed: its jump into the
-        # exogenous piece, its minimum and its profile are unknown, not NaN
+        # exogenous piece and its minimum are unknown, not NaN
         probe = ProbeTrajectory(0.6, (ModelCoupled(0.0, 0.25), ExogenousSpeed(0.25, None, 0.3)))
-        for query in (probe.speed_jumps, probe.min_speed, probe.profile_speeds):
+        for query in (probe.speed_jumps, probe.min_speed):
             with pytest.raises(ProbeStateError):
                 query()
         # the bounds that cap the coupled piece at the law's speed still answer
@@ -514,32 +509,27 @@ def reference_max_speed(probe, law_vmax):
     return bound
 
 
-def reference_lipschitz_speeds(model):
-    """Segment-walk reference for the probe speeds the sampled Lipschitz
-    constant of ``rho -> dV/dx`` runs over."""
-    speeds = set()
-    for probe in model.coupled_probes:
-        for seg in probe.program:
-            if isinstance(seg, ExogenousSpeed):
-                speeds.add(seg.speed)
-            else:
-                speeds.add(model.speed_law.v_max)
-        speeds.add(0.0)
-    return sorted(speeds)
+def reference_min_speed(probe):
+    """Segment-walk reference for :meth:`ProbeTrajectory.min_speed` of a
+    fully exogenous program: its least segment speed, or 0 if it leaves a
+    gap or ends."""
+    speeds, end = [], 0.0
+    for s in sorted(probe.program, key=lambda s: s.start):
+        if s.start > end:
+            speeds.append(0.0)
+        speeds.append(s.speed)
+        end = s.end
+        if end is None:
+            break
+    if end is not None:
+        speeds.append(0.0)
+    return min(speeds)
 
 
 class TestSpeedTable:
     @pytest.mark.parametrize("tau", [0.0, 0.001, 0.004])
     @pytest.mark.parametrize("coupled", [False, True], ids=["exogenous", "coupled"])
-    def test_program_queries_equal_segment_walks(self, monkeypatch, coupled, tau):
-        sampled = []
-
-        def recording_blend(w, v):
-            sampled.append(w)
-            return v
-
-        monkeypatch.setattr(estimates, "harmonic_speed", recording_blend)
-        law = Greenshields(1.2)
+    def test_program_queries_equal_segment_walks(self, coupled, tau):
         rng = np.random.default_rng(20261019)
         n_compared = n_refused = 0
         for _ in range(150):
@@ -554,10 +544,11 @@ class TestSpeedTable:
             assert [t.hex() for t in got] == [t.hex() for t in want]
             for vmax in (0.7, 1.2):
                 assert probe.max_speed(vmax).hex() == reference_max_speed(probe, vmax).hex()
-            model = FluxModel(speed_law=law, probes=(probe,))
-            sampled.clear()
-            estimates._sampled_xrho_lipschitz(model)
-            assert sampled == reference_lipschitz_speeds(model)
+            if probe.is_exogenous:
+                assert probe.min_speed().hex() == reference_min_speed(probe).hex()
+            else:
+                with pytest.raises(ProbeStateError):
+                    probe.min_speed()
             n_compared += 1
         assert n_compared > 30 and (n_refused > 30 if coupled and tau > 0.0 else n_refused == 0)
 
@@ -582,17 +573,19 @@ class TestSpeedTable:
             assert a.boundary_times() == b.boundary_times()
             if a.is_exogenous:
                 assert a.speed_jumps() == b.speed_jumps()
-                assert a.profile_speeds() == b.profile_speeds()
+                assert a.min_speed() == b.min_speed()
             else:
                 for probe in (a, b):
-                    for query in (probe.speed_jumps, probe.profile_speeds):
+                    for query in (probe.speed_jumps, probe.min_speed):
                         with pytest.raises(ProbeStateError):
                             query()
         for a, b in ((kept, emptied), (kept[:1], emptied[:1])):
             ma, mb = FluxModel(speed_law=law, probes=a), FluxModel(speed_law=law, probes=b)
             assert lipschitz_constants(ma) == lipschitz_constants(mb)
             assert stability_constant_C(ma) == stability_constant_C(mb)
-        assert stability_constant_C(FluxModel(speed_law=law, probes=emptied[:1])).value < math.inf
+        # the gap runs at speed 0, where the moving probe has no finite rate
+        gappy_rate = stability_constant_C(FluxModel(speed_law=law, probes=emptied[:1]))
+        assert gappy_rate.unbounded and gappy_rate.reason.startswith("probe 0 reaches speed 0")
         datum = PiecewiseConstant([0.5], [0.2, 0.6])
         ra = run(FluxModel(speed_law=law, probes=kept), grid, datum, 0.4, n_snapshots=2)
         rb = run(FluxModel(speed_law=law, probes=emptied), grid, datum, 0.4, n_snapshots=2)
@@ -697,8 +690,6 @@ class TestSpeedTable:
         assert smooth.speed_at(1.0) == pytest.approx(0.6)
         assert smooth.state_at(2.0) == pytest.approx(raw.state_at(2.0))
         assert smooth.min_speed() == raw.min_speed() == 0.2
-        assert raw.profile_speeds() == [0.2, 1.0]
-        assert len(smooth.profile_speeds()) == 9
 
 
 # ---------------------------------------------------------------------------
@@ -902,25 +893,21 @@ class TestAuxiliaryMap:
         ) / (h * h)
         assert fd == pytest.approx(-0.75, rel=1e-4)
 
-    def test_mixed_difference_constant_bounds_quadruples(self):
+    def test_constant_is_unbounded_down_to_speed_zero(self):
+        # along 1 - rho = q the mixed derivative under Greenshields is
+        # 1/2 - 1/(4 q), which no constant bounds as q -> 0
         law = Greenshields(1.0)
-        P = 0.8
-        B = mixed_difference_constant(law, P)
-        assert B > 0.0
-        rng = np.random.default_rng(20240815)
-        r = rng.uniform(0.0, 1.0, size=(2, 10_000))
-        q = rng.uniform(0.0, P, size=(2, 10_000))
-        lhs = np.abs(
-            eval_g(law, r[0], q[0])
-            - eval_g(law, r[0], q[1])
-            - eval_g(law, r[1], q[0])
-            + eval_g(law, r[1], q[1])
-        )
-        rhs = 1.05 * B * np.abs(r[0] - r[1]) * np.abs(q[0] - q[1])
-        assert np.all(lhs <= rhs + 1e-12)
-
-    def test_constant_vanishes_without_probe_speed(self):
-        assert mixed_difference_constant(Greenshields(1.0), 0.0) == 0.0
+        assert mixed_difference_constant(law, 0.0) == math.inf
+        for q in (0.1, 0.01, 0.001):
+            r, h = 1.0 - q, 1e-3 * q
+            mixed = (
+                eval_g(law, r + h, q + h)
+                - eval_g(law, r + h, q - h)
+                - eval_g(law, r - h, q + h)
+                + eval_g(law, r - h, q - h)
+            ) / (4.0 * h * h)
+            assert mixed == pytest.approx(0.5 - 0.25 / q, rel=1e-4)
+            assert abs(mixed) <= mixed_difference_constant(law, q)
 
 
 class TestLipschitzConstants:
@@ -929,14 +916,14 @@ class TestLipschitzConstants:
         assert lips.M == 0.0
         assert lips.Lx == 0.0
         assert lips.Lrho == 2.0
-        assert lips.Lxrho_sampled == 0.0
+        assert lips.Lxrho == 0.0
 
     def test_single_probe_model(self):
         model = _single_probe_model(0.5)
         lips = lipschitz_constants(model)
         assert lips.M == pytest.approx(2.0 / 3.0)
         assert lips.Lx == pytest.approx((2.0 / 3.0 + 1.0) * 15.0)
-        assert lips.Lxrho_sampled > 0.0
+        assert lips.Lxrho == model.cutoff.lipschitz() * 1.0
 
 
 class TestStabilityConstant:
@@ -959,17 +946,123 @@ class TestStabilityConstant:
     def test_mollified_program_gets_finite_rate(self):
         probe = ProbeTrajectory(
             0.0,
-            (ExogenousSpeed(0.0, 1.0, 0.5), ExogenousSpeed(1.0, None, 0.0)),
+            (ExogenousSpeed(0.0, 1.0, 0.5), ExogenousSpeed(1.0, None, 0.25)),
             mollify_radius=0.1,
         )
         c = stability_constant_C(FluxModel(speed_law=Greenshields(1.0), probes=(probe,)))
-        assert not c.unbounded and c.value > 0.0
-        assert c.per_probe[0]["lip_pdot"] == pytest.approx(2.5)
+        part = c.per_probe[0]
+        assert (part["P"], part["q_lo"]) == (0.5, 0.25)
+        assert part["L_hm"] == 1.0 + 1.0 / 0.25
+        assert part["lip_g"] == 1.0 + 1.0 / (2.0 * 0.25)
+        assert part["lip_pdot"] == pytest.approx(1.25)
+        # Lip(chi) (1 + P) (P L_hm + Lip(f)) + Lip(g) Lip(pdot)
+        assert c.value == pytest.approx(15.0 * 1.5 * (0.5 * 5.0 + 1.0) + 3.0 * 1.25)
+
+    def test_moving_probe_reaching_speed_zero_is_unbounded(self):
+        probe = ProbeTrajectory(
+            0.0,
+            (ExogenousSpeed(0.0, 1.0, 0.5), ExogenousSpeed(1.0, None, 0.0)),
+            mollify_radius=0.1,
+        )
+        still = ProbeTrajectory(1.0, (ExogenousSpeed(0.0, None, 0.0),))
+        c = stability_constant_C(FluxModel(speed_law=Greenshields(1.0), probes=(still, probe)))
+        assert c.unbounded and c.reason.startswith("probe 1 reaches speed 0")
+
+    def test_probe_that_never_moves_adds_the_cutoff_term(self):
+        still = ProbeTrajectory(0.0, (ExogenousSpeed(0.0, None, 0.0),))
+        law = EpsilonLaw(0.2)
+        c = stability_constant_C(FluxModel(speed_law=law, probes=(still,)))
+        assert c.value == 15.0 * law.flux_lipschitz()
+        assert c.per_probe[0]["L_hm"] == c.per_probe[0]["lip_g"] == 0.0
 
     def test_constant_speed_probe_has_no_jump_term(self):
         c = stability_constant_C(_single_probe_model(0.5))
         assert not c.unbounded
         assert c.per_probe[0]["lip_pdot"] == 0.0
+
+
+#: Laws for the closed-form moduli: linear, concave and convex quadratic,
+#: and a table that ends at 0; the probe speeds run over [Q_LO, Q_HI].
+CLOSED_FORM_LAWS = [
+    Greenshields(1.0),
+    EpsilonLaw(0.3),
+    EpsilonLaw(-0.3),
+    TabulatedLaw([1.0, 0.8, 0.5, 0.0]),
+]
+Q_LO, Q_HI = 0.05, 0.8
+
+
+def _ramp_model(law):
+    """One probe ramping from ``Q_HI`` down to ``Q_LO``."""
+    probe = ProbeTrajectory(
+        0.0,
+        (ExogenousSpeed(0.0, 1.0, Q_HI), ExogenousSpeed(1.0, None, Q_LO)),
+        mollify_radius=0.1,
+    )
+    return FluxModel(speed_law=law, probes=(probe,))
+
+
+def _nearby_pairs(rng, lo, hi, n, spread):
+    """``n`` draws on ``[lo, hi]`` and partners at most ``spread`` away."""
+    a = rng.uniform(lo, hi, n)
+    return a, np.clip(a + rng.uniform(-spread, spread, n), lo, hi)
+
+
+@pytest.mark.parametrize("law", CLOSED_FORM_LAWS, ids=repr)
+class TestClosedFormModuli:
+    """Each closed form bounds difference quotients of the map it is the
+    modulus of; the speeds reach down to ``Q_LO``, where the bounds that
+    depend on the speed are largest."""
+
+    def test_lxrho_bounds_mixed_differences_of_the_encoded_speed(self, law):
+        rng = np.random.default_rng(20261021)
+        bound = lipschitz_constants(_ramp_model(law)).Lxrho
+        assert bound == CutoffProfile().lipschitz() * law.lipschitz()
+        n, h = 20_000, 1e-5
+        x = rng.uniform(-0.16, 0.16, n)
+        r1, r2 = _nearby_pairs(rng, 0.0, 1.0, n, 0.02)
+        keep = r1 != r2
+        worst = 0.0
+        for w in (0.0, Q_LO, 0.3, Q_HI):
+            model = _single_probe_model(w, law=law)
+            states = model.probe_states(0.0)
+
+            def speed(x, rho):
+                return eval_encoded_speed(model, states, x, rho)
+
+            mixed = (speed(x + h, r2) - speed(x, r2) - speed(x + h, r1) + speed(x, r1))[keep]
+            quotient = np.abs(mixed) / (h * np.abs(r2 - r1)[keep])
+            assert np.all(quotient <= bound * (1.0 + 1e-6) + 1e-6)
+            worst = max(worst, float(np.max(quotient)))
+        assert worst >= 0.9 * bound  # attained at w = 0, where |dH/dv - 1| = 1
+
+    def test_l_hm_bounds_slopes_of_the_harmonic_map(self, law):
+        rng = np.random.default_rng(20261022)
+        part = stability_constant_C(_ramp_model(law)).per_probe[0]
+        assert (part["P"], part["q_lo"]) == (Q_HI, Q_LO)
+        n = 40_000
+        r1, r2 = _nearby_pairs(rng, 0.0, 1.0, n, 0.02)
+        w = rng.uniform(Q_LO, Q_HI, n)
+        keep = r1 != r2
+
+        def m(rho):
+            v = law(rho)
+            return rho * v / (w + v)
+
+        quotient = (np.abs(m(r1) - m(r2)) / np.abs(r1 - r2))[keep]
+        assert np.all(quotient <= part["L_hm"] * (1.0 + 1e-9))
+
+    def test_lip_g_bounds_mixed_differences_of_g(self, law):
+        rng = np.random.default_rng(20261023)
+        part = stability_constant_C(_ramp_model(law)).per_probe[0]
+        assert part["lip_g"] == mixed_difference_constant(law, Q_LO)
+        n = 40_000
+        r1, r2 = _nearby_pairs(rng, 0.0, 1.0, n, 0.02)
+        q1, q2 = _nearby_pairs(rng, Q_LO, Q_HI, n, 0.02)
+        keep = (r1 != r2) & (q1 != q2)
+        mixed = eval_g(law, r1, q1) - eval_g(law, r1, q2) - eval_g(law, r2, q1) + eval_g(law, r2, q2)
+        quotient = (np.abs(mixed) / (np.abs(r1 - r2) * np.abs(q1 - q2)))[keep]
+        assert np.all(quotient <= part["lip_g"] * (1.0 + 1e-6) + 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from probeflow import (
     scenario_names,
     stability_constant_C,
 )
+from probeflow.verify import stability_setup
 
 
 def toy_scenario(**overrides):
@@ -404,20 +405,19 @@ class TestRunScenario:
         assert result.probe_path(0).shape[1] == 4
 
 
-#: The analytic constants of every built-in scenario, and of ``fig_questa``
-#: with both probes mollified over ``mollify_radius=0.25``, as
-#: ``float.hex``: the six :class:`LipschitzConstants` fields in field order,
-#: ``stability_constant_C(...).value`` and ``max_probe_speed()``.  No run
-#: output or verify report contains them, so a change to how programs are
-#: read is checked against these.
+#: The analytic constants of every built-in scenario, of ``fig_questa``
+#: with both probes mollified over ``mollify_radius=0.25`` and of
+#: ``verify.stability_setup()``'s model, the one with a finite, nonzero
+#: ``C``, as ``float.hex``: the four :class:`LipschitzConstants` fields in
+#: field order, ``stability_constant_C(...).value`` and
+#: ``max_probe_speed()``.  No run output contains them, so a change to how
+#: programs are read is checked against these.
 CONSTANT_PINS = {
     "calibration": (
         "0x0.0p+0",
         "0x0.0p+0",
         "0x1.3333333333333p+1",
         "0x0.0p+0",
-        "0x1.3333333333333p+4",
-        "0x1.b000000000001p+5",
         "0x0.0p+0",
         "0x0.0p+0",
     ),
@@ -425,9 +425,7 @@ CONSTANT_PINS = {
         "0x1.0000000000000p+0",
         "0x1.e000000000001p+4",
         "0x1.0000000000000p+1",
-        "0x1.dff3b645a1da8p+3",
-        "0x1.0000000000000p+4",
-        "0x1.6800000000001p+5",
+        "0x1.e000000000001p+3",
         "inf",
         "0x1.0000000000000p+0",
     ),
@@ -435,9 +433,7 @@ CONSTANT_PINS = {
         "0x1.0000000000000p+0",
         "0x1.2c00000000001p+7",
         "0x1.0000000000000p+1",
-        "0x1.2bf851eb85270p+6",
-        "0x1.3000000000001p+6",
-        "0x1.c200000000002p+7",
+        "0x1.2c00000000001p+6",
         "inf",
         "0x1.0000000000000p+0",
     ),
@@ -445,9 +441,7 @@ CONSTANT_PINS = {
         "0x1.0000000000000p+0",
         "0x1.e000000000001p+4",
         "0x1.0000000000000p+1",
-        "0x1.dff3b645a1da8p+3",
-        "0x1.0000000000000p+4",
-        "0x1.6800000000001p+5",
+        "0x1.e000000000001p+3",
         "inf",
         "0x1.0000000000000p+0",
     ),
@@ -455,9 +449,7 @@ CONSTANT_PINS = {
         "0x1.7ffffffffffffp-1",
         "0x1.a400000000001p+4",
         "0x1.0000000000000p+1",
-        "0x1.dff3b645a1da8p+3",
-        "0x1.0000000000000p+4",
-        "0x1.6800000000001p+5",
+        "0x1.e000000000001p+3",
         "inf",
         "0x1.3333333333333p-1",
     ),
@@ -466,8 +458,6 @@ CONSTANT_PINS = {
         "0x0.0p+0",
         "0x1.0000000000000p+1",
         "0x0.0p+0",
-        "0x1.0000000000000p+4",
-        "0x1.6800000000001p+5",
         "0x0.0p+0",
         "0x0.0p+0",
     ),
@@ -475,30 +465,36 @@ CONSTANT_PINS = {
         "0x1.7ffffffffffffp-1",
         "0x1.a400000000001p+4",
         "0x1.0000000000000p+1",
-        "0x1.dff3b645a1da8p+3",
-        "0x1.0000000000000p+4",
-        "0x1.6800000000001p+5",
-        "0x1.ddef4b4b46b57p+15",
+        "0x1.e000000000001p+3",
+        "inf",
         "0x1.3333333333333p-1",
+    ),
+    "stability_setup": (
+        "0x1.6b5ad6b5ad6b6p-1",
+        "0x1.9a5294a5294a6p+4",
+        "0x1.0000000000000p+1",
+        "0x1.e000000000001p+3",
+        "0x1.5551111111113p+6",
+        "0x1.199999999999ap-1",
     ),
 }
 
 
 def _constant_cases():
     for name in scenario_names():
-        yield name, get_scenario(name)
+        yield name, get_scenario(name).flux_model()
     base = get_scenario("fig_questa")
     probes = tuple(
         ProbeTrajectory(p.x0, p.program, mollify_radius=0.25, observer=p.observer)
         for p in base.probes
     )
-    yield "fig_questa_mollified", base.with_overrides(probes=probes)
+    yield "fig_questa_mollified", base.with_overrides(probes=probes).flux_model()
+    yield "stability_setup", stability_setup()[0]
 
 
 def test_analytic_constants_are_pinned_to_the_bit():
     got = {}
-    for name, scenario in _constant_cases():
-        model = scenario.flux_model()
+    for name, model in _constant_cases():
         lip = lipschitz_constants(model)
         values = [getattr(lip, f.name) for f in fields(lip)]
         values += [stability_constant_C(model).value, model.max_probe_speed()]

@@ -1,4 +1,4 @@
-"""Suite dispatch of the verification runner."""
+"""Suite dispatch of the verification runner, and the stability report."""
 
 import pytest
 
@@ -61,3 +61,11 @@ def test_fractional_seed_rejected_before_any_suite_runs(monkeypatch):
     with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
         verify.run_suite("lemma1", seed=1.5)
     assert calls == []
+
+
+def test_stability_report_names_each_probe_moduli():
+    suite = verify.verify_lipschitz_stability()
+    assert suite.passed
+    assert suite.checks[0].detail == (
+        "C=85.33; probe 0: P=0.55, q_lo=0.3, L_hm=4.333, lip_g=2.667, lip_pdot=2.5"
+    )
