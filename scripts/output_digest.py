@@ -48,6 +48,13 @@ cross the slope gaps of its kinks.  Its hash covers each solution's kind,
 shock speed or fan edges, and its samples at the benchmark's similarity
 coordinates (``perfbench/workloads.Oracle.XI``).  ``--bundle`` skips it too.
 
+The cases ``scan_calibration`` and ``scan_riemann_phi`` calibrate a
+built-in scenario as ``probeflow inverse`` does by default:
+``scan_E(scenario, 0.5, 2.0, 8)``, then ``minimize_E`` with 20
+golden-section steps that call ``evaluate_candidate``.  Their hash covers
+the bits of the scan's slopes and misfits and of every field of the
+minimiser's record.  ``--bundle`` skips them.
+
 Run it on two checkouts and diff the outputs: a refactor that keeps outputs
 bit-for-bit equal shows no difference.  The library is imported from the
 ``src/`` directory next to this script, and ``perfbench/workloads.py`` is
@@ -72,8 +79,11 @@ from probeflow import (  # noqa: E402
     EpsilonLaw,
     Greenshields,
     TabulatedLaw,
+    evaluate_candidate,
     from_datum,
     ft_evolve,
+    minimize_E,
+    scan_E,
     scenarios,
     solve_riemann,
 )
@@ -118,6 +128,9 @@ RIEMANN_JUMPS = ((1.0, 0.0), (0.75, 0.25), (0.625, 0.125), (0.25, 0.75))
 #: The laws other than Greenshields' of a Riemann case.
 RIEMANN_LAWS = (EpsilonLaw(0.2), LAWS["fig_int3_tabulated"][1])
 
+#: Calibration cases: name -> built-in scenario.
+SCANS = {"scan_calibration": "calibration", "scan_riemann_phi": "riemann_phi"}
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location(
@@ -158,7 +171,7 @@ def run_case_names():
 
 
 def case_names():
-    return run_case_names() + list(ORACLES) + list(RIEMANNS)
+    return run_case_names() + list(ORACLES) + list(RIEMANNS) + list(SCANS)
 
 
 def load_case(name):
@@ -234,6 +247,28 @@ def riemann_digest(solutions, xi):
     return h.hexdigest()
 
 
+def calibrate(name):
+    """The scan and minimiser record of calibration case ``name``, with
+    ``probeflow inverse``'s default range, grid and refinement."""
+    scenario = scenarios.get_scenario(SCANS[name])
+    scan = scan_E(scenario, 0.5, 2.0, 8)
+    best = minimize_E(
+        scan.samples, refine_iters=20, evaluator=lambda v: evaluate_candidate(scenario, v)
+    )
+    return scan, best
+
+
+def scan_digest(scan, best):
+    """sha256 over a scan's slopes and misfits, then the minimiser's best
+    slope, misfit, bracket, evaluation count and boundary flag."""
+    h = hashlib.sha256()
+    h.update(np.array(scan.v_values, dtype=float).tobytes())
+    h.update(np.array(scan.errors, dtype=float).tobytes())
+    fields = [best.v_best, best.e_best, *best.bracket, best.n_evaluations, best.on_boundary]
+    h.update(np.array(fields, dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def read_digest(bundle):
     """sha256 over what the readers return for ``bundle``'s files: each
     snapshot's time, cell count, centres and densities; each probe's id,
@@ -287,6 +322,9 @@ def main(argv=None):
             continue
         if name in RIEMANNS:
             print(name, riemann_digest(solve_riemanns(name), _workloads().Oracle.XI), flush=True)
+            continue
+        if name in SCANS:
+            print(name, scan_digest(*calibrate(name)), flush=True)
             continue
         scenario, overrides = load_case(name)
         scenario = scenario.with_overrides(**overrides)

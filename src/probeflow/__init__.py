@@ -33,13 +33,11 @@ from .fvsolver import (
     trace_density,
 )
 from .inverse import (
-    ErrorFunctionalReport,
     MinimizeResult,
     ScanResult,
     error_functional,
     evaluate_candidate,
     minimize_E,
-    probe_records,
     scan_E,
     score_records,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "CutoffProfile",
     "DomainError",
     "EpsilonLaw",
-    "ErrorFunctionalReport",
     "ExogenousSpeed",
     "Finding",
     "FluxModel",
@@ -130,7 +127,6 @@ __all__ = [
     "modulus_bound",
     "phi_epsilon",
     "phi_one_sided_limits",
-    "probe_records",
     "rescaling_check",
     "resolve_probe_speeds",
     "run",

@@ -97,12 +97,6 @@ def _build_parser():
     p_inv.add_argument(
         "--refine", type=int, default=20, help="golden-section refinement steps"
     )
-    p_inv.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the scan (default: 1)",
-    )
     p_inv.add_argument("--out", default="probeflow_out", help="output directory")
     p_inv.set_defaults(func=_cmd_inverse)
 
@@ -237,9 +231,7 @@ def _cmd_inverse(args):
             f"need v-lo < v-hi, got [{args.v_lo}, {args.v_hi}]"
         )
     _print_warnings(scenario)
-    scan = scan_E(
-        scenario, args.v_lo, args.v_hi, args.intervals, workers=args.workers
-    )
+    scan = scan_E(scenario, args.v_lo, args.v_hi, args.intervals)
     refined = minimize_E(
         scan.samples,
         refine_iters=args.refine,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -27,19 +26,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # ---------------------------------------------------------------------------
 # Error functional and calibration scans
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorFunctionalReport:
-    """Misfit of a speed law against one probe's recorded data.
-
-    ``value`` is the time integral of ``|measured speed - law(trace)|``
-    along the probe, evaluated by the left-endpoint rule on the recorded
-    rows; ``n_steps`` is the number of quadrature steps.
-    """
-
-    value: float
-    n_steps: int
-
 
 def score_records(records, law, t_end):
     """Quadrature of ``|speed - law(trace)|`` over record rows.
@@ -69,23 +55,19 @@ def score_records(records, law, t_end):
     return float(np.sum(residual * dts))
 
 
-def probe_records(result, index=0):
-    """The ``(t, speed, trace)`` rows of a run's probe, ready for
-    :func:`score_records`."""
-    rows = result.probe_path(index)
-    return rows[:, [0, 2, 3]]
-
-
 def error_functional(result, probe_index, law):
-    """Score a speed-law candidate against one probe of a finished run.
+    """Misfit of a speed-law candidate against one probe of a finished run.
 
     The probe's recorded ``(t, speed, trace)`` rows are integrated against
     the candidate over the run's full horizon; see :func:`score_records`
-    for the quadrature.
+    for the quadrature.  ``probe_index`` must name one of the run's probes.
     """
-    records = probe_records(result, probe_index)
-    value = score_records(records, law, result.t_end)
-    return ErrorFunctionalReport(value=float(value), n_steps=int(records.shape[0]))
+    probe_index = require_index("probe_index", probe_index)
+    n_probes = len(result.probe_paths)
+    if not 0 <= probe_index < n_probes:
+        raise DomainError(f"probe_index must be in range({n_probes}), got {probe_index}")
+    records = result.probe_paths[probe_index][:, [0, 2, 3]]
+    return score_records(records, law, result.t_end)
 
 
 def evaluate_candidate(scenario, v):
@@ -94,14 +76,18 @@ def evaluate_candidate(scenario, v):
     The scenario is re-simulated under the candidate law with every probe
     demoted to a pure observer (the measured speed programs must not feed
     back through a law that is being varied); the candidate is then scored
-    against the observed (speed, trace) records of all probes.
+    against the observed (speed, trace) records of all probes.  A scenario
+    without probes has no records to score, so it is a
+    :class:`DomainError`, raised before any run.
     """
+    if not scenario.probes:
+        raise DomainError(f"scenario {scenario.name!r} has no probes to calibrate against")
     law = Greenshields(v)
     observers = tuple(p.clone(observer=True) for p in scenario.probes)
     result = run_scenario(scenario.with_overrides(law=law, probes=observers))
     total = 0.0
-    for i in range(len(result.model.probes)):
-        total += error_functional(result, i, law).value
+    for i in range(len(result.probe_paths)):
+        total += error_functional(result, i, law)
     return total
 
 
@@ -119,29 +105,20 @@ class ScanResult:
 
 def scan_E(scenario, v_lo, v_hi, n, workers=1):
     """Evaluate :func:`evaluate_candidate` on ``n + 1`` evenly spaced slopes
-    covering ``[v_lo, v_hi]``.
+    covering ``[v_lo, v_hi]``, one after another.
 
-    ``workers > 1`` distributes the simulations over that many processes
-    once the grid has at least 4 points; the process pool's modules load
-    on the first such call.
+    The scan is serial: ``workers`` must be 1.
     """
     if not 0.0 < v_lo < v_hi:
         raise DomainError(f"need 0 < v_lo < v_hi, got ({v_lo}, {v_hi})")
     n = require_index("n", n)
-    workers = require_index("workers", workers)
     if n < 1:
         raise DomainError(f"scan needs at least one subinterval, got n={n}")
-    if workers < 1:
-        raise DomainError(f"scan needs at least one worker, got workers={workers}")
-    v_values = [float(v) for v in np.linspace(v_lo, v_hi, n + 1)]
-    if workers > 1 and len(v_values) >= 4:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(evaluate_candidate, repeat(scenario), v_values))
-    else:
-        errors = [evaluate_candidate(scenario, v) for v in v_values]
-    return ScanResult(v_values=tuple(v_values), errors=tuple(float(e) for e in errors))
+    if require_index("workers", workers) != 1:
+        raise DomainError(f"the scan is serial: workers must be 1, got {workers}")
+    v_values = tuple(float(v) for v in np.linspace(v_lo, v_hi, n + 1))
+    errors = tuple(evaluate_candidate(scenario, v) for v in v_values)
+    return ScanResult(v_values=v_values, errors=errors)
 
 
 @dataclass(frozen=True)

@@ -580,12 +580,23 @@ class TestInverseCommand:
         assert f"wrote {out / 'scan.csv'}" in text
         assert f"wrote {out / 'minimizer.json'}" in text
 
-    @pytest.mark.parametrize("workers", ["0", "-4"])
-    def test_fewer_than_one_worker_exits_2(self, tmp_path, coarse_json, capsys, workers):
+    def test_workers_option_is_gone(self, tmp_path, coarse_json, capsys):
         out = tmp_path / "inv"
-        args = ["inverse", str(coarse_json), "--workers", workers, "--out", str(out)]
-        assert main(args) == 2
-        assert "at least one worker" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["inverse", str(coarse_json), "--workers", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_without_probes_exits_2(self, tmp_path, coarse_json, capsys):
+        data = json.loads(coarse_json.read_text())
+        data["probes"] = []
+        coarse_json.write_text(json.dumps(data))
+        out = tmp_path / "inv"
+        assert main(["inverse", str(coarse_json), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "has no probes to calibrate against" in captured.err
+        assert "best slope" not in captured.out
         assert not out.exists()
 
     def test_validation_warnings_go_to_stderr(self, tmp_path, coarse_json, capsys):

@@ -38,6 +38,8 @@ RETIRED = [
     (fvsolver.RunResult, "scenario"),
     (fvsolver.run, "scenario"),
     (io.OutputBundle, "directory"),
+    (inverse, "ErrorFunctionalReport"),
+    (inverse, "probe_records"),
 ]
 
 #: The exports of :mod:`probeflow.estimates`, which the package imports on
@@ -110,11 +112,6 @@ def test_retired_names_are_gone(owner, name):
     assert not hasattr(probeflow, name)
 
 
-def test_error_functional_report_keeps_only_its_figures():
-    # its times, speeds and traces tuples only copied probe_records
-    assert [f.name for f in fields(inverse.ErrorFunctionalReport)] == ["value", "n_steps"]
-
-
 @pytest.mark.parametrize(
     "owner, name", KEPT_FOR_PERFBENCH, ids=lambda v: getattr(v, "__name__", v)
 )
@@ -135,7 +132,7 @@ def test_star_import_binds_every_export():
     exec("from probeflow import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == probeflow.__all__
-    assert len(probeflow.__all__) == 72
+    assert len(probeflow.__all__) == 70
 
 
 def test_dir_lists_every_export():

@@ -20,12 +20,12 @@ from probeflow import (
     modulus_bound,
     phi_epsilon,
     phi_one_sided_limits,
-    probe_records,
     rescaling_check,
     run_scenario,
     scan_E,
     score_records,
 )
+from probeflow import inverse
 from probeflow.estimates import PHI_LEFT, PHI_RIGHT
 
 
@@ -75,23 +75,35 @@ class TestScoreRecords:
 
 
 class TestErrorFunctional:
-    def test_report_matches_raw_scoring(self):
+    def test_scores_the_probe_path_columns(self):
         result = run_scenario(coarse_calibration())
         law = Greenshields(1.2)
-        report = error_functional(result, 0, law)
-        records = probe_records(result, 0)
-        assert records.shape[1] == 3
-        assert report.value == score_records(records, law, result.t_end)
-        assert report.n_steps == records.shape[0]
+        records = result.probe_paths[0][:, [0, 2, 3]]
+        assert error_functional(result, 0, law) == score_records(records, law, result.t_end)
 
     def test_true_law_fits_recorded_data(self):
         result = run_scenario(coarse_calibration())
-        fit = error_functional(result, 0, Greenshields(1.2)).value
-        misfit = error_functional(result, 0, Greenshields(1.0)).value
+        fit = error_functional(result, 0, Greenshields(1.2))
+        misfit = error_functional(result, 0, Greenshields(1.0))
         assert fit <= 1e-12
         # uniform density 0.7 held at speed 0.36: the v=1 law is off by
         # |0.36 - 0.3| on the whole half-unit horizon
         assert misfit == pytest.approx(0.06 * 0.5, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "probe_index, message",
+        [
+            (-1, r"probe_index must be in range\(1\), got -1"),
+            (1, r"probe_index must be in range\(1\), got 1"),
+            (0.0, "probe_index must be an integer, got 0.0"),
+        ],
+        ids=["negative", "past_the_last", "float"],
+    )
+    def test_probe_index_must_name_a_probe(self, probe_index, message):
+        # -1 would score the last probe, 1 end in an IndexError
+        result = run_scenario(coarse_calibration(t_end=0.05))
+        with pytest.raises(DomainError, match=message):
+            error_functional(result, probe_index, Greenshields(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +112,12 @@ class TestErrorFunctional:
 
 class TestScan:
     def test_grid_and_best_sample(self):
-        scan = scan_E(coarse_calibration(), 0.8, 1.6, 4, workers=1)
+        scan = scan_E(coarse_calibration(), 0.8, 1.6, 4)
         assert scan.v_values == pytest.approx((0.8, 1.0, 1.2, 1.4, 1.6))
         assert len(scan.errors) == 5
         assert minimize_E(scan.samples).v_best == pytest.approx(1.2, abs=1e-12)
         assert min(scan.errors) <= 1e-12
         assert scan.samples[0] == (0.8, scan.errors[0])
-
-    def test_process_pool_matches_the_serial_scan(self):
-        scenario = get_scenario("calibration").with_overrides(t_end=0.1)
-        serial = scan_E(scenario, 0.5, 2.0, 4, workers=1)
-        pooled = scan_E(scenario, 0.5, 2.0, 4, workers=2)
-        assert pooled.v_values == serial.v_values
-        assert pooled.errors == serial.errors
 
     def test_validation(self):
         scenario = coarse_calibration()
@@ -122,8 +127,8 @@ class TestScan:
             scan_E(scenario, 1.0, 0.5, 4)
         with pytest.raises(DomainError):
             scan_E(scenario, 0.5, 1.0, 0)
-        for workers in (0, -4):
-            with pytest.raises(DomainError, match="at least one worker"):
+        for workers in (0, -4, 2):
+            with pytest.raises(DomainError, match="the scan is serial: workers must be 1"):
                 scan_E(scenario, 0.5, 1.0, 4, workers=workers)
 
     @pytest.mark.parametrize("kwargs", [{"n": 2.5}, {"workers": 2.5}], ids=["n", "workers"])
@@ -214,6 +219,18 @@ class TestEvaluateCandidate:
         observer = scenario.probes[0].clone(observer=False)
         scenario = scenario.with_overrides(probes=(observer,))
         assert evaluate_candidate(scenario, 1.2) <= 1e-12
+
+    def test_scenario_without_probes_is_rejected_before_any_run(self, monkeypatch):
+        # with nothing to score, every candidate would read 0.0
+        def no_run(scenario):
+            raise AssertionError("a probe-free candidate was simulated")
+
+        monkeypatch.setattr(inverse, "run_scenario", no_run)
+        scenario = coarse_calibration(probes=())
+        with pytest.raises(DomainError, match="'calibration' has no probes"):
+            evaluate_candidate(scenario, 1.2)
+        with pytest.raises(DomainError, match="no probes"):
+            scan_E(scenario, 0.5, 2.0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from probeflow import EpsilonLaw, get_scenario, run_scenario, scenario_names
+from probeflow import (
+    EpsilonLaw,
+    MinimizeResult,
+    ScanResult,
+    get_scenario,
+    run_scenario,
+    scenario_names,
+)
 from probeflow.fronttrack import FrontState
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
@@ -49,8 +56,10 @@ def test_cases_cover_every_builtin_and_both_fleet_roads():
         "oracle_7",
         "oracle_31",
         "riemann_7",
+        "scan_calibration",
+        "scan_riemann_phi",
     ]
-    assert script.run_case_names() == script.case_names()[:-3]
+    assert script.run_case_names() == script.case_names()[:-5]
     scenario, overrides = script.load_case("fig_questa")
     assert scenario.name == "fig_questa" and overrides == {"t_end": 3.0}
     # both probes ramp their speeds, and the run crosses the ramp on [4.75, 5.25]
@@ -123,6 +132,7 @@ def test_unknown_case_exits_2(capsys):
     # front tracking and Riemann solutions export no files
     assert _load_script().main(["--bundle", "oracle_7"]) == 2
     assert _load_script().main(["--bundle", "riemann_7"]) == 2
+    assert _load_script().main(["--bundle", "scan_calibration"]) == 2
 
 
 def test_oracle_digest_from_the_command_line():
@@ -173,6 +183,42 @@ def test_riemann_digest_sees_every_edge_and_sample():
         assert script.riemann_digest([solutions[0], solution, *solutions[2:]], xi) != base
     nudged = replace(shock, speed=np.nextafter(shock.speed, 2.0))
     assert script.riemann_digest([*solutions[:3], nudged], xi) != base
+
+
+def test_scan_digest_from_the_command_line():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "scan_calibration"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    script = _load_script()
+    scan, best = script.calibrate("scan_calibration")
+    assert out == ["scan_calibration", script.scan_digest(scan, best)]
+    # probeflow inverse's defaults: nine slopes, then 2 + 20 refinement runs
+    assert len(scan.v_values) == len(scan.errors) == 9
+    assert best.n_evaluations == 22 and not best.on_boundary
+
+
+def test_scan_digest_sees_every_field():
+    script = _load_script()
+    scan = ScanResult(v_values=(0.5, 1.0, 1.5), errors=(0.25, 0.0, 0.25))
+    best = MinimizeResult(1.0, 0.0, (0.5, 1.5), 22, False)
+    base = script.scan_digest(scan, best)
+    one_ulp = np.nextafter(0.25, 1.0)
+    scans = [replace(scan, v_values=(0.5, 1.0, 1.75)), replace(scan, errors=(0.25, 0.0, one_ulp))]
+    for changed in scans:
+        assert script.scan_digest(changed, best) != base
+    records = [
+        replace(best, v_best=np.nextafter(1.0, 2.0)),
+        replace(best, e_best=5e-324),
+        replace(best, bracket=(0.5, np.nextafter(1.5, 2.0))),
+        replace(best, n_evaluations=21),
+        replace(best, on_boundary=True),
+    ]
+    for changed in records:
+        assert script.scan_digest(scan, changed) != base
 
 
 class _Solution:
