@@ -3,6 +3,7 @@
     python scripts/output_digest.py             # every case
     python scripts/output_digest.py calibration fleet_7
     python scripts/output_digest.py --bundle    # the exported files instead
+    python scripts/output_digest.py --verify    # the verification suites
 
 Each case is one finite-volume run.  The cases are every built-in scenario
 (``fig_questa`` shortened to ``t_end=3``); ``fig_questa_mollified``, whose
@@ -55,6 +56,11 @@ golden-section steps that call ``evaluate_candidate``.  Their hash covers
 the bits of the scan's slopes and misfits and of every field of the
 minimiser's record.  ``--bundle`` skips them.
 
+With ``--verify`` the cases are instead the suites of ``probeflow verify``
+(``verify.SUITES``, run with their default seeds): each line is ``<suite>
+<sha256>``, the hash taken over the suite's report, the label, pass flag and
+detail of every check, so two checkouts show exactly which suites moved.
+
 Run it on two checkouts and diff the outputs: a refactor that keeps outputs
 bit-for-bit equal shows no difference.  The library is imported from the
 ``src/`` directory next to this script, and ``perfbench/workloads.py`` is
@@ -66,6 +72,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -87,7 +94,7 @@ from probeflow import (  # noqa: E402
     scenarios,
     solve_riemann,
 )
-from probeflow import io  # noqa: E402
+from probeflow import io, verify  # noqa: E402
 from probeflow.io import write_bundle  # noqa: E402
 from probeflow.model import ProbeTrajectory  # noqa: E402
 
@@ -303,13 +310,26 @@ def bundle_digests(result, scenario, overrides):
         return h.hexdigest(), read_digest(bundle)
 
 
+def suite_digest(suite):
+    """sha256 over a verification suite's report: the label, pass flag and
+    detail of every check, in order."""
+    report = [[check.label, check.passed, check.detail] for check in suite.checks]
+    return hashlib.sha256(json.dumps(report).encode()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("cases", nargs="*", help="case names (default: every case)")
-    parser.add_argument("--bundle", action="store_true",
-                        help="hash the files write_bundle writes, not the arrays")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--bundle", action="store_true",
+                      help="hash the files write_bundle writes, not the arrays")
+    mode.add_argument("--verify", action="store_true",
+                      help="hash the verification suites' reports; the cases are suite names")
     args = parser.parse_args(argv)
-    known = run_case_names() if args.bundle else case_names()
+    if args.verify:
+        known = list(verify.SUITES)
+    else:
+        known = run_case_names() if args.bundle else case_names()
     names = args.cases or known
     unknown = [name for name in names if name not in known]
     if unknown:
@@ -317,6 +337,9 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     for name in names:
+        if args.verify:
+            print(name, suite_digest(verify.run_suite(name)), flush=True)
+            continue
         if name in ORACLES:
             print(name, oracle_digest(track_oracle(name)), flush=True)
             continue

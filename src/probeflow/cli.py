@@ -24,7 +24,7 @@ import sys
 from . import verify
 from .errors import DomainError, FrontTrackError, ProbeStateError, StabilityError
 from .estimates import phi_epsilon, phi_one_sided_limits
-from .inverse import evaluate_candidate, minimize_E, scan_E
+from .inverse import check_refine_iters, evaluate_candidate, minimize_E, scan_E
 from .io import write_bundle
 from .scenarios import Scenario, get_scenario, run_scenario, scenario_names
 
@@ -230,6 +230,7 @@ def _cmd_inverse(args):
         raise DomainError(
             f"need v-lo < v-hi, got [{args.v_lo}, {args.v_hi}]"
         )
+    check_refine_iters(args.refine)
     _print_warnings(scenario)
     scan = scan_E(scenario, args.v_lo, args.v_hi, args.intervals)
     refined = minimize_E(

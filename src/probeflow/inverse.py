@@ -134,6 +134,16 @@ class MinimizeResult:
     on_boundary: bool
 
 
+def check_refine_iters(refine_iters):
+    """``refine_iters`` as an int; :class:`DomainError` unless it is an
+    integer >= 0.  ``probeflow inverse`` checks it before its scan, so a
+    bad count costs no candidate run."""
+    refine_iters = require_index("refine_iters", refine_iters)
+    if refine_iters < 0:
+        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
+    return refine_iters
+
+
 def minimize_E(samples, refine_iters=0, evaluator=None):
     """Best slope from sweep samples, optionally golden-section refined.
 
@@ -143,9 +153,7 @@ def minimize_E(samples, refine_iters=0, evaluator=None):
     neighbours; otherwise ``refine_iters`` golden-section steps shrink that
     bracket, calling ``evaluator(v)`` for each new point.
     """
-    refine_iters = require_index("refine_iters", refine_iters)
-    if refine_iters < 0:
-        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
+    refine_iters = check_refine_iters(refine_iters)
     samples = sorted((float(v), float(e)) for v, e in samples)
     if not samples:
         raise DomainError("minimize_E needs at least one sample")

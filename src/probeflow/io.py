@@ -8,8 +8,7 @@ generator: ``density.csv`` and ``density.pgm`` render one snapshot per
 chunk, ``probe.csv`` and ``diagnostics.csv`` a fixed block of rows, each
 CSV chunk with one ``%`` over a row template, every value formatted once.
 :func:`write_bundle` writes each chunk as it is rendered, so its memory
-depends on one snapshot, not on the whole bundle; the ``*_text`` and
-:func:`pgm_bytes` renderers join the same chunks.
+depends on one snapshot, not on the whole bundle.
 
 The CSV readers share one block parser: it checks the header, then parses
 the open file in blocks of at most :data:`_READ_ROWS` rows, one
@@ -98,46 +97,23 @@ def _diagnostics_csv_chunks(result):
 
 
 def _pgm_chunks(result):
-    """The chunks of ``density.pgm``: the header, then one image row per
-    snapshot."""
+    """The chunks of ``density.pgm``, a binary PGM (P5) space-time image of
+    the density: the header, then one image row per snapshot, earliest at
+    the top; one column per cell, leftmost first.  Gray value is
+    ``round(255 * (1 - rho))``: free road white, full density black.
+
+    Every snapshot has the grid's cell count, which
+    :func:`_density_csv_chunks` checks first."""
     fields = [field for _, field in result.snapshots]
     if not fields:
         raise DomainError("result holds no snapshots")
-    width = len(fields[0])
-    if any(len(field) != width for field in fields):
-        raise DomainError("snapshots differ in cell count")
 
     def gray(field):
         row = np.rint(255.0 * (1.0 - np.asarray(field)))
         return np.clip(row, 0, 255).astype(np.uint8).tobytes()
 
-    header = f"P5\n{width} {len(fields)}\n255\n".encode("ascii")
+    header = f"P5\n{len(fields[0])} {len(fields)}\n255\n".encode("ascii")
     return chain([header], map(gray, fields))
-
-
-def density_csv_text(result):
-    """``t,x,rho`` rows: snapshots in time order, cells left to right."""
-    return "".join(_density_csv_chunks(result))
-
-
-def probe_csv_text(result):
-    """``t,probe_id,x,speed,trace_rho`` rows: probe-major, then time."""
-    return "".join(_probe_csv_chunks(result))
-
-
-def diagnostics_csv_text(result):
-    """``step,t,dt,mass,min,max`` rows, one per recorded step."""
-    return "".join(_diagnostics_csv_chunks(result))
-
-
-def pgm_bytes(result):
-    """Binary PGM (P5) space-time image of the density.
-
-    One image row per snapshot, earliest at the top; one column per cell,
-    leftmost first.  Gray value is ``round(255 * (1 - rho))``: free road
-    white, full density black.
-    """
-    return b"".join(_pgm_chunks(result))
 
 
 def metadata_dict(result, scenario, overrides=None):

@@ -120,8 +120,9 @@ def verify_phi():
 # ---------------------------------------------------------------------------
 
 def verify_riemann():
-    """Front tracking against the exact Riemann solution, plus the
-    finite-volume scheme's convergence towards it."""
+    """Front tracking against the exact Riemann solution: the tracked shock
+    speed and the tracked rarefaction profile.  The finite-volume scheme's
+    convergence towards these solutions is :func:`verify_convergence`'s."""
     n = 12
     profile_tol = 2.0 * 2.0 ** -n
     checks = []
@@ -132,8 +133,7 @@ def verify_riemann():
     checks.append(
         _check(
             f"shock speed from tracking equals the exact chord (n={n})",
-            state.n_fronts == 1
-            and abs(float(state.speeds[0]) - shock.speed) <= profile_tol,
+            state.n_fronts == 1 and float(state.speeds[0]) == shock.speed,
             f"tracked={float(state.speeds[0])!r}, exact={shock.speed!r}",
         )
     )
@@ -150,28 +150,6 @@ def verify_riemann():
             f"rarefaction profile within 2*2^-{n} of the exact fan",
             worst <= profile_tol,
             f"max deviation {worst:.3e} vs {profile_tol:.3e}",
-        )
-    )
-
-    errors = {}
-    for dx in (2.5e-3, 1.25e-3):
-        grid = Grid.from_extent(-1.0, 2.0, dx)
-        result = run(
-            FluxModel(law),
-            grid,
-            PiecewiseConstant([0.0], [1.0 / 8.0, 3.0 / 8.0]),
-            1.0,
-            n_snapshots=2,
-        )
-        reference = shock.profile(1.0, grid.centers)
-        errors[dx] = l1_distance(grid, result.final_field, reference)
-    order = math.log2(errors[2.5e-3] / errors[1.25e-3])
-    checks.append(
-        _check(
-            "finite-volume solution converges to the exact shock",
-            order >= 0.4 and max(errors.values()) <= 0.01,
-            f"L1 errors {errors[2.5e-3]:.4g} -> {errors[1.25e-3]:.4g}, "
-            f"order {order:.2f}",
         )
     )
     return SuiteResult(name="riemann", checks=tuple(checks))
@@ -195,6 +173,10 @@ _CONVERGENCE_DATA = {
 
 #: Cell widths of the Riemann ladder, on [-1, 1] to t = 0.5.
 _LADDER_DX = (0.02, 0.01, 0.005)
+
+#: Least order of the Riemann ladder, per rung: Kuznetsov's estimate gives
+#: a monotone scheme order 1/2 in L1 on data of bounded variation.
+_RIEMANN_ORDER_MIN = 0.4
 
 #: Least observed order of the fig_int32 self-convergence ladder, per rung.
 _SELF_ORDER_MIN = 0.8
@@ -241,9 +223,9 @@ def verify_convergence():
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         checks.append(
             _check(
-                f"Riemann ({rho_l} | {rho_r}): L1 error shrinks with dx, "
-                f"at most {ceiling:.2g} at dx={_LADDER_DX[-1]}",
-                all(order > 0.0 for order in orders) and errors[-1] <= ceiling,
+                f"Riemann ({rho_l} | {rho_r}): order >= {_RIEMANN_ORDER_MIN} on each "
+                f"rung, L1 error at most {ceiling:.2g} at dx={_LADDER_DX[-1]}",
+                min(orders) >= _RIEMANN_ORDER_MIN and errors[-1] <= ceiling,
                 "L1 errors "
                 + ", ".join(f"dx={dx}: {e:.6e}" for dx, e in zip(_LADDER_DX, errors))
                 + "; orders "
@@ -539,39 +521,26 @@ _RESCALE_DATUM = ([0.0], [1.0 / 8.0, 3.0 / 8.0])
 
 def verify_rescaling():
     """Speed rescaling moves the solution to a stretched grid and nothing
-    else; refinement shrinks the measured discrepancy."""
+    else: exactly for power-of-two speed ratios, within the grid bound for
+    another ratio."""
     checks = []
     datum = PiecewiseConstant(*_RESCALE_DATUM)
-    report = rescaling_check(1.0, 2.0, datum, 1.0)
+    exact = ((2.0, "doubling the speed"), (0.5, "halving the speed"), (1.0, "equal speeds"))
+    for v2, label in exact:
+        report = rescaling_check(1.0, v2, datum, 1.0)
+        checks.append(
+            _check(
+                f"{label}: the stretched run is reproduced exactly",
+                report.discrepancy == 0.0,
+                f"discrepancy={report.discrepancy!r}",
+            )
+        )
+    report = rescaling_check(1.0, 1.5, datum, 1.0)
     checks.append(
         _check(
-            "doubling the speed: discrepancy within the grid bound",
+            "speed ratio 1.5: discrepancy within the grid bound",
             report.passed,
             f"discrepancy={report.discrepancy:.4g}, bound={report.bound:.4g}",
-        )
-    )
-    checks.append(
-        _check(
-            "halving dx shrinks the discrepancy",
-            report.refinement_factor >= 1.25,
-            f"factor={report.refinement_factor:.3f} "
-            f"({report.discrepancy:.4g} -> {report.refined_discrepancy:.4g})",
-        )
-    )
-    same = rescaling_check(1.0, 1.0, datum, 1.0, refine=False)
-    checks.append(
-        _check(
-            "equal speeds reproduce the run to rounding",
-            same.discrepancy <= 1e-14,
-            f"discrepancy={same.discrepancy:.3e}",
-        )
-    )
-    slow = rescaling_check(1.0, 0.5, datum, 1.0, refine=False)
-    checks.append(
-        _check(
-            "halving the speed: discrepancy within the grid bound",
-            slow.passed,
-            f"discrepancy={slow.discrepancy:.4g}, bound={slow.bound:.4g}",
         )
     )
     return SuiteResult(name="rescaling", checks=tuple(checks))

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probeflow import cli, fvsolver
+from probeflow import cli, fvsolver, inverse
 from probeflow.cli import main
 from probeflow.io import (
     read_density_csv,
@@ -612,6 +612,22 @@ class TestInverseCommand:
     def test_reversed_bracket_exits_2(self, capsys):
         assert main(["inverse", "--v-lo", "1.5", "--v-hi", "1.0"]) == 2
         assert "need v-lo < v-hi" in capsys.readouterr().err
+
+    def test_negative_refine_exits_2_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        evaluate = inverse.evaluate_candidate
+
+        def counted(scenario, v):
+            calls.append(v)
+            return evaluate(scenario, v)
+
+        monkeypatch.setattr(inverse, "evaluate_candidate", counted)
+        monkeypatch.setattr(cli, "evaluate_candidate", counted)
+        out = tmp_path / "inv"
+        assert main(["inverse", "--refine", "-3", "--out", str(out)]) == 2
+        assert "refine_iters must be >= 0, got -3" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -40,6 +40,13 @@ RETIRED = [
     (io.OutputBundle, "directory"),
     (inverse, "ErrorFunctionalReport"),
     (inverse, "probe_records"),
+    (estimates.RescalingReport, "refined_discrepancy"),
+    (estimates.RescalingReport, "refinement_factor"),
+    (estimates.rescaling_check, "refine"),
+    (io, "density_csv_text"),
+    (io, "probe_csv_text"),
+    (io, "diagnostics_csv_text"),
+    (io, "pgm_bytes"),
 ]
 
 #: The exports of :mod:`probeflow.estimates`, which the package imports on

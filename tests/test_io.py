@@ -1,8 +1,8 @@
-"""The bundle's CSV writers and readers: byte-identical to the row-by-row
-formatters they replace, readers bitwise equal to the one-pass parse they
-replace at every block edge, bitwise round trips, malformed files rejected
-with ``DomainError`` naming the row, and an export and a read-back whose
-memory does not grow with the bundle."""
+"""The bundle's files and readers: every file ``write_bundle`` writes
+byte-identical to the row-by-row formatters it replaces, readers bitwise
+equal to the one-pass parse they replace at every block edge, bitwise round
+trips, malformed files rejected with ``DomainError`` naming the row, and an
+export and a read-back whose memory does not grow with the bundle."""
 
 import tracemalloc
 import warnings
@@ -17,10 +17,6 @@ from hypothesis import strategies as st
 from probeflow import DomainError, get_scenario, run_scenario, scenario_names
 from probeflow import io
 from probeflow.io import (
-    diagnostics_csv_text,
-    density_csv_text,
-    pgm_bytes,
-    probe_csv_text,
     read_density_csv,
     read_diagnostics_csv,
     read_metadata,
@@ -65,11 +61,21 @@ def oracle_diagnostics_csv_text(result):
     return "\n".join(lines) + "\n"
 
 
-WRITERS = [
-    (density_csv_text, oracle_density_csv_text),
-    (probe_csv_text, oracle_probe_csv_text),
-    (diagnostics_csv_text, oracle_diagnostics_csv_text),
-]
+def oracle_pgm_bytes(result):
+    """The heatmap pixel by pixel, in Python ints."""
+    fields = [field.tolist() for _, field in result.snapshots]
+    header = f"P5\n{len(fields[0])} {len(fields)}\n255\n".encode()
+    return header + bytes(
+        min(255, max(0, round(255.0 * (1.0 - rho)))) for field in fields for rho in field
+    )
+
+
+#: File name -> the oracle of its text.
+WRITERS = {
+    "density.csv": oracle_density_csv_text,
+    "probe.csv": oracle_probe_csv_text,
+    "diagnostics.csv": oracle_diagnostics_csv_text,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +148,16 @@ def _assert_reads_as_one_pass(path):
 
 @dataclass
 class Tables:
-    """The parts of a run result the CSV writers read, free of the grid's
+    """The parts of a run result ``write_bundle`` reads, free of the grid's
     four-cell minimum."""
 
     centers: np.ndarray
     snapshots: list
     probe_paths: tuple
     log: np.ndarray
+    t_end: float = 0.0
+    cfl: float = 0.5
+    initial_mass: float = 0.0
 
     @property
     def grid(self):
@@ -159,12 +168,19 @@ class Tables:
         return self.log[:, :6]
 
 
-def _assert_same_text(result):
-    for writer, oracle in WRITERS:
-        got, want = writer(result).split("\n"), oracle(result).split("\n")
+def _assert_same_files(out_dir, result, image=False):
+    """Export ``result`` to ``out_dir`` and compare each table, and with
+    ``image`` the heatmap, with its oracle; returns the bundle."""
+    bundle = write_bundle(out_dir, result, get_scenario("calibration"), image=image)
+    for name, oracle in WRITERS.items():
+        got = (out_dir / name).read_bytes().decode().split("\n")
+        want = oracle(result).split("\n")
         if got != want:  # name the first differing line, not a diff of megabytes
             i = next(i for i, (a, b) in enumerate(zip(got + [None], want + [None])) if a != b)
-            pytest.fail(f"{writer.__name__}, line {i + 1}: {got[i:i + 1]} != {want[i:i + 1]}")
+            pytest.fail(f"{name}, line {i + 1}: {got[i:i + 1]} != {want[i:i + 1]}")
+    if image:
+        assert (out_dir / "density.pgm").read_bytes() == oracle_pgm_bytes(result)
+    return bundle
 
 
 def _write(tmp_path, name, text):
@@ -179,32 +195,37 @@ def _bitwise(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Writers: byte-identical to the oracle
+# Written files: byte-identical to the oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", scenario_names())
-def test_writers_match_the_row_by_row_oracle_on_every_builtin(name):
+def test_files_match_the_row_by_row_oracle_on_every_builtin(tmp_path, name):
     result = run_scenario(get_scenario(name).with_overrides(t_end=0.1))
     assert len(result.log) > 0 and result.probe_paths
-    _assert_same_text(result)
+    _assert_same_files(tmp_path, result, image=True)
 
 
-def test_no_probes_writes_the_header_alone():
+def test_no_probes_writes_the_header_alone(tmp_path):
     result = run_scenario(get_scenario("calibration").with_overrides(t_end=0.05))
     result = Tables(result.grid.centers, result.snapshots, (), result.log)
-    _assert_same_text(result)
-    assert probe_csv_text(result) == "t,probe_id,x,speed,trace_rho\n"
+    _assert_same_files(tmp_path, result)
+    assert (tmp_path / "probe.csv").read_bytes() == b"t,probe_id,x,speed,trace_rho\n"
 
 
-def test_one_cell_and_empty_tables():
+def test_one_cell_and_empty_tables(tmp_path):
     log = np.array([[1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.0, 0.0]])
     one = Tables(np.array([0.5]), [(0.0, np.array([0.25])), (0.5, np.array([0.75]))],
                  (np.array([[0.0, 0.1, 1.0, 0.2]]),), log)
-    _assert_same_text(one)
-    assert density_csv_text(one) == "t,x,rho\n0,0.5,0.25\n0.5,0.5,0.75\n"
-    assert diagnostics_csv_text(one) == "step,t,dt,mass,min,max\n1,0.5,0.5,0.25,0.25,0.25\n"
+    _assert_same_files(tmp_path / "one", one, image=True)
+    assert (tmp_path / "one" / "density.csv").read_bytes() == (
+        b"t,x,rho\n0,0.5,0.25\n0.5,0.5,0.75\n"
+    )
+    assert (tmp_path / "one" / "diagnostics.csv").read_bytes() == (
+        b"step,t,dt,mass,min,max\n1,0.5,0.5,0.25,0.25,0.25\n"
+    )
+    assert (tmp_path / "one" / "density.pgm").read_bytes() == b"P5\n1 2\n255\n\xbf\x40"
     empty = Tables(np.array([0.5]), [], (np.empty((0, 4)),), np.empty((0, 8)))
-    _assert_same_text(empty)
+    _assert_same_files(tmp_path / "empty", empty)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +250,10 @@ def _export_peak(out_dir, result, scenario):
         tracemalloc.stop()
 
 
-def test_streamed_files_are_the_renderers_bytes_across_blocks(tmp_path):
-    result, scenario = _long_calibration(5.0)
+def test_streamed_files_are_the_oracles_bytes_across_blocks(tmp_path):
+    result, _ = _long_calibration(5.0)
     assert len(result.log) > io._BLOCK_ROWS  # more than one block of rows
-    _assert_same_text(result)
-    bundle = write_bundle(tmp_path, result, scenario)
-    assert (tmp_path / "density.csv").read_text() == density_csv_text(result)
-    assert (tmp_path / "probe.csv").read_text() == probe_csv_text(result)
-    assert (tmp_path / "diagnostics.csv").read_text() == diagnostics_csv_text(result)
-    assert (tmp_path / "density.pgm").read_bytes() == pgm_bytes(result)
+    bundle = _assert_same_files(tmp_path, result, image=True)
     assert bundle.heatmap == str(tmp_path / "density.pgm")
 
 
@@ -260,11 +276,13 @@ def test_an_unexportable_result_writes_nothing(tmp_path, damage, message):
     assert list(tmp_path.iterdir()) == []  # not even the directory
 
 
-def test_pgm_of_snapshots_of_unequal_width_is_a_domain_error():
-    ragged = Tables(np.array([0.5]), [(0.0, np.array([0.25])), (0.5, np.array([0.75, 1.0]))],
-                    (), np.empty((0, 8)))
-    with pytest.raises(DomainError, match="differ in cell count"):
-        pgm_bytes(ragged)
+@pytest.mark.parametrize("widths", [(1, 2), (2, 1)])
+def test_snapshots_of_unequal_width_write_nothing(tmp_path, widths):
+    snapshots = [(0.5 * k, np.full(width, 0.25)) for k, width in enumerate(widths)]
+    ragged = Tables(np.array([0.5]), snapshots, (), np.empty((0, 8)))
+    with pytest.raises(DomainError, match="has 2 cells, the grid 1"):
+        write_bundle(tmp_path, ragged, get_scenario("calibration"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exporting_fig_int32_holds_about_one_snapshot(tmp_path):
@@ -420,9 +438,9 @@ def _round_trip(tmp_path, values, path_values, n_snap):
         [np.arange(1, n + 1, dtype=float), np.reshape(values * 7, (n, 7))]
     )
     result = Tables(np.asarray(values), list(zip(times, fields)), (rows, rows[::-1]), log)
-    _assert_same_text(result)
+    _assert_same_files(tmp_path, result)
 
-    density = read_density_csv(_write(tmp_path, "density.csv", density_csv_text(result)))
+    density = read_density_csv(tmp_path / "density.csv")
     expected = []
     for t, field in zip(times, fields):
         if expected and expected[-1][0] == t:
@@ -434,16 +452,14 @@ def _round_trip(tmp_path, values, path_values, n_snap):
     for (t, xs, rhos), (t0, xs0, rhos0) in zip(density, expected):
         assert _bitwise(t, t0) and _bitwise(xs, xs0) and _bitwise(rhos, rhos0)
 
-    paths = read_probe_csv(_write(tmp_path, "probe.csv", probe_csv_text(result)))
+    paths = read_probe_csv(tmp_path / "probe.csv")
     if len(rows):
         assert list(paths) == [0, 1]
         assert _bitwise(paths[0], rows) and _bitwise(paths[1], rows[::-1])
     else:
         assert paths == {}
 
-    diagnostics = read_diagnostics_csv(
-        _write(tmp_path, "diagnostics.csv", diagnostics_csv_text(result))
-    )
+    diagnostics = read_diagnostics_csv(tmp_path / "diagnostics.csv")
     assert [row[0] for row in diagnostics] == list(range(1, n + 1))
     assert _bitwise([row[1:] for row in diagnostics], log[:, 1:6])
     for name in READERS:

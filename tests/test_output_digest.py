@@ -18,6 +18,7 @@ from probeflow import (
     scenario_names,
 )
 from probeflow.fronttrack import FrontState
+from probeflow.verify import CheckResult, SuiteResult
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
 
@@ -307,3 +308,60 @@ def test_read_digest_sees_every_reader(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(script.io, name, lambda p, reader=reader, nudge=nudge: nudge(reader(p)))
             assert script.bundle_digests(result, scenario, {})[1] != base, name
+
+
+def test_verify_mode_lists_every_suite(monkeypatch, capsys):
+    script = _load_script()
+    names = list(script.verify.SUITES)
+    assert names == [
+        "phi",
+        "riemann",
+        "convergence",
+        "conservation",
+        "lemma1",
+        "lipschitz-stability",
+        "rescaling",
+        "calibration",
+    ]
+
+    def stub(name):
+        return lambda: SuiteResult(name, (CheckResult(name, True, ""),))
+
+    suites = {name: (stub(name), seeded) for name, (_, seeded) in script.verify.SUITES.items()}
+    monkeypatch.setattr(script.verify, "SUITES", suites)
+    assert script.main(["--verify"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in lines] == names
+    assert [digest for _, digest in lines] == [
+        script.suite_digest(SuiteResult(name, (CheckResult(name, True, ""),))) for name in names
+    ]
+    assert len({digest for _, digest in lines}) == 8
+    assert script.main(["--verify", "fig_int32"]) == 2
+    assert "unknown case" in capsys.readouterr().err
+
+
+def test_verify_digest_from_the_command_line():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--verify", "phi"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    script = _load_script()
+    assert out == ["phi", script.suite_digest(script.verify.run_suite("phi"))]
+
+
+def test_suite_digest_sees_every_label_flag_and_detail():
+    script = _load_script()
+    checks = (CheckResult("a", True, "x=1"), CheckResult("b", True, "y=2"))
+    base = script.suite_digest(SuiteResult("phi", checks))
+    changed = [
+        (replace(checks[0], label="a "), checks[1]),
+        (checks[0], replace(checks[1], passed=False)),
+        (checks[0], replace(checks[1], detail="y=3")),
+        checks[:1],
+        checks[::-1],
+    ]
+    for other in changed:
+        assert script.suite_digest(SuiteResult("phi", other)) != base
