@@ -226,10 +226,6 @@ def _cmd_phi(args):
 
 def _cmd_inverse(args):
     scenario = _load_scenario(args.scenario)
-    if not args.v_hi > args.v_lo:
-        raise DomainError(
-            f"need v-lo < v-hi, got [{args.v_lo}, {args.v_hi}]"
-        )
     check_refine_iters(args.refine)
     _print_warnings(scenario)
     scan = scan_E(scenario, args.v_lo, args.v_hi, args.intervals)

@@ -107,8 +107,11 @@ def scan_E(scenario, v_lo, v_hi, n, workers=1):
     """Evaluate :func:`evaluate_candidate` on ``n + 1`` evenly spaced slopes
     covering ``[v_lo, v_hi]``, one after another.
 
-    The scan is serial: ``workers`` must be 1.
+    The scan is serial: ``workers`` must be 1.  A range that is not finite
+    or not ``0 < v_lo < v_hi`` is a :class:`DomainError`, raised before any
+    candidate runs.
     """
+    require_finite("scan range", v_lo, v_hi)
     if not 0.0 < v_lo < v_hi:
         raise DomainError(f"need 0 < v_lo < v_hi, got ({v_lo}, {v_hi})")
     n = require_index("n", n)

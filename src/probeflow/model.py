@@ -410,23 +410,15 @@ class _SpeedTable:
                 f"speeds up to {max(ws)} overflow it"
             )
         self.ts, self.ws, self.disp = t.tolist(), w.tolist(), disp.tolist()
-        self._last = (math.nan, 0, math.nan)  # no time equals NaN
 
     def lookup(self, t):
-        """:func:`_knot_lookup` on this table's knots (:class:`DomainError`
-        for a NaN ``t``).  The last answer is kept, so the state and the
-        speed a run step asks for at one time cost one search.  It is one
-        tuple, replaced whole, so runs sharing the table in threads read a
-        consistent answer."""
-        last = self._last
-        if last[0] == t:
-            return last[1], last[2]
+        """:func:`_knot_lookup` on this table's knots at the float time
+        ``t`` (:class:`DomainError` for a NaN ``t``).  The table is never
+        written after it is built, so runs may share it in threads."""
         t = float(t)
         if t != t:
             raise DomainError("time must not be NaN")
-        i, w = _knot_lookup(self.ts, self.ws, t)
-        self._last = (t, i, w)
-        return i, w
+        return _knot_lookup(self.ts, self.ws, t)
 
 
 def _knot_lookup(ts, ws, t):
@@ -679,31 +671,16 @@ def _stacked_weights(model, states, x, windows):
     ``|x - p_i| < outer``: ``chi`` is exactly 0 elsewhere, so a skipped
     point only loses a ``+0`` and ``total`` is bit-for-bit the one summed
     over the whole of ``x``.
-
-    ``total`` is ``None`` when the windows are given, contiguous and
-    disjoint (one ending where the next starts counts as disjoint) and no
-    position is NaN: every point then holds at most one weight, so its
-    sum is ``0.0 + chi == chi`` and no sum needs computing.  ``None``
-    windows, overlapping ones and a NaN position (whose window covers
-    every point) get ``total``.
     """
-    disjoint = windows is not None
     if windows is None:
         windows = (slice(None),) * len(states)
     rows = [range(x.size)[win] for win in windows]
-    if disjoint:
-        spans = sorted((r.start, r.stop) for r in rows if r)
-        disjoint = (
-            all(r.step == 1 for r in rows)
-            and all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:]))
-            and not any(p != p for p, _ in states)
-        )
     idx = np.concatenate([np.arange(r.start, r.stop, r.step) for r in rows] or [np.arange(0)])
     counts = [len(r) for r in rows]
     positions = np.repeat(np.array([p for p, _ in states], dtype=float), counts)
     chi = model.cutoff(x[idx] - positions)
     # bincount adds in the order of idx: probe order at every point
-    total = None if disjoint else np.bincount(idx, weights=chi, minlength=x.size)
+    total = np.bincount(idx, weights=chi, minlength=x.size)
     return idx, counts, chi, total
 
 
@@ -740,13 +717,10 @@ def _blended_speed(model, states, x, rho, windows=None):
     the weight's NaN by the same NaN.
 
     Two or more probes are blended in one stacked pass: one cutoff
-    evaluation and one harmonic blend over the concatenated windows, and
-    one unbuffered ``np.add.at``, which adds in index order, so each point
-    receives its probes' terms in probe order, as a loop over the probes
-    would add them.  Disjoint windows (``total`` is ``None``) skip the
-    normaliser and the ``np.add.at``, bit for bit: a point's one weight is
-    its own sum, and on indices that are all distinct ``out[idx] += term``
-    is the same one add per point.
+    evaluation and one harmonic blend over the concatenated windows, each
+    weight divided by ``max(total, 1.0)`` at its point, and one unbuffered
+    ``np.add.at``, which adds in index order, so each point receives its
+    probes' terms in probe order, as a loop over the probes would add them.
     """
     check_states(model, states)
     x = np.asarray(x, dtype=float)
@@ -776,10 +750,7 @@ def _blended_speed(model, states, x, rho, windows=None):
         vw = v[idx]
         speeds = np.repeat(np.array([pdot for _, pdot in states], dtype=float), counts)
         moved = harmonic_speed(speeds, vw) - vw
-        if total is None:
-            out[idx] += chi * moved
-        else:
-            np.add.at(out, idx, (chi / np.maximum(total[idx], 1.0)) * moved)
+        np.add.at(out, idx, (chi / np.maximum(total[idx], 1.0)) * moved)
     return out
 
 

@@ -144,25 +144,29 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data):
+        """The scenario :meth:`to_dict` describes.  Every number must be an
+        int or a float (not a bool, not a string) and ``observer`` a bool;
+        anything else is a :class:`DomainError`."""
         try:
             domain = data["domain"]
             datum = data["datum"]
-            profile = PiecewiseConstant(datum.get("xs", []), datum["values"])
+            xs, values = datum.get("xs", []), datum["values"]
+            profile = PiecewiseConstant(_numbers("datum xs", xs), _numbers("datum values", values))
             cutoff = data.get("cutoff", {})
             return cls(
                 name=data["name"],
                 description=data.get("description", ""),
-                x_min=float(domain["x_min"]),
-                x_max=float(domain["x_max"]),
-                dx=float(domain["dx"]),
-                t_end=float(data["t_end"]),
-                cfl=float(data.get("cfl", CFL_DEFAULT)),
+                x_min=_number("x_min", domain["x_min"]),
+                x_max=_number("x_max", domain["x_max"]),
+                dx=_number("dx", domain["dx"]),
+                t_end=_number("t_end", data["t_end"]),
+                cfl=_number("cfl", data.get("cfl", CFL_DEFAULT)),
                 n_snapshots=_whole_number(data.get("n_snapshots", SNAPSHOTS_DEFAULT)),
                 trace_side=data.get("trace_side", "right"),
                 law=_law_from_dict(data["law"]),
                 cutoff=CutoffProfile(
-                    inner=float(cutoff.get("inner", 0.05)),
-                    outer=float(cutoff.get("outer", 0.15)),
+                    inner=_number("cutoff inner", cutoff.get("inner", 0.05)),
+                    outer=_number("cutoff outer", cutoff.get("outer", 0.15)),
                 ),
                 datum=profile,
                 probes=tuple(_probe_from_dict(p) for p in data.get("probes", [])),
@@ -182,9 +186,23 @@ class Scenario:
         return cls.from_dict(data)
 
 
+def _number(what, value):
+    """``value`` as a float; :class:`TypeError` (malformed data to
+    :meth:`Scenario.from_dict`) unless it is an int or a float.  A bool is
+    an int to Python, but not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(what, values):
+    """:func:`_number` of each of ``values``, as a list."""
+    return [_number(what, v) for v in values]
+
+
 def _whole_number(value):
-    """``value`` as an int; :class:`DomainError` unless it is integral."""
-    number = float(value)
+    """``value`` as an int; :class:`DomainError` unless it is an integral number."""
+    number = _number("n_snapshots", value)
     if not number.is_integer():
         raise DomainError(f"n_snapshots must be a whole number, got {value!r}")
     return int(number)
@@ -203,11 +221,11 @@ def _law_to_dict(law):
 def _law_from_dict(data):
     kind = data.get("kind")
     if kind == "greenshields":
-        return Greenshields(vmax=float(data.get("v_max", 1.0)))
+        return Greenshields(vmax=_number("v_max", data.get("v_max", 1.0)))
     if kind == "epsilon":
-        return EpsilonLaw(eps=float(data["eps"]))
+        return EpsilonLaw(eps=_number("eps", data["eps"]))
     if kind == "tabulated":
-        return TabulatedLaw(data["values"])
+        return TabulatedLaw(_numbers("tabulated speeds", data["values"]))
     raise DomainError(f"unknown speed-law kind {kind!r}")
 
 
@@ -232,21 +250,24 @@ def _probe_to_dict(probe):
 def _probe_from_dict(data):
     program = []
     for entry in data.get("program", []):
-        start = float(entry["from"])
+        start = _number("segment start", entry["from"])
         end = entry.get("to")
-        end = None if end is None else float(end)
+        end = None if end is None else _number("segment end", end)
         mode = entry.get("mode", "speed")
         if mode == "speed":
-            program.append(ExogenousSpeed(start, end, float(entry["speed"])))
+            program.append(ExogenousSpeed(start, end, _number("segment speed", entry["speed"])))
         elif mode == "coupled":
             program.append(ModelCoupled(start, end))
         else:
             raise DomainError(f"unknown probe segment mode {mode!r}")
+    observer = data.get("observer", False)
+    if not isinstance(observer, bool):
+        raise TypeError(f"observer must be true or false, got {observer!r}")
     return ProbeTrajectory(
-        x0=float(data["x0"]),
+        x0=_number("x0", data["x0"]),
         program=program,
-        mollify_radius=float(data.get("mollify_radius", 0.0)),
-        observer=bool(data.get("observer", False)),
+        mollify_radius=_number("mollify_radius", data.get("mollify_radius", 0.0)),
+        observer=observer,
     )
 
 

@@ -224,6 +224,9 @@ class TestRunCommand:
             (("t_end",), "soon", "malformed scenario data"),
             (("n_snapshots",), 2.5, "whole number"),
             (("n_snapshots",), 1.5e300, "MAX_STEPS"),
+            # read loosely, true ran to t = 1 and "false" made the probe an observer
+            (("t_end",), True, "t_end must be a number, got True"),
+            (("probes", 0, "observer"), "false", "observer must be true or false, got 'false'"),
         ],
     )
     def test_bad_scenario_json_number_exits_2(self, tmp_path, capsys, path, value, fragment):
@@ -609,9 +612,29 @@ class TestInverseCommand:
             "warning: probe 0 starts within the cutoff support of a boundary"
         ]
 
-    def test_reversed_bracket_exits_2(self, capsys):
-        assert main(["inverse", "--v-lo", "1.5", "--v-hi", "1.0"]) == 2
-        assert "need v-lo < v-hi" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "v_lo, v_hi, message",
+        [
+            ("1.5", "1.0", "need 0 < v_lo < v_hi, got (1.5, 1.0)"),
+            ("0", "1.0", "need 0 < v_lo < v_hi, got (0.0, 1.0)"),
+            ("0.5", "inf", "scan range must be finite, got 0.5, inf"),
+        ],
+        ids=["reversed", "zero_lo", "inf_hi"],
+    )
+    def test_bad_range_exits_2_before_the_scan(
+        self, v_lo, v_hi, message, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(inverse, "evaluate_candidate", lambda scenario, v: calls.append(v))
+        monkeypatch.setattr(cli, "evaluate_candidate", lambda scenario, v: calls.append(v))
+        out = tmp_path / "inv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["inverse", "--v-lo", v_lo, "--v-hi", v_hi, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert calls == []
+        assert not out.exists()
 
     def test_negative_refine_exits_2_before_the_scan(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -2,6 +2,7 @@
 observable, curve-difference checks, rescaling, and the modulus bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ class TestScan:
         for workers in (0, -4, 2):
             with pytest.raises(DomainError, match="the scan is serial: workers must be 1"):
                 scan_E(scenario, 0.5, 1.0, 4, workers=workers)
+
+    @pytest.mark.parametrize(
+        "v_lo, v_hi",
+        [(0.5, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.5, math.nan), (-math.inf, 1.0)],
+        ids=["inf_hi", "inf_both", "nan_lo", "nan_hi", "minus_inf_lo"],
+    )
+    def test_non_finite_range_rejected_before_any_candidate(self, v_lo, v_hi, monkeypatch):
+        # np.linspace(0.5, inf, 5) warns and yields a NaN slope
+        def no_run(scenario, v):
+            raise AssertionError("a candidate was simulated")
+
+        monkeypatch.setattr(inverse, "evaluate_candidate", no_run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="scan range must be finite"):
+                scan_E(coarse_calibration(), v_lo, v_hi, 4)
 
     @pytest.mark.parametrize("kwargs", [{"n": 2.5}, {"workers": 2.5}], ids=["n", "workers"])
     def test_non_integer_counts_rejected(self, kwargs):

@@ -361,6 +361,55 @@ def _mutations(draw):
     return path, value
 
 
+#: Numbers the calibration dict lacks, as (built-in scenario, key path).
+_OTHER_NUMBER_PATHS = (
+    ("fig_int3", ("datum", "xs", 0)),
+    ("fig_questa", ("probes", 0, "program", 0, "to")),
+)
+
+
+class TestReaderTypes:
+    @pytest.mark.parametrize(
+        "name, path",
+        [("calibration", path) for path in _NUMBER_PATHS] + list(_OTHER_NUMBER_PATHS),
+        ids=lambda item: "/".join(map(str, item)) if isinstance(item, tuple) else item,
+    )
+    def test_a_number_given_as_text_is_rejected(self, name, path):
+        data = get_scenario(name).to_dict()
+        container, key = _leaf(data, path)
+        container[key] = repr(container[key])
+        with pytest.raises(DomainError, match="must be a number, got '"):
+            Scenario.from_dict(data)
+
+    def test_tabulated_speeds_given_as_text_are_rejected(self):
+        data = toy_scenario(law=TabulatedLaw([1.0, 0.5, 0.0])).to_dict()
+        data["law"]["values"] = ["1.0", "0.5", "0.0"]
+        with pytest.raises(DomainError, match="tabulated speeds must be a number"):
+            Scenario.from_dict(data)
+
+    # every path but the inner cutoff radius, which at 1.0 would fail the
+    # radii check anyway: True must not read as 1.0
+    @pytest.mark.parametrize(
+        "path",
+        [path for path in _NUMBER_PATHS if path != ("cutoff", "inner")],
+        ids=lambda path: "/".join(map(str, path)),
+    )
+    def test_a_number_given_as_a_bool_is_rejected(self, path):
+        data = _calibration_data()
+        container, key = _leaf(data, path)
+        container[key] = True
+        with pytest.raises(DomainError, match="must be a number, got True"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_observer_must_be_a_bool(self, value):
+        # "false" would read as True and silence the probe's feedback
+        data = get_scenario("fig_questa").to_dict()
+        data["probes"][0]["observer"] = value
+        with pytest.raises(DomainError, match=f"observer must be true or false, got {value!r}"):
+            Scenario.from_dict(data)
+
+
 class TestReaderFuzz:
     @given(_mutations())
     @example((("n_snapshots",), 0))
